@@ -7,7 +7,15 @@ The workhorse path condenses the element-local blocks
 
 into a sparse SPD system on the trial dofs, eliminates essential
 constraints symmetrically, and solves with a sparse LU (iterative
-fallback). The same solution can be obtained without condensation from
+fallback). Each element's A_K and b_K come from one Cholesky factor
+L_K of G_K as W^T W with W = L_K^{-1} [M_K | l_K], so A_K is symmetric
+by construction. The SPD free system is factored with a minimum-degree
+ordering on A + A^T and diagonal pivots (SuperLU's symmetric mode); the
+indefinite KKT and saddle-point systems keep partial pivoting. A system
+whose reciprocal 1-norm condition estimate falls below machine epsilon,
+e.g. one on a mesh with no Gamma0 edge, raises LinAlgError. Each solve
+records its path, residual, condition estimate and fill in
+extras["solver"]. The same solution can be obtained without condensation from
 the symmetric saddle-point system
 
     [ G  M ] [ psi ]   [ l ]
@@ -44,6 +52,7 @@ from .spaces import h1_space, volume_basis, element_edge_values, geometry
 from .forms import (
     Formulation,
     BCData,
+    TrialLayout,
     formulation,
     assemble_local_blocks,
     trial_layout,
@@ -93,21 +102,24 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
-def condense_local(blocks):
-    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l).
+def condense_local(blocks, test_slice=slice(None)):
+    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l),
+    restricted to the test dofs in test_slice.
 
-    Verifies each Gram matrix is SPD via its Cholesky factor.
+    With the Cholesky factor G = L L^T and W = L^{-1} [M | l],
+    A = W_M^T W_M and b = W_M^T W_l; a Gram matrix that is not SPD
+    raises ValueError.
     """
-    M = np.concatenate([blocks.B, blocks.Bhat], axis=2)
+    s = test_slice
+    MB = np.concatenate([blocks.B[:, s, :], blocks.Bhat[:, s, :], blocks.l[:, s, None]], axis=2)
     try:
-        np.linalg.cholesky(blocks.G)
+        L = np.linalg.cholesky(blocks.G[:, s, s])
     except np.linalg.LinAlgError as err:
         raise ValueError("element Gram matrix is not SPD") from err
-    GinvM = np.linalg.solve(blocks.G, M)
-    Ginvl = np.linalg.solve(blocks.G, blocks.l[..., None])[..., 0]
-    A = np.einsum("etm,etn->emn", M, GinvM, optimize=True)
-    A = 0.5 * (A + np.swapaxes(A, 1, 2))
-    b = np.einsum("etm,et->em", M, Ginvl, optimize=True)
+    W = np.linalg.solve(L, MB)
+    WM = W[..., :-1]
+    A = np.swapaxes(WM, 1, 2) @ WM
+    b = np.einsum("etm,et->em", WM, W[..., -1], optimize=True)
     return A, b
 
 
@@ -133,8 +145,16 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
     return GlobalSystem(form=form, layout=layout, K=K, rhs=rhs)
 
 
+# minimum-degree ordering on A + A^T with diagonal pivots, for SPD systems
+_SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
 def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     """Symmetric elimination of essential constraints, then sparse solve.
+
+    Returns the full solution vector and a record of the solve: the
+    path ("lu" or "cg"), the relative residual, the reciprocal
+    condition estimate, the free-dof count and the LU fill.
 
     With linear constraint rows C x = d the free system is the
     symmetric indefinite KKT system
@@ -144,14 +164,16 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
 
     with the essential values eliminated into both right-hand sides. The
     conjugate-gradient fallback needs an SPD matrix, so a KKT system the
-    sparse LU cannot factor raises instead.
+    sparse LU cannot factor raises instead. A factored system that is
+    singular to working precision raises LinAlgError on either path.
     """
     n = K.shape[0]
     free = np.setdiff1d(np.arange(n), constrained)
     x = np.zeros(n)
     x[constrained] = values
+    info = {"path": "lu", "residual": 0.0, "rcond": None, "free_dofs": len(free), "lu_nnz": None}
     if len(free) == 0:
-        return x
+        return x, info
     Kf = K[free][:, free].tocsc()
     rhs_f = rhs[free] - K[free][:, constrained] @ values if len(constrained) else rhs[free]
     if C is not None:
@@ -159,44 +181,53 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
         d_f = d - C[:, constrained] @ values if len(constrained) else d
         Kf = sp.bmat([[Kf, Cf.T], [Cf, None]], format="csc")
         rhs_f = np.concatenate([rhs_f, d_f])
-        sol = _solve_kkt(Kf, rhs_f)
+        try:
+            lu, info["rcond"] = _factor_checked(Kf, "KKT system")
+        except RuntimeError as err:
+            raise np.linalg.LinAlgError(f"KKT system is singular: {err}") from err
+        sol = lu.solve(rhs_f)
+        info["lu_nnz"] = lu.nnz
     else:
         try:
-            sol = spla.splu(Kf).solve(rhs_f)
+            lu, info["rcond"] = _factor_checked(Kf, "SPD system", **_SPD_LU)
+            sol = lu.solve(rhs_f)
+            info["lu_nnz"] = lu.nnz
         except RuntimeError:
             log.warning("sparse LU failed, falling back to conjugate gradients")
-            sol, info = spla.cg(Kf, rhs_f, rtol=1e-12, atol=0.0, maxiter=20000)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"iterative solve did not converge (info={info})")
+            sol, status = spla.cg(Kf, rhs_f, rtol=1e-12, atol=0.0, maxiter=20000)
+            if status != 0:
+                raise np.linalg.LinAlgError(f"iterative solve did not converge (info={status})")
+            info["path"] = "cg"
     res = np.linalg.norm(Kf @ sol - rhs_f)
     scale = max(np.linalg.norm(rhs_f), 1e-30)
+    info["residual"] = float(res / scale)
     if res > 1e-6 * scale:
         log.warning("large linear-solve residual: %.3e (relative)", res / scale)
     x[free] = sol[: len(free)]
-    return x
+    return x, info
 
 
-def _solve_kkt(A, rhs):
-    """Sparse LU solve of a KKT matrix; a singular one raises LinAlgError.
+def _factor_checked(A, what, **lu_options):
+    """Sparse LU of A and its reciprocal 1-norm condition estimate.
 
-    Singularity is judged, as in LAPACK's condition estimators, by the
-    reciprocal 1-norm condition number falling below machine epsilon.
+    A failed factorization raises splu's RuntimeError. A singular A
+    raises LinAlgError: singularity is judged, as in LAPACK's condition
+    estimators, by the reciprocal condition falling below machine
+    epsilon.
     """
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as err:
-        raise np.linalg.LinAlgError(f"KKT system is singular: {err}") from err
+    lu = spla.splu(A, **lu_options)
     inv = spla.LinearOperator(
         A.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=float
     )
-    rcond = 1.0 / (spla.norm(A, 1) * spla.onenormest(inv, t=1))
+    norm1 = abs(A).sum(axis=0).max()  # spla.norm(A, 1) is several times slower
+    rcond = float(1.0 / (norm1 * spla.onenormest(inv, t=1)))
     if rcond < np.finfo(float).eps:
         raise np.linalg.LinAlgError(
-            f"KKT system is singular to working precision (reciprocal condition {rcond:.1e}); "
-            "the constraint rows or the minimized functional are rank deficient, "
+            f"{what} is singular to working precision (reciprocal condition {rcond:.1e}); "
+            "the minimized functional or the constraint rows are rank deficient, "
             "e.g. on a mesh with no Gamma0 edge"
         )
-    return lu.solve(rhs)
+    return lu, rcond
 
 
 def _fields_from_vector(form: Formulation, layout, x, spec_name=None, extras=None) -> SolutionFields:
@@ -220,8 +251,8 @@ def _fields_from_vector(form: Formulation, layout, x, spec_name=None, extras=Non
 def assemble_and_solve(form: Formulation) -> SolutionFields:
     """Solve the condensed normal equations of a broken formulation."""
     system = assemble_normal_equations(form)
-    x = _solve_constrained(system.K, system.rhs, system.layout.constrained, system.layout.values)
-    return _fields_from_vector(form, system.layout, x)
+    x, info = _solve_constrained(system.K, system.rhs, system.layout.constrained, system.layout.values)
+    return _fields_from_vector(form, system.layout, x, extras={"solver": info})
 
 
 def solve_dpg(spec_id, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> SolutionFields:
@@ -313,8 +344,8 @@ def solve_fosls(mesh, material, p, bc: Optional[BCData] = None) -> SolutionField
     exact L2 Riesz map instead of a discrete Gram inversion."""
     form = formulation("strong", mesh, material, p, dp=0, bc=bc)
     layout, K, rhs = _assemble_exact_l2(form)
-    x = _solve_constrained(K, rhs, layout.constrained, layout.values)
-    return _fields_from_vector(form, layout, x, spec_name="fosls")
+    x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
+    return _fields_from_vector(form, layout, x, spec_name="fosls", extras={"solver": info})
 
 
 def _momentum_constraints(form: Formulation, layout):
@@ -365,13 +396,7 @@ def solve_hybrid_mixed(
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
         blocks = assemble_local_blocks(form, elems)
-        s = blocks.test_slices["tau"]
-        M = np.concatenate([blocks.B[:, s, :], blocks.Bhat[:, s, :]], axis=2)
-        G = blocks.G[:, s, s]
-        GinvM = np.linalg.solve(G, M)
-        A = np.einsum("etm,etn->emn", M, GinvM, optimize=True)
-        A = 0.5 * (A + np.swapaxes(A, 1, 2))
-        b = np.einsum("etm,et->em", M, np.linalg.solve(G, blocks.l[:, s, None])[..., 0])
+        A, b = condense_local(blocks, blocks.test_slices["tau"])
         gdofs = element_trial_dofs(form, layout, elems)
         nloc = gdofs.shape[1]
         rows.append(np.repeat(gdofs, nloc, axis=1).ravel())
@@ -382,8 +407,8 @@ def solve_hybrid_mixed(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
     ).tocsr()
     C, d = _momentum_constraints(form, layout) if conservative else (None, None)
-    x = _solve_constrained(K, rhs, layout.constrained, layout.values, C, d)
-    return _fields_from_vector(form, layout, x, spec_name="hybrid_mixed")
+    x, info = _solve_constrained(K, rhs, layout.constrained, layout.values, C, d)
+    return _fields_from_vector(form, layout, x, spec_name="hybrid_mixed", extras={"solver": info})
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +464,8 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
             ev = element_edge_values(space, np.array([t0]), tq)[0, :, loc]  # (nloc, nq, 2)
             load = length * np.einsum("q,qc,lqc->l", twq, gv, ev)
             np.add.at(rhs, space.elt_dofs[t0], load)
-    x = _solve_constrained(K, rhs, space.constrained_dofs, space.constrained_values)
-
-    @dataclass
-    class _Layout:
-        offsets: dict
-        ndof: int
-        constrained: np.ndarray
-        values: np.ndarray
-
-    layout = _Layout(
+    x, info = _solve_constrained(K, rhs, space.constrained_dofs, space.constrained_values)
+    layout = TrialLayout(
         offsets={"u": 0},
         ndof=n,
         constrained=space.constrained_dofs,
@@ -464,4 +481,5 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
         coeffs={"u": x},
         form=None,
         layout=layout,
+        extras={"solver": info},
     )

@@ -469,11 +469,6 @@ class TrialLayout:
     constrained: np.ndarray  # global constrained dof ids, sorted
     values: np.ndarray
 
-    def slot_range(self, form, name):
-        space = form.trial_space(name)
-        off = self.offsets[name]
-        return off, off + space.ndof
-
 
 def trial_layout(form: Formulation) -> TrialLayout:
     offsets = {}

@@ -158,10 +158,6 @@ class Skeleton:
     lengths: np.ndarray
     tri_signs: np.ndarray
 
-    def edge_tag(self, eid: int):
-        key = tuple(self.mesh.edges[eid])
-        return self.mesh.boundary_tags.get(key)
-
 
 def skeleton(mesh: Mesh) -> Skeleton:
     """Extract the skeleton with the fixed-normal convention."""

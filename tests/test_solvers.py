@@ -3,10 +3,11 @@ reproduction of representable solutions, and benchmark error behavior."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from dpgelast.material import MaterialParams, stiffness_apply
 from dpgelast.material import SymTensor2
-from dpgelast.mesh import build_square_mesh, uniform_refine
+from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d, error_norms
 from dpgelast.forms import BCData, bc_from_exact, formulation, FORMULATION_IDS
 from dpgelast.dpg_solver import (
@@ -99,6 +100,89 @@ class TestCondenseLocal:
         )
         with pytest.raises(ValueError):
             condense_local(blocks)
+
+    @staticmethod
+    def _random_blocks(ne, ntest, nfield, ntrace, seed=1):
+        rng = np.random.default_rng(seed)
+        R = rng.standard_normal((ne, ntest, ntest))
+        return FakeBlocks(
+            B=rng.standard_normal((ne, ntest, nfield)),
+            Bhat=rng.standard_normal((ne, ntest, ntrace)),
+            G=R @ np.swapaxes(R, 1, 2) + ntest * np.eye(ntest),
+            l=rng.standard_normal((ne, ntest)),
+        )
+
+    def test_exactly_symmetric(self):
+        A, _ = condense_local(self._random_blocks(7, 12, 5, 4))
+        assert np.array_equal(A, A.swapaxes(1, 2))
+
+    def test_test_slice_condenses_the_sub_blocks(self):
+        blocks = self._random_blocks(3, 10, 4, 2)
+        s = slice(3, 8)
+        sub = FakeBlocks(B=blocks.B[:, s], Bhat=blocks.Bhat[:, s], G=blocks.G[:, s, s], l=blocks.l[:, s])
+        A, b = condense_local(blocks, s)
+        for e in range(3):
+            M = np.concatenate([sub.B[e], sub.Bhat[e]], axis=1)
+            Ginv = np.linalg.inv(sub.G[e])
+            assert np.abs(A[e] - M.T @ Ginv @ M).max() < 1e-10
+            assert np.abs(b[e] - M.T @ Ginv @ sub.l[e]).max() < 1e-10
+
+
+def _no_gamma0_mesh():
+    sq = build_square_mesh(3)
+    return Mesh(vertices=sq.vertices, triangles=sq.triangles, boundary_tags={k: GAMMA1 for k in sq.boundary_tags})
+
+
+class TestSingularSystems:
+    # with every boundary edge in Gamma1 the rigid motions are unconstrained,
+    # so each SPD system is singular; none may return a null-space mix
+    SOLVES = {
+        "hybrid_mixed": lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc),
+        "primal": lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
+        "ultraweak": lambda m, mat, bc: solve_dpg("ultraweak", m, mat, 1, bc=bc),
+        "fosls": lambda m, mat, bc: solve_fosls(m, mat, 1, bc),
+        "galerkin": lambda m, mat, bc: solve_galerkin_primal(m, mat, 1, bc),
+    }
+
+    @pytest.mark.parametrize("path", sorted(SOLVES))
+    def test_no_gamma0_raises_without_fallback(self, path, monkeypatch):
+        def no_cg(*args, **kwargs):
+            raise AssertionError("conjugate gradients must not run on a singular system")
+
+        monkeypatch.setattr(spla, "cg", no_cg)
+        smooth = smooth_solution_2d()
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            self.SOLVES[path](_no_gamma0_mesh(), smooth.material, bc_from_exact(smooth))
+
+
+class TestSolverRecord:
+    def test_assemble_and_solve_records_the_solve(self):
+        smooth = smooth_solution_2d()
+        form = formulation("ultraweak", build_square_mesh(3), smooth.material, 2, bc=bc_from_exact(smooth))
+        f = assemble_and_solve(form)
+        info = f.extras["solver"]
+        assert info["path"] == "lu"
+        assert info["residual"] < 1e-10
+        assert np.finfo(float).eps < info["rcond"] <= 1.0
+        assert info["free_dofs"] == f.num_free_dofs()
+        assert info["lu_nnz"] >= info["free_dofs"]
+
+    def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
+        smooth = smooth_solution_2d()
+        bc = bc_from_exact(smooth)
+        m = build_square_mesh(2)
+        a = solve_dpg("primal", m, smooth.material, 1, bc=bc)
+
+        def failed_lu(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", failed_lu)
+        b = solve_dpg("primal", m, smooth.material, 1, bc=bc)
+        assert b.extras["solver"]["path"] == "cg"
+        assert b.extras["solver"]["rcond"] is None
+        for k in a.coeffs:
+            d = np.linalg.norm(a.coeffs[k] - b.coeffs[k]) / max(np.linalg.norm(a.coeffs[k]), 1e-30)
+            assert d < 1e-8, k
 
 
 class TestHomogeneous:
