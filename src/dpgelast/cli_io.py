@@ -46,13 +46,11 @@ class RunConfig:
     p: int = 1
     dp: int = 1
     p_res: int = 4
-    refinement: str = "uniform"  # uniform | adaptive
     steps: int = 4
     initial_n: int = 2
     lam: float = 1.0
     mu: float = 1.0
     theta: float = 0.5
-    solver_rtol: float = 1e-12
     output_dir: str = "."
 
     def validate(self):
@@ -68,8 +66,6 @@ class RunConfig:
             raise ConfigError(f"p_res must be >= p + 1, got p_res={self.p_res} with p={self.p}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.refinement not in ("uniform", "adaptive"):
-            raise ConfigError(f"refinement must be uniform or adaptive, got {self.refinement!r}")
         return self
 
     def benchmark_setup(self):

@@ -46,17 +46,19 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .material import MaterialParams, stiffness_apply_array
-from .mesh import Mesh, GAMMA1
-from .quadrature import triangle_rule, edge_rule
-from .spaces import h1_space, volume_basis, element_edge_values, geometry
+from .mesh import Mesh, GAMMA1, skeleton as make_skeleton
+from .quadrature import edge_rule
+from .spaces import h1_space, volume_basis, element_edge_values
 from .forms import (
     Formulation,
     BCData,
     TrialLayout,
     formulation,
     assemble_local_blocks,
+    element_quadrature,
     trial_layout,
     element_trial_dofs,
+    scatter_blocks,
     l2_slot_residual_ops,
     element_momentum_integrals,
 )
@@ -123,26 +125,27 @@ def condense_local(blocks, test_slice=slice(None)):
     return A, b
 
 
-def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSystem:
+def assemble_normal_equations(
+    form: Formulation, chunk: int = CHUNK, test_slot: Optional[str] = None
+) -> GlobalSystem:
+    """Condensed normal equations of a broken formulation on its trial dofs.
+
+    With test_slot, only that test slot is condensed; the caller accounts
+    for the others.
+    """
     layout = trial_layout(form)
     n = layout.ndof
     rhs = np.zeros(n)
-    rows, cols, vals = [], [], []
+    triples = []
     nelt = form.mesh.num_triangles
     for start in range(0, nelt, chunk):
         elems = np.arange(start, min(start + chunk, nelt))
         blocks = assemble_local_blocks(form, elems)
-        A, b = condense_local(blocks)
+        A, b = condense_local(blocks, blocks.test_slices[test_slot] if test_slot else slice(None))
         gdofs = element_trial_dofs(form, layout, elems)  # (ne, nloc)
-        nloc = gdofs.shape[1]
-        rows.append(np.repeat(gdofs, nloc, axis=1).ravel())
-        cols.append(np.tile(gdofs, (1, nloc)).ravel())
-        vals.append(A.ravel())
+        triples.append((gdofs, gdofs, A))
         np.add.at(rhs, gdofs.ravel(), b.ravel())
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return GlobalSystem(form=form, layout=layout, K=K, rhs=rhs)
+    return GlobalSystem(form=form, layout=layout, K=scatter_blocks(triples, (n, n)), rhs=rhs)
 
 
 # minimum-degree ordering on A + A^T with diagonal pivots, for SPD systems
@@ -198,13 +201,17 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
             if status != 0:
                 raise np.linalg.LinAlgError(f"iterative solve did not converge (info={status})")
             info["path"] = "cg"
-    res = np.linalg.norm(Kf @ sol - rhs_f)
-    scale = max(np.linalg.norm(rhs_f), 1e-30)
-    info["residual"] = float(res / scale)
-    if res > 1e-6 * scale:
-        log.warning("large linear-solve residual: %.3e (relative)", res / scale)
+    info["residual"] = _relative_residual(Kf, sol, rhs_f)
     x[free] = sol[: len(free)]
     return x, info
+
+
+def _relative_residual(A, x, b):
+    """||A x - b|| / ||b||, logged as a warning when above 1e-6."""
+    rel = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-30))
+    if rel > 1e-6:
+        log.warning("large linear-solve residual: %.3e (relative)", rel)
+    return rel
 
 
 def _factor_checked(A, what, **lu_options):
@@ -268,7 +275,11 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     """Solve the uncondensed symmetric system; extras carry psi.
 
     psi is the discrete error representation function in the enriched
-    broken test space, stored elementwise as (nelt, ntest_loc).
+    broken test space, stored elementwise as (nelt, ntest_loc). The
+    indefinite system is factored with partial pivoting; a system that is
+    singular to working precision, e.g. on a mesh with no Gamma0 edge,
+    raises LinAlgError. extras["solver"] records the solve as for the
+    condensed path.
     """
     layout = trial_layout(form)
     nelt = form.mesh.num_triangles
@@ -277,16 +288,9 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     ntest = M.shape[1]
     npsi = nelt * ntest
     gdofs = element_trial_dofs(form, layout, np.arange(nelt))
-    nloc = gdofs.shape[1]
-
-    trows = (np.arange(nelt)[:, None, None] * ntest + np.arange(ntest)[None, :, None]) * np.ones(
-        (1, 1, nloc), dtype=np.int64
-    )
-    tcols = np.broadcast_to(gdofs[:, None, :], (nelt, ntest, nloc))
-    Bg = sp.coo_matrix(
-        (M.ravel(), (trows.ravel().astype(np.int64), tcols.ravel())), shape=(npsi, layout.ndof)
-    ).tocsr()
-    G = sp.block_diag([blocks.G[e] for e in range(nelt)], format="csr")
+    psi_dofs = np.arange(npsi).reshape(nelt, ntest)
+    Bg = scatter_blocks([(psi_dofs, gdofs, M)], (npsi, layout.ndof))
+    G = scatter_blocks([(psi_dofs, psi_dofs, blocks.G)], (npsi, npsi))
 
     free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)
     Bf = Bg[:, free]
@@ -295,12 +299,23 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
         top = top - Bg[:, layout.constrained] @ layout.values
     Kfull = sp.bmat([[G, Bf], [Bf.T, None]], format="csc")
     rhs = np.concatenate([top, np.zeros(len(free))])
-    sol = spla.splu(Kfull).solve(rhs)
+    try:
+        lu, rcond = _factor_checked(Kfull, "saddle-point system")
+    except RuntimeError as err:
+        raise np.linalg.LinAlgError(f"saddle-point system is singular: {err}") from err
+    sol = lu.solve(rhs)
+    info = {
+        "path": "lu",
+        "residual": _relative_residual(Kfull, sol, rhs),
+        "rcond": rcond,
+        "free_dofs": len(free),
+        "lu_nnz": lu.nnz,
+    }
     psi = sol[:npsi].reshape(nelt, ntest)
     x = np.zeros(layout.ndof)
     x[layout.constrained] = layout.values
     x[free] = sol[npsi:]
-    return _fields_from_vector(form, layout, x, extras={"psi": psi})
+    return _fields_from_vector(form, layout, x, extras={"psi": psi, "solver": info})
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +328,7 @@ def _assemble_exact_l2(form: Formulation, chunk: int = CHUNK):
     layout = trial_layout(form)
     n = layout.ndof
     rhs = np.zeros(n)
-    rows, cols, vals = [], [], []
+    triples = []
     nelt = form.mesh.num_triangles
     for start in range(0, nelt, chunk):
         elems = np.arange(start, min(start + chunk, nelt))
@@ -329,14 +344,9 @@ def _assemble_exact_l2(form: Formulation, chunk: int = CHUNK):
             lr = load_reps[name]
             if lr is not None:
                 b += np.einsum("eq,eqk,emqk->em", wts, lr.reshape(lr.shape[:2] + (-1,)), r, optimize=True)
-        rows.append(np.repeat(fdofs, nfield, axis=1).ravel())
-        cols.append(np.tile(fdofs, (1, nfield)).ravel())
-        vals.append(A.ravel())
+        triples.append((fdofs, fdofs, A))
         np.add.at(rhs, fdofs.ravel(), b.ravel())
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
-    return layout, K, rhs
+    return layout, scatter_blocks(triples, (n, n)), rhs
 
 
 def solve_fosls(mesh, material, p, bc: Optional[BCData] = None) -> SolutionFields:
@@ -354,20 +364,15 @@ def _momentum_constraints(form: Formulation, layout):
     space = form.field_spaces["sigma"]
     nelt = form.mesh.num_triangles
     d = np.zeros(2 * nelt)
-    rows, cols, vals = [], [], []
+    triples = []
     for start in range(0, nelt, CHUNK):
         stop = min(start + CHUNK, nelt)
         elems = np.arange(start, stop)
-        div_int, f_int, _ = element_momentum_integrals(space, form.bc, elems)
+        div_int, f_int, _ = element_momentum_integrals(space, form.bc, elems)  # (ne, nloc, 2), (ne, 2)
         gdofs = space.elt_dofs[elems] + layout.offsets["sigma"]
-        shape = div_int.shape  # (ne, nloc, 2)
-        rows.append(np.broadcast_to(2 * elems[:, None, None] + np.arange(2), shape).ravel())
-        cols.append(np.broadcast_to(gdofs[:, :, None], shape).ravel())
-        vals.append(div_int.ravel())
+        triples.append((2 * elems[:, None] + np.arange(2), gdofs, np.swapaxes(div_int, 1, 2)))
         d[2 * start : 2 * stop] = -f_int.ravel()
-    C = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(2 * nelt, layout.ndof)
-    ).tocsr()
+    C = scatter_blocks(triples, (2 * nelt, layout.ndof))
     C.eliminate_zeros()
     return C, d
 
@@ -389,23 +394,9 @@ def solve_hybrid_mixed(
     """
     form = formulation("mixed", mesh, material, p, dp=dp, bc=bc)
     layout, K2, rhs2 = _assemble_exact_l2(form)
-    n = layout.ndof
-    rhs = rhs2.copy()
-    rows, cols, vals = [], [], []
-    nelt = form.mesh.num_triangles
-    for start in range(0, nelt, CHUNK):
-        elems = np.arange(start, min(start + CHUNK, nelt))
-        blocks = assemble_local_blocks(form, elems)
-        A, b = condense_local(blocks, blocks.test_slices["tau"])
-        gdofs = element_trial_dofs(form, layout, elems)
-        nloc = gdofs.shape[1]
-        rows.append(np.repeat(gdofs, nloc, axis=1).ravel())
-        cols.append(np.tile(gdofs, (1, nloc)).ravel())
-        vals.append(A.ravel())
-        np.add.at(rhs, gdofs.ravel(), b.ravel())
-    K = K2 + sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+    tau = assemble_normal_equations(form, test_slot="tau")
+    K = K2 + tau.K
+    rhs = rhs2 + tau.rhs
     C, d = _momentum_constraints(form, layout) if conservative else (None, None)
     x, info = _solve_constrained(K, rhs, layout.constrained, layout.values, C, d)
     return _fields_from_vector(form, layout, x, spec_name="hybrid_mixed", extras={"solver": info})
@@ -421,36 +412,23 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     displacement boundary eliminated."""
     bc = bc if bc is not None else BCData()
     space = h1_space(mesh, p, gamma0_constrained=True, bc_fn=bc.u0)
-    geom = geometry(mesh)
-    rule = triangle_rule(2 * p + 2)
     n = space.ndof
     rhs = np.zeros(n)
-    rows, cols, vals = [], [], []
+    triples = []
     nelt = mesh.num_triangles
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
+        rule, wts, pts = element_quadrature(mesh, elems, 2 * p + 2)
         basis = volume_basis(space, elems, rule.points)
-        wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
         cg = stiffness_apply_array(basis.grad, material)
-        A = np.einsum(
-            "eq,emqij,enqij->emn", wts, cg, basis.grad, optimize=True
-        )
-        pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
-        fv = bc.body_force(pts)
-        b = np.einsum("eq,eqc,emqc->em", wts, fv, basis.val, optimize=True)
+        A = np.einsum("eq,emqij,enqij->emn", wts, cg, basis.grad, optimize=True)
+        b = np.einsum("eq,eqc,emqc->em", wts, bc.body_force(pts), basis.val, optimize=True)
         gdofs = space.elt_dofs[elems]
-        nloc = gdofs.shape[1]
-        rows.append(np.repeat(gdofs, nloc, axis=1).ravel())
-        cols.append(np.tile(gdofs, (1, nloc)).ravel())
-        vals.append(A.ravel())
+        triples.append((gdofs, gdofs, A))
         np.add.at(rhs, gdofs.ravel(), b.ravel())
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+    K = scatter_blocks(triples, (n, n))
     # traction load on Gamma1
     if bc.g is not None:
-        from .mesh import skeleton as make_skeleton
-
         sk = make_skeleton(mesh)
         tq, twq = edge_rule(2 * p + 6)
         for eid in mesh.boundary_edge_ids(GAMMA1):

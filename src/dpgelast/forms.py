@@ -9,7 +9,10 @@ instantiating all discrete spaces; assembly produces per-element blocks
 
     B (test x field), Bhat (test x trace), G (test Gram), l (load)
 
-in batched numpy arrays, chunked over elements to bound memory.
+in batched numpy arrays, chunked over elements to bound memory. The
+element kernels (quadrature, norm Grams, skeleton pairings) and the
+scatter of element blocks into global sparse matrices are shared with
+the solvers and the inf-sup lab.
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -20,10 +23,11 @@ the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .material import MaterialParams, stiffness_apply_array, compliance_apply_array
 from .mesh import Mesh, skeleton as make_skeleton
@@ -39,7 +43,6 @@ from .spaces import (
     volume_basis,
     element_edge_values,
     trace_edge_basis,
-    edge_phys_points,
     geometry,
 )
 
@@ -343,6 +346,53 @@ def _local_layout(form: Formulation):
     return test_slices, ntest, field_slices, nfield, trace_slices, off
 
 
+def element_quadrature(mesh: Mesh, elems, degree: int):
+    """Reference rule of the given degree with its per-element weights
+    |det J| w_q, (nelt, nq), and physical points, (nelt, nq, 2)."""
+    rule = triangle_rule(degree)
+    geom = geometry(mesh)
+    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
+    pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
+    return rule, wts, pts
+
+
+def gram_blocks(wts, basis, norm: str) -> np.ndarray:
+    """Element Gram matrices of a basis in the L2, H1 or Hdiv norm."""
+    G = _contract(wts, basis.val, basis.val)
+    if norm == "H1":
+        G += _contract(wts, basis.grad, basis.grad)
+    elif norm == "Hdiv":
+        G += _contract(wts, basis.div, basis.div)
+    elif norm != "L2":
+        raise ValueError(f"unknown norm {norm!r}")
+    return G
+
+
+def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems, degree: int) -> np.ndarray:
+    """Skeleton pairings <trace_m, element trace of test_t> on each element,
+    (nelt, test nloc, 3 * trace dofs per edge), columns edge by edge.
+
+    The stored flux of a TraceHm12 space is flipped to the element's
+    outward side.
+    """
+    mesh = test_space.mesh
+    tq, twq = edge_rule(degree)
+    tb_all = trace_edge_basis(trace_space, tq)  # (ne, nloc_e, qe, 2)
+    ev = element_edge_values(test_space, elems, tq)
+    if trace_space.kind == "TraceHm12":
+        signs = sk.tri_signs[elems].astype(float)  # (nelt, 3)
+    else:
+        signs = np.ones((len(elems), 3))
+    nloc_e = trace_space.edge_dofs.shape[1]
+    blk = np.zeros((len(elems), test_space.nloc, 3 * nloc_e))
+    for loc in range(3):
+        eids = mesh.tri_edges[elems, loc]
+        pair = np.einsum("q,etqc,emqc->etm", twq, ev[:, :, loc], tb_all[eids], optimize=True)
+        fac = signs[:, loc] * sk.lengths[eids]
+        blk[:, :, loc * nloc_e : (loc + 1) * nloc_e] = fac[:, None, None] * pair
+    return blk
+
+
 def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> LocalBlocks:
     """Assemble (B, Bhat, G, l) for the given elements (default: all)."""
     mesh = form.mesh
@@ -350,10 +400,7 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         elems = np.arange(mesh.num_triangles)
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    rule = triangle_rule(degree)
-    geom = geometry(mesh)
-    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
-    pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
+    rule, wts, pts = element_quadrature(mesh, elems, degree)
 
     test_slices, ntest, field_slices, nfield, trace_slices, ntrace = _local_layout(form)
     nelt = len(elems)
@@ -371,19 +418,9 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         blk = term.sign * _contract(wts, tarr, uarr)
         B[:, test_slices[term.test], field_slices[term.trial]] += blk
 
-    # Gram matrices per test slot
-    for name, kind in form.desc.test_slots:
-        basis = test_bases[name]
-        norm = form.desc.test_norms[name]
-        Gblk = _contract(wts, basis.val, basis.val)
-        if norm == "H1":
-            Gblk += _contract(wts, basis.grad, basis.grad)
-        elif norm == "Hdiv":
-            Gblk += _contract(wts, basis.div, basis.div)
-        elif norm != "L2":
-            raise ValueError(f"unknown test norm {norm!r}")
+    for name, _ in form.desc.test_slots:
         s = test_slices[name]
-        G[:, s, s] += Gblk
+        G[:, s, s] = gram_blocks(wts, test_bases[name], form.desc.test_norms[name])
 
     # load (f, v)
     fvals = form.bc.body_force(pts)
@@ -392,31 +429,11 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         "eq,eqc,elqc->el", wts, fvals, vload.val, optimize=True
     )
 
-    # skeleton pairings
-    if form.desc.trace_terms:
-        tq, twq = edge_rule(degree)
-        sk = form.skeleton
-        elens = sk.lengths[mesh.tri_edges[elems]]  # (nelt, 3)
-        for tt in form.desc.trace_terms:
-            tspace = form.trace_spaces[tt.trace]
-            tb_all = trace_edge_basis(tspace, tq)  # (ne, nloc_e, qe, 2)
-            ev = element_edge_values(form.test_spaces[tt.test], elems, tq)
-            # sign flip of the stored flux on the element side
-            if tspace.kind == "TraceHm12":
-                signs = sk.tri_signs[elems].astype(float)  # (nelt, 3)
-            else:
-                signs = np.ones((nelt, 3))
-            nloc_e = tspace.edge_dofs.shape[1]
-            blk = np.zeros((nelt, ntest, 3 * nloc_e))
-            for loc in range(3):
-                eids = mesh.tri_edges[elems, loc]
-                tb = tb_all[eids]  # (nelt, nloc_e, qe, 2)
-                fac = tt.sign * signs[:, loc] * elens[:, loc]
-                pair = np.einsum("q,etqc,emqc->etm", twq, ev[:, :, loc], tb, optimize=True)
-                blk[:, test_slices[tt.test], loc * nloc_e : (loc + 1) * nloc_e] = (
-                    fac[:, None, None] * pair
-                )
-            Bhat[:, :, trace_slices[tt.trace]] += blk
+    for tt in form.desc.trace_terms:
+        pair = trace_pairing_blocks(
+            form.test_spaces[tt.test], form.trace_spaces[tt.trace], form.skeleton, elems, degree
+        )
+        Bhat[:, test_slices[tt.test], trace_slices[tt.trace]] += tt.sign * pair
 
     return LocalBlocks(
         elems=elems,
@@ -428,32 +445,6 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         field_slices=field_slices,
         trace_slices=trace_slices,
     )
-
-
-def local_field_block(form: Formulation, element: int) -> np.ndarray:
-    """Volume trial-test block of a single element."""
-    return assemble_local_blocks(form, [element]).B[0]
-
-
-def local_trace_block(form: Formulation, element: int) -> np.ndarray:
-    """Skeleton pairing block of a single element (zero-width when the
-    formulation carries no trace slots)."""
-    return assemble_local_blocks(form, [element]).Bhat[0]
-
-
-def local_load(form: Formulation, element: int) -> np.ndarray:
-    """Load vector of a single element."""
-    return assemble_local_blocks(form, [element]).l[0]
-
-
-def local_gram(form: Formulation, element: int) -> np.ndarray:
-    """Test-norm Gram matrix of a single element (SPD)."""
-    G = assemble_local_blocks(form, [element]).G[0]
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as err:
-        raise ValueError(f"Gram matrix of element {element} is not SPD") from err
-    return G
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +498,28 @@ def element_trial_dofs(form: Formulation, layout: TrialLayout, elems) -> np.ndar
     return np.concatenate(cols, axis=1)
 
 
+def scatter_blocks(triples, shape) -> sp.csr_matrix:
+    """Sum element blocks into one sparse matrix of the given shape.
+
+    Each triple (row_dofs (ne, m), col_dofs (ne, n), blocks (ne, m, n))
+    adds blocks[e, i, j] at (row_dofs[e, i], col_dofs[e, j]). Repeated
+    entries are summed by a single COO to CSR conversion.
+    """
+    triples = [(np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)) for r, c, b in triples]
+    total = sum(b.size for _, _, b in triples)
+    rows = np.empty(total, dtype=np.int64)
+    cols = np.empty(total, dtype=np.int64)
+    vals = np.empty(total)
+    off = 0
+    for r, c, b in triples:
+        k = b.size
+        rows[off : off + k].reshape(b.shape)[...] = r[:, :, None]
+        cols[off : off + k].reshape(b.shape)[...] = c[:, None, :]
+        vals[off : off + k] = b.ravel()
+        off += k
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
 # ---------------------------------------------------------------------------
 # pointwise residual representations for the exact-L2 paths
 
@@ -523,10 +536,7 @@ def l2_slot_residual_ops(form: Formulation, elems, quad_degree=None):
     mesh = form.mesh
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    rule = triangle_rule(degree)
-    geom = geometry(mesh)
-    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
-    pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
+    rule, wts, pts = element_quadrature(mesh, elems, degree)
     field_bases = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in form.desc.field_slots}
     _, _, field_slices, nfield, _, _ = _local_layout(form)
 
@@ -577,11 +587,8 @@ def element_momentum_integrals(
     evaluates its defects from them, on the same quadrature rule.
     """
     elems = np.asarray(elems, dtype=np.int64)
-    geom = geometry(space.mesh)
-    rule = triangle_rule(quad_degree)
-    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
+    rule, wts, pts = element_quadrature(space.mesh, elems, quad_degree)
     basis = volume_basis(space, elems, rule.points)
-    pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
     fv = bc.body_force(pts) if bc is not None else np.zeros(pts.shape)
     div_int = np.einsum("eq,elqc->elc", wts, basis.div, optimize=True)
     f_int = np.einsum("eq,eqc->ec", wts, fv)

@@ -19,13 +19,12 @@ members of the broken spaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
-from .mesh import Mesh, skeleton as make_skeleton, GAMMA0
-from .quadrature import triangle_rule, edge_rule
+from .mesh import Mesh, skeleton as make_skeleton
 from .spaces import (
     h1_space,
     hdiv_space,
@@ -34,11 +33,18 @@ from .spaces import (
     broken_hdiv_space,
     trace_spaces,
     volume_basis,
-    element_edge_values,
-    trace_edge_basis,
-    geometry,
 )
-from .forms import DESCRIPTORS, _apply_op, _slot_array, _contract
+from .forms import (
+    DESCRIPTORS,
+    BCData,
+    Formulation,
+    assemble_local_blocks,
+    element_quadrature,
+    gram_blocks,
+    scatter_blocks,
+    trace_pairing_blocks,
+    _contract,
+)
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
 # use p+1 as a stand-in for the infinite test space; the mixed pair also
@@ -60,27 +66,19 @@ def _conforming_space(kind, mesh, order, gamma0_empty):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _dense_block(space, norm, mesh, degree):
-    """Global dense Gram matrix of a space in the given norm."""
-    geom = geometry(mesh)
-    rule = triangle_rule(degree)
-    n = space.ndof
-    G = np.zeros((n, n))
-    elems = np.arange(mesh.num_triangles)
-    basis = volume_basis(space, elems, rule.points)
-    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
-    blk = _contract(wts, basis.val, basis.val)
-    if norm == "H1":
-        blk += _contract(wts, basis.grad, basis.grad)
-    elif norm == "Hdiv":
-        blk += _contract(wts, basis.div, basis.div)
-    gd = space.elt_dofs[elems]
-    np.add.at(G, (gd[:, :, None], gd[:, None, :]), blk)
-    return G
-
-
 def _free(space):
     return np.setdiff1d(np.arange(space.ndof), space.constrained_dofs)
+
+
+def _numbered(spaces):
+    """Element dofs (nelt, sum of nloc) and free dofs of spaces numbered
+    one after another, and the total dof count."""
+    elt, free, off = [], [], 0
+    for space in spaces:
+        elt.append(space.elt_dofs + off)
+        free.append(_free(space) + off)
+        off += space.ndof
+    return np.concatenate(elt, axis=1), np.concatenate(free), off
 
 
 @dataclass
@@ -94,66 +92,42 @@ class InfSupResult:
 
 
 def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = False, test_order=None) -> InfSupResult:
-    """Discrete inf-sup constant of the unbroken conforming pair."""
+    """Discrete inf-sup constant of the unbroken conforming pair.
+
+    B and G_Y come from the element assembly of the formulation with its
+    test slots on conforming spaces and its skeleton terms dropped.
+    """
     desc = DESCRIPTORS[spec_id]
     q = test_order if test_order is not None else p + TEST_ORDER_BUMP[spec_id]
-    trial = {}
-    for name, kind in desc.field_slots:
-        if kind == "H1":
-            trial[name] = h1_space(mesh, p, gamma0_constrained=not gamma0_empty)
-        elif kind == "Hdiv":
-            trial[name] = hdiv_space(mesh, p, gamma1_constrained=True)
-        else:
-            trial[name] = l2_space(mesh, p - 1, kind)
-    test = {name: _conforming_space(kind, mesh, q, gamma0_empty) for name, kind in desc.test_slots}
-    degree = 2 * (max(p, q) + 1) + 2
-    geom = geometry(mesh)
-    rule = triangle_rule(degree)
-    elems = np.arange(mesh.num_triangles)
-    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
-    tbases = {n: volume_basis(s, elems, rule.points) for n, s in test.items()}
-    ubases = {n: volume_basis(s, elems, rule.points) for n, s in trial.items()}
-
-    toff, off = {}, 0
-    for name, _ in desc.test_slots:
-        toff[name] = off
-        off += test[name].ndof
-    ntest = off
-    uoff, off = {}, 0
-    for name, _ in desc.field_slots:
-        uoff[name] = off
-        off += trial[name].ndof
-    ntrial = off
-
-    B = np.zeros((ntest, ntrial))
-    for term in desc.terms:
-        tarr = _slot_array(tbases[term.test], term.test_deriv)
-        uarr = _apply_op(_slot_array(ubases[term.trial], term.trial_deriv), term.op, material)
-        blk = term.sign * _contract(wts, tarr, uarr)
-        rowd = test[term.test].elt_dofs[elems] + toff[term.test]
-        cold = trial[term.trial].elt_dofs[elems] + uoff[term.trial]
-        np.add.at(B, (rowd[:, :, None], cold[:, None, :]), blk)
-
-    GY = np.zeros((ntest, ntest))
-    for name, kind in desc.test_slots:
-        g = _dense_block(test[name], desc.test_norms[name], mesh, degree)
-        o = toff[name]
-        GY[o : o + test[name].ndof, o : o + test[name].ndof] = g
-    GX = np.zeros((ntrial, ntrial))
-    for name, kind in desc.field_slots:
-        g = _dense_block(trial[name], _TRIAL_NORM[kind], mesh, degree)
-        o = uoff[name]
-        GX[o : o + trial[name].ndof, o : o + trial[name].ndof] = g
-
-    tfree = np.concatenate([_free(test[n]) + toff[n] for n, _ in desc.test_slots])
-    ufree = np.concatenate([_free(trial[n]) + uoff[n] for n, _ in desc.field_slots])
+    form = Formulation(
+        desc=replace(desc, trace_slots=(), trace_terms=()),
+        mesh=mesh,
+        material=material,
+        p=p,
+        dp=q - p,
+        bc=BCData(),
+        field_spaces={n: _conforming_space(k, mesh, p, gamma0_empty) for n, k in desc.field_slots},
+        trace_spaces={},
+        test_spaces={n: _conforming_space(k, mesh, q, gamma0_empty) for n, k in desc.test_slots},
+        skeleton=None,
+    )
+    rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
+    cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
     if len(ufree) == 0 or len(tfree) == 0:
         raise ValueError(
             f"{spec_id}: no unconstrained dofs left on this mesh, refine first"
         )
-    Bf = B[np.ix_(tfree, ufree)]
-    GYf = GY[np.ix_(tfree, tfree)]
-    GXf = GX[np.ix_(ufree, ufree)]
+    degree = 2 * (max(p, q) + 1) + 2
+    blocks = assemble_local_blocks(form, quad_degree=degree)
+    rule, wts, _ = element_quadrature(mesh, blocks.elems, degree)
+    gx = []
+    for name, kind in desc.field_slots:
+        s = blocks.field_slices[name]
+        basis = volume_basis(form.field_spaces[name], blocks.elems, rule.points)
+        gx.append((cols[:, s], cols[:, s], gram_blocks(wts, basis, _TRIAL_NORM[kind])))
+    Bf = scatter_blocks([(rows, cols, blocks.B)], (ntest, ntrial))[tfree][:, ufree].toarray()
+    GYf = scatter_blocks([(rows, rows, blocks.G)], (ntest, ntest))[tfree][:, tfree].toarray()
+    GXf = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree].toarray()
     A = Bf.T @ np.linalg.solve(GYf, Bf)
     A = 0.5 * (A + A.T)
     lam = sla.eigh(A, GXf, eigvals_only=True)
@@ -175,11 +149,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
     uspace = h1_space(mesh, p, gamma0_constrained=True)
     wspace = l2_space(mesh, p - 1, "L2skew")
     tspace = hdiv_space(mesh, p + 1, gamma1_constrained=True)
-    degree = 2 * (p + 2) + 2
-    geom = geometry(mesh)
-    rule = triangle_rule(degree)
     elems = np.arange(mesh.num_triangles)
-    wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
+    rule, wts, _ = element_quadrature(mesh, elems, 2 * (p + 2) + 2)
     ub = volume_basis(uspace, elems, rule.points)
     wb = volume_basis(wspace, elems, rule.points)
     tb = volume_basis(tspace, elems, rule.points)
@@ -187,39 +158,40 @@ def auxiliary_constants(mesh: Mesh, p: int):
     n = nu + nw
 
     # columns of (omega - grad u) for the combined trial vector
-    def scatter(Adense, rowd, cold, blk):
-        np.add.at(Adense, (rowd[:, :, None], cold[:, None, :]), blk)
-
-    A = np.zeros((n, n))
-    Mmass = np.zeros((n, n))
-    ud = uspace.elt_dofs[elems]
-    wd = wspace.elt_dofs[elems] + nu
-    scatter(A, ud, ud, _contract(wts, ub.grad, ub.grad))
-    scatter(A, wd, wd, _contract(wts, wb.val, wb.val))
+    ud = uspace.elt_dofs
+    wd = wspace.elt_dofs + nu
+    ww = gram_blocks(wts, wb, "L2")
     cross = -_contract(wts, ub.grad, wb.val)
-    scatter(A, ud, wd, cross)
-    scatter(A, wd, ud, np.swapaxes(cross, 1, 2))
-    scatter(Mmass, ud, ud, _contract(wts, ub.val, ub.val))
-    scatter(Mmass, wd, wd, _contract(wts, wb.val, wb.val))
+    A = scatter_blocks(
+        [
+            (ud, ud, _contract(wts, ub.grad, ub.grad)),
+            (wd, wd, ww),
+            (ud, wd, cross),
+            (wd, ud, np.swapaxes(cross, 1, 2)),
+        ],
+        (n, n),
+    )
+    Mmass = scatter_blocks([(ud, ud, gram_blocks(wts, ub, "L2")), (wd, wd, ww)], (n, n))
     ufree = np.concatenate([_free(uspace), np.arange(nw) + nu])
-    lam = sla.eigh(A[np.ix_(ufree, ufree)], Mmass[np.ix_(ufree, ufree)], eigvals_only=True)
+    lam = sla.eigh(A[ufree][:, ufree].toarray(), Mmass[ufree][:, ufree].toarray(), eigvals_only=True)
     c_p = float(1.0 / np.sqrt(max(lam[0], 1e-300)))
 
     # divergence-pair inf-sup: trial (u, omega) in L2, test tau in H(div)
     u2 = l2_space(mesh, p - 1, "L2vec")
     u2b = volume_basis(u2, elems, rule.points)
-    nt = tspace.ndof
     n2 = u2.ndof + wspace.ndof
-    B = np.zeros((nt, n2))
-    td = tspace.elt_dofs[elems]
-    scatter(B, td, u2.elt_dofs[elems], _contract(wts, tb.div, u2b.val))
-    scatter(B, td, wspace.elt_dofs[elems] + u2.ndof, _contract(wts, tb.val, wb.val))
-    GT = np.zeros((nt, nt))
-    scatter(GT, td, td, _contract(wts, tb.val, tb.val) + _contract(wts, tb.div, tb.div))
-    M2 = np.eye(n2)  # both L2 spaces carry orthonormal bases
+    td = tspace.elt_dofs
     tfree = _free(tspace)
-    Bf = B[tfree]
-    A2 = Bf.T @ np.linalg.solve(GT[np.ix_(tfree, tfree)], Bf)
+    Bf = scatter_blocks(
+        [
+            (td, u2.elt_dofs, _contract(wts, tb.div, u2b.val)),
+            (td, wspace.elt_dofs + u2.ndof, _contract(wts, tb.val, wb.val)),
+        ],
+        (tspace.ndof, n2),
+    )[tfree].toarray()
+    GT = scatter_blocks([(td, td, gram_blocks(wts, tb, "Hdiv"))], (tspace.ndof, tspace.ndof))
+    # both L2 trial spaces carry orthonormal bases, so their Gram is the identity
+    A2 = Bf.T @ np.linalg.solve(GT[tfree][:, tfree].toarray(), Bf)
     A2 = 0.5 * (A2 + A2.T)
     lam2 = np.linalg.eigvalsh(A2)
     c_b = float(np.sqrt(max(lam2[0], 0.0)))
@@ -234,24 +206,13 @@ def jump_pairing_matrix(broken_space, trace_space):
     """Dense skeleton pairing of a broken space against the free dofs of
     a trace space: J[i, j] = <trace_i, element trace of broken_j>."""
     mesh = broken_space.mesh
-    sk = make_skeleton(mesh)
-    q = 2 * (broken_space.order + trace_space.order) + 4
-    tq, twq = edge_rule(q)
     elems = np.arange(mesh.num_triangles)
-    ev = element_edge_values(broken_space, elems, tq)  # (nelt, nloc, 3, nq, 2)
-    tb = trace_edge_basis(trace_space, tq)  # (ne, nloce, nq, 2)
-    J = np.zeros((trace_space.ndof, broken_space.ndof))
-    flux_pairing = trace_space.kind == "TraceHm12"
-    for loc in range(3):
-        eids = mesh.tri_edges[elems, loc]
-        sign = sk.tri_signs[elems, loc].astype(float) if flux_pairing else np.ones(len(elems))
-        fac = sign * sk.lengths[eids]
-        pair = np.einsum("q,elqc,emqc->eml", twq, ev[:, :, loc], tb[eids], optimize=True)
-        rows = trace_space.edge_dofs[eids]
-        cols = broken_space.elt_dofs[elems]
-        np.add.at(J, (rows[:, :, None], cols[:, None, :]), fac[:, None, None] * pair)
-    free = _free(trace_space)
-    return J[free]
+    degree = 2 * (broken_space.order + trace_space.order) + 4
+    pair = trace_pairing_blocks(broken_space, trace_space, make_skeleton(mesh), elems, degree)
+    rows = trace_space.edge_dofs[mesh.tri_edges].reshape(len(elems), -1)
+    shape = (trace_space.ndof, broken_space.ndof)
+    J = scatter_blocks([(rows, broken_space.elt_dofs, np.swapaxes(pair, 1, 2))], shape)
+    return J[_free(trace_space)].toarray()
 
 
 def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):

@@ -752,8 +752,6 @@ def element_edge_values(space: DofSpace, elems, t):
             out[:, 1::2, loc, :, 1] = lag
         return out
     if space.kind in ("Hdiv", "BrokenHdiv"):
-        from .mesh import skeleton as make_skeleton
-
         sk = space.payload["skeleton"]
         out = np.empty((nelt, space.nloc, 3, nq, 2))
         for loc in range(3):

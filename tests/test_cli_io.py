@@ -147,7 +147,6 @@ class TestAdaptiveRun:
         cfg = RunConfig(
             benchmark="lshape_singular",
             formulation="primal",
-            refinement="adaptive",
             steps=3,
             output_dir=str(tmp_path),
         )
@@ -157,7 +156,7 @@ class TestAdaptiveRun:
         assert rec.error_slope < 0
 
     def test_galerkin_rejected(self, tmp_path):
-        cfg = RunConfig(formulation="galerkin", refinement="adaptive", output_dir=str(tmp_path))
+        cfg = RunConfig(formulation="galerkin", output_dir=str(tmp_path))
         with pytest.raises(ConfigError):
             run_adaptive(cfg)
 

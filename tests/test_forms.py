@@ -16,10 +16,7 @@ from dpgelast.forms import (
     bc_from_exact,
     formulation,
     assemble_local_blocks,
-    local_field_block,
-    local_trace_block,
-    local_load,
-    local_gram,
+    scatter_blocks,
     trial_layout,
     element_trial_dofs,
 )
@@ -72,14 +69,14 @@ class TestGram:
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_symmetric_spd(self, spec):
         form = formulation(spec, build_square_mesh(2), MAT, 2)
-        G = local_gram(form, 3)
+        G = assemble_local_blocks(form, [3]).G[0]
         assert np.abs(G - G.T).max() < 1e-13 * max(1.0, np.abs(G).max())
         assert np.linalg.eigvalsh(G).min() > 0
 
     def test_l2_slots_identity(self):
         # orthonormal L2 test bases make their Gram block the identity
         form = formulation("strong", build_square_mesh(2), MAT, 1)
-        G = local_gram(form, 0)
+        G = assemble_local_blocks(form, [0]).G[0]
         assert np.abs(G - np.eye(G.shape[0])).max() < 1e-12
 
     def test_broken_h1_constant_energy_is_area(self):
@@ -93,10 +90,40 @@ class TestGram:
         assert abs(c @ blocks.G[0] @ c - area) < 1e-13
 
 
+class TestScatterBlocks:
+    def test_duplicate_entries_summed(self):
+        dofs = np.array([[0, 1], [1, 2]])
+        blocks = np.ones((2, 2, 2))
+        K = scatter_blocks([(dofs, dofs, blocks)], (3, 3)).toarray()
+        assert np.array_equal(K, [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]])
+
+    def test_rectangular_shape(self):
+        rows = np.array([[0], [3]])
+        cols = np.array([[1, 0], [0, 1]])
+        blocks = np.array([[[2.0, 3.0]], [[5.0, 7.0]]])
+        K = scatter_blocks([(rows, cols, blocks)], (4, 2))
+        assert K.shape == (4, 2)
+        assert np.array_equal(K.toarray(), [[3.0, 2.0], [0.0, 0.0], [0.0, 0.0], [5.0, 7.0]])
+
+    def test_matches_dense_reference_over_several_triples(self):
+        rng = np.random.default_rng(5)
+        shape = (9, 7)
+        triples = []
+        for ne, m, n in ((4, 3, 2), (5, 2, 4), (3, 1, 1)):
+            rows = rng.integers(shape[0], size=(ne, m))
+            cols = rng.integers(shape[1], size=(ne, n))
+            triples.append((rows, cols, rng.standard_normal((ne, m, n))))
+        ref = np.zeros(shape)
+        for rows, cols, blocks in triples:
+            np.add.at(ref, (rows[:, :, None], cols[:, None, :]), blocks)
+        K = scatter_blocks(triples, shape)
+        assert np.abs(K.toarray() - ref).max() < 1e-14
+
+
 class TestTraceBlocks:
     def test_strong_zero_width(self):
         form = formulation("strong", build_square_mesh(2), MAT, 1)
-        assert local_trace_block(form, 0).shape[1] == 0
+        assert assemble_local_blocks(form, [0]).Bhat[0].shape[1] == 0
 
     def test_constant_trace_against_constant_tensor(self):
         # <uhat, tau.n> for constant uhat and constant tau is
@@ -158,7 +185,7 @@ class TestTraceBlocks:
 class TestLoads:
     def test_zero_data_zero_load(self):
         form = formulation("ultraweak", build_square_mesh(2), MAT, 1, bc=BCData())
-        assert np.abs(local_load(form, 0)).max() == 0.0
+        assert np.abs(assemble_local_blocks(form, [0]).l[0]).max() == 0.0
 
     def test_constant_force_constant_test_entry(self):
         # unit-area element, orthonormal constant test mode: entry = sqrt(area)

@@ -42,6 +42,21 @@ class TestDiscreteInfSup:
         # without any kinematic constraint the rigid modes kill stability
         assert degen <= std / 1e6
 
+    # gamma at p = 2 on the n = 2 square, recorded from the dense
+    # term-by-term assembly that preceded the shared element assembly
+    P2_GAMMA = {
+        "strong": 0.6458435714653985,
+        "ultraweak": 0.24999999999999817,
+        "dualmixed": 0.562502429608985,
+        "mixed": 0.25000000000005185,
+        "primal": 1.0275899514509141,
+    }
+
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_p2_gamma_matches_recorded(self, spec):
+        gamma = discrete_infsup(spec, build_square_mesh(2), MAT, 2).gamma
+        assert abs(gamma - self.P2_GAMMA[spec]) <= 1e-12 * self.P2_GAMMA[spec]
+
     def test_test_order_bump_recorded(self):
         assert set(TEST_ORDER_BUMP) == set(FORMULATION_IDS)
         assert TEST_ORDER_BUMP["mixed"] == 1

@@ -135,13 +135,15 @@ def _no_gamma0_mesh():
 
 class TestSingularSystems:
     # with every boundary edge in Gamma1 the rigid motions are unconstrained,
-    # so each SPD system is singular; none may return a null-space mix
+    # so each system is singular; none may return a null-space mix
     SOLVES = {
         "hybrid_mixed": lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc),
         "primal": lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
         "ultraweak": lambda m, mat, bc: solve_dpg("ultraweak", m, mat, 1, bc=bc),
         "fosls": lambda m, mat, bc: solve_fosls(m, mat, 1, bc),
         "galerkin": lambda m, mat, bc: solve_galerkin_primal(m, mat, 1, bc),
+        "saddle_primal": lambda m, mat, bc: solve_saddle_point(formulation("primal", m, mat, 1, bc=bc)),
+        "saddle_ultraweak": lambda m, mat, bc: solve_saddle_point(formulation("ultraweak", m, mat, 1, bc=bc)),
     }
 
     @pytest.mark.parametrize("path", sorted(SOLVES))
