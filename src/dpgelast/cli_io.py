@@ -352,6 +352,8 @@ def main(argv=None) -> int:
             path = run_infsup(cfg)
             print(f"infsup: wrote {path}")
         elif args.command == "dump-mesh":
+            if args.levels < 0:
+                raise ConfigError(f"--levels must be non-negative, got {args.levels}")
             mesh, _, _ = cfg.benchmark_setup()
             for _ in range(args.levels):
                 mesh = uniform_refine(mesh)

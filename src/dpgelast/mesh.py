@@ -15,6 +15,7 @@ split boundary edge and never change class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -22,8 +23,35 @@ GAMMA0 = "g0"
 GAMMA1 = "g1"
 
 
-def _edge_key(i: int, j: int):
-    return (i, j) if i < j else (j, i)
+def _connectivity(tris: np.ndarray):
+    """Edge numbering of a triangle array, by first appearance.
+
+    Local edge k of triangle t runs from tris[t, k] to tris[t, (k + 1) % 3];
+    edges are numbered in the order their first copy appears when the
+    local edges are read triangle by triangle. Returns edges (ne, 2) as
+    sorted vertex pairs, edge_tris (ne, 2) holding the first and second
+    incident triangle (-1 where there is none) and tri_edges (nt, 3).
+    """
+    nt = len(tris)
+    ends = np.stack([tris, np.roll(tris, -1, axis=1)], axis=2).reshape(-1, 2)
+    ends.sort(axis=1)
+    stride = int(ends.max()) + 1 if nt else 1
+    _, first, inverse = np.unique(
+        ends[:, 0] * stride + ends[:, 1], return_index=True, return_inverse=True
+    )
+    counts = np.bincount(inverse, minlength=len(first))
+    if np.any(counts > 2):
+        key = tuple(ends[first[np.argmax(counts > 2)]].tolist())
+        raise ValueError(f"edge {key} has more than two incident triangles")
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    flat_eid = rank[inverse]
+    edge_tris = np.full((len(order), 2), -1, dtype=np.int64)
+    edge_tris[:, 0] = first[order] // 3
+    second = np.nonzero(first[inverse] != np.arange(3 * nt))[0]
+    edge_tris[flat_eid[second], 1] = second // 3
+    return ends[first[order]], edge_tris, flat_eid.reshape(nt, 3)
 
 
 @dataclass(frozen=True)
@@ -42,7 +70,6 @@ class Mesh:
     generation: int = 0
     # derived connectivity, filled in __post_init__
     edges: np.ndarray = field(init=False, repr=False)
-    edge_index: dict = field(init=False, repr=False)
     edge_tris: np.ndarray = field(init=False, repr=False)
     tri_edges: np.ndarray = field(init=False, repr=False)
 
@@ -51,27 +78,9 @@ class Mesh:
         tris = np.asarray(self.triangles, dtype=np.int64)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
-        edge_index = {}
-        edges = []
-        edge_tris = []
-        tri_edges = np.empty((len(tris), 3), dtype=np.int64)
-        for t, (a, b, c) in enumerate(tris):
-            for loc, (i, j) in enumerate(((a, b), (b, c), (c, a))):
-                key = _edge_key(int(i), int(j))
-                eid = edge_index.get(key)
-                if eid is None:
-                    eid = len(edges)
-                    edge_index[key] = eid
-                    edges.append(key)
-                    edge_tris.append([t, -1])
-                else:
-                    if edge_tris[eid][1] != -1:
-                        raise ValueError(f"edge {key} has more than two incident triangles")
-                    edge_tris[eid][1] = t
-                tri_edges[t, loc] = eid
-        object.__setattr__(self, "edges", np.array(edges, dtype=np.int64))
-        object.__setattr__(self, "edge_index", edge_index)
-        object.__setattr__(self, "edge_tris", np.array(edge_tris, dtype=np.int64))
+        edges, edge_tris, tri_edges = _connectivity(tris)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_tris", edge_tris)
         object.__setattr__(self, "tri_edges", tri_edges)
         self._validate()
 
@@ -83,7 +92,8 @@ class Mesh:
         if np.any(cross <= 0):
             bad = int(np.argmin(cross))
             raise ValueError(f"triangle {bad} is not counterclockwise (signed area {cross[bad] / 2})")
-        boundary = {tuple(e) for e, (t0, t1) in zip(self.edges, self.edge_tris) if t1 == -1}
+        # a hanging vertex leaves an unmatched edge pair on the boundary set
+        boundary = set(map(tuple, self.edges[self.edge_tris[:, 1] == -1].tolist()))
         tagged = set(self.boundary_tags)
         if boundary != tagged:
             raise ValueError(
@@ -131,14 +141,11 @@ class Mesh:
         return float(np.min(angles))
 
     def boundary_edge_ids(self, tag=None) -> np.ndarray:
-        ids = []
-        for eid, (t0, t1) in enumerate(self.edge_tris):
-            if t1 != -1:
-                continue
-            key = tuple(self.edges[eid])
-            if tag is None or self.boundary_tags[key] == tag:
-                ids.append(eid)
-        return np.array(ids, dtype=np.int64)
+        ids = np.nonzero(self.edge_tris[:, 1] == -1)[0]
+        if tag is None:
+            return ids
+        keep = [self.boundary_tags[key] == tag for key in map(tuple, self.edges[ids].tolist())]
+        return ids[np.array(keep, dtype=bool)]
 
 
 @dataclass(frozen=True)
@@ -166,25 +173,15 @@ def skeleton(mesh: Mesh) -> Skeleton:
     vecs = verts[edges[:, 1]] - verts[edges[:, 0]]
     lengths = np.linalg.norm(vecs, axis=1)
     tangents = vecs / lengths[:, None]
-    normals = np.empty_like(tangents)
-    tris = mesh.triangles
-    for eid, (a, b) in enumerate(edges):
-        t0 = mesh.edge_tris[eid, 0]
-        tri = tris[t0]
-        # outward normal of the CCW triangle t0 along the directed edge a -> b
-        k = [i for i in range(3) if tri[i] not in (a, b)][0]
-        i, j = tri[(k + 1) % 3], tri[(k + 2) % 3]
-        d = verts[j] - verts[i]
-        n = np.array([d[1], -d[0]])
-        normals[eid] = n / np.linalg.norm(n)
-    tri_signs = np.ones((len(tris), 3), dtype=np.int64)
-    for t, tri in enumerate(tris):
-        for loc in range(3):
-            eid = mesh.tri_edges[t, loc]
-            i, j = tri[loc], tri[(loc + 1) % 3]
-            d = verts[j] - verts[i]
-            outward = np.array([d[1], -d[0]])
-            tri_signs[t, loc] = 1 if np.dot(outward, normals[eid]) > 0 else -1
+    # outward normal of the CCW triangle t0 along its own directed copy of the edge
+    t0 = mesh.edge_tris[:, 0]
+    loc = np.argmax(mesh.tri_edges[t0] == np.arange(len(edges))[:, None], axis=1)
+    d = verts[mesh.triangles[t0, (loc + 1) % 3]] - verts[mesh.triangles[t0, loc]]
+    outward = np.stack([d[:, 1], -d[:, 0]], axis=1)
+    normals = outward / np.linalg.norm(outward, axis=1)[:, None]
+    # the fixed normal is t0's outward normal, so only t0 sees +1 on the edge
+    owner = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.num_triangles)[:, None]
+    tri_signs = np.where(owner, 1, -1)
     return Skeleton(mesh=mesh, normals=normals, tangents=tangents, lengths=lengths, tri_signs=tri_signs)
 
 
@@ -214,17 +211,10 @@ def _mesh_from_cells(vertices, triangles, tag_fn):
         cross = (v[1, 0] - v[0, 0]) * (v[2, 1] - v[0, 1]) - (v[1, 1] - v[0, 1]) * (v[2, 0] - v[0, 0])
         tris.append([a, b, c] if cross > 0 else [a, c, b])
     tris = _set_refinement_edges(vertices, np.array(tris, dtype=np.int64))
-    # find boundary edges by counting incidences
-    count = {}
-    for a, b, c in tris:
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = _edge_key(int(i), int(j))
-            count[key] = count.get(key, 0) + 1
+    edges, edge_tris, _ = _connectivity(tris)
     tags = {}
-    for key, cnt in count.items():
-        if cnt == 1:
-            mid = 0.5 * (vertices[key[0]] + vertices[key[1]])
-            tags[key] = tag_fn(mid)
+    for i, j in edges[edge_tris[:, 1] == -1].tolist():
+        tags[(i, j)] = tag_fn(0.5 * (vertices[i] + vertices[j]))
     return Mesh(vertices=vertices, triangles=tris, boundary_tags=tags, generation=0)
 
 
@@ -295,72 +285,62 @@ def refine(mesh: Mesh, marked) -> Mesh:
 
     Every marked triangle is split at least once; triangles not forced by
     the closure survive unchanged. Returns a new mesh with generation + 1.
+    Midpoints are numbered in the parent's edge order and each triangle's
+    children (one to four) take its place in the triangle order.
     """
-    marked = set(int(t) for t in marked)
-    if not marked - set(range(mesh.num_triangles)) == set():
+    ids = np.fromiter(marked, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= mesh.num_triangles):
         raise ValueError("marked set contains invalid triangle ids")
-    if not marked:
+    if not ids.size:
         return mesh
 
-    tris = mesh.triangles
-    ref_edge = np.array([_edge_key(int(a), int(b)) for a, b, _ in tris])
-    marked_edges = set()
-    for t in marked:
-        marked_edges.add(tuple(ref_edge[t]))
+    tri_edges = mesh.tri_edges
+    ref_edge = tri_edges[:, 0]
+    split = np.zeros(mesh.num_edges, dtype=bool)
+    split[ref_edge[ids]] = True
     # closure: any triangle touching a marked edge must have its own
     # refinement edge marked too; iterate to a fixed point
-    changed = True
-    while changed:
-        changed = False
-        for t, (a, b, c) in enumerate(tris):
-            own = tuple(ref_edge[t])
-            if own in marked_edges:
-                continue
-            for i, j in ((a, b), (b, c), (c, a)):
-                if _edge_key(int(i), int(j)) in marked_edges:
-                    marked_edges.add(own)
-                    changed = True
-                    break
+    while True:
+        forced = split[tri_edges].any(axis=1) & ~split[ref_edge]
+        if not forced.any():
+            break
+        split[ref_edge[forced]] = True
 
-    verts = [v for v in mesh.vertices]
-    midpoint = {}
-    for key in marked_edges:
-        midpoint[key] = len(verts)
-        verts.append(0.5 * (mesh.vertices[key[0]] + mesh.vertices[key[1]]))
+    split_ids = np.nonzero(split)[0]
+    ends = mesh.edges[split_ids]
+    verts = np.vstack(
+        [mesh.vertices, 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])]
+    )
+    midpoint = np.full(mesh.num_edges, -1, dtype=np.int64)
+    midpoint[split_ids] = mesh.num_vertices + np.arange(len(split_ids))
 
-    new_tris = []
-
-    def emit(a, b, c):
-        """Append triangle (a, b, c), splitting once more if its
-        refinement edge (a, b) is marked."""
-        key = _edge_key(int(a), int(b))
-        if key in midpoint:
-            m = midpoint[key]
-            new_tris.append([c, a, m])
-            new_tris.append([b, c, m])
-        else:
-            new_tris.append([a, b, c])
-
-    for a, b, c in tris:
-        key = _edge_key(int(a), int(b))
-        if key not in midpoint:
-            new_tris.append([a, b, c])
-            continue
-        m = midpoint[key]
-        emit(c, a, m)
-        emit(b, c, m)
+    # (a, b, c) with midpoints m, m1, m2 of its edges (a, b), (b, c), (c, a):
+    # bisection gives (c, a, m) and (b, c, m), and each half is bisected
+    # once more at the midpoint of its own refinement edge (c, a) or (b, c)
+    a, b, c = mesh.triangles.T
+    m, m1, m2 = midpoint[tri_edges].T
+    has0, has1, has2 = split[tri_edges].T
+    slots = np.empty((mesh.num_triangles, 4, 3), dtype=np.int64)
+    slots[:, 0] = np.where(has2[:, None], np.stack([m, c, m2], 1), np.stack([c, a, m], 1))
+    slots[:, 1] = np.stack([a, m, m2], 1)
+    slots[:, 2] = np.where(has1[:, None], np.stack([m, b, m1], 1), np.stack([b, c, m], 1))
+    slots[:, 3] = np.stack([c, m, m1], 1)
+    slots[~has0, 0] = mesh.triangles[~has0]
+    # the closure marks (a, b) wherever (b, c) or (c, a) is marked
+    keep = np.stack([np.ones_like(has0), has2, has0, has1], axis=1)
 
     tags = {}
-    for key, tag in mesh.boundary_tags.items():
-        if key in midpoint:
-            m = midpoint[key]
-            tags[_edge_key(key[0], m)] = tag
-            tags[_edge_key(key[1], m)] = tag
+    bnd = mesh.boundary_edge_ids()
+    for (i, j), mid in zip(mesh.edges[bnd].tolist(), midpoint[bnd].tolist()):
+        tag = mesh.boundary_tags[(i, j)]
+        if mid < 0:
+            tags[(i, j)] = tag
         else:
-            tags[key] = tag
+            tags[(i, mid)] = tag
+            tags[(j, mid)] = tag
     return Mesh(
-        vertices=np.array(verts),
-        triangles=np.array(new_tris, dtype=np.int64),
+        vertices=verts,
+        triangles=slots[keep],
         boundary_tags=tags,
         generation=mesh.generation + 1,
     )
@@ -373,27 +353,41 @@ def uniform_refine(mesh: Mesh) -> Mesh:
 
 
 def find_hanging_vertices(mesh: Mesh):
-    """Exhaustive scan for hanging vertices; empty list means conforming.
+    """Scan for hanging vertices; empty list means conforming.
 
-    A vertex hangs if it lies strictly inside some triangle's edge.
+    A vertex hangs if it lies strictly inside some triangle's edge. Such a
+    vertex is within half the edge length (plus the perpendicular tolerance)
+    of the edge midpoint, so only the vertices a k-d tree finds in that
+    ball are tested.
     """
+    # imported here: no study calls this check, and scipy.spatial would add
+    # to the import time of every process that loads the mesh module
+    from scipy.spatial import cKDTree
+
     verts = mesh.vertices
     tris = mesh.triangles
+    tree = cKDTree(verts)
     hanging = []
     for loc in range(3):
         p = verts[tris[:, loc]]  # (nt, 2)
         q = verts[tris[:, (loc + 1) % 3]]
         d = q - p
         ln2 = np.sum(d * d, axis=1)
-        # parameter of every vertex along every edge, (nt, nv)
-        rel0 = verts[None, :, 0] - p[:, None, 0]
-        rel1 = verts[None, :, 1] - p[:, None, 1]
-        s = (rel0 * d[:, None, 0] + rel1 * d[:, None, 1]) / ln2[:, None]
-        perp = np.abs(rel0 * d[:, None, 1] - rel1 * d[:, None, 0]) / np.sqrt(ln2)[:, None]
+        near = tree.query_ball_point(0.5 * (p + q), 0.5 * np.sqrt(ln2) * (1 + 1e-9) + 1e-12)
+        counts = np.fromiter(map(len, near), dtype=np.int64, count=len(near))
+        t = np.repeat(np.arange(len(tris)), counts)
+        v = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=int(counts.sum()))
+        # parameter and distance of every candidate vertex along its edge
+        rel0 = verts[v, 0] - p[t, 0]
+        rel1 = verts[v, 1] - p[t, 1]
+        s = (rel0 * d[t, 0] + rel1 * d[t, 1]) / ln2[t]
+        perp = np.abs(rel0 * d[t, 1] - rel1 * d[t, 0]) / np.sqrt(ln2)[t]
         on_edge = (s > 1e-9) & (s < 1 - 1e-9) & (perp < 1e-12)
-        for t, v in zip(*np.nonzero(on_edge)):
-            if v not in tris[t]:
-                hanging.append((int(v), int(t)))
+        t, v = t[on_edge], v[on_edge]
+        order = np.lexsort((v, t))
+        for tt, vv in zip(t[order].tolist(), v[order].tolist()):
+            if vv not in tris[tt]:
+                hanging.append((vv, tt))
     return hanging
 
 
@@ -409,12 +403,10 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {mesh.num_vertices} double",
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g} 0")
+    lines.extend(["%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist()])
     nt = mesh.num_triangles
     lines.append(f"CELLS {nt} {4 * nt}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
+    lines.extend(["3 %d %d %d" % (a, b, c) for a, b, c in mesh.triangles.tolist()])
     lines.append(f"CELL_TYPES {nt}")
     lines.extend(["5"] * nt)
     if cell_data:
@@ -422,6 +414,6 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
         for name, arr in cell_data.items():
             lines.append(f"SCALARS {name} double 1")
             lines.append("LOOKUP_TABLE default")
-            lines.extend(f"{float(v):.17g}" for v in arr)
+            lines.extend(["%.17g" % v for v in np.asarray(arr, dtype=float).tolist()])
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -208,3 +208,10 @@ class TestMain:
         rc = main(["dump-mesh", "--levels", "1", "--out", str(out)])
         assert rc == 0
         assert out.exists()
+
+    def test_dump_mesh_rejects_negative_levels(self, tmp_path, capsys):
+        out = tmp_path / "mesh.vtk"
+        rc = main(["dump-mesh", "--levels", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
