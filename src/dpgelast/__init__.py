@@ -7,14 +7,11 @@ closed-form benchmark solutions (a smooth manufactured field on the unit
 square and a singular corner field on an L-shaped domain).
 """
 
-from .material import MaterialParams, stiffness_apply, compliance_apply, poisson_ratio
+from .material import MaterialParams
 
 __version__ = "0.1.0"
 
 __all__ = [
     "MaterialParams",
-    "stiffness_apply",
-    "compliance_apply",
-    "poisson_ratio",
     "__version__",
 ]

@@ -57,6 +57,7 @@ from .forms import (
     assemble_local_blocks,
     element_quadrature,
     trial_layout,
+    slot_layout,
     element_trial_dofs,
     scatter_blocks,
     l2_slot_residual_ops,
@@ -79,15 +80,14 @@ class SolutionFields:
     dp: int
     spaces: dict
     coeffs: dict
+    layout: TrialLayout
     form: Optional[Formulation] = None
-    layout: object = None
     extras: dict = field(default_factory=dict)
 
-    def full_vector(self, layout=None):
+    def full_vector(self):
         """Concatenate slot coefficients in the layout ordering."""
-        layout = layout if layout is not None else self.layout
-        x = np.zeros(layout.ndof)
-        for name, off in layout.offsets.items():
+        x = np.zeros(self.layout.ndof)
+        for name, off in self.layout.offsets.items():
             c = self.coeffs[name]
             x[off : off + len(c)] = c
         return x
@@ -442,13 +442,8 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
             ev = element_edge_values(space, np.array([t0]), tq)[0, :, loc]  # (nloc, nq, 2)
             load = length * np.einsum("q,qc,lqc->l", twq, gv, ev)
             np.add.at(rhs, space.elt_dofs[t0], load)
-    x, info = _solve_constrained(K, rhs, space.constrained_dofs, space.constrained_values)
-    layout = TrialLayout(
-        offsets={"u": 0},
-        ndof=n,
-        constrained=space.constrained_dofs,
-        values=space.constrained_values,
-    )
+    layout = slot_layout({"u": space})
+    x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
     return SolutionFields(
         mesh=mesh,
         material=material,

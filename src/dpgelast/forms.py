@@ -195,6 +195,11 @@ def _test_space(kind, mesh, p, dp):
     raise ValueError(f"unknown test kind {kind!r}")
 
 
+def build_test_spaces(desc: FormulationDescriptor, mesh: Mesh, p: int, dp: int) -> dict:
+    """The broken test spaces of a descriptor at trial order p enriched by dp."""
+    return {n: _test_space(k, mesh, p, dp) for n, k in desc.test_slots}
+
+
 @dataclass
 class Formulation:
     """A descriptor bound to a mesh, material, orders, and boundary data."""
@@ -238,12 +243,10 @@ def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: 
     fields = {n: _trial_space(k, mesh, p, bc) for n, k in desc.field_slots}
     traces = {}
     if desc.trace_slots:
-        th12, thm12 = trace_spaces(sk, p, u0_fn=bc.u0)
-        if bc.g is not None:
-            _set_traction_trace_values(thm12, sk, bc.g)
+        th12, thm12 = trace_spaces(sk, p, u0_fn=bc.u0, traction_fn=bc.g)
         lookup = {"TraceH12": th12, "TraceHm12": thm12}
         traces = {n: lookup[k] for n, k in desc.trace_slots}
-    tests = {n: _test_space(k, mesh, p, dp) for n, k in desc.test_slots}
+    tests = build_test_spaces(desc, mesh, p, dp)
     return Formulation(
         desc=desc,
         mesh=mesh,
@@ -256,29 +259,6 @@ def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: 
         test_spaces=tests,
         skeleton=sk,
     )
-
-
-def _set_traction_trace_values(thm12: DofSpace, sk, g):
-    """Fill the Gamma1 constraint values of TraceHm12 with moment
-    projections of the traction datum."""
-    if not len(thm12.constrained_dofs):
-        return
-    mesh = thm12.mesh
-    nmom = thm12.payload["nmom"]
-    from .spaces import legendre01_eval
-
-    tq, twq = edge_rule(2 * nmom + 8)
-    leg = legendre01_eval(nmom, tq)
-    full = np.zeros(thm12.ndof)
-    for eid in mesh.boundary_edge_ids("g1"):
-        a, b = mesh.edges[eid]
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        pts = va[None] + tq[:, None] * (vb - va)[None]
-        gv = np.asarray(g(pts, sk.normals[eid]), dtype=float)
-        mom = np.einsum("q,mq,qc->mc", twq, leg, gv)
-        full[thm12.edge_dofs[eid, 0::2]] = mom[:, 0]
-        full[thm12.edge_dofs[eid, 1::2]] = mom[:, 1]
-    thm12.constrained_values = full[thm12.constrained_dofs]
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +442,16 @@ class TrialLayout:
 
 
 def trial_layout(form: Formulation) -> TrialLayout:
+    return slot_layout({name: form.trial_space(name) for name in form.trial_slot_names()})
+
+
+def slot_layout(spaces: dict) -> TrialLayout:
+    """Number the given slot spaces one after another, in dict order."""
     offsets = {}
     off = 0
     cons = []
     vals = []
-    for name in form.trial_slot_names():
-        space = form.trial_space(name)
+    for name, space in spaces.items():
         offsets[name] = off
         if len(space.constrained_dofs):
             cons.append(space.constrained_dofs + off)

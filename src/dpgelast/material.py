@@ -1,9 +1,7 @@
 """Isotropic plane-strain material law: stiffness, compliance, derived constants.
 
-Symmetric 2x2 tensors are carried in a 3-component form (xx, yy, xy); the
-skew part of a 2x2 tensor is a single scalar w representing [[0, w], [-w, 0]].
-Both tensor maps extend to full 2x2 inputs by acting only on the symmetric
-part (the extension is zero on skew tensors).
+Both tensor maps act on arrays of full 2x2 tensors, shape (..., 2, 2),
+through their symmetric part (they are zero on skew tensors).
 """
 
 from __future__ import annotations
@@ -32,69 +30,6 @@ class MaterialParams:
         object.__setattr__(self, "nu", self.lam / (2.0 * (self.lam + self.mu)))
 
 
-@dataclass(frozen=True)
-class SymTensor2:
-    """Symmetric 2x2 tensor stored as (xx, yy, xy)."""
-
-    xx: float
-    yy: float
-    xy: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.xx, self.xy], [self.xy, self.yy]])
-
-    @staticmethod
-    def from_matrix(mat) -> "SymTensor2":
-        mat = np.asarray(mat, dtype=float)
-        sym = 0.5 * (mat + mat.T)
-        return SymTensor2(sym[0, 0], sym[1, 1], sym[0, 1])
-
-    def __add__(self, other: "SymTensor2") -> "SymTensor2":
-        return SymTensor2(self.xx + other.xx, self.yy + other.yy, self.xy + other.xy)
-
-    def __sub__(self, other: "SymTensor2") -> "SymTensor2":
-        return SymTensor2(self.xx - other.xx, self.yy - other.yy, self.xy - other.xy)
-
-    def scaled(self, c: float) -> "SymTensor2":
-        return SymTensor2(c * self.xx, c * self.yy, c * self.xy)
-
-    @property
-    def trace(self) -> float:
-        return self.xx + self.yy
-
-
-@dataclass(frozen=True)
-class SkewScalar:
-    """Skew 2x2 tensor [[0, w], [-w, 0]] stored as the single scalar w."""
-
-    w: float
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[0.0, self.w], [-self.w, 0.0]])
-
-
-def stiffness_apply(eps: SymTensor2, m: MaterialParams) -> SymTensor2:
-    """Apply the plane-strain stiffness: lam*tr(eps)*I + 2*mu*eps."""
-    t = m.lam * eps.trace
-    return SymTensor2(t + 2.0 * m.mu * eps.xx, t + 2.0 * m.mu * eps.yy, 2.0 * m.mu * eps.xy)
-
-
-def compliance_apply(sig: SymTensor2, m: MaterialParams) -> SymTensor2:
-    """Apply the exact in-plane inverse of the stiffness map.
-
-    Closed form: (1/(2 mu)) * (sig - (lam / (2 (lam + mu))) * tr(sig) * I).
-    """
-    c = m.lam / (2.0 * (m.lam + m.mu))
-    t = c * sig.trace
-    inv2mu = 1.0 / (2.0 * m.mu)
-    return SymTensor2(inv2mu * (sig.xx - t), inv2mu * (sig.yy - t), inv2mu * sig.xy)
-
-
-def poisson_ratio(m: MaterialParams) -> float:
-    """Plane-strain Poisson ratio nu = lam / (2 (lam + mu))."""
-    return m.nu
-
-
 def stiffness_apply_array(grad: np.ndarray, m: MaterialParams) -> np.ndarray:
     """Apply the stiffness map to an array of 2x2 tensors of shape (..., 2, 2).
 
@@ -111,19 +46,15 @@ def stiffness_apply_array(grad: np.ndarray, m: MaterialParams) -> np.ndarray:
 
 
 def compliance_apply_array(sig: np.ndarray, m: MaterialParams) -> np.ndarray:
-    """Apply the compliance map to an array of 2x2 tensors of shape (..., 2, 2).
+    """Apply the compliance map to an array of 2x2 tensors of shape (..., 2, 2):
+    the exact in-plane inverse of the stiffness map,
+    (1/(2 mu)) (sig - nu tr(sig) I) with nu = lam / (2 (lam + mu)).
 
     Acts on the symmetric part of the input; the skew part is annihilated.
     """
     sym = 0.5 * (sig + np.swapaxes(sig, -1, -2))
     tr = sym[..., 0, 0] + sym[..., 1, 1]
-    c = m.lam / (2.0 * (m.lam + m.mu))
     out = sym.copy()
-    out[..., 0, 0] -= c * tr
-    out[..., 1, 1] -= c * tr
+    out[..., 0, 0] -= m.nu * tr
+    out[..., 1, 1] -= m.nu * tr
     return out / (2.0 * m.mu)
-
-
-def sigma_zz(eps: SymTensor2, m: MaterialParams) -> float:
-    """Out-of-plane stress lam*tr(eps) recovered as a postprocessing quantity."""
-    return m.lam * eps.trace

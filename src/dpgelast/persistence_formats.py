@@ -4,7 +4,10 @@ Both formats are plain text so regression baselines stay diffable.
 Solution files carry a versioned header, the identifiers needed to
 rebuild the discrete spaces (formulation, orders, material), a mesh
 fingerprint, and one coefficient block per trial slot written with 17
-significant digits, which round-trips doubles exactly.
+significant digits, which round-trips doubles exactly. Version 2 files
+hold H1 coefficients in the topological numbering (vertices, edge
+interiors, cell interiors); version 1 files, written with the older
+coordinate-based H1 numbering, are rejected.
 
 A study manifest records the configuration snapshot, the artifact files
 a run produced, and their sha256 hashes; loading verifies every file
@@ -22,7 +25,8 @@ import numpy as np
 
 from .material import MaterialParams
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+MANIFEST_VERSION = 1
 
 
 class PersistenceError(RuntimeError):
@@ -61,13 +65,16 @@ def save_solution(fields, path):
         raise PersistenceError(f"cannot write solution file {path}: {err}") from err
 
 
-def load_solution(path, spec, mesh):
+def load_solution(path, spec, mesh, bc=None):
     """Reconstruct a SolutionFields snapshot written by save_solution.
 
     spec is the formulation id the file is expected to hold; mesh must
     carry the same generation fingerprint the solution was saved with.
+    bc is the problem data (BCData) the solution was computed with; a
+    file cannot hold callables, so the rebuilt formulation and its
+    boundary constraints take it from here (zero data by default).
     """
-    from .forms import formulation, DESCRIPTORS
+    from .forms import formulation, slot_layout, trial_layout, DESCRIPTORS
     from .dpg_solver import SolutionFields
     from .spaces import h1_space
 
@@ -108,12 +115,15 @@ def load_solution(path, spec, mesh):
 
     spec_base = {"fosls": "strong", "hybrid_mixed": "mixed"}.get(spec, spec)
     if spec_base in DESCRIPTORS:
-        form = formulation(spec_base, mesh, material, p, dp=dp)
+        form = formulation(spec_base, mesh, material, p, dp=dp, bc=bc)
         spaces = dict(form.field_spaces)
         spaces.update(form.trace_spaces)
+        layout = trial_layout(form)
     elif spec == "galerkin":
         form = None
-        spaces = {"u": h1_space(mesh, p, gamma0_constrained=True)}
+        u0 = bc.u0 if bc is not None else None
+        spaces = {"u": h1_space(mesh, p, gamma0_constrained=True, bc_fn=u0)}
+        layout = slot_layout(spaces)
     else:
         raise PersistenceError(f"{path}: unknown formulation {spec!r}")
     for name, (kind, n) in header["slots"].items():
@@ -130,6 +140,7 @@ def load_solution(path, spec, mesh):
         spaces=spaces,
         coeffs=coeffs,
         form=form,
+        layout=layout,
     )
 
 
@@ -156,7 +167,7 @@ class StudyManifest:
 
     def save(self, path):
         payload = {
-            "manifest_version": FORMAT_VERSION,
+            "manifest_version": MANIFEST_VERSION,
             "config": self.config,
             "artifacts": self.artifacts,
             "code_version": self.code_version,
@@ -167,7 +178,7 @@ class StudyManifest:
     def load(cls, path, verify=True):
         path = Path(path)
         payload = json.loads(path.read_text())
-        if payload.get("manifest_version") != FORMAT_VERSION:
+        if payload.get("manifest_version") != MANIFEST_VERSION:
             raise PersistenceError(f"{path}: unsupported manifest version")
         m = cls(
             config=payload["config"],

@@ -17,15 +17,15 @@ solve -> estimate -> mark -> refine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mesh import Mesh, refine
 from .forms import (
     formulation,
+    build_test_spaces,
     assemble_local_blocks,
-    trial_layout,
     element_trial_dofs,
     l2_slot_residual_ops,
     element_momentum_integrals,
@@ -49,14 +49,18 @@ class ResidualReport:
 
 
 def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualReport:
-    """Per-element residual dual norms of a computed solution."""
+    """Per-element residual dual norms of a computed solution.
+
+    The solve's own trial spaces and layout are reused; only the test
+    spaces are rebuilt at the enriched order.
+    """
     form = fields.form
     if form is None:
         raise ValueError("residuals need the broken formulation the solution came from")
     dp_res = max(p_res - form.p, 0)
-    form_res = formulation(form.id, form.mesh, form.material, form.p, dp=dp_res, bc=form.bc)
-    layout = trial_layout(form_res)
-    x = fields.full_vector(layout)
+    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.mesh, form.p, dp_res))
+    layout = fields.layout
+    x = fields.full_vector()
     nelt = form.mesh.num_triangles
     eta2 = np.zeros(nelt)
     exact_degree = max(2 * p_res + 2, 16)

@@ -5,8 +5,17 @@ Conventions:
 
 * Scalar structure is built first; vector or tensor dofs interleave the
   copies as global = scalar * ncopies + copy.
-* H1 spaces are Lagrange-type on an equispaced reference lattice; global
-  continuity comes from identifying physical node coordinates.
+* Continuity comes from mesh topology, never from coordinates. One
+  edge-node table numbers the vertices and then the p-1 interior nodes of
+  each edge, oriented from its lower- to its higher-numbered vertex; the
+  H1 space and TraceH12 share it, H1 adds its cell interiors after it,
+  and H1 elements read it flipped where a local edge runs against the
+  global one. H1 spaces are Lagrange-type on an equispaced reference
+  lattice.
+* Boundary data sits on edges: Gamma0 constrains the nodes of the Gamma0
+  edges to the displacement at their points (H1, TraceH12), and Gamma1
+  constrains edge moments to Legendre moments of the traction (H(div),
+  TraceHm12).
 * H(div) spaces are Raviart-Thomas-family, built directly on each
   physical element by inverting a functional Vandermonde: edge dofs are
   moments of the normal trace against orthonormal Legendre polynomials in
@@ -227,75 +236,129 @@ def _interleave(scalar_dofs, ncopies):
 
 
 # ---------------------------------------------------------------------------
+# topological node numbering and boundary data on edges
+
+
+def edge_points(mesh: Mesh, eids, t):
+    """Physical points at parameters t on the given edges, eids.shape +
+    (nq, 2); the parameter runs from the lower- to the higher-numbered
+    vertex."""
+    ev = mesh.vertices[mesh.edges[eids]]
+    va, vb = ev[..., 0, :], ev[..., 1, :]
+    return va[..., None, :] + np.asarray(t, dtype=float)[:, None] * (vb - va)[..., None, :]
+
+
+def _edge_nodes(mesh: Mesh, p: int) -> np.ndarray:
+    """Scalar ids of the p+1 equispaced nodes of every edge, (ne, p+1),
+    from the lower- to the higher-numbered vertex: vertex ids first, then
+    nv + (p-1) * eid + i for the edge interiors."""
+    ne = mesh.num_edges
+    ids = np.empty((ne, p + 1), dtype=np.int64)
+    ids[:, 0] = mesh.edges[:, 0]
+    ids[:, p] = mesh.edges[:, 1]
+    ids[:, 1:p] = mesh.num_vertices + (p - 1) * np.arange(ne)[:, None] + np.arange(p - 1)
+    return ids
+
+
+def _edge_node_points(mesh: Mesh, ids, eids):
+    """Distinct node ids ids[eids], increasing, and their physical points.
+    A node shared by two of the edges takes its point from the later one."""
+    p = ids.shape[1] - 1
+    sids, last = np.unique(ids[eids].ravel()[::-1], return_index=True)
+    pts = edge_points(mesh, eids, np.arange(p + 1) / p).reshape(-1, 2)[::-1]
+    return sids, pts[last]
+
+
+def _constrain_gamma0(space: DofSpace, ids, fn):
+    """Constrain the nodes ids[e] of every Gamma0 edge e to fn(points)
+    (zero by default)."""
+    g0 = space.mesh.boundary_edge_ids(GAMMA0)
+    if not len(g0):
+        return
+    sids, pts = _edge_node_points(space.mesh, ids, g0)
+    vals = fn(pts) if fn is not None else np.zeros((len(sids), 2))
+    space.constrained_dofs = _interleave(sids[:, None], 2).ravel()
+    space.constrained_values = np.asarray(vals, dtype=float).ravel()
+
+
+def _edge_moments(mesh: Mesh, sk: Skeleton, eids, nmom: int, degree: int, fn):
+    """Orthonormal Legendre moments of fn(pts, normal) on each given edge,
+    taken against its fixed skeleton normal, (len(eids), nmom, 2); zero
+    when fn is None."""
+    mom = np.zeros((len(eids), nmom, 2))
+    if fn is None:
+        return mom
+    tq, twq = edge_rule(degree)
+    leg = legendre01_eval(nmom, tq)
+    pts = edge_points(mesh, eids, tq)
+    for n, eid in enumerate(eids):
+        g = np.asarray(fn(pts[n], sk.normals[eid]), dtype=float)
+        mom[n] = np.einsum("q,mq,qc->mc", twq, leg, g)
+    return mom
+
+
+def _constrain_gamma1(space: DofSpace, sk: Skeleton, nmom: int, degree: int, fn):
+    """Constrain the nmom edge-moment dofs eid * nmom + i of every Gamma1
+    edge to the moments of fn(pts, normal) (zero by default)."""
+    g1 = space.mesh.boundary_edge_ids(GAMMA1)
+    if len(g1):
+        space.constrained_dofs = _interleave(g1[:, None] * nmom + np.arange(nmom), 2).ravel()
+        space.constrained_values = _edge_moments(space.mesh, sk, g1, nmom, degree, fn).ravel()
+
+
+# ---------------------------------------------------------------------------
 # H1 and BrokenH1
 
 
-def _h1_scalar_numbering(mesh: Mesh, geom: Geometry, p: int):
-    """Global scalar numbering of lattice nodes by coordinate hashing."""
-    ref = _ref_lattice(p)
-    phys = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, ref)
-    keys = np.round(phys, 10)
-    ids = {}
-    elt = np.empty((mesh.num_triangles, len(ref)), dtype=np.int64)
-    for e in range(mesh.num_triangles):
-        for l in range(len(ref)):
-            key = (keys[e, l, 0] + 0.0, keys[e, l, 1] + 0.0)
-            if key not in ids:
-                ids[key] = len(ids)
-            elt[e, l] = ids[key]
-    return elt, len(ids), phys
+@lru_cache(maxsize=None)
+def _lattice_topology(p: int):
+    """Reference-lattice indices of the nodes on each local edge k, running
+    from vertex k to vertex k+1, (3, p+1), and of the cell interior."""
+
+    def row(j):  # lattice index of node (0, j)
+        return j * (p + 1) - j * (j - 1) // 2
+
+    m = np.arange(p + 1)
+    edges = np.stack([m, [row(j) + p - j for j in m], [row(p - j) for j in m]])
+    inner = np.array([row(j) + i for j in range(1, p) for i in range(1, p - j)], dtype=np.int64)
+    return edges, inner
 
 
-def h1_space(mesh: Mesh, p: int, gamma0_constrained: bool = False, bc_fn=None, constrain_tag=GAMMA0) -> DofSpace:
+def h1_space(mesh: Mesh, p: int, gamma0_constrained: bool = False, bc_fn=None) -> DofSpace:
     """Continuous vector-valued Lagrange space of order p.
 
-    When gamma0_constrained is set, all dofs whose nodes lie on boundary
-    edges with the given tag are constrained; bc_fn(pts) -> (n, 2) supplies
-    their values (zero by default).
+    Scalar nodes are numbered from mesh topology: vertices and edge
+    interiors as in TraceH12 (_edge_nodes), then cell interiors element
+    by element. When gamma0_constrained is set, the nodes of the Gamma0
+    edges are constrained; bc_fn(pts) -> (n, 2) supplies their values
+    (zero by default).
     """
     if p < 1:
         raise ValueError(f"H1 order must be at least 1, got {p}")
-    geom = geometry(mesh)
-    elt_scalar, nscalar, phys = _h1_scalar_numbering(mesh, geom, p)
-    elt_dofs = _interleave(elt_scalar, 2)
+    ids = _edge_nodes(mesh, p)
+    edge_loc, inner = _lattice_topology(p)
+    nt = mesh.num_triangles
+    elt_scalar = np.empty((nt, len(_ref_lattice(p))), dtype=np.int64)
+    for k in range(3):
+        eids = mesh.tri_edges[:, k]
+        nodes = ids[eids]
+        flip = mesh.triangles[:, k] != mesh.edges[eids, 0]
+        nodes[flip] = nodes[flip, ::-1]
+        elt_scalar[:, edge_loc[k]] = nodes
+    base = mesh.num_vertices + (p - 1) * mesh.num_edges
+    elt_scalar[:, inner] = base + np.arange(nt * len(inner)).reshape(nt, len(inner))
     space = DofSpace(
         kind="H1",
         order=p,
         mesh=mesh,
-        ndof=2 * nscalar,
+        ndof=2 * (base + nt * len(inner)),
         ncopies=2,
-        elt_dofs=elt_dofs,
-        payload={"geom": geom, "p": p},
+        elt_dofs=_interleave(elt_scalar, 2),
+        payload={"geom": geometry(mesh), "p": p},
     )
     if gamma0_constrained:
-        _constrain_h1_boundary(space, mesh, p, elt_scalar, phys, bc_fn, constrain_tag)
+        _constrain_gamma0(space, ids, bc_fn)
     return space
-
-
-def _constrain_h1_boundary(space, mesh, p, elt_scalar, phys, bc_fn, tag):
-    """Constrain nodes sitting on tagged boundary edges."""
-    cons = {}
-    for eid in mesh.boundary_edge_ids(tag):
-        a, b = mesh.edges[eid]
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        t0 = mesh.edge_tris[eid, 0]
-        # nodes of the incident element lying on this edge segment
-        for l in range(elt_scalar.shape[1]):
-            x = phys[t0, l]
-            d = vb - va
-            ln2 = d @ d
-            s = (x - va) @ d / ln2
-            if -1e-10 <= s <= 1 + 1e-10:
-                perp = abs((x - va)[0] * d[1] - (x - va)[1] * d[0]) / np.sqrt(ln2)
-                if perp < 1e-10:
-                    cons[int(elt_scalar[t0, l])] = x
-    if not cons:
-        return
-    sids = np.array(sorted(cons), dtype=np.int64)
-    pts = np.array([cons[s] for s in sids])
-    vals = bc_fn(pts) if bc_fn is not None else np.zeros((len(sids), 2))
-    space.constrained_dofs = _interleave(sids[:, None], 2).ravel()
-    space.constrained_values = np.asarray(vals, dtype=float).ravel()
 
 
 def broken_h1_space(mesh: Mesh, p: int) -> DofSpace:
@@ -413,13 +476,9 @@ def _rt_build(mesh: Mesh, geom: Geometry, sk: Skeleton, p: int):
     # edge parameter
     tq, twq = edge_rule(2 * k + 2)
     leg = legendre01_eval(nmom, tq)  # (nmom, qe)
-    edges = mesh.edges
-    everts = mesh.vertices[edges]  # (ne, 2, 2)
     for loc in range(3):
         eids = mesh.tri_edges[:, loc]
-        va = everts[eids, 0]
-        vb = everts[eids, 1]
-        pts = va[:, None, :] + tq[None, :, None] * (vb - va)[:, None, :]
+        pts = edge_points(mesh, eids, tq)
         sval, _ = _rt_span_eval(k, geom.centroid, geom.hscale, pts)
         nrm = sk.normals[eids]  # fixed normal
         vn = np.einsum("enqc,ec->enq", sval, nrm)
@@ -480,31 +539,8 @@ def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn
         payload={"geom": geom, "skeleton": sk, "C": C, "k": k, "nmom": nmom, "ninter": ninter},
     )
     if gamma1_constrained:
-        _constrain_hdiv_boundary(space, mesh, sk, nmom, traction_fn)
+        _constrain_gamma1(space, sk, nmom, 2 * p + 4, traction_fn)
     return space
-
-
-def _constrain_hdiv_boundary(space, mesh, sk, nmom, traction_fn):
-    cons_scalar = []
-    vals = []
-    tq, twq = edge_rule(2 * space.order + 4)
-    leg = legendre01_eval(nmom, tq)
-    for eid in mesh.boundary_edge_ids(GAMMA1):
-        a, b = mesh.edges[eid]
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        pts = va[None, :] + tq[:, None] * (vb - va)[None, :]
-        if traction_fn is not None:
-            g = np.asarray(traction_fn(pts, sk.normals[eid]), dtype=float)
-        else:
-            g = np.zeros((len(tq), 2))
-        mom = np.einsum("q,mq,qr->mr", twq, leg, g)  # (nmom, 2 rows)
-        for i in range(nmom):
-            cons_scalar.append(eid * nmom + i)
-            vals.append(mom[i])
-    if cons_scalar:
-        sids = np.array(cons_scalar, dtype=np.int64)
-        space.constrained_dofs = _interleave(sids[:, None], 2).ravel()
-        space.constrained_values = np.array(vals).ravel()
 
 
 def broken_hdiv_space(mesh: Mesh, p: int) -> DofSpace:
@@ -534,67 +570,42 @@ def broken_hdiv_space(mesh: Mesh, p: int) -> DofSpace:
 # trace spaces
 
 
-def trace_spaces(sk: Skeleton, p: int, u0_fn=None):
+def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
     """Build (TraceH12, TraceHm12) on the skeleton.
 
-    TraceH12: continuous piecewise order-p, 2 components, constrained on
-    Gamma0 with values from u0_fn(pts) (zero by default). TraceHm12:
-    per-edge discontinuous order-(p-1) Legendre modes of the normal flux
-    with respect to the fixed normal, 2 components, constrained to zero
-    on Gamma1 (the traction data enters through load vectors).
+    TraceH12: continuous piecewise order-p, 2 components, numbered by
+    _edge_nodes and constrained on Gamma0 with values from u0_fn(pts)
+    (zero by default). TraceHm12: per-edge discontinuous order-(p-1)
+    Legendre modes of the normal flux with respect to the fixed normal,
+    2 components, constrained on Gamma1 to the moments of
+    traction_fn(pts, normal) (zero by default).
     """
     if p < 1:
         raise ValueError(f"trace order must be at least 1, got {p}")
     mesh = sk.mesh
     ne = mesh.num_edges
-    nv = mesh.num_vertices
-    nint = p - 1
-    # --- TraceH12 scalar numbering: vertices then per-edge interiors
-    edge_dofs_s = np.empty((ne, p + 1), dtype=np.int64)
-    edge_dofs_s[:, 0] = mesh.edges[:, 0]
-    edge_dofs_s[:, p] = mesh.edges[:, 1]
-    for i in range(1, p):
-        edge_dofs_s[:, i] = nv + (i - 1) + nint * np.arange(ne)
-    nscalar = nv + nint * ne
+    ids = _edge_nodes(mesh, p)
     th12 = DofSpace(
         kind="TraceH12",
         order=p,
         mesh=mesh,
-        ndof=2 * nscalar,
+        ndof=2 * (mesh.num_vertices + (p - 1) * ne),
         ncopies=2,
-        edge_dofs=_interleave(edge_dofs_s, 2),
+        edge_dofs=_interleave(ids, 2),
         payload={"skeleton": sk, "p": p},
     )
-    cons = {}
-    for eid in mesh.boundary_edge_ids(GAMMA0):
-        a, b = mesh.edges[eid]
-        va, vb = mesh.vertices[a], mesh.vertices[b]
-        for i in range(p + 1):
-            t = i / p
-            cons[int(edge_dofs_s[eid, i])] = va + t * (vb - va)
-    if cons:
-        sids = np.array(sorted(cons), dtype=np.int64)
-        pts = np.array([cons[s] for s in sids])
-        vals = u0_fn(pts) if u0_fn is not None else np.zeros((len(sids), 2))
-        th12.constrained_dofs = _interleave(sids[:, None], 2).ravel()
-        th12.constrained_values = np.asarray(vals, dtype=float).ravel()
-    # --- TraceHm12
+    _constrain_gamma0(th12, ids, u0_fn)
     nmom = p
-    edge_dofs_m = np.arange(ne * nmom, dtype=np.int64).reshape(ne, nmom)
     thm12 = DofSpace(
         kind="TraceHm12",
         order=p - 1,
         mesh=mesh,
         ndof=2 * ne * nmom,
         ncopies=2,
-        edge_dofs=_interleave(edge_dofs_m, 2),
+        edge_dofs=_interleave(np.arange(ne * nmom, dtype=np.int64).reshape(ne, nmom), 2),
         payload={"skeleton": sk, "nmom": nmom},
     )
-    g1 = mesh.boundary_edge_ids(GAMMA1)
-    if len(g1):
-        sids = (edge_dofs_m[g1]).ravel()
-        thm12.constrained_dofs = _interleave(np.sort(sids)[:, None], 2).ravel()
-        thm12.constrained_values = np.zeros(len(thm12.constrained_dofs))
+    _constrain_gamma1(thm12, sk, nmom, 2 * nmom + 8, traction_fn)
     return th12, thm12
 
 
@@ -717,15 +728,6 @@ def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
     raise ValueError(f"volume basis undefined for kind {space.kind}")
 
 
-def edge_phys_points(mesh: Mesh, elems, t):
-    """Physical points of each element's three edges in the global edge
-    parameter: (nelt, 3, nq, 2)."""
-    t = np.asarray(t, dtype=float)
-    ev = mesh.vertices[mesh.edges[mesh.tri_edges[elems]]]  # (nelt, 3, 2, 2)
-    va, vb = ev[:, :, 0], ev[:, :, 1]
-    return va[:, :, None, :] + t[None, None, :, None] * (vb - va)[:, :, None, :]
-
-
 def element_edge_values(space: DofSpace, elems, t):
     """Trace of element basis functions on the element's own edges.
 
@@ -734,7 +736,7 @@ def element_edge_values(space: DofSpace, elems, t):
     """
     elems = np.asarray(elems, dtype=np.int64)
     mesh = space.mesh
-    pts = edge_phys_points(mesh, elems, t)  # (nelt, 3, nq, 2)
+    pts = edge_points(mesh, mesh.tri_edges[elems], t)  # (nelt, 3, nq, 2)
     nelt, _, nq, _ = pts.shape
     if space.kind in ("H1", "BrokenH1"):
         geom = space.payload["geom"]
@@ -815,31 +817,15 @@ def interpolate(space: DofSpace, exact, what: str = "auto"):
     if space.kind in ("Hdiv", "BrokenHdiv"):
         return _interpolate_hdiv(space, exact)
     if space.kind == "TraceH12":
-        sk = space.payload["skeleton"]
-        p = space.payload["p"]
-        mesh = space.mesh
-        for eid in range(mesh.num_edges):
-            a, b = mesh.edges[eid]
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            tt = np.arange(p + 1) / p
-            pts = va[None] + tt[:, None] * (vb - va)[None]
-            vals = exact.displacement(pts)
-            coeffs[space.edge_dofs[eid, 0::2]] = vals[:, 0]
-            coeffs[space.edge_dofs[eid, 1::2]] = vals[:, 1]
+        ids = _edge_nodes(mesh, space.payload["p"])
+        sids, pts = _edge_node_points(mesh, ids, np.arange(mesh.num_edges))
+        coeffs[_interleave(sids[:, None], 2)] = exact.displacement(pts)
         return coeffs
     if space.kind == "TraceHm12":
-        sk = space.payload["skeleton"]
         nmom = space.payload["nmom"]
-        tq, twq = edge_rule(2 * nmom + 8)
-        leg = legendre01_eval(nmom, tq)
-        for eid in range(mesh.num_edges):
-            a, b = mesh.edges[eid]
-            va, vb = mesh.vertices[a], mesh.vertices[b]
-            pts = va[None] + tq[:, None] * (vb - va)[None]
-            g = exact.traction(pts, sk.normals[eid])
-            mom = np.einsum("q,mq,qc->mc", twq, leg, g)
-            coeffs[space.edge_dofs[eid, 0::2]] = mom[:, 0]
-            coeffs[space.edge_dofs[eid, 1::2]] = mom[:, 1]
+        eids = np.arange(mesh.num_edges)
+        mom = _edge_moments(mesh, space.payload["skeleton"], eids, nmom, 2 * nmom + 8, exact.traction)
+        coeffs[space.edge_dofs] = mom.reshape(len(eids), -1)
         return coeffs
     raise ValueError(f"interpolation undefined for kind {space.kind}")
 
@@ -861,9 +847,7 @@ def _interpolate_hdiv(space, exact):
     F = np.empty((nelt, nloc_s, 2))
     for loc in range(3):
         eids = mesh.tri_edges[:, loc]
-        ev = mesh.vertices[mesh.edges[eids]]
-        pts = ev[:, None, 0, :] + tq[None, :, None] * (ev[:, 1] - ev[:, 0])[:, None, :]
-        sig = exact.stress(pts)  # (nelt, qe, 2, 2)
+        sig = exact.stress(edge_points(mesh, eids, tq))  # (nelt, qe, 2, 2)
         vn = np.einsum("eqij,ej->eqi", sig, sk.normals[eids])
         F[:, loc * nmom : (loc + 1) * nmom] = np.einsum("q,mq,eqc->emc", twq, leg, vn)
     if ninter:

@@ -9,6 +9,7 @@ from dpgelast.mesh import build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import bc_from_exact
 from dpgelast.dpg_solver import solve_dpg, solve_galerkin_primal
+from dpgelast.residual_adaptivity import element_residuals
 from dpgelast.persistence_formats import (
     FORMAT_VERSION,
     PersistenceError,
@@ -73,6 +74,28 @@ class TestSolutionFile:
         with pytest.raises(PersistenceError, match="version"):
             load_solution(path, "ultraweak", mesh)
 
+    def test_v1_file_rejected(self, solved, tmp_path):
+        # v1 files hold H1 blocks in the old coordinate-hashed node order
+        mesh, f = solved
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        body = path.read_text().splitlines()
+        body[0] = "solutionfile v1"
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(PersistenceError, match="unsupported format version 1"):
+            load_solution(path, "ultraweak", mesh)
+
+    def test_reloaded_solution_estimates_like_the_original(self, tmp_path):
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(3)
+        bc = bc_from_exact(smooth)
+        f = solve_dpg("primal", mesh, smooth.material, 2, bc=bc)
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        g = load_solution(path, "primal", mesh, bc=bc)
+        assert g.num_free_dofs() == f.num_free_dofs()
+        assert np.array_equal(element_residuals(g).eta, element_residuals(f).eta)
+
     def test_not_a_solution_file(self, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("hello\n")
@@ -87,6 +110,19 @@ class TestSolutionFile:
         save_solution(f, path)
         g = load_solution(path, "galerkin", mesh)
         assert np.array_equal(g.coeffs["u"], f.coeffs["u"])
+
+    def test_galerkin_reload_layout(self, tmp_path):
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(2)
+        bc = bc_from_exact(smooth)
+        f = solve_galerkin_primal(mesh, smooth.material, 2, bc)
+        path = tmp_path / "gal.txt"
+        save_solution(f, path)
+        g = load_solution(path, "galerkin", mesh, bc=bc)
+        assert g.num_free_dofs() == f.num_free_dofs()
+        assert np.array_equal(g.layout.constrained, f.layout.constrained)
+        assert np.array_equal(g.layout.values, f.layout.values)
+        assert np.array_equal(g.full_vector(), f.full_vector())
 
 
 class TestManifest:

@@ -118,6 +118,27 @@ class TestEstimator:
         direct = np.sqrt(np.sum(dens * pwts, axis=1))
         assert np.abs(direct - rep.eta).max() < 1e-8 * rep.eta.max()
 
+    def test_reuses_the_solve_trial_spaces(self, monkeypatch):
+        # only the enriched test spaces are built; the trial spaces and
+        # their layout come from the solve
+        import dpgelast.forms as forms
+        import dpgelast.residual_adaptivity as ra
+        import dpgelast.spaces as spaces
+
+        smooth = smooth_solution_2d()
+        f = solve_dpg("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        eta = element_residuals(f).eta
+
+        def fail(*args, **kwargs):
+            raise AssertionError("trial space rebuilt")
+
+        for mod in (forms, ra):
+            monkeypatch.setattr(mod, "formulation", fail)
+        for name in ("h1_space", "hdiv_space", "trace_spaces"):
+            monkeypatch.setattr(forms, name, fail)
+        monkeypatch.setattr(spaces, "trace_spaces", fail)
+        assert np.array_equal(element_residuals(f).eta, eta)
+
     def test_eta_decreases_under_uniform_refinement(self):
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)

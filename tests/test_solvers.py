@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from dpgelast.material import MaterialParams, stiffness_apply
-from dpgelast.material import SymTensor2
+from dpgelast.material import MaterialParams, stiffness_apply_array
 from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d, error_norms
 from dpgelast.forms import BCData, bc_from_exact, formulation, FORMULATION_IDS
@@ -37,8 +36,7 @@ class LinearField:
     def __init__(self, material=MAT):
         self.material = material
         eps = 0.5 * (self.A + self.A.T)
-        t = SymTensor2(xx=eps[0, 0], yy=eps[1, 1], xy=eps[0, 1])
-        self.sig = stiffness_apply(t, material).as_matrix()
+        self.sig = stiffness_apply_array(eps, material)
 
     def displacement(self, pts):
         pts = np.asarray(pts, dtype=float)

@@ -4,7 +4,7 @@ continuity, broken embeddings, and the discrete exact sequence."""
 import numpy as np
 import pytest
 
-from dpgelast.mesh import build_square_mesh, build_lshape_mesh, refine, skeleton
+from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, refine, skeleton
 from dpgelast.quadrature import triangle_rule, edge_rule
 from dpgelast.spaces import (
     h1_space,
@@ -314,3 +314,65 @@ class TestConstraints:
         space = h1_space(m, 2, gamma0_constrained=True, bc_fn=field.displacement)
         coeffs = interpolate(space, field)
         assert np.abs(coeffs[space.constrained_dofs] - space.constrained_values).max() < 1e-12
+
+
+def scaled_mesh(mesh, factor):
+    return Mesh(mesh.vertices * factor, mesh.triangles, mesh.boundary_tags)
+
+
+def corner_refined_lshape(rounds=3):
+    """L-shape refined adaptively towards the re-entrant corner at the origin."""
+    m = build_lshape_mesh()
+    for _ in range(rounds):
+        centroids = m.triangle_vertices().mean(axis=1)
+        m = refine(m, np.argsort(np.linalg.norm(centroids, axis=1))[:4])
+    return m
+
+
+class TestTopologicalNumbering:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_h1_counts_on_tiny_mesh(self, p):
+        # nodes 1e-11 apart stay distinct: numbering does not look at coordinates
+        m = scaled_mesh(build_square_mesh(2), 1e-11)
+        s = h1_space(m, p)
+        nscalar = m.num_vertices + (p - 1) * m.num_edges + (p - 1) * (p - 2) // 2 * m.num_triangles
+        assert s.ndof == 2 * nscalar
+        assert len(np.unique(s.elt_dofs)) == s.ndof
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_h1_gamma0_constraints_equal_trace_h12(self, p):
+        m = scaled_mesh(build_square_mesh(2), 1e-11)
+        field = PolyField(1)
+        s = h1_space(m, p, gamma0_constrained=True, bc_fn=field.displacement)
+        th12, _ = trace_spaces(skeleton(m), p, u0_fn=field.displacement)
+        assert len(th12.constrained_dofs) == 2 * 4 * 2 * p
+        assert np.array_equal(s.constrained_dofs, th12.constrained_dofs)
+        assert np.array_equal(s.constrained_values, th12.constrained_values)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_h1_edge_ids_equal_trace_h12(self, p):
+        m = corner_refined_lshape()
+        s = h1_space(m, p)
+        th12, _ = trace_spaces(skeleton(m), p)
+        ref = np.array([[i / p, j / p] for j in range(p + 1) for i in range(p + 1 - j)])
+        geom = geometry(m)
+        t = np.arange(p + 1) / p
+        for e in range(m.num_triangles):
+            lattice = geom.origin[e] + ref @ geom.J[e].T
+            h = geom.hscale[e]
+            for eid in m.tri_edges[e]:
+                a, b = m.vertices[m.edges[eid]]
+                for i, ti in enumerate(t):
+                    dist = np.linalg.norm(lattice - (a + ti * (b - a)), axis=1)
+                    l = int(np.argmin(dist))
+                    assert dist[l] < 1e-9 * h
+                    assert np.array_equal(s.elt_dofs[e, 2 * l : 2 * l + 2], th12.edge_dofs[eid, 2 * i : 2 * i + 2])
+
+    def test_trace_hm12_traction_constraint_values(self):
+        m = build_lshape_mesh()
+        field = PolyField(1)
+        sk = skeleton(m)
+        _, thm12 = trace_spaces(sk, 2, traction_fn=field.traction)
+        coeffs = interpolate(thm12, field)
+        assert len(thm12.constrained_dofs) > 0
+        assert np.array_equal(coeffs[thm12.constrained_dofs], thm12.constrained_values)
