@@ -8,7 +8,10 @@ conforming test functions). The discrete inf-sup constant is then
     gamma_h^2 = min eig of  B^T G_Y^{-1} B  x = gamma^2 G_X x,
 
 with G_Y the test-norm Gram and G_X the trial-norm Gram, both reduced
-to unconstrained dofs. A degenerate regime with the displacement
+to unconstrained dofs. The smallest eigenvalue comes from ARPACK in
+shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
+is applied through one sparse LU of the saddle matrix
+[[G_Y, B], [B^T, sigma G_X]]. A degenerate regime with the displacement
 boundary removed exposes the rigid-body kernel.
 
 The module also computes two auxiliary stability constants of the
@@ -22,28 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from .dpg_solver import _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
-from .spaces import (
-    h1_space,
-    hdiv_space,
-    l2_space,
-    broken_h1_space,
-    broken_hdiv_space,
-    trace_spaces,
-    volume_basis,
-)
+from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, volume_basis
 from .forms import (
-    DESCRIPTORS,
-    BCData,
-    Formulation,
-    assemble_local_blocks,
-    element_quadrature,
-    gram_blocks,
-    scatter_blocks,
-    trace_pairing_blocks,
-    _contract,
+    DESCRIPTORS, BCData, Formulation, assemble_local_blocks, element_quadrature, gram_blocks, scatter_blocks,
+    trace_pairing_blocks, _contract,
 )
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
@@ -52,6 +42,10 @@ from .forms import (
 # exact spurious kernel on uniformly refined diagonal meshes (observed
 # at the third refinement level for p = 1 and 2).
 TEST_ORDER_BUMP = {"strong": 1, "ultraweak": 1, "dualmixed": 0, "mixed": 1, "primal": 0}
+
+# Shift of the shift-invert eigensolves: just below zero, so the shifted
+# operators stay nonsingular when the smallest eigenvalue is 0.
+SHIFT = -1e-6
 
 _TRIAL_NORM = {"H1": "H1", "Hdiv": "Hdiv", "L2sym": "L2", "L2vec": "L2", "L2skew": "L2"}
 
@@ -91,14 +85,14 @@ class InfSupResult:
     ntest: int
 
 
-def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = False, test_order=None) -> InfSupResult:
-    """Discrete inf-sup constant of the unbroken conforming pair.
+def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empty: bool = False):
+    """Free-by-free sparse B, G_Y and G_X of the unbroken conforming pair.
 
     B and G_Y come from the element assembly of the formulation with its
-    test slots on conforming spaces and its skeleton terms dropped.
+    test slots on conforming spaces of order q and its skeleton terms
+    dropped; G_X is the trial-norm Gram.
     """
     desc = DESCRIPTORS[spec_id]
-    q = test_order if test_order is not None else p + TEST_ORDER_BUMP[spec_id]
     form = Formulation(
         desc=replace(desc, trace_slots=(), trace_terms=()),
         mesh=mesh,
@@ -114,9 +108,7 @@ def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = 
     rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
     cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
     if len(ufree) == 0 or len(tfree) == 0:
-        raise ValueError(
-            f"{spec_id}: no unconstrained dofs left on this mesh, refine first"
-        )
+        raise ValueError(f"{spec_id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
     rule, wts, _ = element_quadrature(mesh, blocks.elems, degree)
@@ -125,16 +117,32 @@ def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = 
         s = blocks.field_slices[name]
         basis = volume_basis(form.field_spaces[name], blocks.elems, rule.points)
         gx.append((cols[:, s], cols[:, s], gram_blocks(wts, basis, _TRIAL_NORM[kind])))
-    Bf = scatter_blocks([(rows, cols, blocks.B)], (ntest, ntrial))[tfree][:, ufree].toarray()
-    GYf = scatter_blocks([(rows, rows, blocks.G)], (ntest, ntest))[tfree][:, tfree].toarray()
-    GXf = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree].toarray()
-    A = Bf.T @ np.linalg.solve(GYf, Bf)
-    A = 0.5 * (A + A.T)
-    lam = sla.eigh(A, GXf, eigvals_only=True)
-    gamma = float(np.sqrt(max(lam[0], 0.0)))
-    return InfSupResult(
-        spec_id=spec_id, p=p, test_order=q, gamma=gamma, ntrial=len(ufree), ntest=len(tfree)
-    )
+    B = scatter_blocks([(rows, cols, blocks.B)], (ntest, ntrial))[tfree][:, ufree]
+    GY = scatter_blocks([(rows, rows, blocks.G)], (ntest, ntest))[tfree][:, tfree]
+    GX = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]
+    return B, GY, GX
+
+
+def _min_infsup_eig(B, GY, GX) -> float:
+    """Smallest eigenvalue of B^T G_Y^{-1} B x = lambda G_X x, by shift-invert.
+
+    [[G_Y, B], [B^T, sigma G_X]] [z; w] = [0; y] gives w = -(B^T G_Y^{-1} B - sigma G_X)^{-1} y,
+    so one LU of that saddle matrix serves every ARPACK iteration.
+    """
+    m, n = B.shape
+    lu, _ = _factor_checked(sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc"), "inf-sup saddle matrix")
+    inv = spla.LinearOperator((n, n), matvec=lambda y: -lu.solve(np.r_[np.zeros(m), y.ravel()])[m:], dtype=float)
+    # shift-invert mode applies only OPinv and M, never its first argument
+    lam = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=np.ones(n), return_eigenvectors=False)
+    return float(lam[0])
+
+
+def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = False, test_order=None) -> InfSupResult:
+    """Discrete inf-sup constant of the unbroken conforming pair."""
+    q = test_order if test_order is not None else p + TEST_ORDER_BUMP[spec_id]
+    B, GY, GX = _infsup_operators(spec_id, mesh, material, p, q, gamma0_empty)
+    gamma = float(np.sqrt(max(_min_infsup_eig(B, GY, GX), 0.0)))
+    return InfSupResult(spec_id=spec_id, p=p, test_order=q, gamma=gamma, ntrial=B.shape[1], ntest=B.shape[0])
 
 
 def auxiliary_constants(mesh: Mesh, p: int):
@@ -173,7 +181,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
     )
     Mmass = scatter_blocks([(ud, ud, gram_blocks(wts, ub, "L2")), (wd, wd, ww)], (n, n))
     ufree = np.concatenate([_free(uspace), np.arange(nw) + nu])
-    lam = sla.eigh(A[ufree][:, ufree].toarray(), Mmass[ufree][:, ufree].toarray(), eigvals_only=True)
+    Mf = Mmass[ufree][:, ufree]
+    lam = spla.eigsh(A[ufree][:, ufree], k=1, M=Mf, sigma=SHIFT, v0=np.ones(len(ufree)), return_eigenvectors=False)
     c_p = float(1.0 / np.sqrt(max(lam[0], 1e-300)))
 
     # divergence-pair inf-sup: trial (u, omega) in L2, test tau in H(div)
@@ -182,19 +191,17 @@ def auxiliary_constants(mesh: Mesh, p: int):
     n2 = u2.ndof + wspace.ndof
     td = tspace.elt_dofs
     tfree = _free(tspace)
-    Bf = scatter_blocks(
+    B = scatter_blocks(
         [
             (td, u2.elt_dofs, _contract(wts, tb.div, u2b.val)),
             (td, wspace.elt_dofs + u2.ndof, _contract(wts, tb.val, wb.val)),
         ],
         (tspace.ndof, n2),
-    )[tfree].toarray()
+    )[tfree]
     GT = scatter_blocks([(td, td, gram_blocks(wts, tb, "Hdiv"))], (tspace.ndof, tspace.ndof))
     # both L2 trial spaces carry orthonormal bases, so their Gram is the identity
-    A2 = Bf.T @ np.linalg.solve(GT[tfree][:, tfree].toarray(), Bf)
-    A2 = 0.5 * (A2 + A2.T)
-    lam2 = np.linalg.eigvalsh(A2)
-    c_b = float(np.sqrt(max(lam2[0], 0.0)))
+    lam2 = _min_infsup_eig(B, GT[tfree][:, tfree], sp.identity(n2, format="csr"))
+    c_b = float(np.sqrt(max(lam2, 0.0)))
     return {"C_P": c_p, "C_B": c_b}
 
 
@@ -203,8 +210,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
 
 
 def jump_pairing_matrix(broken_space, trace_space):
-    """Dense skeleton pairing of a broken space against the free dofs of
-    a trace space: J[i, j] = <trace_i, element trace of broken_j>."""
+    """Sparse (CSR) skeleton pairing of a broken space against the free
+    dofs of a trace space: J[i, j] = <trace_i, element trace of broken_j>."""
     mesh = broken_space.mesh
     elems = np.arange(mesh.num_triangles)
     degree = 2 * (broken_space.order + trace_space.order) + 4
@@ -212,7 +219,7 @@ def jump_pairing_matrix(broken_space, trace_space):
     rows = trace_space.edge_dofs[mesh.tri_edges].reshape(len(elems), -1)
     shape = (trace_space.ndof, broken_space.ndof)
     J = scatter_blocks([(rows, broken_space.elt_dofs, np.swapaxes(pair, 1, 2))], shape)
-    return J[_free(trace_space)].toarray()
+    return J[_free(trace_space)]
 
 
 def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
@@ -226,21 +233,13 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
     perturbations.
     """
     rng = np.random.default_rng(seed)
-    sk = make_skeleton(mesh)
-    th12, thm12 = trace_spaces(sk, p + 1)
-
+    th12, thm12 = trace_spaces(make_skeleton(mesh), p + 1)
     results = {}
-    conf_h1 = h1_space(mesh, p, gamma0_constrained=True)
-    brok_h1 = broken_h1_space(mesh, p)
-    J1 = jump_pairing_matrix(brok_h1, thm12)
-    conf_hdiv = hdiv_space(mesh, p, gamma1_constrained=True)
-    brok_hdiv = broken_hdiv_space(mesh, p)
-    J2 = jump_pairing_matrix(brok_hdiv, th12)
-
-    for label, conf, brok, J in (
-        ("h1", conf_h1, brok_h1, J1),
-        ("hdiv", conf_hdiv, brok_hdiv, J2),
+    for label, conf, brok, trace in (
+        ("h1", h1_space(mesh, p, gamma0_constrained=True), broken_h1_space(mesh, p), thm12),
+        ("hdiv", hdiv_space(mesh, p, gamma1_constrained=True), broken_hdiv_space(mesh, p), th12),
     ):
+        J = jump_pairing_matrix(brok, trace)
         fwd = 0.0
         for _ in range(n_samples):
             x = rng.standard_normal(conf.ndof)

@@ -173,6 +173,10 @@ class TestInfSupRun:
         free_primal = [float(r[3]) for r in rows if r[0] == "primal" and r[2] == "free"]
         assert max(free_primal) < min(dirichlet.values()) / 1e6
 
+    def test_byte_identical_reruns(self, tmp_path):
+        texts = [run_infsup(RunConfig(p=1, output_dir=str(tmp_path / sub))).read_bytes() for sub in ("a", "b")]
+        assert texts[0] == texts[1]
+
 
 class TestMain:
     def test_converge_subcommand(self, tmp_path):

@@ -3,16 +3,20 @@ constants, and skeleton jump pairings."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from dpgelast.material import MaterialParams
-from dpgelast.mesh import build_square_mesh, uniform_refine
+from dpgelast.mesh import build_square_mesh, skeleton, uniform_refine
 from dpgelast.forms import FORMULATION_IDS
 from dpgelast.infsup_lab import (
     TEST_ORDER_BUMP,
+    _infsup_operators,
     discrete_infsup,
     auxiliary_constants,
+    jump_pairing_matrix,
     zero_jump_tests,
 )
+from dpgelast.spaces import broken_h1_space, trace_spaces
 
 MAT = MaterialParams(lam=1.0, mu=1.0)
 
@@ -34,6 +38,24 @@ class TestDiscreteInfSup:
             gammas.append(discrete_infsup(spec, m, MAT, 1).gamma)
             m = uniform_refine(m)
         assert max(gammas) / min(gammas) <= 2.0
+
+    @pytest.mark.parametrize("spec", ["primal", "ultraweak"])
+    def test_gamma_stable_to_level_three(self, spec):
+        m = build_square_mesh(2)
+        gammas = []
+        for _ in range(4):
+            gammas.append(discrete_infsup(spec, m, MAT, 1).gamma)
+            m = uniform_refine(m)
+        assert max(gammas) / min(gammas) <= 2.0
+
+    @pytest.mark.parametrize("spec", ["strong", "dualmixed", "primal"])
+    def test_degenerate_regime_collapses_on_every_level(self, spec):
+        m = build_square_mesh(2)
+        for _ in range(3):
+            std = discrete_infsup(spec, m, MAT, 1).gamma
+            degen = discrete_infsup(spec, m, MAT, 1, gamma0_empty=True).gamma
+            assert degen <= 1e-6 * std
+            m = uniform_refine(m)
 
     def test_primal_degenerate_regime_collapses(self):
         m = build_square_mesh(2)
@@ -68,7 +90,49 @@ class TestDiscreteInfSup:
         assert res.gamma > 1e-8
 
 
+def dense_gamma(spec, mesh, p, gamma0_empty):
+    """gamma from the dense generalized eigenproblem of the same operators."""
+    B, GY, GX = (M.toarray() for M in _infsup_operators(spec, mesh, MAT, p, p + TEST_ORDER_BUMP[spec], gamma0_empty))
+    A = B.T @ np.linalg.solve(GY, B)
+    lam = sla.eigh(0.5 * (A + A.T), GX, eigvals_only=True)
+    return float(np.sqrt(max(lam[0], 0.0)))
+
+
+class TestAgainstDenseEigensolve:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("gamma0_empty", [False, True])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_gamma_matches_dense(self, spec, gamma0_empty, p):
+        m = build_square_mesh(2)
+        for _ in range(2):
+            gamma = discrete_infsup(spec, m, MAT, p, gamma0_empty=gamma0_empty).gamma
+            ref = dense_gamma(spec, m, p, gamma0_empty)
+            if ref > 1e-6:
+                assert abs(gamma - ref) <= 1e-10 * ref
+            else:
+                # a degenerate pair: both gammas are square roots of an
+                # eigenvalue at rounding level, only their size compares
+                assert gamma <= 1e-6
+            m = uniform_refine(m)
+
+
 class TestAuxiliaryConstants:
+    # on build_square_mesh(1) and two uniform refinements, p = 1, recorded
+    # from the dense eigensolves that preceded the shift-invert ones
+    RECORDED = [
+        {"C_P": 1.0, "C_B": 0.809165543890565},
+        {"C_P": 1.160889888938291, "C_B": 0.7429151274885525},
+        {"C_P": 1.3619889572944661, "C_B": 0.6167150736139371},
+    ]
+
+    def test_matches_recorded(self):
+        m = build_square_mesh(1)
+        for rec in self.RECORDED:
+            c = auxiliary_constants(m, 1)
+            for key in ("C_P", "C_B"):
+                assert abs(c[key] - rec[key]) <= 1e-10 * rec[key]
+            m = uniform_refine(m)
+
     def test_positive(self):
         c = auxiliary_constants(build_square_mesh(2), 1)
         assert c["C_P"] > 0 and c["C_B"] > 0
@@ -90,6 +154,14 @@ def report():
 
 
 class TestZeroJump:
+    def test_pairing_matrix_is_sparse_on_free_trace_dofs(self):
+        m = build_square_mesh(2)
+        _, thm12 = trace_spaces(skeleton(m), 2)
+        brok = broken_h1_space(m, 1)
+        J = jump_pairing_matrix(brok, thm12)
+        assert J.format == "csr"
+        assert J.shape == (thm12.ndof - len(np.unique(thm12.constrained_dofs)), brok.ndof)
+
     @pytest.mark.parametrize("which", ["h1", "hdiv"])
     def test_forward_conforming_has_no_jump(self, report, which):
         assert report[which]["forward_max"] < 1e-10
