@@ -90,24 +90,29 @@ def _coerce(key, raw):
     return raw
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse key=value lines; '#' starts a comment. Errors carry the
-    offending line number."""
-    cfg = RunConfig()
+def _assign(cfg: RunConfig, text: str, label: str) -> RunConfig:
+    """Set cfg fields from key=value lines; '#' starts a comment. Errors
+    name the offending line as '<label> <number>' and the key."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ConfigError(f"line {lineno}: expected key=value, got {line.strip()!r}")
+            raise ConfigError(f"{label} {lineno}: expected key=value, got {line.strip()!r}")
         key, raw = (s.strip() for s in body.split("=", 1))
         if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{label} {lineno}: unknown config key {key!r}")
         try:
             setattr(cfg, key, _coerce(key, raw))
         except ValueError as err:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {err}") from err
-    return cfg.validate()
+            raise ConfigError(f"{label} {lineno}: bad value for {key!r}: {err}") from err
+    return cfg
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse key=value lines; '#' starts a comment. Errors carry the
+    offending line number."""
+    return _assign(RunConfig(), text, "line").validate()
 
 
 def load_config(path) -> RunConfig:
@@ -309,17 +314,7 @@ def _add_overrides(parser):
 
 def _build_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = "\n".join(args.set)
-    if overrides:
-        # re-parse overrides on top of the loaded config
-        for lineno, line in enumerate(overrides.splitlines(), start=1):
-            if "=" not in line:
-                raise ConfigError(f"override {lineno}: expected KEY=VALUE, got {line!r}")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise ConfigError(f"override {lineno}: unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, raw))
-    return cfg.validate()
+    return _assign(cfg, "\n".join(args.set), "override").validate()
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .material import MaterialParams
-from .quadrature import triangle_rule, map_to_physical, graded_triangle_rule
+from .quadrature import QuadratureRule, triangle_rule, map_to_physical, graded_triangle_rule
+from .spaces import field_values
 
 
 @dataclass(frozen=True)
@@ -303,22 +304,42 @@ def singular_solution(material: Optional[MaterialParams] = None) -> ExactSolutio
     return sol
 
 
-def _element_quadratures(mesh, degree, singular_corner):
-    """Per-element physical quadrature, graded on corner-touching elements."""
+# reference triangle vertices; row k is the vertex with local index k
+_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _quadrature_groups(mesh, degree, singular_corner):
+    """Yield (elems, reference points, physical points, weights) for each
+    group of elements that shares one reference rule.
+
+    Elements away from the singular corner share the plain rule. Elements
+    whose local vertex k sits at the corner share one rule graded toward
+    reference vertex 0, mapped from vertex k as c + r0 (p - c) + r1 (q - c)
+    with c, p, q the vertices k, k+1, k+2, so points near the singularity
+    keep their relative accuracy; the reference points of the basis are
+    the same combination of the reference vertices.
+    """
     verts = mesh.triangle_vertices()
-    rule = triangle_rule(degree)
-    pts, wts = map_to_physical(rule, verts)
-    chunks = []
-    for e in range(mesh.num_triangles):
-        if singular_corner is not None:
-            d = np.linalg.norm(verts[e] - singular_corner[None, :], axis=1)
-            if d.min() < 1e-12:
-                corner = int(np.argmin(d))
-                gp, gw = graded_triangle_rule(verts[e], corner, max(degree, 16), levels=44)
-                chunks.append((gp, gw))
-                continue
-        chunks.append((pts[e], wts[e]))
-    return chunks
+    corner = np.full(mesh.num_triangles, -1)
+    if singular_corner is not None:
+        d = np.linalg.norm(verts - singular_corner, axis=-1)
+        near = d.min(axis=1) < 1e-12
+        corner[near] = np.argmin(d[near], axis=1)
+    groups = [(corner < 0, 0, triangle_rule(degree))]
+    if np.any(corner >= 0):
+        gdeg = max(degree, 16)
+        graded = QuadratureRule(*graded_triangle_rule(_REF_VERTS, 0, gdeg, levels=44), degree=gdeg)
+        groups += [(corner == k, k, graded) for k in range(3)]
+    for mask, k, rule in groups:
+        if np.any(mask):
+            order = (k + np.arange(3)) % 3
+            ref = map_to_physical(rule, _REF_VERTS[None, order])[0][0]
+            yield (np.flatnonzero(mask), ref) + map_to_physical(rule, verts[mask][:, order])
+
+
+def _weighted_sq(wts, a):
+    """Quadrature sum of |a|^2 over elements and points; a is (nelt, nq, ...)."""
+    return np.sum(wts * np.sum(a.reshape(a.shape[:2] + (-1,)) ** 2, axis=-1))
 
 
 def error_norms(fields, exact: ExactSolution, quad_degree: Optional[int] = None):
@@ -327,40 +348,26 @@ def error_norms(fields, exact: ExactSolution, quad_degree: Optional[int] = None)
     The displacement error uses the H1 norm when the displacement slot is
     an H1-conforming field and the L2 norm when it is an elementwise
     discontinuous field; the relative error divides by the matching exact
-    norm. Stress and rotation slots are reported in L2.
+    norm. Stress and rotation slots are reported in L2. Each element
+    group of _quadrature_groups is evaluated at once through
+    spaces.field_values.
     """
-    from .spaces import evaluate_field, evaluate_field_gradient
-
-    mesh = fields.mesh
     spaces = fields.spaces
     degree = quad_degree if quad_degree is not None else 2 * max(s.order for s in spaces.values()) + 6
-    chunks = _element_quadratures(mesh, degree, exact.singular_corner)
-
     u_space = spaces.get("u")
-    use_h1 = u_space is not None and u_space.kind == "H1"
-    err2 = 0.0
-    ref2 = 0.0
-    slot_err2 = {}
-    for e, (pts, wts) in enumerate(chunks):
-        ue = exact.displacement(pts)
+    err2 = ref2 = sig2 = 0.0
+    for elems, ref, pts, wts in _quadrature_groups(fields.mesh, degree, exact.singular_corner):
         if u_space is not None:
-            uh = evaluate_field(u_space, fields.coeffs["u"], e, pts)
-            d = uh - ue
-            err2 += np.sum(wts * np.sum(d * d, axis=-1))
-            ref2 += np.sum(wts * np.sum(ue * ue, axis=-1))
-            if use_h1:
+            uh = field_values(u_space, fields.coeffs["u"], elems, ref)
+            ue = exact.displacement(pts)
+            err2 += _weighted_sq(wts, uh.val - ue)
+            ref2 += _weighted_sq(wts, ue)
+            if u_space.kind == "H1":
                 ge = exact.displacement_gradient(pts)
-                gh = evaluate_field_gradient(u_space, fields.coeffs["u"], e, pts)
-                dg = gh - ge
-                err2 += np.sum(wts * np.sum(dg * dg, axis=(-1, -2)))
-                ref2 += np.sum(wts * np.sum(ge * ge, axis=(-1, -2)))
+                err2 += _weighted_sq(wts, uh.grad - ge)
+                ref2 += _weighted_sq(wts, ge)
         if "sigma" in spaces:
-            se = exact.stress(pts)
-            sh = evaluate_field(spaces["sigma"], fields.coeffs["sigma"], e, pts)
-            ds = sh - se
-            slot_err2["sigma"] = slot_err2.get("sigma", 0.0) + np.sum(
-                wts * np.sum(ds * ds, axis=(-1, -2))
-            )
+            sh = field_values(spaces["sigma"], fields.coeffs["sigma"], elems, ref).val
+            sig2 += _weighted_sq(wts, sh - exact.stress(pts))
     rel = np.sqrt(err2 / ref2) if ref2 > 0 else np.sqrt(err2)
-    per_slot = {k: float(np.sqrt(v)) for k, v in slot_err2.items()}
-    return float(rel), per_slot
+    return float(rel), ({"sigma": float(np.sqrt(sig2))} if "sigma" in spaces else {})

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .material import MaterialParams, stiffness_apply_array, compliance_apply_array
-from .mesh import Mesh, skeleton as make_skeleton
+from .mesh import Mesh, Skeleton, skeleton as make_skeleton
 from .quadrature import triangle_rule, edge_rule
 from .spaces import (
     DofSpace,
@@ -175,29 +175,30 @@ def bc_from_exact(exact) -> BCData:
     return BCData(f=exact.body_force, g=exact.traction, u0=exact.displacement)
 
 
-def _trial_space(kind, mesh, p, bc: BCData):
+def _trial_space(kind, sk, p, bc: BCData):
     if kind == "Hdiv":
-        return hdiv_space(mesh, p, gamma1_constrained=True, traction_fn=bc.g)
+        return hdiv_space(sk, p, gamma1_constrained=True, traction_fn=bc.g)
     if kind == "H1":
-        return h1_space(mesh, p, gamma0_constrained=True, bc_fn=bc.u0)
+        return h1_space(sk.mesh, p, gamma0_constrained=True, bc_fn=bc.u0)
     if kind in ("L2sym", "L2vec", "L2skew"):
-        return l2_space(mesh, p - 1, kind)
+        return l2_space(sk.mesh, p - 1, kind)
     raise ValueError(f"unknown trial kind {kind!r}")
 
 
-def _test_space(kind, mesh, p, dp):
+def _test_space(kind, sk, p, dp):
     if kind == "BrokenHdiv":
-        return broken_hdiv_space(mesh, p + dp)
+        return broken_hdiv_space(sk, p + dp)
     if kind == "BrokenH1":
-        return broken_h1_space(mesh, p + dp)
+        return broken_h1_space(sk.mesh, p + dp)
     if kind in ("L2sym", "L2vec", "L2skew"):
-        return l2_space(mesh, p - 1 + dp, kind)
+        return l2_space(sk.mesh, p - 1 + dp, kind)
     raise ValueError(f"unknown test kind {kind!r}")
 
 
-def build_test_spaces(desc: FormulationDescriptor, mesh: Mesh, p: int, dp: int) -> dict:
-    """The broken test spaces of a descriptor at trial order p enriched by dp."""
-    return {n: _test_space(k, mesh, p, dp) for n, k in desc.test_slots}
+def build_test_spaces(desc: FormulationDescriptor, sk: Skeleton, p: int, dp: int) -> dict:
+    """The broken test spaces of a descriptor at trial order p enriched by
+    dp, on the mesh of the skeleton sk."""
+    return {n: _test_space(k, sk, p, dp) for n, k in desc.test_slots}
 
 
 @dataclass
@@ -240,13 +241,13 @@ def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: 
     desc = DESCRIPTORS[spec_id]
     bc = bc if bc is not None else BCData()
     sk = make_skeleton(mesh)
-    fields = {n: _trial_space(k, mesh, p, bc) for n, k in desc.field_slots}
+    fields = {n: _trial_space(k, sk, p, bc) for n, k in desc.field_slots}
     traces = {}
     if desc.trace_slots:
         th12, thm12 = trace_spaces(sk, p, u0_fn=bc.u0, traction_fn=bc.g)
         lookup = {"TraceH12": th12, "TraceHm12": thm12}
         traces = {n: lookup[k] for n, k in desc.trace_slots}
-    tests = build_test_spaces(desc, mesh, p, dp)
+    tests = build_test_spaces(desc, sk, p, dp)
     return Formulation(
         desc=desc,
         mesh=mesh,

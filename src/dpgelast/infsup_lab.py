@@ -50,13 +50,13 @@ SHIFT = -1e-6
 _TRIAL_NORM = {"H1": "H1", "Hdiv": "Hdiv", "L2sym": "L2", "L2vec": "L2", "L2skew": "L2"}
 
 
-def _conforming_space(kind, mesh, order, gamma0_empty):
+def _conforming_space(kind, sk, order, gamma0_empty):
     if kind in ("H1", "BrokenH1"):
-        return h1_space(mesh, order, gamma0_constrained=not gamma0_empty)
+        return h1_space(sk.mesh, order, gamma0_constrained=not gamma0_empty)
     if kind in ("Hdiv", "BrokenHdiv"):
-        return hdiv_space(mesh, order, gamma1_constrained=True)
+        return hdiv_space(sk, order, gamma1_constrained=True)
     if kind in ("L2sym", "L2vec", "L2skew"):
-        return l2_space(mesh, order - 1, kind)
+        return l2_space(sk.mesh, order - 1, kind)
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -93,6 +93,7 @@ def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empt
     dropped; G_X is the trial-norm Gram.
     """
     desc = DESCRIPTORS[spec_id]
+    sk = make_skeleton(mesh)
     form = Formulation(
         desc=replace(desc, trace_slots=(), trace_terms=()),
         mesh=mesh,
@@ -100,10 +101,10 @@ def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empt
         p=p,
         dp=q - p,
         bc=BCData(),
-        field_spaces={n: _conforming_space(k, mesh, p, gamma0_empty) for n, k in desc.field_slots},
+        field_spaces={n: _conforming_space(k, sk, p, gamma0_empty) for n, k in desc.field_slots},
         trace_spaces={},
-        test_spaces={n: _conforming_space(k, mesh, q, gamma0_empty) for n, k in desc.test_slots},
-        skeleton=None,
+        test_spaces={n: _conforming_space(k, sk, q, gamma0_empty) for n, k in desc.test_slots},
+        skeleton=sk,
     )
     rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
     cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
@@ -156,7 +157,7 @@ def auxiliary_constants(mesh: Mesh, p: int):
     """
     uspace = h1_space(mesh, p, gamma0_constrained=True)
     wspace = l2_space(mesh, p - 1, "L2skew")
-    tspace = hdiv_space(mesh, p + 1, gamma1_constrained=True)
+    tspace = hdiv_space(make_skeleton(mesh), p + 1, gamma1_constrained=True)
     elems = np.arange(mesh.num_triangles)
     rule, wts, _ = element_quadrature(mesh, elems, 2 * (p + 2) + 2)
     ub = volume_basis(uspace, elems, rule.points)
@@ -215,7 +216,7 @@ def jump_pairing_matrix(broken_space, trace_space):
     mesh = broken_space.mesh
     elems = np.arange(mesh.num_triangles)
     degree = 2 * (broken_space.order + trace_space.order) + 4
-    pair = trace_pairing_blocks(broken_space, trace_space, make_skeleton(mesh), elems, degree)
+    pair = trace_pairing_blocks(broken_space, trace_space, trace_space.payload["skeleton"], elems, degree)
     rows = trace_space.edge_dofs[mesh.tri_edges].reshape(len(elems), -1)
     shape = (trace_space.ndof, broken_space.ndof)
     J = scatter_blocks([(rows, broken_space.elt_dofs, np.swapaxes(pair, 1, 2))], shape)
@@ -233,11 +234,12 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
     perturbations.
     """
     rng = np.random.default_rng(seed)
-    th12, thm12 = trace_spaces(make_skeleton(mesh), p + 1)
+    sk = make_skeleton(mesh)
+    th12, thm12 = trace_spaces(sk, p + 1)
     results = {}
     for label, conf, brok, trace in (
         ("h1", h1_space(mesh, p, gamma0_constrained=True), broken_h1_space(mesh, p), thm12),
-        ("hdiv", hdiv_space(mesh, p, gamma1_constrained=True), broken_hdiv_space(mesh, p), th12),
+        ("hdiv", hdiv_space(sk, p, gamma1_constrained=True), broken_hdiv_space(sk, p), th12),
     ):
         J = jump_pairing_matrix(brok, trace)
         fwd = 0.0

@@ -58,7 +58,7 @@ def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualRep
     if form is None:
         raise ValueError("residuals need the broken formulation the solution came from")
     dp_res = max(p_res - form.p, 0)
-    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.mesh, form.p, dp_res))
+    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.skeleton, form.p, dp_res))
     layout = fields.layout
     x = fields.full_vector()
     nelt = form.mesh.num_triangles

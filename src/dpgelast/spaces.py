@@ -28,6 +28,16 @@ Conventions:
 * Trace spaces live on skeleton edges: continuous piecewise order-p
   nodal functions (TraceH12) and per-edge discontinuous Legendre modes of
   order p-1 measured against the fixed normal (TraceHm12).
+* H(div) spaces take the caller's Skeleton, as the trace spaces do.
+
+Volume fields have one evaluation path: volume_basis on shared reference
+points, contracted with the coefficients by field_values. The solvers and
+the error norms use it directly; evaluate_field and
+evaluate_field_gradient are one-element wrappers that pull physical
+points back with to_reference. The L2 interpolant is one weighted
+contraction of that basis with the field, and _rt_moments gives the RT
+dof functionals to both the basis construction and the H(div)
+interpolant.
 """
 
 from __future__ import annotations
@@ -433,15 +443,8 @@ def _rt_span_eval(k, centroid, hscale, pts):
     exps = _mono_exps(k)
     nm = len(exps)
     xt = (pts - centroid[:, None, :]) / hscale[:, None, None]
-    mono = np.stack([xt[..., 0] ** i * xt[..., 1] ** j for (i, j) in exps], axis=1)
-    gx = np.stack(
-        [i * xt[..., 0] ** max(i - 1, 0) * xt[..., 1] ** j if i > 0 else np.zeros_like(xt[..., 0]) for (i, j) in exps],
-        axis=1,
-    )
-    gy = np.stack(
-        [j * xt[..., 0] ** i * xt[..., 1] ** max(j - 1, 0) if j > 0 else np.zeros_like(xt[..., 0]) for (i, j) in exps],
-        axis=1,
-    )
+    mono = np.moveaxis(_mono_eval(exps, xt), 0, 1)  # (nelt, nm, nq)
+    grad = np.moveaxis(_mono_grad(exps, xt), 0, 1)
     top = [(i, j) for (i, j) in exps if i + j == k]
     ntop = len(top)
     N = 2 * nm + ntop
@@ -450,9 +453,9 @@ def _rt_span_eval(k, centroid, hscale, pts):
     div = np.zeros((nelt, N, nq))
     h = hscale[:, None]
     val[:, :nm, :, 0] = mono
-    div[:, :nm] = gx / h[..., None]
+    div[:, :nm] = grad[..., 0] / h[..., None]
     val[:, nm : 2 * nm, :, 1] = mono
-    div[:, nm : 2 * nm] = gy / h[..., None]
+    div[:, nm : 2 * nm] = grad[..., 1] / h[..., None]
     for t, (i, j) in enumerate(top):
         mt = xt[..., 0] ** i * xt[..., 1] ** j
         val[:, 2 * nm + t, :, 0] = xt[..., 0] * mt
@@ -461,48 +464,49 @@ def _rt_span_eval(k, centroid, hscale, pts):
     return val, div
 
 
+def _rt_moments(mesh: Mesh, geom: Geometry, sk: Skeleton, k: int, degree: int, field):
+    """The RT_k dof functionals of vector fields on every element, with
+    quadrature of exactness degree.
+
+    field(pts) maps physical points (nelt, nq, 2) to values (nelt, nf, nq,
+    2) of nf vector fields per element. Returns (nelt, 3 * (k + 1) +
+    ninter, nf): per local edge, the orthonormal Legendre moments of the
+    normal trace against the fixed skeleton normal in the global edge
+    parameter; then, per component, the area-averaged moments against
+    the scaled monomials of degree <= k - 1."""
+    nmom = k + 1
+    tq, twq = edge_rule(degree)
+    leg = legendre01_eval(nmom, tq)  # (nmom, qe)
+    rows = []
+    for loc in range(3):
+        eids = mesh.tri_edges[:, loc]
+        vn = np.einsum("enqc,ec->enq", field(edge_points(mesh, eids, tq)), sk.normals[eids])
+        rows.append(np.einsum("q,mq,enq->emn", twq, leg, vn))
+    if k >= 1:
+        rule = triangle_rule(degree)
+        pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, rule.points)
+        wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
+        val = field(pts)
+        xt = (pts - geom.centroid[:, None, :]) / geom.hscale[:, None, None]
+        qm = np.moveaxis(_mono_eval(_mono_exps(k - 1), xt), 0, 1)
+        area = 0.5 * np.abs(geom.det)
+        for c in range(2):
+            rows.append(np.einsum("eq,emq,enq->emn", wts, qm, val[..., c]) / area[:, None, None])
+    return np.concatenate(rows, axis=1)
+
+
 def _rt_build(mesh: Mesh, geom: Geometry, sk: Skeleton, p: int):
     """Per-element RT_{p-1} nodal basis coefficients and local functional
     layout. Returns (C, k, nedge_mom, ninter) where C[e] maps span
     coefficients so that basis_l = sum_j C[e, j, l] span_j."""
     k = p - 1
-    nmom = k + 1
-    exps_int = _mono_exps(k - 1) if k >= 1 else ()
-    ninter = 2 * len(exps_int)
-    N = (k + 1) * (k + 3)
-    nelt = mesh.num_triangles
-    M = np.zeros((nelt, N, N))
-    # edge moment functionals against the fixed normal in the global
-    # edge parameter
-    tq, twq = edge_rule(2 * k + 2)
-    leg = legendre01_eval(nmom, tq)  # (nmom, qe)
-    for loc in range(3):
-        eids = mesh.tri_edges[:, loc]
-        pts = edge_points(mesh, eids, tq)
-        sval, _ = _rt_span_eval(k, geom.centroid, geom.hscale, pts)
-        nrm = sk.normals[eids]  # fixed normal
-        vn = np.einsum("enqc,ec->enq", sval, nrm)
-        rows = np.einsum("q,mq,enq->emn", twq, leg, vn)  # (nelt, nmom, N)
-        M[:, loc * nmom : (loc + 1) * nmom, :] = rows
-    if ninter:
-        rule = triangle_rule(2 * k + 2)
-        ref = rule.points
-        pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, ref)
-        wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
-        sval, _ = _rt_span_eval(k, geom.centroid, geom.hscale, pts)
-        xt = (pts - geom.centroid[:, None, :]) / geom.hscale[:, None, None]
-        qm = np.stack([xt[..., 0] ** i * xt[..., 1] ** j for (i, j) in exps_int], axis=1)
-        area = 0.5 * np.abs(geom.det)
-        base = 3 * nmom
-        for c in range(2):
-            rows = np.einsum("eq,emq,enq->emn", wts, qm, sval[..., c])
-            M[:, base + c * len(exps_int) : base + (c + 1) * len(exps_int), :] = rows / area[:, None, None]
-    C = np.linalg.inv(M)
-    return C, k, nmom, ninter
+    M = _rt_moments(mesh, geom, sk, k, 2 * k + 2, lambda pts: _rt_span_eval(k, geom.centroid, geom.hscale, pts)[0])
+    return np.linalg.inv(M), k, k + 1, 2 * len(_mono_exps(k - 1))
 
 
-def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
-    """Conforming Raviart-Thomas-family tensor space (2 rows) of order p.
+def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
+    """Conforming Raviart-Thomas-family tensor space (2 rows) of order p
+    on the mesh of the skeleton sk.
 
     Edge normal traces have order p-1; interior edge dofs are shared
     between neighbours through the fixed-normal moment functionals. When
@@ -512,30 +516,20 @@ def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn
     """
     if p < 1:
         raise ValueError(f"H(div) order must be at least 1, got {p}")
+    mesh = sk.mesh
     geom = geometry(mesh)
-    from .mesh import skeleton as make_skeleton
-
-    sk = make_skeleton(mesh)
     C, k, nmom, ninter = _rt_build(mesh, geom, sk, p)
-    nelt = mesh.num_triangles
-    ne = mesh.num_edges
-    nscalar = ne * nmom + nelt * ninter
-    elt_scalar = np.empty((nelt, 3 * nmom + ninter), dtype=np.int64)
-    for loc in range(3):
-        eids = mesh.tri_edges[:, loc]
-        elt_scalar[:, loc * nmom : (loc + 1) * nmom] = eids[:, None] * nmom + np.arange(nmom)
-    if ninter:
-        inter0 = ne * nmom
-        elt_scalar[:, 3 * nmom :] = (
-            inter0 + np.arange(nelt, dtype=np.int64)[:, None] * ninter + np.arange(ninter)
-        )
+    nelt, ne = mesh.num_triangles, mesh.num_edges
+    # edge moments eid * nmom + i, then the interior moments element by element
+    edge = (mesh.tri_edges[:, :, None] * nmom + np.arange(nmom)).reshape(nelt, 3 * nmom)
+    inner = ne * nmom + np.arange(nelt * ninter, dtype=np.int64).reshape(nelt, ninter)
     space = DofSpace(
         kind="Hdiv",
         order=p,
         mesh=mesh,
-        ndof=2 * nscalar,
+        ndof=2 * (ne * nmom + nelt * ninter),
         ncopies=2,
-        elt_dofs=_interleave(elt_scalar, 2),
+        elt_dofs=_interleave(np.concatenate([edge, inner], axis=1), 2),
         payload={"geom": geom, "skeleton": sk, "C": C, "k": k, "nmom": nmom, "ninter": ninter},
     )
     if gamma1_constrained:
@@ -543,14 +537,13 @@ def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn
     return space
 
 
-def broken_hdiv_space(mesh: Mesh, p: int) -> DofSpace:
-    """Element-local Raviart-Thomas-family tensor space of order p."""
+def broken_hdiv_space(sk: Skeleton, p: int) -> DofSpace:
+    """Element-local Raviart-Thomas-family tensor space of order p on the
+    mesh of the skeleton sk."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
+    mesh = sk.mesh
     geom = geometry(mesh)
-    from .mesh import skeleton as make_skeleton
-
-    sk = make_skeleton(mesh)
     C, k, nmom, ninter = _rt_build(mesh, geom, sk, p)
     nelt = mesh.num_triangles
     nloc_s = 3 * nmom + ninter
@@ -769,11 +762,12 @@ def element_edge_values(space: DofSpace, elems, t):
 # interpolation and field evaluation
 
 
-def interpolate(space: DofSpace, exact, what: str = "auto"):
+def interpolate(space: DofSpace, exact):
     """Interpolate an exact-solution field into the space.
 
-    exact provides displacement / stress callables (an ExactSolution or a
-    compatible object). Returns a full coefficient vector.
+    exact provides displacement, displacement_gradient (L2skew) and
+    stress callables (an ExactSolution or a compatible object). Returns a
+    full coefficient vector.
     """
     mesh = space.mesh
     coeffs = np.zeros(space.ndof)
@@ -787,35 +781,31 @@ def interpolate(space: DofSpace, exact, what: str = "auto"):
         coeffs[space.elt_dofs[:, 1::2]] = vals[..., 1]
         return coeffs
     if space.kind in ("L2vec", "L2sym", "L2skew"):
+        # the basis is orthonormal, so the L2 projection is the weighted
+        # moment of the field against it; the skew basis sees only the
+        # skew part of the full displacement gradient
         geom = space.payload["geom"]
-        k = space.payload["k"]
-        rule = triangle_rule(2 * k + 8)
-        modal = ortho_modal_eval(k, rule.points)
+        rule = triangle_rule(2 * space.payload["k"] + 8)
         phys = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, rule.points)
-        scal = modal[None] / np.sqrt(np.abs(geom.det))[:, None, None]
         wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
-        if space.kind == "L2vec":
-            f = exact.displacement(phys)
-            proj = np.einsum("eq,emq,eqc->emc", wts, scal, f)
-            coeffs[space.elt_dofs[:, 0::2]] = proj[..., 0]
-            coeffs[space.elt_dofs[:, 1::2]] = proj[..., 1]
-            return coeffs
-        if space.kind == "L2skew":
-            g = exact.displacement_gradient(phys)
-            skw = 0.5 * (g - np.swapaxes(g, -1, -2))
-            comps = _SKEW_COMPS
-            f = np.einsum("eqij,cij->eqc", skw, comps)
-        else:
-            sig = exact.stress(phys)
-            comps = _SYM_COMPS
-            f = np.einsum("eqij,cij->eqc", sig, comps)
-        nc = len(comps)
-        proj = np.einsum("eq,emq,eqc->emc", wts, scal, f)
-        for c in range(nc):
-            coeffs[space.elt_dofs[:, c::nc]] = proj[..., c]
+        fn = {"L2vec": "displacement", "L2sym": "stress", "L2skew": "displacement_gradient"}[space.kind]
+        f = getattr(exact, fn)(phys)
+        val = volume_basis(space, np.arange(mesh.num_triangles), rule.points).val
+        coeffs[space.elt_dofs] = np.einsum(
+            "eq,elqk,eqk->el", wts, val.reshape(val.shape[:3] + (-1,)), f.reshape(f.shape[:2] + (-1,))
+        )
         return coeffs
     if space.kind in ("Hdiv", "BrokenHdiv"):
-        return _interpolate_hdiv(space, exact)
+        # the dof functionals of the two stress rows; a shared edge dof gets
+        # the same value from both sides, so plain assignment is safe
+        k = space.payload["k"]
+        F = _rt_moments(
+            mesh, space.payload["geom"], space.payload["skeleton"], k, 2 * k + 10,
+            lambda pts: np.moveaxis(exact.stress(pts), -2, 1),
+        )
+        coeffs[space.elt_dofs[:, 0::2]] = F[..., 0]
+        coeffs[space.elt_dofs[:, 1::2]] = F[..., 1]
+        return coeffs
     if space.kind == "TraceH12":
         ids = _edge_nodes(mesh, space.payload["p"])
         sids, pts = _edge_node_points(mesh, ids, np.arange(mesh.num_edges))
@@ -830,95 +820,35 @@ def interpolate(space: DofSpace, exact, what: str = "auto"):
     raise ValueError(f"interpolation undefined for kind {space.kind}")
 
 
-def _interpolate_hdiv(space, exact):
-    mesh = space.mesh
-    geom = space.payload["geom"]
-    sk = space.payload["skeleton"]
-    k = space.payload["k"]
-    nmom = space.payload["nmom"]
-    ninter = space.payload["ninter"]
-    coeffs = np.zeros(space.ndof)
-    tq, twq = edge_rule(2 * k + 10)
-    leg = legendre01_eval(nmom, tq)
-    # functional values per element, then scatter (shared dofs get the
-    # same value from both sides, so plain assignment is safe)
-    nelt = mesh.num_triangles
-    nloc_s = 3 * nmom + ninter
-    F = np.empty((nelt, nloc_s, 2))
-    for loc in range(3):
-        eids = mesh.tri_edges[:, loc]
-        sig = exact.stress(edge_points(mesh, eids, tq))  # (nelt, qe, 2, 2)
-        vn = np.einsum("eqij,ej->eqi", sig, sk.normals[eids])
-        F[:, loc * nmom : (loc + 1) * nmom] = np.einsum("q,mq,eqc->emc", twq, leg, vn)
-    if ninter:
-        exps_int = _mono_exps(k - 1)
-        rule = triangle_rule(2 * k + 10)
-        pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, rule.points)
-        wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
-        sig = exact.stress(pts)
-        xt = (pts - geom.centroid[:, None, :]) / geom.hscale[:, None, None]
-        qm = np.stack([xt[..., 0] ** i * xt[..., 1] ** j for (i, j) in exps_int], axis=1)
-        area = 0.5 * np.abs(geom.det)
-        base = 3 * nmom
-        nint_m = len(exps_int)
-        for c in range(2):
-            # component c of each stress row against the interior moments
-            rows = np.einsum("eq,emq,eqr->emr", wts, qm, sig[..., c])
-            F[:, base + c * nint_m : base + (c + 1) * nint_m] = rows / area[:, None, None]
-    coeffs[space.elt_dofs[:, 0::2]] = F[..., 0]
-    coeffs[space.elt_dofs[:, 1::2]] = F[..., 1]
-    return coeffs
+def field_values(space: DofSpace, coeffs, elems, ref_pts) -> Basis:
+    """A discrete volume field on the given elements at shared reference
+    points: the volume_basis arrays contracted with the element
+    coefficients, val (nelt, nq, ...) and grad or div where the kind
+    has them."""
+    x = coeffs[space.elt_dofs[elems]]
+    b = volume_basis(space, elems, ref_pts)
+    return Basis(*(None if a is None else np.einsum("el,elq...->eq...", x, a) for a in (b.val, b.grad, b.div)))
+
+
+def _one_element(space: DofSpace, coeffs, e: int, phys_pts) -> Basis:
+    """field_values on element e at physical points (nq, 2)."""
+    if "geom" not in space.payload:
+        raise ValueError(f"evaluation undefined for kind {space.kind}")
+    elems = np.array([e])
+    ref = to_reference(space.payload["geom"], elems, np.asarray(phys_pts, dtype=float)[None])[0]
+    return field_values(space, coeffs, elems, ref)
 
 
 def evaluate_field(space: DofSpace, coeffs, e: int, phys_pts):
-    """Evaluate the discrete field of one element at physical points."""
-    phys_pts = np.asarray(phys_pts, dtype=float)
-    elems = np.array([e])
-    x = coeffs[space.elt_dofs[e]]
-    if space.kind in ("H1", "BrokenH1"):
-        geom = space.payload["geom"]
-        ref = to_reference(geom, elems, phys_pts[None])[0]
-        lag = lagrange_eval(space.payload["p"], ref)
-        out = np.zeros(phys_pts.shape[:-1] + (2,))
-        out[..., 0] = x[0::2] @ lag
-        out[..., 1] = x[1::2] @ lag
-        return out
-    if space.kind in ("L2vec", "L2sym", "L2skew"):
-        geom = space.payload["geom"]
-        ref = to_reference(geom, elems, phys_pts[None])[0]
-        modal = ortho_modal_eval(space.payload["k"], ref) / np.sqrt(np.abs(geom.det[e]))
-        if space.kind == "L2vec":
-            out = np.zeros(phys_pts.shape[:-1] + (2,))
-            out[..., 0] = x[0::2] @ modal
-            out[..., 1] = x[1::2] @ modal
-            return out
-        comps = _L2_KIND_COMPS[space.kind]
-        nc = len(comps)
-        out = np.zeros(phys_pts.shape[:-1] + (2, 2))
-        for c in range(nc):
-            out += (x[c::nc] @ modal)[..., None, None] * comps[c]
-        return out
-    if space.kind in ("Hdiv", "BrokenHdiv"):
-        b = _hdiv_basis_at(space, elems, phys_pts[None])
-        return np.einsum("l,lqij->qij", x, b.val[0])
-    raise ValueError(f"evaluation undefined for kind {space.kind}")
+    """Evaluate the discrete field of one element at physical points (nq, 2)."""
+    return _one_element(space, coeffs, e, phys_pts).val[0]
 
 
 def evaluate_field_gradient(space: DofSpace, coeffs, e: int, phys_pts):
-    """Gradient of an H1-type field on one element at physical points."""
+    """Gradient of an H1-type field on one element at physical points (nq, 2)."""
     if space.kind not in ("H1", "BrokenH1"):
         raise ValueError(f"gradient evaluation needs an H1 kind, got {space.kind}")
-    phys_pts = np.asarray(phys_pts, dtype=float)
-    elems = np.array([e])
-    geom = space.payload["geom"]
-    ref = to_reference(geom, elems, phys_pts[None])[0]
-    gref = lagrange_grad(space.payload["p"], ref)  # (nloc_s, nq, 2)
-    gphys = np.einsum("lqk,kj->lqj", gref, geom.Jinv[e])
-    x = coeffs[space.elt_dofs[e]]
-    out = np.zeros(phys_pts.shape[:-1] + (2, 2))
-    out[..., 0, :] = np.einsum("l,lqj->qj", x[0::2], gphys)
-    out[..., 1, :] = np.einsum("l,lqj->qj", x[1::2], gphys)
-    return out
+    return _one_element(space, coeffs, e, phys_pts).grad[0]
 
 
 def evaluate_trace_field(space: DofSpace, coeffs, eid: int, t):

@@ -1,6 +1,8 @@
 """Config parsing, rate fitting, study drivers, and the command line
 entry point."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from dpgelast.cli_io import (
     run_infsup,
     read_convergence_csv,
     main,
+    _build_config,
 )
 
 
@@ -206,6 +209,16 @@ class TestMain:
         rc = main(["converge", "--set", "benchmark=cube", "--set", f"output_dir={tmp_path}"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_bad_override_value_names_key(self, tmp_path, capsys):
+        rc = main(["converge", "--set", "p=abc", "--set", f"output_dir={tmp_path}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "override 1" in err and "'p'" in err
+
+    def test_override_comment_stripped(self):
+        cfg = _build_config(argparse.Namespace(config=None, set=["steps=1 # c", "p = 2"]))
+        assert (cfg.steps, cfg.p) == (1, 2)
 
     def test_dump_mesh(self, tmp_path):
         out = tmp_path / "mesh.json"

@@ -5,11 +5,17 @@ import numpy as np
 import pytest
 
 from dpgelast.material import MaterialParams, stiffness_apply_array
+from dpgelast.mesh import Mesh, build_lshape_mesh
+from dpgelast.quadrature import triangle_rule, map_to_physical, graded_triangle_rule
+from dpgelast.forms import bc_from_exact
+from dpgelast.dpg_solver import solve_dpg
+from dpgelast.spaces import evaluate_field, evaluate_field_gradient
 from dpgelast.exact_solutions import (
     smooth_solution_2d,
     singular_solution,
     solve_singularity_exponent,
     _exponent_residual,
+    error_norms,
 )
 
 
@@ -161,3 +167,64 @@ class TestSingular:
         tr = singular.traction(pts, n)
         sig = singular.stress(pts)
         assert np.allclose(tr, np.einsum("qij,j->qi", sig, n), atol=1e-14)
+
+
+def corner_indices(mesh, corner):
+    """Local index of the corner vertex in each triangle touching it, -1
+    elsewhere."""
+    d = np.linalg.norm(mesh.triangle_vertices() - corner, axis=-1)
+    return np.where(d.min(axis=1) < 1e-12, np.argmin(d, axis=1), -1)
+
+
+def reference_norms(fields, exact, degree):
+    """error_norms summed element by element: the graded rule of each
+    corner element built on its physical vertices, the plain rule
+    elsewhere, fields through the one-element evaluators."""
+    mesh = fields.mesh
+    verts = mesh.triangle_vertices()
+    plain_pts, plain_wts = map_to_physical(triangle_rule(degree), verts)
+    k = corner_indices(mesh, exact.singular_corner)
+    u, x = fields.spaces["u"], fields.coeffs["u"]
+    err2 = ref2 = sig2 = 0.0
+    for e in range(mesh.num_triangles):
+        if k[e] >= 0:
+            pts, wts = graded_triangle_rule(verts[e], k[e], max(degree, 16), levels=44)
+        else:
+            pts, wts = plain_pts[e], plain_wts[e]
+        ue = exact.displacement(pts)
+        d = evaluate_field(u, x, e, pts) - ue
+        err2 += np.sum(wts * np.sum(d * d, axis=-1))
+        ref2 += np.sum(wts * np.sum(ue * ue, axis=-1))
+        if u.kind == "H1":
+            ge = exact.displacement_gradient(pts)
+            dg = evaluate_field_gradient(u, x, e, pts) - ge
+            err2 += np.sum(wts * np.sum(dg * dg, axis=(-1, -2)))
+            ref2 += np.sum(wts * np.sum(ge * ge, axis=(-1, -2)))
+        if "sigma" in fields.spaces:
+            ds = evaluate_field(fields.spaces["sigma"], fields.coeffs["sigma"], e, pts) - exact.stress(pts)
+            sig2 += np.sum(wts * np.sum(ds * ds, axis=(-1, -2)))
+    return np.sqrt(err2 / ref2), np.sqrt(sig2)
+
+
+class TestErrorNorms:
+    @pytest.fixture(scope="class")
+    def rotated_lshape(self, singular):
+        """L-shape whose corner triangles hold the singular corner at local
+        vertex 0, 1 and 2; rotating a row keeps it counterclockwise."""
+        m = build_lshape_mesh(2)
+        tris = m.triangles.copy()
+        k = corner_indices(m, singular.singular_corner)
+        for n, t in enumerate(np.flatnonzero(k >= 0)):
+            tris[t] = np.roll(tris[t], n % 3 - k[t])
+        rotated = Mesh(m.vertices, tris, m.boundary_tags)
+        assert set(corner_indices(rotated, singular.singular_corner)) == {-1, 0, 1, 2}
+        return rotated
+
+    @pytest.mark.parametrize("spec", ["primal", "strong"])
+    def test_corner_groups_match_per_element_sum(self, singular, rotated_lshape, spec):
+        fields = solve_dpg(spec, rotated_lshape, singular.material, 2, bc=bc_from_exact(singular))
+        rel, slots = error_norms(fields, singular, quad_degree=10)
+        ref_rel, ref_sig = reference_norms(fields, singular, 10)
+        assert abs(rel - ref_rel) <= 1e-12 * ref_rel
+        if spec == "strong":
+            assert abs(slots["sigma"] - ref_sig) <= 1e-12 * ref_sig

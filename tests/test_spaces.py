@@ -110,7 +110,7 @@ class TestCounts:
     def test_hdiv_counts(self):
         m = build_square_mesh(1)
         # order 1: one normal moment per edge, two tensor rows
-        assert hdiv_space(m, 1).ndof == 2 * m.num_edges
+        assert hdiv_space(skeleton(m), 1).ndof == 2 * m.num_edges
 
     def test_gamma0_constraints_cover_boundary(self):
         m = build_square_mesh(2)
@@ -122,7 +122,7 @@ class TestCounts:
         with pytest.raises(ValueError):
             h1_space(mesh, 0)
         with pytest.raises(ValueError):
-            hdiv_space(mesh, 0)
+            hdiv_space(skeleton(mesh), 0)
         with pytest.raises(ValueError):
             l2_space(mesh, -1, "L2vec")
         with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ class TestInterpolation:
     def test_hdiv_reproduces_polynomial_stress(self, mesh, p, deg):
         # order p reproduces tensor polynomials of degree p-1
         field = PolyField(deg)
-        space = hdiv_space(mesh, p)
+        space = hdiv_space(skeleton(mesh), p)
         coeffs = interpolate(space, field)
         rng = np.random.default_rng(11)
         for e in (0, mesh.num_triangles - 1):
@@ -163,6 +163,7 @@ class TestInterpolation:
         for kind, exactf in (
             ("L2vec", field.displacement),
             ("L2sym", field.stress),
+            ("L2skew", lambda pts: skew_part(field.displacement_gradient(pts))),
         ):
             space = l2_space(mesh, 2, kind)
             coeffs = interpolate(space, field)
@@ -204,7 +205,7 @@ class TestInterpolation:
 
 class TestConformity:
     def test_hdiv_normal_trace_continuity(self, mesh):
-        space = hdiv_space(mesh, 2)
+        space = hdiv_space(skeleton(mesh), 2)
         rng = np.random.default_rng(13)
         coeffs = rng.standard_normal(space.ndof)
         t = np.linspace(0.05, 0.95, 7)
@@ -257,7 +258,7 @@ class TestExactSequence:
     def test_div_maps_into_l2(self, mesh):
         # div of every H(div) basis function lies in the order p-1 L2 space
         p = 2
-        space = broken_hdiv_space(mesh, p)
+        space = broken_hdiv_space(skeleton(mesh), p)
         rule = triangle_rule(2 * p + 4)
         elems = np.arange(mesh.num_triangles)
         basis = volume_basis(space, elems, rule.points)
@@ -303,7 +304,7 @@ class TestConstraints:
     def test_gamma1_traction_constraint_values(self):
         m = build_lshape_mesh()
         field = PolyField(1)
-        space = hdiv_space(m, 2, gamma1_constrained=True, traction_fn=field.traction)
+        space = hdiv_space(skeleton(m), 2, gamma1_constrained=True, traction_fn=field.traction)
         coeffs = interpolate(space, field)
         x = space.constraint_vector()
         assert np.abs(x[space.constrained_dofs] - coeffs[space.constrained_dofs]).max() < 1e-12
@@ -314,6 +315,10 @@ class TestConstraints:
         space = h1_space(m, 2, gamma0_constrained=True, bc_fn=field.displacement)
         coeffs = interpolate(space, field)
         assert np.abs(coeffs[space.constrained_dofs] - space.constrained_values).max() < 1e-12
+
+
+def skew_part(g):
+    return 0.5 * (g - np.swapaxes(g, -1, -2))
 
 
 def scaled_mesh(mesh, factor):
