@@ -104,6 +104,15 @@ class GlobalSystem:
     rhs: np.ndarray
 
 
+def gram_cholesky(G):
+    """Batched Cholesky factors L, G = L L^T, of element Gram matrices
+    (nelt, n, n); a Gram matrix that is not SPD raises ValueError."""
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("element Gram matrix is not SPD") from err
+
+
 def condense_local(blocks, test_slice=slice(None)):
     """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l),
     restricted to the test dofs in test_slice.
@@ -114,10 +123,7 @@ def condense_local(blocks, test_slice=slice(None)):
     """
     s = test_slice
     MB = np.concatenate([blocks.B[:, s, :], blocks.Bhat[:, s, :], blocks.l[:, s, None]], axis=2)
-    try:
-        L = np.linalg.cholesky(blocks.G[:, s, s])
-    except np.linalg.LinAlgError as err:
-        raise ValueError("element Gram matrix is not SPD") from err
+    L = gram_cholesky(blocks.G[:, s, s])
     W = np.linalg.solve(L, MB)
     WM = W[..., :-1]
     A = np.swapaxes(WM, 1, 2) @ WM

@@ -254,7 +254,7 @@ def singular_solution(material: Optional[MaterialParams] = None) -> ExactSolutio
         if np.any(r < 1e-300):
             raise ValueError("stress evaluation at the corner point is undefined")
         sm = stress_mode(pm)
-        return np.einsum("ji,...jk,kl->...il", Q, sm, Q)
+        return Q.T @ sm @ Q
 
     def displacement_gradient(pts):
         pts = np.asarray(pts, dtype=float)
@@ -285,8 +285,8 @@ def singular_solution(material: Optional[MaterialParams] = None) -> ExactSolutio
         Gp[..., 0, 1] = g_rt
         Gp[..., 1, 0] = g_tr
         Gp[..., 1, 1] = g_tt
-        gm = np.einsum("...ij,...jk,...lk->...il", P, Gp, P)
-        return np.einsum("ji,...jk,kl->...il", Q, gm, Q)
+        gm = P @ Gp @ np.swapaxes(P, -1, -2)
+        return Q.T @ gm @ Q
 
     def body_force(pts):
         pts = np.asarray(pts, dtype=float)

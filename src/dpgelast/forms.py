@@ -283,6 +283,23 @@ def _slot_array(basis, deriv):
     return arr
 
 
+def trial_term_values(term: Term, bases: dict, material) -> np.ndarray:
+    """op(D_trial trial) of a volume term, read from the Basis of its trial
+    slot in bases: per basis function from volume_basis, or per point from
+    field_values."""
+    return _apply_op(_slot_array(bases[term.trial], term.trial_deriv), term.op, material)
+
+
+def project_to_kind(arr, kind):
+    """Orthogonal projection of trailing 2x2 tensors onto an L2 test kind
+    (symmetric or skew part); vectors pass unchanged."""
+    if kind == "L2sym":
+        return 0.5 * (arr + np.swapaxes(arr, -1, -2))
+    if kind == "L2skew":
+        return 0.5 * (arr - np.swapaxes(arr, -1, -2))
+    return arr
+
+
 def _contract(wts, test_arr, trial_arr):
     """sum_q w_q <test, trial> over trailing value axes."""
     E, nt, nq = test_arr.shape[:3]
@@ -338,15 +355,39 @@ def element_quadrature(mesh: Mesh, elems, degree: int):
 
 
 def gram_blocks(wts, basis, norm: str) -> np.ndarray:
-    """Element Gram matrices of a basis in the L2, H1 or Hdiv norm."""
-    G = _contract(wts, basis.val, basis.val)
+    """Element Gram matrices of a basis in the L2, H1 or Hdiv norm.
+
+    H1 and H(div) bases interleave two copies of one scalar or row basis,
+    dof 2l+c carrying component c, so their Gram is two equal blocks: the
+    block of copy 0 is one weighted matmul over its values and gradient
+    or divergence, written into both. The L2 norm keeps the general
+    contraction, since the L2sym and L2skew copies are not interleaved
+    this way.
+    """
+    if norm == "L2":
+        return _contract(wts, basis.val, basis.val)
     if norm == "H1":
-        G += _contract(wts, basis.grad, basis.grad)
+        deriv = basis.grad[:, 0::2, :, 0, :]
     elif norm == "Hdiv":
-        G += _contract(wts, basis.div, basis.div)
-    elif norm != "L2":
+        deriv = basis.div[:, 0::2, :, 0, None]
+    else:
         raise ValueError(f"unknown norm {norm!r}")
+    E, n, nq = deriv.shape[:3]
+    F = np.concatenate([basis.val[:, 0::2, :, 0].reshape(E, n, nq, -1), deriv], axis=3)
+    G0 = (F * wts[:, None, :, None]).reshape(E, n, -1) @ F.reshape(E, n, -1).transpose(0, 2, 1)
+    G = np.zeros((E, 2 * n, 2 * n))
+    G[:, 0::2, 0::2] = G0
+    G[:, 1::2, 1::2] = G0
     return G
+
+
+def trace_edge_factors(trace_space: DofSpace, sk, elems) -> np.ndarray:
+    """Length of each element edge, (nelt, 3), times the sign that turns
+    the stored flux of a TraceHm12 space to the element's outward side."""
+    lengths = sk.lengths[trace_space.mesh.tri_edges[elems]]
+    if trace_space.kind == "TraceHm12":
+        return sk.tri_signs[elems] * lengths
+    return lengths
 
 
 def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems, degree: int) -> np.ndarray:
@@ -360,17 +401,13 @@ def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems,
     tq, twq = edge_rule(degree)
     tb_all = trace_edge_basis(trace_space, tq)  # (ne, nloc_e, qe, 2)
     ev = element_edge_values(test_space, elems, tq)
-    if trace_space.kind == "TraceHm12":
-        signs = sk.tri_signs[elems].astype(float)  # (nelt, 3)
-    else:
-        signs = np.ones((len(elems), 3))
+    fac = trace_edge_factors(trace_space, sk, elems)  # (nelt, 3)
     nloc_e = trace_space.edge_dofs.shape[1]
     blk = np.zeros((len(elems), test_space.nloc, 3 * nloc_e))
     for loc in range(3):
         eids = mesh.tri_edges[elems, loc]
         pair = np.einsum("q,etqc,emqc->etm", twq, ev[:, :, loc], tb_all[eids], optimize=True)
-        fac = signs[:, loc] * sk.lengths[eids]
-        blk[:, :, loc * nloc_e : (loc + 1) * nloc_e] = fac[:, None, None] * pair
+        blk[:, :, loc * nloc_e : (loc + 1) * nloc_e] = fac[:, loc, None, None] * pair
     return blk
 
 
@@ -395,7 +432,7 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
 
     for term in form.desc.terms:
         tarr = _slot_array(test_bases[term.test], term.test_deriv)
-        uarr = _apply_op(_slot_array(field_bases[term.trial], term.trial_deriv), term.op, form.material)
+        uarr = trial_term_values(term, field_bases, form.material)
         blk = term.sign * _contract(wts, tarr, uarr)
         B[:, test_slices[term.test], field_slices[term.trial]] += blk
 
@@ -524,14 +561,6 @@ def l2_slot_residual_ops(form: Formulation, elems, quad_degree=None):
     rule, wts, pts = element_quadrature(mesh, elems, degree)
     field_bases = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in form.desc.field_slots}
     _, _, field_slices, nfield, _, _ = _local_layout(form)
-
-    def project(arr, kind):
-        if kind == "L2sym":
-            return 0.5 * (arr + np.swapaxes(arr, -1, -2))
-        if kind == "L2skew":
-            return 0.5 * (arr - np.swapaxes(arr, -1, -2))
-        return arr
-
     reps = {}
     load_reps = {}
     nelt, nq = wts.shape
@@ -543,10 +572,8 @@ def l2_slot_residual_ops(form: Formulation, elems, quad_degree=None):
         for term in form.desc.terms:
             if term.test != name:
                 continue
-            uarr = _apply_op(
-                _slot_array(field_bases[term.trial], term.trial_deriv), term.op, form.material
-            )
-            rep[:, field_slices[term.trial]] += term.sign * project(uarr, kind)
+            uarr = trial_term_values(term, field_bases, form.material)
+            rep[:, field_slices[term.trial]] += term.sign * project_to_kind(uarr, kind)
         reps[name] = rep
         load_reps[name] = form.bc.body_force(pts) if name == form.desc.load_slot else None
     return wts, reps, load_reps, field_slices

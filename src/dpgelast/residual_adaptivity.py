@@ -5,10 +5,20 @@ the discrete dual norm of the element residual r_K = B_K x_K - l_K,
 
     eta_K^2 = r_K^T G_K^{-1} r_K,
 
-evaluated in an enriched broken test space of fixed order p_res. Test
-slots identified with L2 need no Gram inversion: their residual is an
-explicit function of the trial solution and is integrated pointwise,
-which avoids the projection onto a finite modal basis altogether.
+evaluated in an enriched broken test space of fixed order p_res
+(Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). The
+residual is formed without B: each trial field of the solve is
+evaluated once at the quadrature points (field_values), the term's
+material map is applied, and the values are integrated against the
+enriched test basis. The trace fields are evaluated once per call on
+every skeleton edge and paired with the element traces of the test
+basis. Only the Gram-inverted (broken H1 and H(div)) test slots form
+their Gram matrices; the batched Cholesky factor that the solver's
+condensation uses turns r_K into L_K^{-1} r_K, whose squared norm is
+eta_K^2. Test slots identified with L2 need no Gram inversion: their
+residual is the pointwise function sum sign * project(op(u_h)) - f,
+integrated exactly, which avoids the projection onto a finite modal
+basis altogether.
 
 Marking uses a simple maximum strategy and refinement is
 newest-vertex bisection, so the adaptive loop is
@@ -17,21 +27,25 @@ solve -> estimate -> mark -> refine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import Mesh, refine
+from .quadrature import edge_rule
+from .spaces import volume_basis, field_values, element_edge_values, trace_edge_basis
 from .forms import (
     formulation,
     build_test_spaces,
-    assemble_local_blocks,
-    element_trial_dofs,
-    l2_slot_residual_ops,
+    element_quadrature,
+    gram_blocks,
+    trace_edge_factors,
+    trial_term_values,
+    project_to_kind,
     element_momentum_integrals,
     MOMENTUM_QUAD_DEGREE,
 )
-from .dpg_solver import SolutionFields, assemble_and_solve, CHUNK
+from .dpg_solver import SolutionFields, assemble_and_solve, gram_cholesky, CHUNK
 
 P_RES = 4
 
@@ -51,50 +65,108 @@ class ResidualReport:
 def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualReport:
     """Per-element residual dual norms of a computed solution.
 
-    The solve's own trial spaces and layout are reused; only the test
-    spaces are rebuilt at the enriched order.
+    The solve's own trial spaces and coefficients are used; only the test
+    spaces are built, at the enriched order.
     """
     form = fields.form
     if form is None:
         raise ValueError("residuals need the broken formulation the solution came from")
+    desc = form.desc
     dp_res = max(p_res - form.p, 0)
-    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.skeleton, form.p, dp_res))
-    layout = fields.layout
-    x = fields.full_vector()
+    tests = build_test_spaces(desc, form.skeleton, form.p, dp_res)
+    inverted = [n for n, _ in desc.test_slots if desc.test_norms[n] != "L2"]
+    pointwise = [(n, k) for n, k in desc.test_slots if desc.test_norms[n] == "L2"]
+    degree = 2 * (form.p + dp_res) + 2
+    tq, _ = edge_rule(degree)
+    # every trace field once, on every skeleton edge
+    edge_vals = {tt.trace: _trace_values(fields, tt.trace, tq) for tt in desc.trace_terms if tt.test in inverted}
     nelt = form.mesh.num_triangles
     eta2 = np.zeros(nelt)
-    exact_degree = max(2 * p_res + 2, 16)
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
-        gdofs = element_trial_dofs(form_res, layout, elems)
-        xloc = x[gdofs]
-        # Gram-inverted slots (broken H1 / H(div) test functions)
-        blocks = assemble_local_blocks(form_res, elems)
-        M = np.concatenate([blocks.B, blocks.Bhat], axis=2)
-        r = np.einsum("etm,em->et", M, xloc, optimize=True) - blocks.l
-        for name, _ in form_res.desc.test_slots:
-            if form_res.desc.test_norms[name] == "L2":
-                continue
-            s = blocks.test_slices[name]
-            rs = r[:, s]
-            sol = np.linalg.solve(blocks.G[:, s, s], rs[..., None])[..., 0]
-            eta2[elems] += np.einsum("et,et->e", rs, sol)
-        # exact pointwise path for the L2-identified slots
-        wts, reps, load_reps, field_slices = l2_slot_residual_ops(
-            form_res, elems, quad_degree=exact_degree
-        )
-        if reps:
-            nfield = next(iter(reps.values())).shape[1]
-            xf = xloc[:, :nfield]
-            for name, rep in reps.items():
-                R = np.einsum("enq...,en->eq...", rep, xf, optimize=True)
-                lr = load_reps[name]
-                if lr is not None:
-                    R = R - lr
-                R = R.reshape(R.shape[:2] + (-1,))
-                eta2[elems] += np.einsum("eq,eqk,eqk->e", wts, R, R, optimize=True)
-    eta2 = np.maximum(eta2, 0.0)
+        if inverted:
+            eta2[elems] += _dual_norms_sq(fields, tests, inverted, elems, degree, edge_vals)
+        if pointwise:
+            eta2[elems] += _pointwise_norms_sq(fields, pointwise, elems, max(2 * p_res + 2, 16))
     return ResidualReport(eta=np.sqrt(eta2), p_res=p_res)
+
+
+def _trace_values(fields: SolutionFields, name: str, t):
+    """A trace field on every skeleton edge at parameters t, (ne, nq, 2)."""
+    space = fields.spaces[name]
+    x = fields.coeffs[name][space.edge_dofs]
+    return np.einsum("el,elqc->eqc", x, trace_edge_basis(space, t), optimize=True)
+
+
+def _trial_values(fields: SolutionFields, terms, elems, ref_pts) -> dict:
+    """The trial fields the terms read, on the elements at the points."""
+    names = dict.fromkeys(t.trial for t in terms)
+    return {n: field_values(fields.spaces[n], fields.coeffs[n], elems, ref_pts) for n in names}
+
+
+def _weigh(wts, vals):
+    """Values (nelt, ..., nq, ...) times the weights (nelt, ..., nq) of
+    their points."""
+    return vals * wts.reshape(wts.shape + (1,) * (vals.ndim - wts.ndim))
+
+
+def _pair(basis_arr, weighted):
+    """sum over the points and components of a basis array (nelt, n, ...)
+    against weighted values (nelt, ...): one batched matrix-vector product,
+    (nelt, n)."""
+    E, n = basis_arr.shape[:2]
+    return (basis_arr.reshape(E, n, -1) @ weighted.reshape(E, -1, 1))[..., 0]
+
+
+def _dual_norms_sq(fields, tests, slots, elems, degree, edge_vals):
+    """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K."""
+    form = fields.form
+    desc = form.desc
+    rule, wts, pts = element_quadrature(form.mesh, elems, degree)
+    test_bases = {n: volume_basis(tests[n], elems, rule.points) for n in slots}
+    terms = [t for t in desc.terms if t.test in test_bases]
+    uh = _trial_values(fields, terms, elems, rule.points)
+    r = {n: np.zeros((len(elems), tests[n].nloc)) for n in slots}
+    for term in terms:
+        uarr = trial_term_values(term, uh, form.material)
+        r[term.test] += term.sign * _pair(getattr(test_bases[term.test], term.test_deriv), _weigh(wts, uarr))
+    if desc.load_slot in r:
+        r[desc.load_slot] -= _pair(test_bases[desc.load_slot].val, _weigh(wts, form.bc.body_force(pts)))
+    tq, twq = edge_rule(degree)
+    eids = form.mesh.tri_edges[elems]
+    for tt in desc.trace_terms:
+        if tt.test not in r:
+            continue
+        fac = trace_edge_factors(fields.spaces[tt.trace], form.skeleton, elems)  # (nelt, 3)
+        vals = _weigh(fac[:, :, None] * twq, edge_vals[tt.trace][eids])  # (nelt, 3, qe, 2)
+        r[tt.test] += tt.sign * _pair(element_edge_values(tests[tt.test], elems, tq), vals)
+    out = np.zeros(len(elems))
+    for n in slots:
+        L = gram_cholesky(gram_blocks(wts, test_bases[n], desc.test_norms[n]))
+        W = np.linalg.solve(L, r[n][..., None])[..., 0]
+        out += np.einsum("et,et->e", W, W)
+    return out
+
+
+def _pointwise_norms_sq(fields, slots, elems, degree):
+    """sum over the L2-identified test slots of the squared L2 norm of the
+    pointwise residual sum sign * project(op(u_h)) - f on each element."""
+    form = fields.form
+    desc = form.desc
+    rule, wts, pts = element_quadrature(form.mesh, elems, degree)
+    names = {n for n, _ in slots}
+    terms = [t for t in desc.terms if t.test in names]
+    uh = _trial_values(fields, terms, elems, rule.points)
+    out = np.zeros(len(elems))
+    for name, kind in slots:
+        R = sum(
+            t.sign * project_to_kind(trial_term_values(t, uh, form.material), kind) for t in terms if t.test == name
+        )
+        if name == desc.load_slot:
+            R = R - form.bc.body_force(pts)
+        R = R.reshape(R.shape[:2] + (-1,))
+        out += np.einsum("eq,eqk,eqk->e", wts, R, R, optimize=True)
+    return out
 
 
 def mark(report: ResidualReport, theta: float = 0.5):

@@ -660,7 +660,12 @@ def _h1_volume_basis(space, elems, ref_pts, with_grad=True):
     grad = None
     if with_grad:
         gref = lagrange_grad(p, ref_pts)  # (nloc_s, nq, 2)
-        gphys = np.einsum("lqk,ekj->elqj", gref, geom.Jinv[elems])
+        # the map through Jinv as two explicit terms; an einsum over the two
+        # reference directions costs several times more
+        Jinv = geom.Jinv[elems]
+        gphys = (
+            gref[None, ..., 0, None] * Jinv[:, None, None, 0, :] + gref[None, ..., 1, None] * Jinv[:, None, None, 1, :]
+        )
         grad = np.zeros((nelt, 2 * nloc_s, nq, 2, 2))
         grad[:, 0::2, :, 0, :] = gphys
         grad[:, 1::2, :, 1, :] = gphys

@@ -7,7 +7,16 @@ import pytest
 from dpgelast.material import MaterialParams
 from dpgelast.mesh import build_square_mesh, build_lshape_mesh, uniform_refine, skeleton
 from dpgelast.quadrature import triangle_rule, map_to_physical
-from dpgelast.spaces import interpolate, volume_basis, geometry
+from dpgelast.spaces import (
+    interpolate,
+    volume_basis,
+    geometry,
+    h1_space,
+    hdiv_space,
+    l2_space,
+    broken_h1_space,
+    broken_hdiv_space,
+)
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import (
     DESCRIPTORS,
@@ -16,7 +25,10 @@ from dpgelast.forms import (
     bc_from_exact,
     formulation,
     assemble_local_blocks,
+    element_quadrature,
+    gram_blocks,
     scatter_blocks,
+    _contract,
     trial_layout,
     element_trial_dofs,
 )
@@ -88,6 +100,42 @@ class TestGram:
         c[0::2] = 1.0
         area = form.mesh.areas()[0]
         assert abs(c @ blocks.G[0] @ c - area) < 1e-13
+
+
+class TestGramKernel:
+    # the copy-0 Gram written into both copies against the contraction of
+    # the full zero-padded basis arrays
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["H1", "BrokenH1", "Hdiv", "BrokenHdiv"])
+    def test_one_copy_matches_padded_contraction(self, kind, p):
+        m = build_lshape_mesh(1)
+        sk = skeleton(m)
+        space = {
+            "H1": lambda: h1_space(m, p),
+            "BrokenH1": lambda: broken_h1_space(m, p),
+            "Hdiv": lambda: hdiv_space(sk, p),
+            "BrokenHdiv": lambda: broken_hdiv_space(sk, p),
+        }[kind]()
+        elems = np.arange(m.num_triangles)
+        rule, wts, _ = element_quadrature(m, elems, 2 * p + 2)
+        basis = volume_basis(space, elems, rule.points)
+        norm = "H1" if kind.endswith("H1") else "Hdiv"
+        ref = _contract(wts, basis.val, basis.val)
+        ref += _contract(wts, basis.grad, basis.grad) if norm == "H1" else _contract(wts, basis.div, basis.div)
+        G = gram_blocks(wts, basis, norm)
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["L2vec", "L2sym", "L2skew", "BrokenH1", "BrokenHdiv"])
+    def test_l2_norm_is_the_contraction(self, kind):
+        m = build_square_mesh(2)
+        space = {
+            "BrokenH1": lambda: broken_h1_space(m, 2),
+            "BrokenHdiv": lambda: broken_hdiv_space(skeleton(m), 2),
+        }.get(kind, lambda: l2_space(m, 2, kind))()
+        elems = np.arange(m.num_triangles)
+        rule, wts, _ = element_quadrature(m, elems, 6)
+        basis = volume_basis(space, elems, rule.points)
+        assert np.array_equal(gram_blocks(wts, basis, "L2"), _contract(wts, basis.val, basis.val))
 
 
 class TestScatterBlocks:

@@ -1,6 +1,8 @@
 """Residual estimator and marking tests with independent quadrature
 oracles for the first-order-system residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -10,9 +12,18 @@ from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, un
 from dpgelast.quadrature import triangle_rule, map_to_physical
 from dpgelast.spaces import volume_basis
 from dpgelast.exact_solutions import smooth_solution_2d, singular_solution, error_norms
-from dpgelast.forms import BCData, bc_from_exact
+from dpgelast.forms import (
+    FORMULATION_IDS,
+    BCData,
+    bc_from_exact,
+    build_test_spaces,
+    assemble_local_blocks,
+    element_trial_dofs,
+    l2_slot_residual_ops,
+)
 from dpgelast.dpg_solver import solve_dpg, solve_hybrid_mixed
 from dpgelast.residual_adaptivity import (
+    P_RES,
     ResidualReport,
     element_residuals,
     mark,
@@ -149,6 +160,60 @@ class TestEstimator:
             totals.append(element_residuals(f).total)
             m = uniform_refine(m)
         assert totals[1] < totals[0] and totals[2] < totals[1]
+
+
+def dense_eta(fields, p_res=P_RES):
+    """The estimator through the assembled element blocks: r = B x - l from
+    assemble_local_blocks on the enriched test spaces, G^{-1} r by a dense
+    solve, and the L2-identified slots from their pointwise representers."""
+    form = fields.form
+    dp_res = max(p_res - form.p, 0)
+    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.skeleton, form.p, dp_res))
+    elems = np.arange(form.mesh.num_triangles)
+    xloc = fields.full_vector()[element_trial_dofs(form_res, fields.layout, elems)]
+    blocks = assemble_local_blocks(form_res, elems)
+    r = np.einsum("etm,em->et", np.concatenate([blocks.B, blocks.Bhat], axis=2), xloc) - blocks.l
+    eta2 = np.zeros(len(elems))
+    for name, _ in form.desc.test_slots:
+        if form.desc.test_norms[name] != "L2":
+            s = blocks.test_slices[name]
+            eta2 += np.einsum("et,et->e", r[:, s], np.linalg.solve(blocks.G[:, s, s], r[:, s, None])[..., 0])
+    wts, reps, load_reps, _ = l2_slot_residual_ops(form_res, elems, quad_degree=max(2 * p_res + 2, 16))
+    for name, rep in reps.items():
+        R = np.einsum("enq...,en->eq...", rep, xloc[:, : rep.shape[1]])
+        if load_reps[name] is not None:
+            R = R - load_reps[name]
+        R = R.reshape(R.shape[:2] + (-1,))
+        eta2 += np.einsum("eq,eqk,eqk->e", wts, R, R)
+    return np.sqrt(eta2)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_matches_assembled_blocks(self, domain, spec, p):
+        # the matrix-free residual sums B x - l in another order, so the
+        # cancelling difference agrees to rounding, not bitwise
+        exact, mesh = (
+            (smooth_solution_2d(), build_square_mesh(4)) if domain == "square" else (singular_solution(), build_lshape_mesh(2))
+        )
+        f = solve_dpg(spec, mesh, exact.material, p, bc=bc_from_exact(exact))
+        ref = dense_eta(f)
+        rep = element_residuals(f)
+        assert np.all(np.abs(rep.eta - ref) <= 1e-11 * ref)
+        total = np.sqrt(np.sum(ref**2))
+        assert abs(rep.total - total) <= 1e-13 * total
+
+    def test_non_spd_gram_raises(self, monkeypatch):
+        import dpgelast.residual_adaptivity as ra
+
+        gram = ra.gram_blocks
+        monkeypatch.setattr(ra, "gram_blocks", lambda *args: -gram(*args))
+        smooth = smooth_solution_2d()
+        f = solve_dpg("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        with pytest.raises(ValueError, match="not SPD"):
+            element_residuals(f)
 
 
 class TestAdaptiveLoop:
