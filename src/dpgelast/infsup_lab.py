@@ -30,7 +30,9 @@ import scipy.sparse.linalg as spla
 
 from .dpg_solver import _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
-from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, volume_basis
+from .spaces import (
+    h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, volume_basis, embed_in_broken,
+)
 from .forms import (
     DESCRIPTORS, BCData, Formulation, assemble_local_blocks, element_quadrature, gram_blocks, scatter_blocks,
     trace_pairing_blocks, _contract,
@@ -246,8 +248,7 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
         for _ in range(n_samples):
             x = rng.standard_normal(conf.ndof)
             x[conf.constrained_dofs] = 0.0
-            xb = np.zeros(brok.ndof)
-            xb[brok.elt_dofs] = x[conf.elt_dofs]
+            xb = embed_in_broken(conf, brok, x)
             fwd = max(fwd, np.abs(J @ xb).max() / max(np.linalg.norm(xb), 1e-30))
         # converse screen: perturb single broken dofs sitting on interior
         # edges and check the jump detector fires

@@ -16,12 +16,13 @@ Conventions:
   edges to the displacement at their points (H1, TraceH12), and Gamma1
   constrains edge moments to Legendre moments of the traction (H(div),
   TraceHm12).
-* H(div) spaces are Raviart-Thomas-family, built directly on each
-  physical element by inverting a functional Vandermonde: edge dofs are
-  moments of the normal trace against orthonormal Legendre polynomials in
-  the global edge parameter and with respect to the fixed skeleton
-  normal, so shared edge dofs match across neighbours without sign
-  bookkeeping. The stress space uses two independent rows.
+* H(div) spaces are Raviart-Thomas-family: one orthonormal reference RT_k
+  basis per order, pushed forward by the contravariant Piola map and
+  scaled by sqrt(det J). Conforming spaces combine it per element into
+  the dual basis of their dofs: moments of the normal trace against
+  orthonormal Legendre polynomials in the global edge parameter and the
+  fixed skeleton normal, so shared edge dofs match across neighbours
+  without sign bookkeeping. The stress space uses two independent rows.
 * L2 spaces carry an elementwise orthonormal modal basis (the component
   tensors are Frobenius-normalized), so their mass matrices are exactly
   the identity.
@@ -48,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, Skeleton, GAMMA0, GAMMA1
+from .mesh import Mesh, Skeleton, GAMMA0, GAMMA1, skeleton
 from .quadrature import triangle_rule, edge_rule
 
 
@@ -432,35 +433,22 @@ def l2_space(mesh: Mesh, k: int, kind: str) -> DofSpace:
 
 
 # ---------------------------------------------------------------------------
-# H(div): Raviart-Thomas family built per physical element
+# H(div): Raviart-Thomas family from one reference basis per order
 
 
-def _rt_span_eval(k, centroid, hscale, pts):
-    """Evaluate the RT_k span on physical points.
-
-    pts: (nelt, nq, 2) (or broadcastable). Returns val (nelt, N, nq, 2)
-    and div (nelt, N, nq)."""
+def _rt_span_eval(k, pts):
+    """The RT_k span at reference points (..., 2), in monomials about the
+    reference centroid: values (N, ..., 2) and divergences (N, ...)."""
     exps = _mono_exps(k)
     nm = len(exps)
-    xt = (pts - centroid[:, None, :]) / hscale[:, None, None]
-    mono = np.moveaxis(_mono_eval(exps, xt), 0, 1)  # (nelt, nm, nq)
-    grad = np.moveaxis(_mono_grad(exps, xt), 0, 1)
-    top = [(i, j) for (i, j) in exps if i + j == k]
-    ntop = len(top)
-    N = 2 * nm + ntop
-    nelt, nq = xt.shape[0], xt.shape[1]
-    val = np.zeros((nelt, N, nq, 2))
-    div = np.zeros((nelt, N, nq))
-    h = hscale[:, None]
-    val[:, :nm, :, 0] = mono
-    div[:, :nm] = grad[..., 0] / h[..., None]
-    val[:, nm : 2 * nm, :, 1] = mono
-    div[:, nm : 2 * nm] = grad[..., 1] / h[..., None]
-    for t, (i, j) in enumerate(top):
-        mt = xt[..., 0] ** i * xt[..., 1] ** j
-        val[:, 2 * nm + t, :, 0] = xt[..., 0] * mt
-        val[:, 2 * nm + t, :, 1] = xt[..., 1] * mt
-        div[:, 2 * nm + t] = (k + 2) * mt / h
+    xt = np.asarray(pts, dtype=float) - 1.0 / 3.0
+    mono, grad = _mono_eval(exps, xt), _mono_grad(exps, xt)
+    top = [n for n, (i, j) in enumerate(exps) if i + j == k]
+    val = np.zeros((2 * nm + len(top),) + xt.shape)
+    val[:nm, ..., 0] = mono
+    val[nm : 2 * nm, ..., 1] = mono
+    div = np.concatenate([grad[..., 0], grad[..., 1], (k + 2) * mono[top]])
+    val[2 * nm :] = xt * mono[top, ..., None]
     return val, div
 
 
@@ -495,13 +483,34 @@ def _rt_moments(mesh: Mesh, geom: Geometry, sk: Skeleton, k: int, degree: int, f
     return np.concatenate(rows, axis=1)
 
 
-def _rt_build(mesh: Mesh, geom: Geometry, sk: Skeleton, p: int):
-    """Per-element RT_{p-1} nodal basis coefficients and local functional
-    layout. Returns (C, k, nedge_mom, ninter) where C[e] maps span
-    coefficients so that basis_l = sum_j C[e, j, l] span_j."""
-    k = p - 1
-    M = _rt_moments(mesh, geom, sk, k, 2 * k + 2, lambda pts: _rt_span_eval(k, geom.centroid, geom.hscale, pts)[0])
-    return np.linalg.inv(M), k, k + 1, 2 * len(_mono_exps(k - 1))
+@lru_cache(maxsize=None)
+def _rt_reference(k: int):
+    """Span coefficients R of the orthonormal reference RT_k basis, psi_l =
+    sum_j R[j, l] span_j: the reference dual basis of the RT dofs times the
+    inverse transpose of the Cholesky factor of its H(div) Gram, twice, as
+    one pass leaves a Gram error of 1e-6 at k = 6 (1e-13 after two)."""
+    ref = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), dict.fromkeys([(0, 1), (1, 2), (0, 2)], GAMMA0))
+    span = lambda pts: np.moveaxis(_rt_span_eval(k, pts)[0], 0, 1)
+    R = np.linalg.inv(_rt_moments(ref, geometry(ref), skeleton(ref), k, 2 * k + 2, span)[0])
+    rule = triangle_rule(2 * k + 2)
+    val, div = _rt_span_eval(k, rule.points)
+    F = np.concatenate([val, div[..., None]], axis=-1).reshape(len(R), -1)  # (N, nq * 3)
+    w = np.repeat(rule.weights, 3)
+    for _ in range(2):
+        P = R.T @ F
+        L = np.linalg.cholesky((P * w) @ P.T)
+        R = np.linalg.solve(L, R.T).T
+    return R
+
+
+def _rt_dual(space: DofSpace):
+    """(nelt, N, N) inverses C[e] of the dofs of the pushed-forward basis psi
+    of an H(div) space without C: the dual basis is phi_l = sum_j C[e, j,
+    l] psi_j, and the psi-coefficients of a dual-basis field x are C[e] x."""
+    geom, k = space.payload["geom"], space.payload["k"]
+    elems = np.arange(space.mesh.num_triangles)
+    field = lambda pts: _hdiv_basis(space, elems, to_reference(geom, elems, pts))[0]
+    return np.linalg.inv(_rt_moments(space.mesh, geom, space.payload["skeleton"], k, 2 * k + 2, field))
 
 
 def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
@@ -517,8 +526,7 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
     if p < 1:
         raise ValueError(f"H(div) order must be at least 1, got {p}")
     mesh = sk.mesh
-    geom = geometry(mesh)
-    C, k, nmom, ninter = _rt_build(mesh, geom, sk, p)
+    nmom, ninter = p, p * (p - 1)
     nelt, ne = mesh.num_triangles, mesh.num_edges
     # edge moments eid * nmom + i, then the interior moments element by element
     edge = (mesh.tri_edges[:, :, None] * nmom + np.arange(nmom)).reshape(nelt, 3 * nmom)
@@ -530,8 +538,9 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
         ndof=2 * (ne * nmom + nelt * ninter),
         ncopies=2,
         elt_dofs=_interleave(np.concatenate([edge, inner], axis=1), 2),
-        payload={"geom": geom, "skeleton": sk, "C": C, "k": k, "nmom": nmom, "ninter": ninter},
+        payload={"geom": geometry(mesh), "skeleton": sk, "k": p - 1},
     )
+    space.payload["C"] = _rt_dual(space)
     if gamma1_constrained:
         _constrain_gamma1(space, sk, nmom, 2 * p + 4, traction_fn)
     return space
@@ -539,14 +548,11 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
 
 def broken_hdiv_space(sk: Skeleton, p: int) -> DofSpace:
     """Element-local Raviart-Thomas-family tensor space of order p on the
-    mesh of the skeleton sk."""
+    mesh of the skeleton sk, spanned by the pushed-forward reference basis."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
     mesh = sk.mesh
-    geom = geometry(mesh)
-    C, k, nmom, ninter = _rt_build(mesh, geom, sk, p)
-    nelt = mesh.num_triangles
-    nloc_s = 3 * nmom + ninter
+    nelt, nloc_s = mesh.num_triangles, p * (p + 2)  # the dimension of RT_{p-1}
     elt_scalar = np.arange(nelt * nloc_s, dtype=np.int64).reshape(nelt, nloc_s)
     return DofSpace(
         kind="BrokenHdiv",
@@ -555,8 +561,20 @@ def broken_hdiv_space(sk: Skeleton, p: int) -> DofSpace:
         ndof=2 * nelt * nloc_s,
         ncopies=2,
         elt_dofs=_interleave(elt_scalar, 2),
-        payload={"geom": geom, "skeleton": sk, "C": C, "k": k, "nmom": nmom, "ninter": ninter},
+        payload={"geom": geometry(mesh), "skeleton": sk, "k": p - 1},
     )
+
+
+def embed_in_broken(conf: DofSpace, brok: DofSpace, x):
+    """Coefficients in the broken space brok of the field x of the
+    conforming space conf (H1 or Hdiv of the same order and mesh). H1
+    copies the element coefficients; Hdiv maps them through C."""
+    xe = x[conf.elt_dofs]
+    if conf.kind == "Hdiv":
+        xe = (conf.payload["C"] @ xe.reshape(len(xe), -1, 2)).reshape(xe.shape)
+    xb = np.zeros(brok.ndof)
+    xb[brok.elt_dofs] = xe
+    return xb
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +641,7 @@ def trace_edge_basis(space: DofSpace, t):
         scalar = np.broadcast_to(leg[None], (ne, nmom, len(t)))
     else:
         raise ValueError(f"not a trace space: {space.kind}")
-    nloc_s = scalar.shape[1]
-    out = np.zeros((ne, nloc_s * 2, len(t), 2))
-    out[:, 0::2, :, 0] = scalar
-    out[:, 1::2, :, 1] = scalar
-    return out
+    return _copies(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -648,28 +662,26 @@ class Basis:
     div: Optional[np.ndarray] = None
 
 
-def _h1_volume_basis(space, elems, ref_pts, with_grad=True):
+def _copies(rows, axis=3):
+    """Two interleaved copies of per-row arrays (nelt, n, ...): dof 2l + c
+    is row l in component c of a new axis at position axis, and zero in
+    the other component."""
+    out = np.zeros((rows.shape[0], 2 * rows.shape[1]) + rows.shape[2:axis] + (2,) + rows.shape[axis:])
+    for c in range(2):
+        np.moveaxis(out[:, c::2], axis, 2)[:, :, c] = rows
+    return out
+
+
+def _h1_volume_basis(space, elems, ref_pts):
     geom = space.payload["geom"]
     p = space.payload["p"]
     lag = lagrange_eval(p, ref_pts)  # (nloc_s, nq)
-    nloc_s, nq = lag.shape
-    nelt = len(elems)
-    val = np.zeros((nelt, 2 * nloc_s, nq, 2))
-    val[:, 0::2, :, 0] = lag[None]
-    val[:, 1::2, :, 1] = lag[None]
-    grad = None
-    if with_grad:
-        gref = lagrange_grad(p, ref_pts)  # (nloc_s, nq, 2)
-        # the map through Jinv as two explicit terms; an einsum over the two
-        # reference directions costs several times more
-        Jinv = geom.Jinv[elems]
-        gphys = (
-            gref[None, ..., 0, None] * Jinv[:, None, None, 0, :] + gref[None, ..., 1, None] * Jinv[:, None, None, 1, :]
-        )
-        grad = np.zeros((nelt, 2 * nloc_s, nq, 2, 2))
-        grad[:, 0::2, :, 0, :] = gphys
-        grad[:, 1::2, :, 1, :] = gphys
-    return Basis(val=val, grad=grad)
+    gref = lagrange_grad(p, ref_pts)  # (nloc_s, nq, 2)
+    # the map through Jinv as two explicit terms; an einsum over the two
+    # reference directions costs several times more
+    Jinv = geom.Jinv[elems]
+    gphys = gref[None, ..., 0, None] * Jinv[:, None, None, 0, :] + gref[None, ..., 1, None] * Jinv[:, None, None, 1, :]
+    return Basis(val=_copies(np.broadcast_to(lag, (len(elems),) + lag.shape)), grad=_copies(gphys))
 
 
 def _l2_volume_basis(space, elems, ref_pts):
@@ -677,37 +689,36 @@ def _l2_volume_basis(space, elems, ref_pts):
     k = space.payload["k"]
     modal = ortho_modal_eval(k, ref_pts)  # (nm, nq)
     nm, nq = modal.shape
-    nelt = len(elems)
     scal = modal[None] / np.sqrt(np.abs(geom.det[elems]))[:, None, None]
     if space.kind == "L2vec":
-        val = np.zeros((nelt, 2 * nm, nq, 2))
-        val[:, 0::2, :, 0] = scal
-        val[:, 1::2, :, 1] = scal
-        return Basis(val=val)
+        return Basis(val=_copies(scal))
     comps = _L2_KIND_COMPS[space.kind]
     nc = len(comps)
-    val = np.zeros((nelt, nc * nm, nq, 2, 2))
+    val = np.zeros((len(elems), nc * nm, nq, 2, 2))
     for c in range(nc):
         val[:, c::nc] = scal[..., None, None] * comps[c]
     return Basis(val=val)
 
 
-def _hdiv_basis_at(space, elems, phys_pts):
-    """Tensor H(div) basis at physical points (nelt, nq, 2)."""
-    geom = space.payload["geom"]
-    C = space.payload["C"][elems]
-    k = space.payload["k"]
-    sval, sdiv = _rt_span_eval(k, geom.centroid[elems], geom.hscale[elems], phys_pts)
-    bval_s = np.einsum("ejl,ejqc->elqc", C, sval)
-    bdiv_s = np.einsum("ejl,ejq->elq", C, sdiv)
-    nelt, nloc_s, nq = bdiv_s.shape
-    val = np.zeros((nelt, 2 * nloc_s, nq, 2, 2))
-    div = np.zeros((nelt, 2 * nloc_s, nq, 2))
-    val[:, 0::2, :, 0, :] = bval_s
-    val[:, 1::2, :, 1, :] = bval_s
-    div[:, 0::2, :, 0] = bdiv_s
-    div[:, 1::2, :, 1] = bdiv_s
-    return Basis(val=val, div=div)
+def _hdiv_basis(space, elems, ref_pts):
+    """Row basis of an H(div) space at reference points, shared (nq, 2) or
+    per element (nelt, nq, 2): values (nelt, N, nq, 2), divergences (nelt,
+    N, nq). The contravariant Piola map times sqrt(det J) keeps values O(1):
+    J psi_ref / sqrt(det J) and div_ref psi_ref / sqrt(det J). A conforming
+    space combines these into its dual basis through C."""
+    k, geom = space.payload["k"], space.payload["geom"]
+    R = _rt_reference(k)
+    sval, sdiv = _rt_span_eval(k, ref_pts)
+    val = np.moveaxis((R.T @ sval.reshape(len(R), -1)).reshape(sval.shape), 0, -3)
+    div = np.moveaxis((R.T @ sdiv.reshape(len(R), -1)).reshape(sdiv.shape), 0, -2)
+    h = geom.hscale[elems][:, None, None]
+    Js = (geom.J[elems] / h)[:, None, None]  # (nelt, 1, 1, 2, 2)
+    val, div = val[..., 0, None] * Js[..., 0] + val[..., 1, None] * Js[..., 1], div / h
+    if "C" in space.payload:
+        Ct = space.payload["C"][elems].transpose(0, 2, 1)
+        val = (Ct @ val.reshape(div.shape[:2] + (-1,))).reshape(val.shape)
+        div = Ct @ div
+    return val, div
 
 
 def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
@@ -718,11 +729,8 @@ def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
     if space.kind in ("L2vec", "L2sym", "L2skew"):
         return _l2_volume_basis(space, elems, ref_pts)
     if space.kind in ("Hdiv", "BrokenHdiv"):
-        geom = space.payload["geom"]
-        pts = geom.origin[elems][:, None, :] + np.einsum(
-            "eij,qj->eqi", geom.J[elems], np.asarray(ref_pts)
-        )
-        return _hdiv_basis_at(space, elems, pts)
+        val, div = _hdiv_basis(space, elems, ref_pts)
+        return Basis(val=_copies(val), div=_copies(div))
     raise ValueError(f"volume basis undefined for kind {space.kind}")
 
 
@@ -731,36 +739,25 @@ def element_edge_values(space: DofSpace, elems, t):
 
     For H1-type spaces returns values (nelt, nloc, 3, nq, 2); for
     H(div)-type spaces returns outward normal traces (nelt, nloc, 3, nq, 2).
+    The edge points of all three local edges are pulled back to the
+    reference triangle once.
     """
     elems = np.asarray(elems, dtype=np.int64)
     mesh = space.mesh
     pts = edge_points(mesh, mesh.tri_edges[elems], t)  # (nelt, 3, nq, 2)
     nelt, _, nq, _ = pts.shape
+    if space.kind not in ("H1", "BrokenH1", "Hdiv", "BrokenHdiv"):
+        raise ValueError(f"edge values undefined for kind {space.kind}")
+    ref = to_reference(space.payload["geom"], elems, pts.reshape(nelt, 3 * nq, 2))
     if space.kind in ("H1", "BrokenH1"):
-        geom = space.payload["geom"]
         p = space.payload["p"]
-        out = np.empty((nelt, space.nloc, 3, nq, 2))
-        Linv = _lagrange_matrix(p)
-        exps = _mono_exps(p)
-        for loc in range(3):
-            ref = to_reference(geom, elems, pts[:, loc])
-            mono = _mono_eval(exps, ref)  # (nmodes, nelt, nq)
-            lag = np.einsum("nl,neq->elq", Linv, mono)
-            out[:, 0::2, loc, :, 0] = lag
-            out[:, 1::2, loc, :, 0] = 0.0
-            out[:, 0::2, loc, :, 1] = 0.0
-            out[:, 1::2, loc, :, 1] = lag
-        return out
-    if space.kind in ("Hdiv", "BrokenHdiv"):
+        scalar = np.einsum("nl,neq->elq", _lagrange_matrix(p), _mono_eval(_mono_exps(p), ref))
+    else:
         sk = space.payload["skeleton"]
-        out = np.empty((nelt, space.nloc, 3, nq, 2))
-        for loc in range(3):
-            b = _hdiv_basis_at(space, elems, pts[:, loc])
-            eids = mesh.tri_edges[elems, loc]
-            nrm = sk.normals[eids] * sk.tri_signs[elems, loc][:, None]  # outward
-            out[:, :, loc] = np.einsum("elqij,ej->elqi", b.val, nrm)
-        return out
-    raise ValueError(f"edge values undefined for kind {space.kind}")
+        nrm = sk.normals[mesh.tri_edges[elems]] * sk.tri_signs[elems][..., None]  # outward, (nelt, 3, 2)
+        val = _hdiv_basis(space, elems, ref)[0].reshape(nelt, -1, 3, nq, 2)
+        scalar = val[..., 0] * nrm[:, None, :, None, 0] + val[..., 1] * nrm[:, None, :, None, 1]
+    return _copies(scalar.reshape(nelt, -1, 3, nq), axis=4)
 
 
 # ---------------------------------------------------------------------------
@@ -802,14 +799,16 @@ def interpolate(space: DofSpace, exact):
         return coeffs
     if space.kind in ("Hdiv", "BrokenHdiv"):
         # the dof functionals of the two stress rows; a shared edge dof gets
-        # the same value from both sides, so plain assignment is safe
+        # the same value from both sides, so plain assignment is safe. The
+        # broken space writes the same interpolant in its own basis.
         k = space.payload["k"]
         F = _rt_moments(
             mesh, space.payload["geom"], space.payload["skeleton"], k, 2 * k + 10,
             lambda pts: np.moveaxis(exact.stress(pts), -2, 1),
         )
-        coeffs[space.elt_dofs[:, 0::2]] = F[..., 0]
-        coeffs[space.elt_dofs[:, 1::2]] = F[..., 1]
+        if space.kind == "BrokenHdiv":
+            F = _rt_dual(space) @ F
+        coeffs[space.elt_dofs] = F.reshape(len(F), -1)
         return coeffs
     if space.kind == "TraceH12":
         ids = _edge_nodes(mesh, space.payload["p"])

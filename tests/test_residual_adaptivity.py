@@ -215,6 +215,28 @@ class TestDenseOracle:
         with pytest.raises(ValueError, match="not SPD"):
             element_residuals(f)
 
+    def test_eta_stable_under_one_ulp_gram_perturbation(self, monkeypatch):
+        # a symmetric one-ulp relative perturbation of every element Gram
+        # moves eta_K only by rounding when the test bases are well
+        # conditioned; an H(div) Gram with cond ~ 1e12 moves it by ~1e-11
+        import dpgelast.residual_adaptivity as ra
+
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(2)
+        for _ in range(3):
+            mesh = uniform_refine(mesh)
+        f = solve_dpg("ultraweak", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
+        eta = element_residuals(f).eta
+        gram, rng = ra.gram_blocks, np.random.default_rng(0)
+
+        def perturbed(*args):
+            G = gram(*args)
+            P = rng.standard_normal(G.shape)
+            return G * (1.0 + np.finfo(float).eps * 0.5 * (P + np.swapaxes(P, 1, 2)))
+
+        monkeypatch.setattr(ra, "gram_blocks", perturbed)
+        assert np.all(np.abs(element_residuals(f).eta - eta) <= 1e-13 * eta)
+
 
 class TestAdaptiveLoop:
     def test_structure_and_growth(self):

@@ -6,6 +6,7 @@ import pytest
 
 from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, refine, skeleton
 from dpgelast.quadrature import triangle_rule, edge_rule
+from dpgelast.forms import element_quadrature, gram_blocks
 from dpgelast.spaces import (
     h1_space,
     broken_h1_space,
@@ -22,6 +23,11 @@ from dpgelast.spaces import (
     evaluate_trace_field,
     geometry,
     ortho_modal_eval,
+    embed_in_broken,
+    to_reference,
+    _lagrange_matrix,
+    _mono_eval,
+    _mono_exps,
 )
 
 
@@ -253,12 +259,44 @@ class TestConformity:
         xr[conf.elt_dofs] = xb[brok.elt_dofs]
         assert np.array_equal(xr, x)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_hdiv_conforming_embeds_into_broken(self, mesh, p):
+        # the dual-basis coefficients map into the pushed-forward basis through C
+        sk = skeleton(mesh)
+        conf, brok = hdiv_space(sk, p), broken_hdiv_space(sk, p)
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal(conf.ndof)
+        xb = embed_in_broken(conf, brok, x)
+        for e in range(0, mesh.num_triangles, 3):
+            pts = random_phys_points(mesh, e, rng)
+            v = evaluate_field(conf, x, e, pts)
+            assert np.abs(evaluate_field(brok, xb, e, pts) - v).max() <= 1e-12 * np.abs(v).max()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_h1_edge_values_match_per_edge_pullback(self, p):
+        # one pull-back of all three local edges gives bitwise the values of
+        # pulling back and evaluating each local edge on its own
+        m = corner_refined_lshape()
+        space = h1_space(m, p)
+        elems = np.arange(m.num_triangles)
+        t = edge_rule(2 * p + 4)[0]
+        ev = element_edge_values(space, elems, t)
+        geom = geometry(m)
+        for loc in range(3):
+            a, b = m.vertices[m.edges[m.tri_edges[:, loc]]].transpose(1, 0, 2)
+            ref = to_reference(geom, elems, a[:, None] + t[:, None] * (b - a)[:, None])
+            lag = np.einsum("nl,neq->elq", _lagrange_matrix(p), _mono_eval(_mono_exps(p), ref))
+            assert np.array_equal(ev[:, 0::2, loc, :, 0], lag)
+            assert np.array_equal(ev[:, 1::2, loc, :, 1], lag)
+            assert not ev[:, 0::2, loc, :, 1].any() and not ev[:, 1::2, loc, :, 0].any()
+
 
 class TestExactSequence:
-    def test_div_maps_into_l2(self, mesh):
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("make", [hdiv_space, broken_hdiv_space])
+    def test_div_maps_into_l2(self, mesh, make, p):
         # div of every H(div) basis function lies in the order p-1 L2 space
-        p = 2
-        space = broken_hdiv_space(skeleton(mesh), p)
+        space = make(skeleton(mesh), p)
         rule = triangle_rule(2 * p + 4)
         elems = np.arange(mesh.num_triangles)
         basis = volume_basis(space, elems, rule.points)
@@ -270,7 +308,7 @@ class TestExactSequence:
             d = basis.div[..., c]  # (nelt, nloc, nq)
             proj = np.einsum("eq,emq,elq->elm", wts, scal, d)
             recon = np.einsum("elm,emq->elq", proj, scal)
-            assert np.abs(recon - d).max() < 1e-9
+            assert np.abs(recon - d).max() <= 1e-11 * np.abs(d).max()
 
 
 class TestGramAndQuadrature:
@@ -285,6 +323,20 @@ class TestGramAndQuadrature:
         M = np.einsum("eq,emqk,enqk->emn", wts, v, v)
         eye = np.eye(M.shape[1])
         assert np.abs(M - eye[None]).max() < 1e-12
+
+    def test_broken_hdiv_gram_condition_flat_in_p(self):
+        # the orthonormal reference basis leaves only the mesh size and shape
+        # in the element Gram, so its condition does not grow with p
+        m = corner_refined_lshape(16)
+        sk = skeleton(m)
+        elems = np.arange(m.num_triangles)
+        cond = []
+        for p in range(1, 7):
+            rule, wts, _ = element_quadrature(m, elems, 2 * p + 2)
+            G = gram_blocks(wts, volume_basis(broken_hdiv_space(sk, p), elems, rule.points), "Hdiv")
+            cond.append(np.linalg.cond(G).max())
+        assert cond[-1] <= 1.1 * cond[0]
+        assert max(cond) < 1e6
 
     @pytest.mark.parametrize("p,dp", [(1, 1), (2, 1), (3, 2)])
     def test_assembly_quadrature_degree(self, p, dp):
