@@ -45,10 +45,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .material import MaterialParams, stiffness_apply_array
+from .material import MaterialParams
 from .mesh import Mesh, GAMMA1, skeleton as make_skeleton
 from .quadrature import edge_rule
-from .spaces import h1_space, volume_basis, element_edge_values
+from .spaces import h1_space, edge_points, edge_flips, edge_reference
 from .forms import (
     Formulation,
     BCData,
@@ -62,6 +62,9 @@ from .forms import (
     scatter_blocks,
     l2_slot_residual_ops,
     element_momentum_integrals,
+    volume_blocks,
+    op_matrix,
+    basis_pairing,
 )
 
 log = logging.getLogger(__name__)
@@ -424,11 +427,9 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     nelt = mesh.num_triangles
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
-        rule, wts, pts = element_quadrature(mesh, elems, 2 * p + 2)
-        basis = volume_basis(space, elems, rule.points)
-        cg = stiffness_apply_array(basis.grad, material)
-        A = np.einsum("eq,emqij,enqij->emn", wts, cg, basis.grad, optimize=True)
-        b = np.einsum("eq,eqc,emqc->em", wts, bc.body_force(pts), basis.val, optimize=True)
+        _, _, pts = element_quadrature(mesh, elems, 2 * p + 2)
+        A = volume_blocks(space, "grad", space, "grad", elems, 2 * p + 2, op_matrix("C", material))
+        b = basis_pairing(space, "val", elems, 2 * p + 2, bc.body_force(pts))
         gdofs = space.elt_dofs[elems]
         triples.append((gdofs, gdofs, A))
         np.add.at(rhs, gdofs.ravel(), b.ravel())
@@ -437,17 +438,13 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     if bc.g is not None:
         sk = make_skeleton(mesh)
         tq, twq = edge_rule(2 * p + 6)
+        ref = edge_reference("H1", p, tq)
         for eid in mesh.boundary_edge_ids(GAMMA1):
             t0 = mesh.edge_tris[eid, 0]
             loc = int(np.where(mesh.tri_edges[t0] == eid)[0][0])
-            a, b_ = mesh.edges[eid]
-            va, vb = mesh.vertices[a], mesh.vertices[b_]
-            length = np.linalg.norm(vb - va)
-            pts = va[None] + tq[:, None] * (vb - va)[None]
-            gv = np.asarray(bc.g(pts, sk.normals[eid]), dtype=float)
-            ev = element_edge_values(space, np.array([t0]), tq)[0, :, loc]  # (nloc, nq, 2)
-            load = length * np.einsum("q,qc,lqc->l", twq, gv, ev)
-            np.add.at(rhs, space.elt_dofs[t0], load)
+            gv = np.asarray(bc.g(edge_points(mesh, eid, tq), sk.normals[eid]), dtype=float)
+            ev = ref[loc, edge_flips(mesh, [t0])[0, loc]]  # (nloc, nq, 2)
+            np.add.at(rhs, space.elt_dofs[t0], sk.lengths[eid] * np.einsum("q,qc,lqc->l", twq, gv, ev))
     layout = slot_layout({"u": space})
     x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
     return SolutionFields(

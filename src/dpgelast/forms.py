@@ -9,10 +9,17 @@ instantiating all discrete spaces; assembly produces per-element blocks
 
     B (test x field), Bhat (test x trace), G (test Gram), l (load)
 
-in batched numpy arrays, chunked over elements to bound memory. The
-element kernels (quadrature, norm Grams, skeleton pairings) and the
-scatter of element blocks into global sparse matrices are shared with
-the solvers and the inf-sup lab.
+in batched numpy arrays, chunked over elements to bound memory.
+
+The blocks are reference tensors times geometry coefficients (Kirby and
+Logg, ACM TOMS 32, 2006): a volume term's block is |det J| P_test^T O
+P_trial, with O the C or S matrix, contracted with the cached reference
+tensor of the two spaces' reference arrays (volume_blocks, and the Grams
+as sums of such terms); a skeleton pairing scales a reference edge tensor
+per local edge and orientation (trace_pairing_blocks); the load and the
+estimator's residual pair quadrature values of f and u_h with the shared
+reference arrays in one matmul (basis_pairing). The solvers, the estimator
+and the inf-sup lab share these kernels and scatter_blocks.
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -24,6 +31,7 @@ the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,9 +49,13 @@ from .spaces import (
     broken_hdiv_space,
     trace_spaces,
     volume_basis,
-    element_edge_values,
     trace_edge_basis,
     geometry,
+    reference_basis,
+    geometry_map,
+    dual_rows,
+    edge_flips,
+    edge_reference,
 )
 
 
@@ -276,18 +288,14 @@ def _apply_op(arr, op, material):
     raise ValueError(f"unknown tensor op {op!r}")
 
 
-def _slot_array(basis, deriv):
-    arr = getattr(basis, deriv)
-    if arr is None:
-        raise ValueError(f"basis has no {deriv!r} array")
-    return arr
-
-
 def trial_term_values(term: Term, bases: dict, material) -> np.ndarray:
     """op(D_trial trial) of a volume term, read from the Basis of its trial
     slot in bases: per basis function from volume_basis, or per point from
     field_values."""
-    return _apply_op(_slot_array(bases[term.trial], term.trial_deriv), term.op, material)
+    arr = getattr(bases[term.trial], term.trial_deriv)
+    if arr is None:
+        raise ValueError(f"basis has no {term.trial_deriv!r} array")
+    return _apply_op(arr, term.op, material)
 
 
 def project_to_kind(arr, kind):
@@ -298,15 +306,6 @@ def project_to_kind(arr, kind):
     if kind == "L2skew":
         return 0.5 * (arr - np.swapaxes(arr, -1, -2))
     return arr
-
-
-def _contract(wts, test_arr, trial_arr):
-    """sum_q w_q <test, trial> over trailing value axes."""
-    E, nt, nq = test_arr.shape[:3]
-    nu = trial_arr.shape[1]
-    t = test_arr.reshape(E, nt, nq, -1)
-    u = trial_arr.reshape(E, nu, nq, -1)
-    return np.einsum("eq,etqk,euqk->etu", wts, t, u, optimize=True)
 
 
 @dataclass
@@ -354,61 +353,96 @@ def element_quadrature(mesh: Mesh, elems, degree: int):
     return rule, wts, pts
 
 
-def gram_blocks(wts, basis, norm: str) -> np.ndarray:
-    """Element Gram matrices of a basis in the L2, H1 or Hdiv norm.
+# ---------------------------------------------------------------------------
+# reference-tensor element kernels
 
-    H1 and H(div) bases interleave two copies of one scalar or row basis,
-    dof 2l+c carrying component c, so their Gram is two equal blocks: the
-    block of copy 0 is one weighted matmul over its values and gradient
-    or divergence, written into both. The L2 norm keeps the general
-    contraction, since the L2sym and L2skew copies are not interleaved
-    this way.
-    """
-    if norm == "L2":
-        return _contract(wts, basis.val, basis.val)
-    if norm == "H1":
-        deriv = basis.grad[:, 0::2, :, 0, :]
-    elif norm == "Hdiv":
-        deriv = basis.div[:, 0::2, :, 0, None]
-    else:
+
+def _key(space: DofSpace):
+    return space.kind.removeprefix("Broken"), space.order
+
+
+@lru_cache(maxsize=None)
+def _rule_basis(key, deriv: str, degree: int) -> np.ndarray:
+    """reference_basis of a (kind, order) at the points of the triangle rule."""
+    r = reference_basis(*key, deriv, triangle_rule(degree).points)
+    r.flags.writeable = False
+    return r
+
+
+@lru_cache(maxsize=None)
+def _reference_tensor(test_key, test_deriv: str, trial_key, trial_deriv: str, degree: int) -> np.ndarray:
+    """M[a, b, t, u] = sum_q w_q r_test[t, q, a] r_trial[u, q, b] on the
+    triangle rule of the degree, as (R_test * R_trial, nt * nu)."""
+    rt, ru = _rule_basis(test_key, test_deriv, degree), _rule_basis(trial_key, trial_deriv, degree)
+    M = np.einsum("q,tqa,uqb->abtu", triangle_rule(degree).weights, rt, ru).reshape(rt.shape[2] * ru.shape[2], -1)
+    M.flags.writeable = False
+    return M
+
+
+def op_matrix(op: str, material) -> np.ndarray:
+    """The tensor map C or S as a matrix on row-major flattened 2x2 tensors."""
+    return _apply_op(np.eye(4).reshape(4, 2, 2), op, material).reshape(4, 4).T
+
+
+def volume_blocks(test: DofSpace, test_deriv: str, trial: DofSpace, trial_deriv: str, elems, degree: int, O=None):
+    """Element blocks sum_q w_q <D_test v_t, O D_trial u_u> (nelt, test nloc,
+    trial nloc): the coefficients |det J| P_test^T O P_trial times the
+    reference tensor of the pair, one matmul; O (op_matrix) defaults to I."""
+    E = len(elems)
+    M = _reference_tensor(_key(test), test_deriv, _key(trial), trial_deriv, degree)
+    Pu = geometry_map(trial, trial_deriv, elems)
+    Pu = Pu if O is None else O @ Pu
+    coef = geometry_map(test, test_deriv, elems).transpose(0, 2, 1) @ Pu
+    coef *= np.abs(test.payload["geom"].det[elems])[:, None, None]
+    blk = dual_rows(test, elems, (coef.reshape(E, -1) @ M).reshape(E, test.nloc, trial.nloc))
+    return dual_rows(trial, elems, blk.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+_NORM_DERIVS = {"L2": ("val",), "H1": ("val", "grad"), "Hdiv": ("val", "div")}
+
+
+def gram_blocks(space: DofSpace, elems, degree: int, norm: str) -> np.ndarray:
+    """Element Gram matrices of a volume space in the L2, H1 or Hdiv norm:
+    the val kernel, plus the grad or div kernel."""
+    if norm not in _NORM_DERIVS:
         raise ValueError(f"unknown norm {norm!r}")
-    E, n, nq = deriv.shape[:3]
-    F = np.concatenate([basis.val[:, 0::2, :, 0].reshape(E, n, nq, -1), deriv], axis=3)
-    G0 = (F * wts[:, None, :, None]).reshape(E, n, -1) @ F.reshape(E, n, -1).transpose(0, 2, 1)
-    G = np.zeros((E, 2 * n, 2 * n))
-    G[:, 0::2, 0::2] = G0
-    G[:, 1::2, 1::2] = G0
-    return G
+    return sum(volume_blocks(space, d, space, d, elems, degree) for d in _NORM_DERIVS[norm])
 
 
-def trace_edge_factors(trace_space: DofSpace, sk, elems) -> np.ndarray:
-    """Length of each element edge, (nelt, 3), times the sign that turns
-    the stored flux of a TraceHm12 space to the element's outward side."""
-    lengths = sk.lengths[trace_space.mesh.tri_edges[elems]]
-    if trace_space.kind == "TraceHm12":
-        return sk.tri_signs[elems] * lengths
-    return lengths
+def basis_pairing(space: DofSpace, deriv: str, elems, degree: int, vals) -> np.ndarray:
+    """sum_q w_q <D v_t, vals_q> (nelt, nloc) of the local basis with values
+    vals (nelt, nq, ...) at the rule of the degree: the values mapped by
+    P_e^T and weighted, against the shared reference array in one matmul."""
+    E, w = len(elems), triangle_rule(degree).weights
+    r = _rule_basis(_key(space), deriv, degree)
+    F = vals.reshape(E, len(w), -1) @ geometry_map(space, deriv, elems)
+    F *= (np.abs(space.payload["geom"].det[elems])[:, None] * w)[..., None]
+    return dual_rows(space, elems, F.reshape(E, -1) @ r.reshape(len(r), -1).T)
+
+
+@lru_cache(maxsize=None)
+def _edge_tensor(test_key, trace_key, degree: int) -> np.ndarray:
+    """T[k, o, t, m] = sum_q w_q <trace basis m, reference trace of v_t on
+    local edge k in orientation o> on the edge rule of the degree."""
+    tq, twq = edge_rule(degree)
+    T = np.einsum("q,kotqc,mqc->kotm", twq, edge_reference(*test_key, tq), trace_edge_basis(*trace_key, tq))
+    T.flags.writeable = False
+    return T
 
 
 def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems, degree: int) -> np.ndarray:
     """Skeleton pairings <trace_m, element trace of test_t> on each element,
-    (nelt, test nloc, 3 * trace dofs per edge), columns edge by edge.
-
-    The stored flux of a TraceHm12 space is flipped to the element's
-    outward side.
-    """
-    mesh = test_space.mesh
-    tq, twq = edge_rule(degree)
-    tb_all = trace_edge_basis(trace_space, tq)  # (ne, nloc_e, qe, 2)
-    ev = element_edge_values(test_space, elems, tq)
-    fac = trace_edge_factors(trace_space, sk, elems)  # (nelt, 3)
-    nloc_e = trace_space.edge_dofs.shape[1]
-    blk = np.zeros((len(elems), test_space.nloc, 3 * nloc_e))
-    for loc in range(3):
-        eids = mesh.tri_edges[elems, loc]
-        pair = np.einsum("q,etqc,emqc->etm", twq, ev[:, :, loc], tb_all[eids], optimize=True)
-        blk[:, :, loc * nloc_e : (loc + 1) * nloc_e] = fac[:, loc, None, None] * pair
-    return blk
+    (nelt, test nloc, 3 * trace dofs per edge), columns edge by edge: the
+    reference edge tensor of each local edge's orientation times |e| for an
+    H1 test space or h for an H(div) one (whose normal trace is h / |e|
+    times the reference one), and by the sign that turns the stored flux of
+    a TraceHm12 space to the element's outward side."""
+    T = _edge_tensor(_key(test_space), (trace_space.kind, trace_space.order), degree)
+    fac = sk.lengths[sk.mesh.tri_edges[elems]] if test_space.kind.endswith("H1") else test_space.payload["geom"].hscale[elems, None]
+    if trace_space.kind == "TraceHm12":
+        fac = sk.tri_signs[elems] * fac
+    blk = fac[..., None, None] * T[np.arange(3), edge_flips(sk.mesh, elems)]
+    return dual_rows(test_space, elems, blk.transpose(0, 2, 1, 3).reshape(len(elems), test_space.nloc, -1))
 
 
 def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> LocalBlocks:
@@ -418,7 +452,6 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         elems = np.arange(mesh.num_triangles)
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    rule, wts, pts = element_quadrature(mesh, elems, degree)
 
     test_slices, ntest, field_slices, nfield, trace_slices, ntrace = _local_layout(form)
     nelt = len(elems)
@@ -427,25 +460,20 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
     G = np.zeros((nelt, ntest, ntest))
     l = np.zeros((nelt, ntest))
 
-    test_bases = {n: volume_basis(form.test_spaces[n], elems, rule.points) for n, _ in form.desc.test_slots}
-    field_bases = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in form.desc.field_slots}
-
     for term in form.desc.terms:
-        tarr = _slot_array(test_bases[term.test], term.test_deriv)
-        uarr = trial_term_values(term, field_bases, form.material)
-        blk = term.sign * _contract(wts, tarr, uarr)
-        B[:, test_slices[term.test], field_slices[term.trial]] += blk
+        O = op_matrix(term.op, form.material) if term.op else None
+        test, trial = form.test_spaces[term.test], form.field_spaces[term.trial]
+        blk = volume_blocks(test, term.test_deriv, trial, term.trial_deriv, elems, degree, O)
+        B[:, test_slices[term.test], field_slices[term.trial]] += term.sign * blk
 
     for name, _ in form.desc.test_slots:
         s = test_slices[name]
-        G[:, s, s] = gram_blocks(wts, test_bases[name], form.desc.test_norms[name])
+        G[:, s, s] = gram_blocks(form.test_spaces[name], elems, degree, form.desc.test_norms[name])
 
     # load (f, v)
-    fvals = form.bc.body_force(pts)
-    vload = test_bases[form.desc.load_slot]
-    l[:, test_slices[form.desc.load_slot]] = np.einsum(
-        "eq,eqc,elqc->el", wts, fvals, vload.val, optimize=True
-    )
+    _, _, pts = element_quadrature(mesh, elems, degree)
+    load = form.desc.load_slot
+    l[:, test_slices[load]] = basis_pairing(form.test_spaces[load], "val", elems, degree, form.bc.body_force(pts))
 
     for tt in form.desc.trace_terms:
         pair = trace_pairing_blocks(
@@ -525,12 +553,13 @@ def scatter_blocks(triples, shape) -> sp.csr_matrix:
 
     Each triple (row_dofs (ne, m), col_dofs (ne, n), blocks (ne, m, n))
     adds blocks[e, i, j] at (row_dofs[e, i], col_dofs[e, j]). Repeated
-    entries are summed by a single COO to CSR conversion.
+    entries are summed by a single COO to CSR conversion, on the int32
+    indices CSR keeps while the shape allows (no int64 copy to convert).
     """
     triples = [(np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)) for r, c, b in triples]
     total = sum(b.size for _, _, b in triples)
-    rows = np.empty(total, dtype=np.int64)
-    cols = np.empty(total, dtype=np.int64)
+    rows = np.empty(total, dtype=np.int32 if max(shape) < 2**31 else np.int64)
+    cols = np.empty_like(rows)
     vals = np.empty(total)
     off = 0
     for r, c, b in triples:
@@ -599,10 +628,9 @@ def element_momentum_integrals(
     evaluates its defects from them, on the same quadrature rule.
     """
     elems = np.asarray(elems, dtype=np.int64)
-    rule, wts, pts = element_quadrature(space.mesh, elems, quad_degree)
-    basis = volume_basis(space, elems, rule.points)
+    _, wts, pts = element_quadrature(space.mesh, elems, quad_degree)
     fv = bc.body_force(pts) if bc is not None else np.zeros(pts.shape)
-    div_int = np.einsum("eq,elqc->elc", wts, basis.div, optimize=True)
+    div_int = np.stack([basis_pairing(space, "div", elems, quad_degree, np.broadcast_to(e, pts.shape)) for e in np.eye(2)], -1)
     f_int = np.einsum("eq,eqc->ec", wts, fv)
     f_sq = np.einsum("eq,eqc,eqc->e", wts, fv, fv)
     return div_int, f_int, f_sq

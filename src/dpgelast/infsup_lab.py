@@ -30,12 +30,10 @@ import scipy.sparse.linalg as spla
 
 from .dpg_solver import _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
-from .spaces import (
-    h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, volume_basis, embed_in_broken,
-)
+from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken
 from .forms import (
-    DESCRIPTORS, BCData, Formulation, assemble_local_blocks, element_quadrature, gram_blocks, scatter_blocks,
-    trace_pairing_blocks, _contract,
+    DESCRIPTORS, BCData, Formulation, assemble_local_blocks, gram_blocks, scatter_blocks, trace_pairing_blocks,
+    volume_blocks,
 )
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
@@ -114,12 +112,10 @@ def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empt
         raise ValueError(f"{spec_id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
-    rule, wts, _ = element_quadrature(mesh, blocks.elems, degree)
     gx = []
     for name, kind in desc.field_slots:
         s = blocks.field_slices[name]
-        basis = volume_basis(form.field_spaces[name], blocks.elems, rule.points)
-        gx.append((cols[:, s], cols[:, s], gram_blocks(wts, basis, _TRIAL_NORM[kind])))
+        gx.append((cols[:, s], cols[:, s], gram_blocks(form.field_spaces[name], blocks.elems, degree, _TRIAL_NORM[kind])))
     B = scatter_blocks([(rows, cols, blocks.B)], (ntest, ntrial))[tfree][:, ufree]
     GY = scatter_blocks([(rows, rows, blocks.G)], (ntest, ntest))[tfree][:, tfree]
     GX = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]
@@ -161,28 +157,25 @@ def auxiliary_constants(mesh: Mesh, p: int):
     wspace = l2_space(mesh, p - 1, "L2skew")
     tspace = hdiv_space(make_skeleton(mesh), p + 1, gamma1_constrained=True)
     elems = np.arange(mesh.num_triangles)
-    rule, wts, _ = element_quadrature(mesh, elems, 2 * (p + 2) + 2)
-    ub = volume_basis(uspace, elems, rule.points)
-    wb = volume_basis(wspace, elems, rule.points)
-    tb = volume_basis(tspace, elems, rule.points)
+    degree = 2 * (p + 2) + 2
     nu, nw = uspace.ndof, wspace.ndof
     n = nu + nw
 
     # columns of (omega - grad u) for the combined trial vector
     ud = uspace.elt_dofs
     wd = wspace.elt_dofs + nu
-    ww = gram_blocks(wts, wb, "L2")
-    cross = -_contract(wts, ub.grad, wb.val)
+    ww = gram_blocks(wspace, elems, degree, "L2")
+    cross = -volume_blocks(uspace, "grad", wspace, "val", elems, degree)
     A = scatter_blocks(
         [
-            (ud, ud, _contract(wts, ub.grad, ub.grad)),
+            (ud, ud, volume_blocks(uspace, "grad", uspace, "grad", elems, degree)),
             (wd, wd, ww),
             (ud, wd, cross),
             (wd, ud, np.swapaxes(cross, 1, 2)),
         ],
         (n, n),
     )
-    Mmass = scatter_blocks([(ud, ud, gram_blocks(wts, ub, "L2")), (wd, wd, ww)], (n, n))
+    Mmass = scatter_blocks([(ud, ud, gram_blocks(uspace, elems, degree, "L2")), (wd, wd, ww)], (n, n))
     ufree = np.concatenate([_free(uspace), np.arange(nw) + nu])
     Mf = Mmass[ufree][:, ufree]
     lam = spla.eigsh(A[ufree][:, ufree], k=1, M=Mf, sigma=SHIFT, v0=np.ones(len(ufree)), return_eigenvectors=False)
@@ -190,18 +183,17 @@ def auxiliary_constants(mesh: Mesh, p: int):
 
     # divergence-pair inf-sup: trial (u, omega) in L2, test tau in H(div)
     u2 = l2_space(mesh, p - 1, "L2vec")
-    u2b = volume_basis(u2, elems, rule.points)
     n2 = u2.ndof + wspace.ndof
     td = tspace.elt_dofs
     tfree = _free(tspace)
     B = scatter_blocks(
         [
-            (td, u2.elt_dofs, _contract(wts, tb.div, u2b.val)),
-            (td, wspace.elt_dofs + u2.ndof, _contract(wts, tb.val, wb.val)),
+            (td, u2.elt_dofs, volume_blocks(tspace, "div", u2, "val", elems, degree)),
+            (td, wspace.elt_dofs + u2.ndof, volume_blocks(tspace, "val", wspace, "val", elems, degree)),
         ],
         (tspace.ndof, n2),
     )[tfree]
-    GT = scatter_blocks([(td, td, gram_blocks(wts, tb, "Hdiv"))], (tspace.ndof, tspace.ndof))
+    GT = scatter_blocks([(td, td, gram_blocks(tspace, elems, degree, "Hdiv"))], (tspace.ndof, tspace.ndof))
     # both L2 trial spaces carry orthonormal bases, so their Gram is the identity
     lam2 = _min_infsup_eig(B, GT[tfree][:, tfree], sp.identity(n2, format="csr"))
     c_b = float(np.sqrt(max(lam2, 0.0)))
@@ -232,18 +224,21 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
     (zero normal trace on Gamma1) spaces are embedded into their broken
     counterparts and paired against every admissible trace dof; the
     largest pairing magnitude over all samples is reported, together
-    with the smallest jump norm triggered by single-dof nonconforming
-    perturbations.
+    with the smallest jump triggered by single-dof nonconforming
+    perturbations, relative to the norm of the perturbed basis function.
     """
     rng = np.random.default_rng(seed)
     sk = make_skeleton(mesh)
     th12, thm12 = trace_spaces(sk, p + 1)
+    elems = np.arange(mesh.num_triangles)
     results = {}
-    for label, conf, brok, trace in (
-        ("h1", h1_space(mesh, p, gamma0_constrained=True), broken_h1_space(mesh, p), thm12),
-        ("hdiv", hdiv_space(sk, p, gamma1_constrained=True), broken_hdiv_space(sk, p), th12),
+    for label, conf, brok, trace, norm in (
+        ("h1", h1_space(mesh, p, gamma0_constrained=True), broken_h1_space(mesh, p), thm12, "H1"),
+        ("hdiv", hdiv_space(sk, p, gamma1_constrained=True), broken_hdiv_space(sk, p), th12, "Hdiv"),
     ):
         J = jump_pairing_matrix(brok, trace)
+        bnorm = np.empty(brok.ndof)  # sqrt(G_ii): the norm of each broken basis function
+        bnorm[brok.elt_dofs] = np.sqrt(np.diagonal(gram_blocks(brok, elems, 2 * p + 2, norm), axis1=1, axis2=2))
         fwd = 0.0
         for _ in range(n_samples):
             x = rng.standard_normal(conf.ndof)
@@ -251,13 +246,15 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
             xb = embed_in_broken(conf, brok, x)
             fwd = max(fwd, np.abs(J @ xb).max() / max(np.linalg.norm(xb), 1e-30))
         # converse screen: perturb single broken dofs sitting on interior
-        # edges and check the jump detector fires
+        # edges and check the jump detector fires, relative to the norm of
+        # the perturbed basis function so that the basis scaling drops out
         conv = np.inf
         for _ in range(n_samples):
+            i = rng.integers(brok.ndof)
             xb = np.zeros(brok.ndof)
-            xb[rng.integers(brok.ndof)] = 1.0
+            xb[i] = 1.0
             jn = np.abs(J @ xb).max()
             if jn > 1e-8:
-                conv = min(conv, jn)
+                conv = min(conv, jn / bnorm[i])
         results[label] = {"forward_max": float(fwd), "converse_min": float(conv)}
     return results

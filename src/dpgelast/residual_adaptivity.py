@@ -9,16 +9,16 @@ evaluated in an enriched broken test space of fixed order p_res
 (Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). The
 residual is formed without B: each trial field of the solve is
 evaluated once at the quadrature points (field_values), the term's
-material map is applied, and the values are integrated against the
-enriched test basis. The trace fields are evaluated once per call on
-every skeleton edge and paired with the element traces of the test
-basis. Only the Gram-inverted (broken H1 and H(div)) test slots form
-their Gram matrices; the batched Cholesky factor that the solver's
-condensation uses turns r_K into L_K^{-1} r_K, whose squared norm is
-eta_K^2. Test slots identified with L2 need no Gram inversion: their
-residual is the pointwise function sum sign * project(op(u_h)) - f,
-integrated exactly, which avoids the projection onto a finite modal
-basis altogether.
+material map is applied, and the values are paired with the enriched
+test space's reference arrays (basis_pairing); the trace terms are the
+skeleton pairing blocks times the element's trace coefficients. Only
+the Gram-inverted (broken H1 and H(div)) test slots form their Gram
+matrices; the batched Cholesky factor that the solver's condensation
+uses turns r_K into L_K^{-1} r_K, whose squared norm is eta_K^2. Test
+slots identified with L2 need no Gram inversion: their residual is the
+pointwise function sum sign * project(op(u_h)) - f, integrated
+exactly, which avoids the projection onto a finite modal basis
+altogether.
 
 Marking uses a simple maximum strategy and refinement is
 newest-vertex bisection, so the adaptive loop is
@@ -32,14 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, refine
-from .quadrature import edge_rule
-from .spaces import volume_basis, field_values, element_edge_values, trace_edge_basis
+from .spaces import field_values
 from .forms import (
     formulation,
     build_test_spaces,
     element_quadrature,
     gram_blocks,
-    trace_edge_factors,
+    basis_pairing,
+    trace_pairing_blocks,
     trial_term_values,
     project_to_kind,
     element_momentum_integrals,
@@ -77,25 +77,15 @@ def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualRep
     inverted = [n for n, _ in desc.test_slots if desc.test_norms[n] != "L2"]
     pointwise = [(n, k) for n, k in desc.test_slots if desc.test_norms[n] == "L2"]
     degree = 2 * (form.p + dp_res) + 2
-    tq, _ = edge_rule(degree)
-    # every trace field once, on every skeleton edge
-    edge_vals = {tt.trace: _trace_values(fields, tt.trace, tq) for tt in desc.trace_terms if tt.test in inverted}
     nelt = form.mesh.num_triangles
     eta2 = np.zeros(nelt)
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
         if inverted:
-            eta2[elems] += _dual_norms_sq(fields, tests, inverted, elems, degree, edge_vals)
+            eta2[elems] += _dual_norms_sq(fields, tests, inverted, elems, degree)
         if pointwise:
             eta2[elems] += _pointwise_norms_sq(fields, pointwise, elems, max(2 * p_res + 2, 16))
     return ResidualReport(eta=np.sqrt(eta2), p_res=p_res)
-
-
-def _trace_values(fields: SolutionFields, name: str, t):
-    """A trace field on every skeleton edge at parameters t, (ne, nq, 2)."""
-    space = fields.spaces[name]
-    x = fields.coeffs[name][space.edge_dofs]
-    return np.einsum("el,elqc->eqc", x, trace_edge_basis(space, t), optimize=True)
 
 
 def _trial_values(fields: SolutionFields, terms, elems, ref_pts) -> dict:
@@ -104,45 +94,27 @@ def _trial_values(fields: SolutionFields, terms, elems, ref_pts) -> dict:
     return {n: field_values(fields.spaces[n], fields.coeffs[n], elems, ref_pts) for n in names}
 
 
-def _weigh(wts, vals):
-    """Values (nelt, ..., nq, ...) times the weights (nelt, ..., nq) of
-    their points."""
-    return vals * wts.reshape(wts.shape + (1,) * (vals.ndim - wts.ndim))
-
-
-def _pair(basis_arr, weighted):
-    """sum over the points and components of a basis array (nelt, n, ...)
-    against weighted values (nelt, ...): one batched matrix-vector product,
-    (nelt, n)."""
-    E, n = basis_arr.shape[:2]
-    return (basis_arr.reshape(E, n, -1) @ weighted.reshape(E, -1, 1))[..., 0]
-
-
-def _dual_norms_sq(fields, tests, slots, elems, degree, edge_vals):
+def _dual_norms_sq(fields, tests, slots, elems, degree):
     """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K."""
     form = fields.form
     desc = form.desc
-    rule, wts, pts = element_quadrature(form.mesh, elems, degree)
-    test_bases = {n: volume_basis(tests[n], elems, rule.points) for n in slots}
-    terms = [t for t in desc.terms if t.test in test_bases]
+    rule, _, pts = element_quadrature(form.mesh, elems, degree)
+    terms = [t for t in desc.terms if t.test in slots]
     uh = _trial_values(fields, terms, elems, rule.points)
     r = {n: np.zeros((len(elems), tests[n].nloc)) for n in slots}
     for term in terms:
-        uarr = trial_term_values(term, uh, form.material)
-        r[term.test] += term.sign * _pair(getattr(test_bases[term.test], term.test_deriv), _weigh(wts, uarr))
+        vals = trial_term_values(term, uh, form.material)
+        r[term.test] += term.sign * basis_pairing(tests[term.test], term.test_deriv, elems, degree, vals)
     if desc.load_slot in r:
-        r[desc.load_slot] -= _pair(test_bases[desc.load_slot].val, _weigh(wts, form.bc.body_force(pts)))
-    tq, twq = edge_rule(degree)
-    eids = form.mesh.tri_edges[elems]
+        r[desc.load_slot] -= basis_pairing(tests[desc.load_slot], "val", elems, degree, form.bc.body_force(pts))
     for tt in desc.trace_terms:
-        if tt.test not in r:
-            continue
-        fac = trace_edge_factors(fields.spaces[tt.trace], form.skeleton, elems)  # (nelt, 3)
-        vals = _weigh(fac[:, :, None] * twq, edge_vals[tt.trace][eids])  # (nelt, 3, qe, 2)
-        r[tt.test] += tt.sign * _pair(element_edge_values(tests[tt.test], elems, tq), vals)
+        if tt.test in r:
+            trace = fields.spaces[tt.trace]
+            xhat = fields.coeffs[tt.trace][trace.edge_dofs[form.mesh.tri_edges[elems]]].reshape(len(elems), -1, 1)
+            r[tt.test] += tt.sign * (trace_pairing_blocks(tests[tt.test], trace, form.skeleton, elems, degree) @ xhat)[..., 0]
     out = np.zeros(len(elems))
     for n in slots:
-        L = gram_cholesky(gram_blocks(wts, test_bases[n], desc.test_norms[n]))
+        L = gram_cholesky(gram_blocks(tests[n], elems, degree, desc.test_norms[n]))
         W = np.linalg.solve(L, r[n][..., None])[..., 0]
         out += np.einsum("et,et->e", W, W)
     return out

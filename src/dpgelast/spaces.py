@@ -31,14 +31,17 @@ Conventions:
   order p-1 measured against the fixed normal (TraceHm12).
 * H(div) spaces take the caller's Skeleton, as the trace spaces do.
 
-Volume fields have one evaluation path: volume_basis on shared reference
-points, contracted with the coefficients by field_values. The solvers and
-the error norms use it directly; evaluate_field and
-evaluate_field_gradient are one-element wrappers that pull physical
-points back with to_reference. The L2 interpolant is one weighted
-contraction of that basis with the field, and _rt_moments gives the RT
-dof functionals to both the basis construction and the H(div)
-interpolant.
+Every element is affine, so each basis is a reference basis and a
+per-element linear map: reference_basis gives components r (nloc, nq, R)
+at shared reference points, geometry_map the map P_e to physical values
+(H1 I, gradients I (x) J^-T; H(div) I (x) J / h, divergences I / h; L2
+I / h; h = sqrt(det J)), dual_rows the combination through C of a
+conforming H(div) space, and edge_reference the traces on the local edges
+in both orientations of the global edge parameter; nothing is pulled
+back. volume_basis and field_values (coefficients contracted with r
+before P_e) evaluate from them; evaluate_field wraps field_values for
+physical points. _rt_dofs takes the RT dofs of reference data for the
+reference basis and for C.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, Skeleton, GAMMA0, GAMMA1, skeleton
+from .mesh import Mesh, Skeleton, GAMMA0, GAMMA1
 from .quadrature import triangle_rule, edge_rule
 
 
@@ -96,19 +99,6 @@ def _lagrange_matrix(p: int):
     exps = _mono_exps(p)
     V = _mono_eval(exps, nodes).T  # (nnodes, nmodes)
     return np.linalg.inv(V)
-
-
-def lagrange_eval(p: int, pts):
-    """Reference Lagrange basis values, shape (nnodes, nq)."""
-    Linv = _lagrange_matrix(p)
-    return Linv.T @ _mono_eval(_mono_exps(p), pts)
-
-
-def lagrange_grad(p: int, pts):
-    """Reference Lagrange basis gradients, shape (nnodes, nq, 2)."""
-    Linv = _lagrange_matrix(p)
-    g = _mono_grad(_mono_exps(p), pts)
-    return np.einsum("nm,nqc->mqc", Linv, g)
 
 
 @lru_cache(maxsize=None)
@@ -164,12 +154,10 @@ _SKEW_COMPS = np.array([[[0.0, 1.0 / np.sqrt(2.0)], [-1.0 / np.sqrt(2.0), 0.0]]]
 class Geometry:
     """Affine maps of all elements: x = origin + J xref."""
 
-    verts: np.ndarray  # (nelt, 3, 2)
     origin: np.ndarray  # (nelt, 2)
     J: np.ndarray  # (nelt, 2, 2)
     Jinv: np.ndarray
     det: np.ndarray  # (nelt,), positive
-    centroid: np.ndarray
     hscale: np.ndarray  # (nelt,), sqrt of twice the area
 
 
@@ -184,12 +172,10 @@ def geometry(mesh: Mesh) -> Geometry:
     Jinv[:, 1, 0] = -J[:, 1, 0] / det
     Jinv[:, 1, 1] = J[:, 0, 0] / det
     return Geometry(
-        verts=verts,
         origin=origin,
         J=J,
         Jinv=Jinv,
         det=det,
-        centroid=verts.mean(axis=1),
         hscale=np.sqrt(np.abs(det)),
     )
 
@@ -452,35 +438,30 @@ def _rt_span_eval(k, pts):
     return val, div
 
 
-def _rt_moments(mesh: Mesh, geom: Geometry, sk: Skeleton, k: int, degree: int, field):
-    """The RT_k dof functionals of vector fields on every element, with
-    quadrature of exactness degree.
+def _rt_interior(k: int, Jh, vals, degree: int):
+    """Area-averaged moments of vector fields vals (nelt, nf, nq, 2) at the
+    triangle rule of the degree against the monomials of degree <= k - 1 in
+    (x - centroid) / h = Jh (xref - 1/3): (nelt, 2 * nmono, nf)."""
+    rule = triangle_rule(degree)
+    qm = _mono_eval(_mono_exps(k - 1), (rule.points - 1.0 / 3.0) @ Jh.transpose(0, 2, 1)) * rule.weights
+    # the weights |det J| w_q over the area |det J| / 2
+    return 2.0 * np.einsum("meq,efqc->ecmf", qm, vals).reshape(len(vals), -1, vals.shape[1])
 
-    field(pts) maps physical points (nelt, nq, 2) to values (nelt, nf, nq,
-    2) of nf vector fields per element. Returns (nelt, 3 * (k + 1) +
-    ninter, nf): per local edge, the orthonormal Legendre moments of the
-    normal trace against the fixed skeleton normal in the global edge
-    parameter; then, per component, the area-averaged moments against
-    the scaled monomials of degree <= k - 1."""
-    nmom = k + 1
-    tq, twq = edge_rule(degree)
-    leg = legendre01_eval(nmom, tq)  # (nmom, qe)
-    rows = []
-    for loc in range(3):
-        eids = mesh.tri_edges[:, loc]
-        vn = np.einsum("enqc,ec->enq", field(edge_points(mesh, eids, tq)), sk.normals[eids])
-        rows.append(np.einsum("q,mq,enq->emn", twq, leg, vn))
-    if k >= 1:
-        rule = triangle_rule(degree)
-        pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, rule.points)
-        wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
-        val = field(pts)
-        xt = (pts - geom.centroid[:, None, :]) / geom.hscale[:, None, None]
-        qm = np.moveaxis(_mono_eval(_mono_exps(k - 1), xt), 0, 1)
-        area = 0.5 * np.abs(geom.det)
-        for c in range(2):
-            rows.append(np.einsum("eq,emq,enq->emn", wts, qm, val[..., c]) / area[:, None, None])
-    return np.concatenate(rows, axis=1)
+
+def _rt_dofs(k: int, rows, Jh, scale, flips):
+    """The RT_k dofs (nelt, N, N) of reference row fields rows(pts) -> (N,
+    nq, 2) pushed forward by Jh = J / h: per local edge, the orthonormal
+    Legendre moments of the normal trace against the skeleton normal in the
+    global edge parameter, i.e. the reference moment in the edge's
+    orientation flips times scale = sign h / |e| (nelt, 3); then _rt_interior."""
+    tq, twq = edge_rule(2 * k + 2)
+    vals = rows(_ref_edge_points(tq).reshape(-1, 2)).reshape(-1, 3, 2, len(tq), 2)
+    ref = np.einsum("q,mq,lkoqi,ki->koml", twq, legendre01_eval(k + 1, tq), vals, _REF_NORMALS)
+    M = (scale[..., None, None] * ref[np.arange(3), flips]).reshape(len(Jh), 3 * (k + 1), -1)
+    if k == 0:
+        return M
+    vals = np.einsum("eij,lqj->elqi", Jh, rows(triangle_rule(2 * k + 2).points))
+    return np.concatenate([M, _rt_interior(k, Jh, vals, 2 * k + 2)], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -489,9 +470,9 @@ def _rt_reference(k: int):
     sum_j R[j, l] span_j: the reference dual basis of the RT dofs times the
     inverse transpose of the Cholesky factor of its H(div) Gram, twice, as
     one pass leaves a Gram error of 1e-6 at k = 6 (1e-13 after two)."""
-    ref = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]), dict.fromkeys([(0, 1), (1, 2), (0, 2)], GAMMA0))
-    span = lambda pts: np.moveaxis(_rt_span_eval(k, pts)[0], 0, 1)
-    R = np.linalg.inv(_rt_moments(ref, geometry(ref), skeleton(ref), k, 2 * k + 2, span)[0])
+    # outward skeleton normals and h = 1; local edge 2 runs against edge (0, 2)
+    span = lambda pts: _rt_span_eval(k, pts)[0]
+    R = np.linalg.inv(_rt_dofs(k, span, np.eye(2)[None], 1.0 / np.linalg.norm(_REF_EDGES, axis=1)[None], [[0, 0, 1]])[0])
     rule = triangle_rule(2 * k + 2)
     val, div = _rt_span_eval(k, rule.points)
     F = np.concatenate([val, div[..., None]], axis=-1).reshape(len(R), -1)  # (N, nq * 3)
@@ -507,10 +488,11 @@ def _rt_dual(space: DofSpace):
     """(nelt, N, N) inverses C[e] of the dofs of the pushed-forward basis psi
     of an H(div) space without C: the dual basis is phi_l = sum_j C[e, j,
     l] psi_j, and the psi-coefficients of a dual-basis field x are C[e] x."""
-    geom, k = space.payload["geom"], space.payload["k"]
-    elems = np.arange(space.mesh.num_triangles)
-    field = lambda pts: _hdiv_basis(space, elems, to_reference(geom, elems, pts))[0]
-    return np.linalg.inv(_rt_moments(space.mesh, geom, space.payload["skeleton"], k, 2 * k + 2, field))
+    geom, sk, k = space.payload["geom"], space.payload["skeleton"], space.payload["k"]
+    scale = sk.tri_signs * geom.hscale[:, None] / sk.lengths[space.mesh.tri_edges]
+    Jh = geom.J / geom.hscale[:, None, None]
+    rows = lambda pts: reference_basis("Hdiv", k + 1, "val", pts)[0::2, :, :2]  # one stress row
+    return np.linalg.inv(_rt_dofs(k, rows, Jh, scale, edge_flips(space.mesh, slice(None))))
 
 
 def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
@@ -569,11 +551,8 @@ def embed_in_broken(conf: DofSpace, brok: DofSpace, x):
     """Coefficients in the broken space brok of the field x of the
     conforming space conf (H1 or Hdiv of the same order and mesh). H1
     copies the element coefficients; Hdiv maps them through C."""
-    xe = x[conf.elt_dofs]
-    if conf.kind == "Hdiv":
-        xe = (conf.payload["C"] @ xe.reshape(len(xe), -1, 2)).reshape(xe.shape)
     xb = np.zeros(brok.ndof)
-    xb[brok.elt_dofs] = xe
+    xb[brok.elt_dofs] = psi_coefficients(conf, np.arange(conf.mesh.num_triangles), x[conf.elt_dofs])
     return xb
 
 
@@ -620,32 +599,26 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
     return th12, thm12
 
 
-def trace_edge_basis(space: DofSpace, t):
-    """Per-edge vector basis values at parameters t, (ne, nloc, nq, 2).
+def trace_edge_basis(kind: str, order: int, t):
+    """Vector basis of a trace space of the given kind and order on one
+    edge at parameters t, (nloc, nq, 2), the same on every edge.
 
     The parameter runs from the lower-numbered to the higher-numbered
     edge vertex, matching the skeleton tangent convention.
     """
     t = np.asarray(t, dtype=float)
-    ne = space.mesh.num_edges
-    if space.kind == "TraceH12":
-        p = space.payload["p"]
-        nodes = np.arange(p + 1) / p
-        V = np.vander(nodes, increasing=True)
-        mono = np.stack([t**k for k in range(p + 1)])
-        lag = np.linalg.solve(V.T, mono)  # (p+1, nq)
-        scalar = np.broadcast_to(lag[None], (ne, p + 1, len(t)))
-    elif space.kind == "TraceHm12":
-        nmom = space.payload["nmom"]
-        leg = legendre01_eval(nmom, t)
-        scalar = np.broadcast_to(leg[None], (ne, nmom, len(t)))
+    if kind == "TraceH12":
+        V = np.vander(np.arange(order + 1) / order, increasing=True)
+        scalar = np.linalg.solve(V.T, np.stack([t**k for k in range(order + 1)]))  # (p+1, nq)
+    elif kind == "TraceHm12":
+        scalar = legendre01_eval(order + 1, t)
     else:
-        raise ValueError(f"not a trace space: {space.kind}")
+        raise ValueError(f"not a trace space: {kind}")
     return _copies(scalar)
 
 
 # ---------------------------------------------------------------------------
-# basis evaluation on elements
+# reference arrays and per-element geometry maps
 
 
 @dataclass
@@ -662,102 +635,123 @@ class Basis:
     div: Optional[np.ndarray] = None
 
 
-def _copies(rows, axis=3):
-    """Two interleaved copies of per-row arrays (nelt, n, ...): dof 2l + c
-    is row l in component c of a new axis at position axis, and zero in
-    the other component."""
-    out = np.zeros((rows.shape[0], 2 * rows.shape[1]) + rows.shape[2:axis] + (2,) + rows.shape[axis:])
+# reference vertices, local edge k from vertex k to k + 1, its outward normal times its length
+_REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REF_EDGES = np.roll(_REF_VERTS, -1, axis=0) - _REF_VERTS
+_REF_NORMALS = _REF_EDGES[:, ::-1] * [1.0, -1.0]
+_DERIV = {"H1": "grad", "Hdiv": "div"}
+
+
+def _ref_edge_points(t):
+    """Reference points of the three local edges at parameters t, running
+    along each edge (orientation 0) or against it (1): (3, 2, nq, 2)."""
+    t = np.asarray(t, dtype=float)
+    return _REF_VERTS[:, None, None] + np.stack([t, 1.0 - t])[None, :, :, None] * _REF_EDGES[:, None, None]
+
+
+def _copies(rows):
+    """Two interleaved copies of reference rows (n, nq, ...): dof 2l + c is
+    row l in component c of a new axis after the point axis."""
+    out = np.zeros((2 * len(rows), rows.shape[1], 2) + rows.shape[2:])
     for c in range(2):
-        np.moveaxis(out[:, c::2], axis, 2)[:, :, c] = rows
+        out[c::2, :, c] = rows
     return out
 
 
-def _h1_volume_basis(space, elems, ref_pts):
-    geom = space.payload["geom"]
-    p = space.payload["p"]
-    lag = lagrange_eval(p, ref_pts)  # (nloc_s, nq)
-    gref = lagrange_grad(p, ref_pts)  # (nloc_s, nq, 2)
-    # the map through Jinv as two explicit terms; an einsum over the two
-    # reference directions costs several times more
-    Jinv = geom.Jinv[elems]
-    gphys = gref[None, ..., 0, None] * Jinv[:, None, None, 0, :] + gref[None, ..., 1, None] * Jinv[:, None, None, 1, :]
-    return Basis(val=_copies(np.broadcast_to(lag, (len(elems),) + lag.shape)), grad=_copies(gphys))
+def reference_basis(fam: str, order: int, deriv: str, pts) -> np.ndarray:
+    """Reference component array r (nloc, nq, R) of a kind (broken and
+    conforming share one) at reference points (nq, 2): on an element, the
+    deriv (val, grad or div) of basis function t at point q is P_e r[t, q]
+    flattened, with P_e from geometry_map. Scalar and row bases come in two
+    interleaved copies; L2sym and L2skew carry their component tensors."""
+    if deriv not in ("val", _DERIV.get(fam)):
+        raise ValueError(f"{fam} basis has no {deriv!r} array")
+    if fam == "H1":  # Lagrange: the inverse Vandermonde applied to monomials or their gradients
+        rows = np.tensordot(_lagrange_matrix(order), (_mono_eval if deriv == "val" else _mono_grad)(_mono_exps(order), pts), (0, 0))
+    elif fam == "Hdiv":  # the orthonormal reference RT basis
+        R, span = _rt_reference(order - 1), _rt_span_eval(order - 1, pts)[deriv == "div"]
+        rows = (R.T @ span.reshape(len(R), -1)).reshape(span.shape)
+    elif fam == "L2vec":
+        rows = ortho_modal_eval(order, pts)
+    else:
+        modal = ortho_modal_eval(order, pts)
+        return (modal[:, None, :, None] * _L2_KIND_COMPS[fam].reshape(1, -1, 1, 4)).reshape(-1, modal.shape[1], 4)
+    r = _copies(rows)
+    return r.reshape(r.shape[:2] + (-1,))
 
 
-def _l2_volume_basis(space, elems, ref_pts):
-    geom = space.payload["geom"]
-    k = space.payload["k"]
-    modal = ortho_modal_eval(k, ref_pts)  # (nm, nq)
-    nm, nq = modal.shape
-    scal = modal[None] / np.sqrt(np.abs(geom.det[elems]))[:, None, None]
-    if space.kind == "L2vec":
-        return Basis(val=_copies(scal))
-    comps = _L2_KIND_COMPS[space.kind]
-    nc = len(comps)
-    val = np.zeros((len(elems), nc * nm, nq, 2, 2))
-    for c in range(nc):
-        val[:, c::nc] = scal[..., None, None] * comps[c]
-    return Basis(val=val)
-
-
-def _hdiv_basis(space, elems, ref_pts):
-    """Row basis of an H(div) space at reference points, shared (nq, 2) or
-    per element (nelt, nq, 2): values (nelt, N, nq, 2), divergences (nelt,
-    N, nq). The contravariant Piola map times sqrt(det J) keeps values O(1):
-    J psi_ref / sqrt(det J) and div_ref psi_ref / sqrt(det J). A conforming
-    space combines these into its dual basis through C."""
-    k, geom = space.payload["k"], space.payload["geom"]
-    R = _rt_reference(k)
-    sval, sdiv = _rt_span_eval(k, ref_pts)
-    val = np.moveaxis((R.T @ sval.reshape(len(R), -1)).reshape(sval.shape), 0, -3)
-    div = np.moveaxis((R.T @ sdiv.reshape(len(R), -1)).reshape(sdiv.shape), 0, -2)
+def geometry_map(space: DofSpace, deriv: str, elems) -> np.ndarray:
+    """Per-element maps P_e (nelt, D, R) from reference_basis components to
+    flattened physical values; the H(div) ones are the contravariant Piola
+    map times sqrt(det J)."""
+    geom, fam = space.payload["geom"], space.kind.removeprefix("Broken")
+    if fam == "H1":
+        if deriv == "val":
+            return np.broadcast_to(np.eye(2), (len(elems), 2, 2))
+        return np.kron(np.eye(2)[None], geom.Jinv[elems].transpose(0, 2, 1))
     h = geom.hscale[elems][:, None, None]
-    Js = (geom.J[elems] / h)[:, None, None]  # (nelt, 1, 1, 2, 2)
-    val, div = val[..., 0, None] * Js[..., 0] + val[..., 1, None] * Js[..., 1], div / h
-    if "C" in space.payload:
-        Ct = space.payload["C"][elems].transpose(0, 2, 1)
-        val = (Ct @ val.reshape(div.shape[:2] + (-1,))).reshape(val.shape)
-        div = Ct @ div
-    return val, div
+    if fam == "Hdiv" and deriv == "val":
+        return np.kron(np.eye(2)[None], geom.J[elems] / h)
+    return np.eye(4 if fam in ("L2sym", "L2skew") else 2)[None] / h
+
+
+def dual_rows(space: DofSpace, elems, X):
+    """Arrays X (nelt, nloc, ...) over the pushed-forward reference basis
+    turned into arrays over the space's basis: a conforming H(div) space
+    combines them through C, phi_l = sum_j C[e, j, l] psi_j, per stress row."""
+    if space.kind != "Hdiv":
+        return X
+    Ct = space.payload["C"][elems].transpose(0, 2, 1)
+    return (Ct @ X.reshape(Ct.shape[:2] + (-1,))).reshape(X.shape)
+
+
+def psi_coefficients(space: DofSpace, elems, xe):
+    """Element coefficients xe (nelt, nloc) of a field of the space in the
+    pushed-forward reference basis: C[e] x for a conforming H(div) space."""
+    if space.kind != "Hdiv":
+        return xe
+    return (space.payload["C"][elems] @ xe.reshape(len(xe), -1, 2)).reshape(xe.shape)
+
+
+def _volume_maps(space: DofSpace, elems, ref_pts):
+    """(deriv, r, P_e) for val and the derivative the kind has."""
+    if "geom" not in space.payload:
+        raise ValueError(f"volume basis undefined for kind {space.kind}")
+    fam = space.kind.removeprefix("Broken")
+    for deriv in ("val", _DERIV[fam]) if fam in _DERIV else ("val",):
+        yield deriv, reference_basis(fam, space.order, deriv, ref_pts), geometry_map(space, deriv, elems)
 
 
 def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
-    """Basis arrays of a volume space at shared reference points."""
+    """Basis arrays of a volume space at shared reference points: P_e r per
+    element and basis function."""
     elems = np.asarray(elems, dtype=np.int64)
-    if space.kind in ("H1", "BrokenH1"):
-        return _h1_volume_basis(space, elems, ref_pts)
-    if space.kind in ("L2vec", "L2sym", "L2skew"):
-        return _l2_volume_basis(space, elems, ref_pts)
-    if space.kind in ("Hdiv", "BrokenHdiv"):
-        val, div = _hdiv_basis(space, elems, ref_pts)
-        return Basis(val=_copies(val), div=_copies(div))
-    raise ValueError(f"volume basis undefined for kind {space.kind}")
+    out = {}
+    for deriv, r, P in _volume_maps(space, elems, ref_pts):
+        a = (r.reshape(-1, r.shape[2]) @ P.transpose(0, 2, 1)).reshape((len(elems),) + r.shape[:2] + (-1,))
+        out[deriv] = dual_rows(space, elems, a).reshape(a.shape[:3] + (2,) * (P.shape[1] // 2))
+    return Basis(**out)
 
 
-def element_edge_values(space: DofSpace, elems, t):
-    """Trace of element basis functions on the element's own edges.
+def edge_flips(mesh: Mesh, elems) -> np.ndarray:
+    """(nelt, 3) orientation index of each local edge: 1 where the global
+    edge parameter runs against it, i.e. the element's vertex k is the
+    higher-numbered end of its edge k."""
+    return (mesh.triangles[elems] != mesh.edges[mesh.tri_edges[elems], 0]).astype(np.int64)
 
-    For H1-type spaces returns values (nelt, nloc, 3, nq, 2); for
-    H(div)-type spaces returns outward normal traces (nelt, nloc, 3, nq, 2).
-    The edge points of all three local edges are pulled back to the
-    reference triangle once.
-    """
-    elems = np.asarray(elems, dtype=np.int64)
-    mesh = space.mesh
-    pts = edge_points(mesh, mesh.tri_edges[elems], t)  # (nelt, 3, nq, 2)
-    nelt, _, nq, _ = pts.shape
-    if space.kind not in ("H1", "BrokenH1", "Hdiv", "BrokenHdiv"):
-        raise ValueError(f"edge values undefined for kind {space.kind}")
-    ref = to_reference(space.payload["geom"], elems, pts.reshape(nelt, 3 * nq, 2))
-    if space.kind in ("H1", "BrokenH1"):
-        p = space.payload["p"]
-        scalar = np.einsum("nl,neq->elq", _lagrange_matrix(p), _mono_eval(_mono_exps(p), ref))
-    else:
-        sk = space.payload["skeleton"]
-        nrm = sk.normals[mesh.tri_edges[elems]] * sk.tri_signs[elems][..., None]  # outward, (nelt, 3, 2)
-        val = _hdiv_basis(space, elems, ref)[0].reshape(nelt, -1, 3, nq, 2)
-        scalar = val[..., 0] * nrm[:, None, :, None, 0] + val[..., 1] * nrm[:, None, :, None, 1]
-    return _copies(scalar.reshape(nelt, -1, 3, nq), axis=4)
+
+def edge_reference(fam: str, order: int, t) -> np.ndarray:
+    """Traces of the reference basis of an H1 or H(div) kind on the three
+    local edges at parameters t, running along (orientation 0) or against
+    (1) each edge, (3, 2, nloc, nq, 2): H1 values, H(div) normal traces
+    against the outward reference normal times the edge length."""
+    if fam not in _DERIV:
+        raise ValueError(f"edge values undefined for kind {fam}")
+    r = reference_basis(fam, order, "val", _ref_edge_points(t).reshape(-1, 2))
+    r = r.reshape((len(r), 3, 2, len(t), 2, -1))
+    if fam == "Hdiv":
+        r = np.einsum("lkoqci,ki->lkoqc", r, _REF_NORMALS)
+    return np.moveaxis(r.reshape(r.shape[:5]), 0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -801,11 +795,13 @@ def interpolate(space: DofSpace, exact):
         # the dof functionals of the two stress rows; a shared edge dof gets
         # the same value from both sides, so plain assignment is safe. The
         # broken space writes the same interpolant in its own basis.
-        k = space.payload["k"]
-        F = _rt_moments(
-            mesh, space.payload["geom"], space.payload["skeleton"], k, 2 * k + 10,
-            lambda pts: np.moveaxis(exact.stress(pts), -2, 1),
-        )
+        k, geom = space.payload["k"], space.payload["geom"]
+        mom = _edge_moments(mesh, space.payload["skeleton"], np.arange(mesh.num_edges), k + 1, 2 * k + 10, lambda x, n: exact.stress(x) @ n)
+        F = mom[mesh.tri_edges].reshape(mesh.num_triangles, -1, 2)
+        if k >= 1:
+            pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, triangle_rule(2 * k + 10).points)
+            vals = np.moveaxis(exact.stress(pts), -2, 1)
+            F = np.concatenate([F, _rt_interior(k, geom.J / geom.hscale[:, None, None], vals, 2 * k + 10)], axis=1)
         if space.kind == "BrokenHdiv":
             F = _rt_dual(space) @ F
         coeffs[space.elt_dofs] = F.reshape(len(F), -1)
@@ -826,12 +822,16 @@ def interpolate(space: DofSpace, exact):
 
 def field_values(space: DofSpace, coeffs, elems, ref_pts) -> Basis:
     """A discrete volume field on the given elements at shared reference
-    points: the volume_basis arrays contracted with the element
-    coefficients, val (nelt, nq, ...) and grad or div where the kind
-    has them."""
-    x = coeffs[space.elt_dofs[elems]]
-    b = volume_basis(space, elems, ref_pts)
-    return Basis(*(None if a is None else np.einsum("el,elq...->eq...", x, a) for a in (b.val, b.grad, b.div)))
+    points, val (nelt, nq, ...) and grad or div where the kind has them:
+    the element coefficients (in the pushed-forward basis) contracted with
+    the reference arrays, then mapped by P_e."""
+    elems = np.asarray(elems, dtype=np.int64)
+    x = psi_coefficients(space, elems, coeffs[space.elt_dofs[elems]])
+    out = {}
+    for deriv, r, P in _volume_maps(space, elems, ref_pts):
+        v = (x @ r.reshape(len(r), -1)).reshape(len(elems), r.shape[1], -1) @ P.transpose(0, 2, 1)
+        out[deriv] = v.reshape(v.shape[:2] + (2,) * (P.shape[1] // 2))
+    return Basis(**out)
 
 
 def _one_element(space: DofSpace, coeffs, e: int, phys_pts) -> Basis:
@@ -857,6 +857,5 @@ def evaluate_field_gradient(space: DofSpace, coeffs, e: int, phys_pts):
 
 def evaluate_trace_field(space: DofSpace, coeffs, eid: int, t):
     """Evaluate a trace field on one skeleton edge at parameters t."""
-    basis = trace_edge_basis(space, t)[eid]  # (nloc, nq, 2)
     x = coeffs[space.edge_dofs[eid]]
-    return np.einsum("l,lqc->qc", x, basis)
+    return np.einsum("l,lqc->qc", x, trace_edge_basis(space.kind, space.order, t))

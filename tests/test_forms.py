@@ -1,16 +1,21 @@
 """Local assembly tests: Gram structure, trace pairings, loads, and
 exact-solution consistency of the formulation blocks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dpgelast.material import MaterialParams
-from dpgelast.mesh import build_square_mesh, build_lshape_mesh, uniform_refine, skeleton
-from dpgelast.quadrature import triangle_rule, map_to_physical
+from dpgelast.mesh import build_square_mesh, build_lshape_mesh, uniform_refine, skeleton, refine
+from dpgelast.quadrature import triangle_rule, map_to_physical, edge_rule
 from dpgelast.spaces import (
     interpolate,
     volume_basis,
     geometry,
+    to_reference,
+    edge_points,
+    trace_edge_basis,
     h1_space,
     hdiv_space,
     l2_space,
@@ -22,19 +27,96 @@ from dpgelast.forms import (
     DESCRIPTORS,
     FORMULATION_IDS,
     BCData,
+    Formulation,
     bc_from_exact,
     formulation,
+    build_test_spaces,
     assemble_local_blocks,
     element_quadrature,
     gram_blocks,
+    volume_blocks,
     scatter_blocks,
-    _contract,
+    trial_term_values,
     trial_layout,
     element_trial_dofs,
 )
+from dpgelast.infsup_lab import _infsup_operators, _conforming_space, _numbered, _TRIAL_NORM
+from dpgelast.residual_adaptivity import P_RES
 
 
 MAT = MaterialParams(lam=1.0, mu=1.0)
+
+
+def corner_graded_lshape(rounds=3):
+    """L-shape refined adaptively towards the re-entrant corner at the origin."""
+    m = build_lshape_mesh()
+    for _ in range(rounds):
+        m = refine(m, np.argsort(np.linalg.norm(m.triangle_vertices().mean(axis=1), axis=1))[:4])
+    return m
+
+
+def contraction(wts, a, b):
+    """sum_q w_q <a_t, b_u> over the trailing value axes of padded basis
+    arrays (nelt, n, nq, ...): the test-side quadrature reference of the
+    element kernels."""
+    E, nq = wts.shape
+    a, b = a.reshape(E, a.shape[1], nq, -1), b.reshape(E, b.shape[1], nq, -1)
+    return np.einsum("eq,etqk,euqk->etu", wts, a, b, optimize=True)
+
+
+def quadrature_gram(wts, basis, norm):
+    G = contraction(wts, basis.val, basis.val)
+    if norm == "H1":
+        G += contraction(wts, basis.grad, basis.grad)
+    elif norm == "Hdiv":
+        G += contraction(wts, basis.div, basis.div)
+    return G
+
+
+def quadrature_blocks(form, degree):
+    """B, Bhat, G and l of a formulation on all elements by test-side
+    quadrature: padded volume_basis arrays contracted by einsum, and the
+    traces of the test basis at physical edge points pulled back to the
+    reference triangle element by element and edge by edge."""
+    mesh, desc = form.mesh, form.desc
+    elems = np.arange(mesh.num_triangles)
+    rule, wts, pts = element_quadrature(mesh, elems, degree)
+    layout = assemble_local_blocks(form, elems[:1], degree)
+    ts, fs, hs = layout.test_slices, layout.field_slices, layout.trace_slices
+    B = np.zeros((len(elems),) + layout.B.shape[1:])
+    Bhat = np.zeros((len(elems),) + layout.Bhat.shape[1:])
+    G = np.zeros((len(elems),) + layout.G.shape[1:])
+    l = np.zeros((len(elems),) + layout.l.shape[1:])
+    tb = {n: volume_basis(form.test_spaces[n], elems, rule.points) for n, _ in desc.test_slots}
+    fb = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in desc.field_slots}
+    for term in desc.terms:
+        uarr = trial_term_values(term, fb, form.material)
+        B[:, ts[term.test], fs[term.trial]] += term.sign * contraction(wts, getattr(tb[term.test], term.test_deriv), uarr)
+    for name, _ in desc.test_slots:
+        G[:, ts[name], ts[name]] = quadrature_gram(wts, tb[name], desc.test_norms[name])
+    l[:, ts[desc.load_slot]] = np.einsum("eq,eqc,elqc->el", wts, form.bc.body_force(pts), tb[desc.load_slot].val)
+    geom, sk = geometry(mesh), form.skeleton
+    tq, twq = edge_rule(degree)
+    for tt in desc.trace_terms:
+        test, trace = form.test_spaces[tt.test], form.trace_spaces[tt.trace]
+        tbasis = trace_edge_basis(trace.kind, trace.order, tq)
+        nm = tbasis.shape[0]
+        for e in elems:
+            for k in range(3):
+                eid = mesh.tri_edges[e, k]
+                ref = to_reference(geom, np.array([e]), edge_points(mesh, np.array([eid]), tq))[0]
+                val = volume_basis(test, [e], ref).val[0]
+                sign = sk.tri_signs[e, k]
+                trace_of_test = val if test.kind == "BrokenH1" else val @ (sign * sk.normals[eid])
+                fac = sk.lengths[eid] * (sign if trace.kind == "TraceHm12" else 1.0)
+                pair = fac * np.einsum("q,tqc,mqc->tm", twq, trace_of_test, tbasis)
+                c0 = hs[tt.trace].start + k * nm
+                Bhat[e, ts[tt.test], c0 : c0 + nm] += tt.sign * pair
+    return B, Bhat, G, l
+
+
+def rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
 
 
 @pytest.fixture(scope="module")
@@ -103,8 +185,8 @@ class TestGram:
 
 
 class TestGramKernel:
-    # the copy-0 Gram written into both copies against the contraction of
-    # the full zero-padded basis arrays
+    # the reference-kernel Gram against the quadrature contraction of the
+    # full zero-padded basis arrays
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["H1", "BrokenH1", "Hdiv", "BrokenHdiv"])
     def test_one_copy_matches_padded_contraction(self, kind, p):
@@ -118,15 +200,14 @@ class TestGramKernel:
         }[kind]()
         elems = np.arange(m.num_triangles)
         rule, wts, _ = element_quadrature(m, elems, 2 * p + 2)
-        basis = volume_basis(space, elems, rule.points)
         norm = "H1" if kind.endswith("H1") else "Hdiv"
-        ref = _contract(wts, basis.val, basis.val)
-        ref += _contract(wts, basis.grad, basis.grad) if norm == "H1" else _contract(wts, basis.div, basis.div)
-        G = gram_blocks(wts, basis, norm)
+        ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
+        G = gram_blocks(space, elems, 2 * p + 2, norm)
         assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("kind", ["L2vec", "L2sym", "L2skew", "BrokenH1", "BrokenHdiv"])
     def test_l2_norm_is_the_contraction(self, kind):
+        # the L2 Gram is the val kernel alone, and that matches the contraction
         m = build_square_mesh(2)
         space = {
             "BrokenH1": lambda: broken_h1_space(m, 2),
@@ -135,7 +216,80 @@ class TestGramKernel:
         elems = np.arange(m.num_triangles)
         rule, wts, _ = element_quadrature(m, elems, 6)
         basis = volume_basis(space, elems, rule.points)
-        assert np.array_equal(gram_blocks(wts, basis, "L2"), _contract(wts, basis.val, basis.val))
+        G = gram_blocks(space, elems, 6, "L2")
+        assert np.array_equal(G, volume_blocks(space, "val", space, "val", elems, 6))
+        ref = contraction(wts, basis.val, basis.val)
+        assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_unknown_norm_rejected(self):
+        m = build_square_mesh(1)
+        with pytest.raises(ValueError, match="unknown norm"):
+            gram_blocks(broken_h1_space(m, 1), np.arange(m.num_triangles), 4, "H2")
+
+
+class TestReferenceKernels:
+    # every test-side block from the reference tensors against test-side
+    # quadrature on a corner-graded mesh (shape-varied, graded elements)
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return corner_graded_lshape()
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_local_blocks_match_quadrature(self, mesh, spec, p):
+        smooth = smooth_solution_2d()
+        form = formulation(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth))
+        blocks = assemble_local_blocks(form)
+        refs = quadrature_blocks(form, form.quad_degree())
+        for got, ref in zip((blocks.B, blocks.Bhat, blocks.G, blocks.l), refs):
+            if ref.size:
+                assert rel_err(got, ref) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_infsup_operators_match_quadrature(self, mesh, spec, p):
+        q = p + 1
+        B, GY, GX = _infsup_operators(spec, mesh, MAT, p, q)
+        desc = DESCRIPTORS[spec]
+        sk = skeleton(mesh)
+        form = Formulation(
+            desc=replace(desc, trace_slots=(), trace_terms=()), mesh=mesh, material=MAT, p=p, dp=1, bc=BCData(),
+            field_spaces={n: _conforming_space(k, sk, p, False) for n, k in desc.field_slots},
+            trace_spaces={},
+            test_spaces={n: _conforming_space(k, sk, q, False) for n, k in desc.test_slots},
+            skeleton=sk,
+        )
+        degree = 2 * (q + 1) + 2
+        Bq, _, Gq, _ = quadrature_blocks(form, degree)
+        rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
+        cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
+        elems = np.arange(mesh.num_triangles)
+        rule, wts, _ = element_quadrature(mesh, elems, degree)
+        gx, off = [], 0
+        for name, kind in desc.field_slots:
+            space = form.field_spaces[name]
+            s = slice(off, off + space.nloc)
+            off += space.nloc
+            gx.append((cols[:, s], cols[:, s], quadrature_gram(wts, volume_basis(space, elems, rule.points), _TRIAL_NORM[kind])))
+        for got, ref in (
+            (B, scatter_blocks([(rows, cols, Bq)], (ntest, ntrial))[tfree][:, ufree]),
+            (GY, scatter_blocks([(rows, rows, Gq)], (ntest, ntest))[tfree][:, tfree]),
+            (GX, scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]),
+        ):
+            assert rel_err(got.toarray(), ref.toarray()) <= 1e-13
+
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_estimator_gram_matches_quadrature(self, mesh, spec):
+        # the enriched test spaces of the estimator, order P_RES, on its rule
+        desc, p = DESCRIPTORS[spec], 2
+        tests = build_test_spaces(desc, skeleton(mesh), p, P_RES - p)
+        elems = np.arange(mesh.num_triangles)
+        degree = 2 * P_RES + 2
+        rule, wts, _ = element_quadrature(mesh, elems, degree)
+        for name, space in tests.items():
+            norm = desc.test_norms[name]
+            ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
+            assert rel_err(gram_blocks(space, elems, degree, norm), ref) <= 1e-13
 
 
 class TestScatterBlocks:

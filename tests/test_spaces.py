@@ -6,7 +6,7 @@ import pytest
 
 from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, refine, skeleton
 from dpgelast.quadrature import triangle_rule, edge_rule
-from dpgelast.forms import element_quadrature, gram_blocks
+from dpgelast.forms import gram_blocks
 from dpgelast.spaces import (
     h1_space,
     broken_h1_space,
@@ -15,14 +15,16 @@ from dpgelast.spaces import (
     l2_space,
     trace_spaces,
     volume_basis,
-    element_edge_values,
-    trace_edge_basis,
+    edge_reference,
+    edge_flips,
+    edge_points,
     interpolate,
     evaluate_field,
     evaluate_field_gradient,
     evaluate_trace_field,
     geometry,
     ortho_modal_eval,
+    legendre01_eval,
     embed_in_broken,
     to_reference,
     _lagrange_matrix,
@@ -215,18 +217,16 @@ class TestConformity:
         rng = np.random.default_rng(13)
         coeffs = rng.standard_normal(space.ndof)
         t = np.linspace(0.05, 0.95, 7)
-        elems = np.arange(mesh.num_triangles)
-        ev = element_edge_values(space, elems, t)  # outward normal traces
+        sk = skeleton(mesh)
         for eid in range(mesh.num_edges):
             t0, t1 = mesh.edge_tris[eid]
             if t1 == -1:
                 continue
-            l0 = int(np.where(mesh.tri_edges[t0] == eid)[0][0])
-            l1 = int(np.where(mesh.tri_edges[t1] == eid)[0][0])
-            v0 = np.einsum("l,lqc->qc", coeffs[space.elt_dofs[t0]], ev[t0, :, l0])
-            v1 = np.einsum("l,lqc->qc", coeffs[space.elt_dofs[t1]], ev[t1, :, l1])
-            # outward normals oppose, so the traces must cancel
-            assert np.abs(v0 + v1).max() < 1e-9
+            pts = edge_points(mesh, eid, t)
+            # the stress of each side at the edge points, against the fixed normal
+            v0 = evaluate_field(space, coeffs, t0, pts) @ sk.normals[eid]
+            v1 = evaluate_field(space, coeffs, t1, pts) @ sk.normals[eid]
+            assert np.abs(v0 - v1).max() < 1e-9
 
     def test_h1_single_valued_at_shared_nodes(self, mesh):
         space = h1_space(mesh, 2)
@@ -274,21 +274,51 @@ class TestConformity:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_h1_edge_values_match_per_edge_pullback(self, p):
-        # one pull-back of all three local edges gives bitwise the values of
-        # pulling back and evaluating each local edge on its own
+        # the reference edge traces picked by each local edge's orientation
+        # give the values of pulling back the physical edge points of that
+        # edge; the pull-back carries the rounding of J^-1 (2e-14 at p = 4)
         m = corner_refined_lshape()
-        space = h1_space(m, p)
         elems = np.arange(m.num_triangles)
         t = edge_rule(2 * p + 4)[0]
-        ev = element_edge_values(space, elems, t)
+        ev = edge_reference("H1", p, t)[np.arange(3), edge_flips(m, elems)].swapaxes(1, 2)
         geom = geometry(m)
         for loc in range(3):
             a, b = m.vertices[m.edges[m.tri_edges[:, loc]]].transpose(1, 0, 2)
             ref = to_reference(geom, elems, a[:, None] + t[:, None] * (b - a)[:, None])
             lag = np.einsum("nl,neq->elq", _lagrange_matrix(p), _mono_eval(_mono_exps(p), ref))
-            assert np.array_equal(ev[:, 0::2, loc, :, 0], lag)
-            assert np.array_equal(ev[:, 1::2, loc, :, 1], lag)
+            assert np.abs(ev[:, 0::2, loc, :, 0] - lag).max() <= 1e-13
+            assert np.array_equal(ev[:, 0::2, loc, :, 0], ev[:, 1::2, loc, :, 1])
             assert not ev[:, 0::2, loc, :, 1].any() and not ev[:, 1::2, loc, :, 0].any()
+
+
+class TestDualBasis:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_dual_basis_inverts_physical_moments(self, p):
+        # C, built from reference moments, inverts the RT dofs of the
+        # pushed-forward basis taken at physical points element by element:
+        # edge moments against the fixed normal in the global edge parameter,
+        # then area-averaged moments against the scaled monomials
+        m = corner_refined_lshape()
+        sk, geom, k = skeleton(m), geometry(m), p - 1
+        C = hdiv_space(sk, p).payload["C"]
+        brok = broken_hdiv_space(sk, p)
+        tq, twq = edge_rule(2 * p + 2)
+        rule = triangle_rule(2 * p + 2)
+        for e in range(m.num_triangles):
+            dofs = []
+            for loc in range(3):
+                eid = m.tri_edges[e, loc]
+                ref = to_reference(geom, np.array([e]), edge_points(m, np.array([eid]), tq))[0]
+                row = volume_basis(brok, [e], ref).val[0, 0::2, :, 0]  # (N, nq, 2)
+                dofs.append(np.einsum("q,mq,lq->ml", twq, legendre01_eval(p, tq), row @ sk.normals[eid]))
+            if k >= 1:
+                pts = geom.origin[e] + rule.points @ geom.J[e].T
+                xt = (pts - m.triangle_vertices()[e].mean(axis=0)) / geom.hscale[e]
+                row = volume_basis(brok, [e], rule.points).val[0, 0::2, :, 0]
+                qm = _mono_eval(_mono_exps(k - 1), xt)
+                dofs += [2.0 * np.einsum("q,mq,lq->ml", rule.weights, qm, row[..., c]) for c in range(2)]
+            ref = np.linalg.inv(np.concatenate(dofs))
+            assert np.abs(C[e] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestExactSequence:
@@ -332,8 +362,7 @@ class TestGramAndQuadrature:
         elems = np.arange(m.num_triangles)
         cond = []
         for p in range(1, 7):
-            rule, wts, _ = element_quadrature(m, elems, 2 * p + 2)
-            G = gram_blocks(wts, volume_basis(broken_hdiv_space(sk, p), elems, rule.points), "Hdiv")
+            G = gram_blocks(broken_hdiv_space(sk, p), elems, 2 * p + 2, "Hdiv")
             cond.append(np.linalg.cond(G).max())
         assert cond[-1] <= 1.1 * cond[0]
         assert max(cond) < 1e6
