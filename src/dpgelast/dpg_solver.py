@@ -145,16 +145,16 @@ def assemble_normal_equations(
     layout = trial_layout(form)
     n = layout.ndof
     rhs = np.zeros(n)
-    triples = []
     nelt = form.mesh.num_triangles
+    gdofs = element_trial_dofs(form, layout, np.arange(nelt))  # (nelt, nloc)
+    # all blocks in one array: chunk blocks kept among the chunks' work arrays fragment the heap
+    A = np.empty(gdofs.shape + gdofs.shape[1:])
     for start in range(0, nelt, chunk):
         elems = np.arange(start, min(start + chunk, nelt))
         blocks = assemble_local_blocks(form, elems)
-        A, b = condense_local(blocks, blocks.test_slices[test_slot] if test_slot else slice(None))
-        gdofs = element_trial_dofs(form, layout, elems)  # (ne, nloc)
-        triples.append((gdofs, gdofs, A))
-        np.add.at(rhs, gdofs.ravel(), b.ravel())
-    return GlobalSystem(form=form, layout=layout, K=scatter_blocks(triples, (n, n)), rhs=rhs)
+        A[elems], b = condense_local(blocks, blocks.test_slices[test_slot] if test_slot else slice(None))
+        np.add.at(rhs, gdofs[elems].ravel(), b.ravel())
+    return GlobalSystem(form=form, layout=layout, K=scatter_blocks([(gdofs, gdofs, A)], (n, n)), rhs=rhs)
 
 
 # minimum-degree ordering on A + A^T with diagonal pivots, for SPD systems
@@ -427,7 +427,7 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     nelt = mesh.num_triangles
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
-        _, _, pts = element_quadrature(mesh, elems, 2 * p + 2)
+        _, _, pts = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
         A = volume_blocks(space, "grad", space, "grad", elems, 2 * p + 2, op_matrix("C", material))
         b = basis_pairing(space, "val", elems, 2 * p + 2, bc.body_force(pts))
         gdofs = space.elt_dofs[elems]

@@ -6,16 +6,23 @@ Two benchmarks are provided:
   unit square with lam = mu = 1 and the matching body force;
 * a singular equilibrium field on the L-shaped domain whose displacement
   behaves like r^a near the re-entrant corner, built from an Airy-type
-  stress function in polar coordinates.
+  stress function in polar coordinates. Its fields are elementwise in r,
+  the polar direction and sin, cos((a +- 1) theta), found once per point,
+  and it declares its exponent (params): it is homogeneous about the corner.
 
 Every field object evaluates displacement, displacement gradient, stress
 and body force at arbitrary points; correctness is locked by
-finite-difference audits in the test-suite.
+finite-difference audits in the test-suite. error_norms integrates near
+the corner with a rule graded toward it (44 strips, ratio 1/2), built once
+per degree and corner vertex; strip l is strip 0 scaled by 2^-l, so the
+exact fields are evaluated on strip 0 and the tip only and scaled by
+2^(-l a) (displacement) or 2^(-l (a - 1)) (gradient, stress).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -45,7 +52,10 @@ class ExactSolution:
     displacement(pts) -> (..., 2); displacement_gradient(pts) -> (..., 2, 2)
     with entries du_i/dx_j; stress(pts) -> (..., 2, 2); body_force(pts) ->
     (..., 2). traction(pts, normal) -> stress . normal. singular_corner is
-    the location excluded from stress evaluation, or None.
+    the location excluded from stress evaluation, or None; a field with a
+    singular corner declares its corner mode in params: displacement is
+    homogeneous of degree params.a about the corner, its gradient and the
+    stress of degree params.a - 1.
     """
 
     displacement: Callable
@@ -54,6 +64,11 @@ class ExactSolution:
     body_force: Callable
     material: MaterialParams
     singular_corner: Optional[np.ndarray] = None
+    params: Optional[SingularParams] = None
+
+    def __post_init__(self):
+        if (self.singular_corner is None) != (self.params is None):
+            raise ValueError("a singular corner comes with its corner-mode params")
 
     def traction(self, pts, normal):
         sig = self.stress(pts)
@@ -85,14 +100,8 @@ def smooth_solution_2d(material: Optional[MaterialParams] = None) -> ExactSoluti
         pts = np.asarray(pts, dtype=float)
         sx, cx = np.sin(pi * pts[..., 0]), np.cos(pi * pts[..., 0])
         sy, cy = np.sin(pi * pts[..., 1]), np.cos(pi * pts[..., 1])
-        dx = pi * cx * sy
-        dy = pi * sx * cy
-        g = np.empty(pts.shape[:-1] + (2, 2))
-        g[..., 0, 0] = dx
-        g[..., 0, 1] = dy
-        g[..., 1, 0] = dx
-        g[..., 1, 1] = dy
-        return g
+        row = np.stack([pi * cx * sy, pi * sx * cy], axis=-1)  # both components share it
+        return np.stack([row, row], axis=-2)
 
     def stress(pts):
         g = displacement_gradient(pts)
@@ -118,29 +127,6 @@ def smooth_solution_2d(material: Optional[MaterialParams] = None) -> ExactSoluti
         body_force=body_force,
         material=m,
     )
-
-
-def _mode_functions(sp: SingularParams):
-    """Angular profile F, its derivatives, and the companion G', for the
-    two-sine corner mode."""
-    a, C1 = sp.a, sp.C1
-
-    def F(t):
-        return C1 * np.sin((a + 1) * t) + np.sin((a - 1) * t)
-
-    def dF(t):
-        return C1 * (a + 1) * np.cos((a + 1) * t) + (a - 1) * np.cos((a - 1) * t)
-
-    def ddF(t):
-        return -C1 * (a + 1) ** 2 * np.sin((a + 1) * t) - (a - 1) ** 2 * np.sin((a - 1) * t)
-
-    def G(t):
-        return -4.0 / (a - 1) * np.cos((a - 1) * t)
-
-    def dG(t):
-        return 4.0 * np.sin((a - 1) * t)
-
-    return F, dF, ddF, G, dG
 
 
 def _exponent_residual(a: float, nu: float) -> float:
@@ -203,8 +189,7 @@ def singular_solution(material: Optional[MaterialParams] = None) -> ExactSolutio
     """
     m = material if material is not None else MaterialParams(lam=123.0, mu=79.3)
     sp = solve_singularity_exponent(m.nu)
-    a, nu, mu, lam = sp.a, sp.nu, m.mu, m.lam
-    F, dF, ddF, G, dG = _mode_functions(sp)
+    a, C1, k1, mu = sp.a, sp.C1, 4.0 * (1.0 - sp.nu), m.mu
 
     # The mode's sector is -3pi/4 < theta < 3pi/4 (slit on the negative
     # x-axis). The L-shape occupies -pi < phi < pi/2 with the re-entrant
@@ -214,132 +199,130 @@ def singular_solution(material: Optional[MaterialParams] = None) -> ExactSolutio
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     Q = np.array([[c, -s], [s, c]])  # x_mode = Q @ x_domain
 
-    def polar(pts_mode):
-        r = np.hypot(pts_mode[..., 0], pts_mode[..., 1])
-        th = np.arctan2(pts_mode[..., 1], pts_mode[..., 0])
-        return r, th
-
-    def displacement(pts):
-        pts = np.asarray(pts, dtype=float)
-        pm = pts @ Q.T
-        r, th = polar(pm)
-        ur = (1.0 / (2 * mu)) * r**a * (-(a + 1) * F(th) + (1 - nu) * dG(th))
-        ut = (1.0 / (2 * mu)) * r**a * (-dF(th) + (1 - nu) * (a - 1) * G(th))
-        ct, st = np.cos(th), np.sin(th)
-        um = np.stack([ur * ct - ut * st, ur * st + ut * ct], axis=-1)
-        return um @ Q
-
-    def stress_mode(pm):
-        r, th = polar(pm)
-        ra = r ** (a - 1)
-        srr = ra * (ddF(th) + (a + 1) * F(th))
-        stt = a * (a + 1) * ra * F(th)
-        srt = -a * ra * dF(th)
-        ct, st = np.cos(th), np.sin(th)
-        # polar -> Cartesian tensor rotation
-        sxx = srr * ct**2 - 2 * srt * st * ct + stt * st**2
-        syy = srr * st**2 + 2 * srt * st * ct + stt * ct**2
-        sxy = (srr - stt) * st * ct + srt * (ct**2 - st**2)
-        out = np.empty(pm.shape[:-1] + (2, 2))
-        out[..., 0, 0] = sxx
-        out[..., 0, 1] = sxy
-        out[..., 1, 0] = sxy
-        out[..., 1, 1] = syy
-        return out
-
-    def stress(pts):
+    def corner_terms(pts):
+        """r, cos and sin of phi = theta - pi/4 (0 at the corner), sin, cos((a +- 1) theta)."""
         pts = np.asarray(pts, dtype=float)
         pm = pts @ Q.T
         r = np.hypot(pm[..., 0], pm[..., 1])
-        if np.any(r < 1e-300):
-            raise ValueError("stress evaluation at the corner point is undefined")
-        sm = stress_mode(pm)
-        return Q.T @ sm @ Q
+        th = np.arctan2(pm[..., 1], pm[..., 0])
+        inv = 1.0 / np.where(r > 0, r, np.inf)
+        trig = (np.sin((a + 1) * th), np.cos((a + 1) * th), np.sin((a - 1) * th), np.cos((a - 1) * th))
+        return (r, pts[..., 0] * inv, pts[..., 1] * inv) + trig
+
+    # u_r = r^a A / 2mu, u_t = r^a B / 2mu with A = -(a+1) F + (1-nu) G', B =
+    # -F' + (1-nu)(a-1) G, F = C1 sin((a+1) t) + sin((a-1) t), G = -4 cos((a-1) t) / (a-1)
+    def profiles(sp1, cp1, sm1, cm1):
+        return -(a + 1) * C1 * sp1 + (k1 - a - 1) * sm1, -(a + 1) * C1 * cp1 - (k1 + a - 1) * cm1
+
+    def rotate(cphi, sphi, trr, trt, ttr, ttt):
+        """R T R^T of T = [[trr, trt], [ttr, ttt]], R = [[cos phi, -sin phi], [sin phi, cos phi]]."""
+        cc, ss, cs = cphi * cphi, sphi * sphi, cphi * sphi
+        t = (cc * trr - cs * (trt + ttr) + ss * ttt, cs * (trr - ttt) + cc * trt - ss * ttr)
+        t += (cs * (trr - ttt) - ss * trt + cc * ttr, ss * trr + cs * (trt + ttr) + cc * ttt)
+        return np.stack(t, axis=-1).reshape(cphi.shape + (2, 2))
+
+    def displacement(pts):
+        r, cphi, sphi, *trig = corner_terms(pts)
+        ur, ut = r**a / (2 * mu) * np.array(profiles(*trig))
+        return np.stack([ur * cphi - ut * sphi, ur * sphi + ut * cphi], axis=-1)
 
     def displacement_gradient(pts):
-        pts = np.asarray(pts, dtype=float)
-        pm = pts @ Q.T
-        r, th = polar(pm)
-        # angular profiles of (u_r, u_theta) and their derivatives
-        A = -(a + 1) * F(th) + (1 - nu) * dG(th)
-        dA = -(a + 1) * dF(th) + (1 - nu) * 4 * (a - 1) * np.cos((a - 1) * th)
-        B = -dF(th) + (1 - nu) * (a - 1) * G(th)
-        dB = -ddF(th) + (1 - nu) * (a - 1) * dG(th)
+        # polar-frame gradient of u_r e_r + u_t e_t:
+        # [[du_r/dr, (du_r/dt - u_t)/r], [du_t/dr, (du_t/dt + u_r)/r]]
+        r, cphi, sphi, sp1, cp1, sm1, cm1 = corner_terms(pts)
+        A, B = profiles(sp1, cp1, sm1, cm1)
+        dA = -((a + 1) ** 2) * C1 * cp1 + (a - 1) * (k1 - a - 1) * cm1
+        dB = (a + 1) ** 2 * C1 * sp1 + (a - 1) * (k1 + a - 1) * sm1
         ra1 = r ** (a - 1) / (2 * mu)
-        # gradient of u_r e_r + u_t e_t in the polar orthonormal frame:
-        # [[du_r/dr, (du_r/dth - u_t)/r], [du_t/dr, (du_t/dth + u_r)/r]]
-        g_rr = a * ra1 * A
-        g_rt = ra1 * (dA - B)
-        g_tr = a * ra1 * B
-        g_tt = ra1 * (dB + A)
-        ct, st = np.cos(th), np.sin(th)
-        # rotate the frame tensor to mode-Cartesian: G_cart = P G_polar P^T
-        # with P columns (e_r, e_theta)
-        P = np.empty(pm.shape[:-1] + (2, 2))
-        P[..., 0, 0] = ct
-        P[..., 0, 1] = -st
-        P[..., 1, 0] = st
-        P[..., 1, 1] = ct
-        Gp = np.empty(pm.shape[:-1] + (2, 2))
-        Gp[..., 0, 0] = g_rr
-        Gp[..., 0, 1] = g_rt
-        Gp[..., 1, 0] = g_tr
-        Gp[..., 1, 1] = g_tt
-        gm = P @ Gp @ np.swapaxes(P, -1, -2)
-        return Q.T @ gm @ Q
+        return rotate(cphi, sphi, a * ra1 * A, ra1 * (dA - B), a * ra1 * B, ra1 * (dB + A))
+
+    def stress(pts):  # Airy: srr = r^(a-1) (F'' + (a+1) F), stt = a (a+1) r^(a-1) F, srt = -a r^(a-1) F'
+        r, cphi, sphi, sp1, cp1, sm1, cm1 = corner_terms(pts)
+        if np.any(r < 1e-300):
+            raise ValueError("stress evaluation at the corner point is undefined")
+        ra = r ** (a - 1)
+        F = C1 * sp1 + sm1
+        dF = (a + 1) * C1 * cp1 + (a - 1) * cm1
+        ddF = -((a + 1) ** 2) * C1 * sp1 - (a - 1) ** 2 * sm1
+        srt = -a * ra * dF
+        return rotate(cphi, sphi, ra * (ddF + (a + 1) * F), srt, srt, a * (a + 1) * ra * F)
 
     def body_force(pts):
-        pts = np.asarray(pts, dtype=float)
-        return np.zeros(pts.shape[:-1] + (2,))
+        return np.zeros(np.shape(pts)[:-1] + (2,))
 
-    sol = ExactSolution(
+    return ExactSolution(
         displacement=displacement,
         displacement_gradient=displacement_gradient,
         stress=stress,
         body_force=body_force,
         material=m,
         singular_corner=np.zeros(2),
+        params=sp,
     )
-    sol.params = sp
-    return sol
 
 
 # reference triangle vertices; row k is the vertex with local index k
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+GRADED_LEVELS = 44
+
+
+@lru_cache(maxsize=None)
+def _group_rule(degree: int, k: int):
+    """(reference points, rule of the physical points, levels) of a group:
+    the plain rule for k = -1; for a corner at local vertex k the rule graded
+    toward reference vertex 0 (degree >= 16) put on the element (vertex 0 on
+    k), and the rule of its strip-0 and tip points on vertices k, k+1, k+2."""
+    if k < 0:
+        return triangle_rule(degree).points, triangle_rule(degree), 0
+    degree = max(degree, 16)
+    pts, wts = graded_triangle_rule(_REF_VERTS, 0, degree, levels=GRADED_LEVELS)
+    ref = map_to_physical(QuadratureRule(pts, wts, degree), _REF_VERTS[None, (k + np.arange(3)) % 3])[0][0]
+    nq = len(triangle_rule(degree).weights)
+    near = np.r_[: 2 * nq, len(wts) - nq : len(wts)]
+    ref.flags.writeable = False
+    return ref, QuadratureRule(pts[near], wts[near], degree), GRADED_LEVELS
+
+
+def _spread(v, levels: int, s: float):
+    """Values at the strip-0 and tip points of a graded group (nelt, 3 nq, ...)
+    spread over all its points: strip l is strip 0 scaled by 2^-l toward the
+    corner, so a quantity homogeneous of degree s about the corner is 2^(-l s)
+    times its strip-0 value there. levels 0 (the plain group) returns v."""
+    if not levels:
+        return v
+    nq = v.shape[1] // 3
+    scale = 0.5 ** (s * np.arange(levels)).reshape((1, -1, 1) + (1,) * (v.ndim - 2))
+    strips = (scale * v[:, None, : 2 * nq]).reshape((len(v), -1) + v.shape[2:])
+    return np.concatenate([strips, v[:, 2 * nq :]], axis=1)
 
 
 def _quadrature_groups(mesh, degree, singular_corner):
-    """Yield (elems, reference points, physical points, weights) for each
-    group of elements that shares one reference rule.
-
-    Elements away from the singular corner share the plain rule. Elements
-    whose local vertex k sits at the corner share one rule graded toward
-    reference vertex 0, mapped from vertex k as c + r0 (p - c) + r1 (q - c)
-    with c, p, q the vertices k, k+1, k+2, so points near the singularity
-    keep their relative accuracy; the reference points of the basis are
-    the same combination of the reference vertices.
-    """
+    """Yield (elems, reference points, weights, physical points, levels) for
+    each group of elements that shares one reference rule (_group_rule):
+    the plain rule away from the singular corner; where local vertex k sits
+    at the corner, the rule graded toward it, mapped as c + r0 (p - c) +
+    r1 (q - c) with c, p, q the vertices k, k+1, k+2 so points near the
+    singularity keep their relative accuracy. A graded group's weights
+    (4^-l times strip 0's on strip l) are spread in full; its physical
+    points are those of strip 0 and the tip, for _spread."""
     verts = mesh.triangle_vertices()
     corner = np.full(mesh.num_triangles, -1)
     if singular_corner is not None:
         d = np.linalg.norm(verts - singular_corner, axis=-1)
         near = d.min(axis=1) < 1e-12
         corner[near] = np.argmin(d[near], axis=1)
-    groups = [(corner < 0, 0, triangle_rule(degree))]
-    if np.any(corner >= 0):
-        gdeg = max(degree, 16)
-        graded = QuadratureRule(*graded_triangle_rule(_REF_VERTS, 0, gdeg, levels=44), degree=gdeg)
-        groups += [(corner == k, k, graded) for k in range(3)]
-    for mask, k, rule in groups:
-        if np.any(mask):
-            order = (k + np.arange(3)) % 3
-            ref = map_to_physical(rule, _REF_VERTS[None, order])[0][0]
-            yield (np.flatnonzero(mask), ref) + map_to_physical(rule, verts[mask][:, order])
+    for k in range(-1, 3):
+        elems = np.flatnonzero(corner == k)
+        if len(elems):
+            ref, rule, levels = _group_rule(degree, k)
+            pts, wts = map_to_physical(rule, verts[elems][:, (max(k, 0) + np.arange(3)) % 3])
+            yield elems, ref, _spread(wts, levels, 2.0), pts, levels
 
 
 def _weighted_sq(wts, a):
     """Quadrature sum of |a|^2 over elements and points; a is (nelt, nq, ...)."""
-    return np.sum(wts * np.sum(a.reshape(a.shape[:2] + (-1,)) ** 2, axis=-1))
+    a = a.reshape(a.shape[:2] + (-1,))
+    return np.einsum("eq,eqk,eqk->", wts, a, a)
 
 
 def error_norms(fields, exact: ExactSolution, quad_degree: Optional[int] = None):
@@ -350,24 +333,26 @@ def error_norms(fields, exact: ExactSolution, quad_degree: Optional[int] = None)
     discontinuous field; the relative error divides by the matching exact
     norm. Stress and rotation slots are reported in L2. Each element
     group of _quadrature_groups is evaluated at once through
-    spaces.field_values.
+    spaces.field_values; on a graded group the exact fields are evaluated on
+    strip 0 and the tip and spread over the strips by their homogeneity.
     """
     spaces = fields.spaces
     degree = quad_degree if quad_degree is not None else 2 * max(s.order for s in spaces.values()) + 6
     u_space = spaces.get("u")
     err2 = ref2 = sig2 = 0.0
-    for elems, ref, pts, wts in _quadrature_groups(fields.mesh, degree, exact.singular_corner):
+    for elems, ref, wts, pts, levels in _quadrature_groups(fields.mesh, degree, exact.singular_corner):
+        a = exact.params.a if levels else 0.0
         if u_space is not None:
             uh = field_values(u_space, fields.coeffs["u"], elems, ref)
-            ue = exact.displacement(pts)
+            ue = _spread(exact.displacement(pts), levels, a)
             err2 += _weighted_sq(wts, uh.val - ue)
             ref2 += _weighted_sq(wts, ue)
             if u_space.kind == "H1":
-                ge = exact.displacement_gradient(pts)
+                ge = _spread(exact.displacement_gradient(pts), levels, a - 1)
                 err2 += _weighted_sq(wts, uh.grad - ge)
                 ref2 += _weighted_sq(wts, ge)
         if "sigma" in spaces:
             sh = field_values(spaces["sigma"], fields.coeffs["sigma"], elems, ref).val
-            sig2 += _weighted_sq(wts, sh - exact.stress(pts))
+            sig2 += _weighted_sq(wts, sh - _spread(exact.stress(pts), levels, a - 1))
     rel = np.sqrt(err2 / ref2) if ref2 > 0 else np.sqrt(err2)
     return float(rel), ({"sigma": float(np.sqrt(sig2))} if "sigma" in spaces else {})

@@ -50,7 +50,7 @@ from .spaces import (
     trace_spaces,
     volume_basis,
     trace_edge_basis,
-    geometry,
+    Geometry,
     reference_basis,
     geometry_map,
     dual_rows,
@@ -232,6 +232,11 @@ class Formulation:
     def id(self):
         return self.desc.id
 
+    @property
+    def geom(self):
+        """The element geometry every volume space of the mesh holds."""
+        return self.test_spaces[self.desc.load_slot].payload["geom"]
+
     def trial_slot_names(self):
         return [n for n, _ in self.desc.field_slots] + [n for n, _ in self.desc.trace_slots]
 
@@ -343,11 +348,10 @@ def _local_layout(form: Formulation):
     return test_slices, ntest, field_slices, nfield, trace_slices, off
 
 
-def element_quadrature(mesh: Mesh, elems, degree: int):
+def element_quadrature(geom: Geometry, elems, degree: int):
     """Reference rule of the given degree with its per-element weights
-    |det J| w_q, (nelt, nq), and physical points, (nelt, nq, 2)."""
+    |det J| w_q, (nelt, nq), and physical points, (nelt, nq, 2), from geom."""
     rule = triangle_rule(degree)
-    geom = geometry(mesh)
     wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
     pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
     return rule, wts, pts
@@ -471,7 +475,7 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         G[:, s, s] = gram_blocks(form.test_spaces[name], elems, degree, form.desc.test_norms[name])
 
     # load (f, v)
-    _, _, pts = element_quadrature(mesh, elems, degree)
+    _, _, pts = element_quadrature(form.geom, elems, degree)
     load = form.desc.load_slot
     l[:, test_slices[load]] = basis_pairing(form.test_spaces[load], "val", elems, degree, form.bc.body_force(pts))
 
@@ -584,10 +588,9 @@ def l2_slot_residual_ops(form: Formulation, elems, quad_degree=None):
     (nelt, nfield, nq, ...) giving the representer of each trial basis
     function, and load_reps[name] the representer of the load (or None).
     """
-    mesh = form.mesh
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    rule, wts, pts = element_quadrature(mesh, elems, degree)
+    rule, wts, pts = element_quadrature(form.geom, elems, degree)
     field_bases = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in form.desc.field_slots}
     _, _, field_slices, nfield, _, _ = _local_layout(form)
     reps = {}
@@ -628,7 +631,7 @@ def element_momentum_integrals(
     evaluates its defects from them, on the same quadrature rule.
     """
     elems = np.asarray(elems, dtype=np.int64)
-    _, wts, pts = element_quadrature(space.mesh, elems, quad_degree)
+    _, wts, pts = element_quadrature(space.payload["geom"], elems, quad_degree)
     fv = bc.body_force(pts) if bc is not None else np.zeros(pts.shape)
     div_int = np.stack([basis_pairing(space, "div", elems, quad_degree, np.broadcast_to(e, pts.shape)) for e in np.eye(2)], -1)
     f_int = np.einsum("eq,eqc->ec", wts, fv)

@@ -98,7 +98,7 @@ def _dual_norms_sq(fields, tests, slots, elems, degree):
     """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K."""
     form = fields.form
     desc = form.desc
-    rule, _, pts = element_quadrature(form.mesh, elems, degree)
+    rule, _, pts = element_quadrature(form.geom, elems, degree)
     terms = [t for t in desc.terms if t.test in slots]
     uh = _trial_values(fields, terms, elems, rule.points)
     r = {n: np.zeros((len(elems), tests[n].nloc)) for n in slots}
@@ -125,7 +125,7 @@ def _pointwise_norms_sq(fields, slots, elems, degree):
     pointwise residual sum sign * project(op(u_h)) - f on each element."""
     form = fields.form
     desc = form.desc
-    rule, wts, pts = element_quadrature(form.mesh, elems, degree)
+    rule, wts, pts = element_quadrature(form.geom, elems, degree)
     names = {n for n, _ in slots}
     terms = [t for t in desc.terms if t.test in names]
     uh = _trial_values(fields, terms, elems, rule.points)

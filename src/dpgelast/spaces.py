@@ -38,10 +38,10 @@ at shared reference points, geometry_map the map P_e to physical values
 I / h; h = sqrt(det J)), dual_rows the combination through C of a
 conforming H(div) space, and edge_reference the traces on the local edges
 in both orientations of the global edge parameter; nothing is pulled
-back. volume_basis and field_values (coefficients contracted with r
-before P_e) evaluate from them; evaluate_field wraps field_values for
-physical points. _rt_dofs takes the RT dofs of reference data for the
-reference basis and for C.
+back. volume_basis and field_values (coefficients contracted with the
+unpadded rows of r, one copy per component, before P_e) evaluate from
+them; evaluate_field wraps field_values for physical points. _rt_dofs
+takes the RT dofs of reference data for the reference basis and for C.
 """
 
 from __future__ import annotations
@@ -658,25 +658,31 @@ def _copies(rows):
     return out
 
 
+def _reference_rows(fam: str, order: int, deriv: str, pts) -> np.ndarray:
+    """What reference_basis is built from at reference points (nq, 2): the
+    scalar or row arrays (n, nq, ...) that H1, Hdiv and L2vec carry in two
+    interleaved copies; L2sym and L2skew give their full array (nloc, nq, 4)."""
+    if deriv not in ("val", _DERIV.get(fam)):
+        raise ValueError(f"{fam} basis has no {deriv!r} array")
+    if fam == "H1":  # Lagrange: the inverse Vandermonde applied to monomials or their gradients
+        return np.tensordot(_lagrange_matrix(order), (_mono_eval if deriv == "val" else _mono_grad)(_mono_exps(order), pts), (0, 0))
+    if fam == "Hdiv":  # the orthonormal reference RT basis
+        R, span = _rt_reference(order - 1), _rt_span_eval(order - 1, pts)[deriv == "div"]
+        return (R.T @ span.reshape(len(R), -1)).reshape(span.shape)
+    modal = ortho_modal_eval(order, pts)
+    if fam == "L2vec":
+        return modal
+    return (modal[:, None, :, None] * _L2_KIND_COMPS[fam].reshape(1, -1, 1, 4)).reshape(-1, modal.shape[1], 4)
+
+
 def reference_basis(fam: str, order: int, deriv: str, pts) -> np.ndarray:
     """Reference component array r (nloc, nq, R) of a kind (broken and
     conforming share one) at reference points (nq, 2): on an element, the
     deriv (val, grad or div) of basis function t at point q is P_e r[t, q]
     flattened, with P_e from geometry_map. Scalar and row bases come in two
     interleaved copies; L2sym and L2skew carry their component tensors."""
-    if deriv not in ("val", _DERIV.get(fam)):
-        raise ValueError(f"{fam} basis has no {deriv!r} array")
-    if fam == "H1":  # Lagrange: the inverse Vandermonde applied to monomials or their gradients
-        rows = np.tensordot(_lagrange_matrix(order), (_mono_eval if deriv == "val" else _mono_grad)(_mono_exps(order), pts), (0, 0))
-    elif fam == "Hdiv":  # the orthonormal reference RT basis
-        R, span = _rt_reference(order - 1), _rt_span_eval(order - 1, pts)[deriv == "div"]
-        rows = (R.T @ span.reshape(len(R), -1)).reshape(span.shape)
-    elif fam == "L2vec":
-        rows = ortho_modal_eval(order, pts)
-    else:
-        modal = ortho_modal_eval(order, pts)
-        return (modal[:, None, :, None] * _L2_KIND_COMPS[fam].reshape(1, -1, 1, 4)).reshape(-1, modal.shape[1], 4)
-    r = _copies(rows)
+    r = _reference_rows(fam, order, deriv, pts)
+    r = r if fam in ("L2sym", "L2skew") else _copies(r)
     return r.reshape(r.shape[:2] + (-1,))
 
 
@@ -713,13 +719,13 @@ def psi_coefficients(space: DofSpace, elems, xe):
     return (space.payload["C"][elems] @ xe.reshape(len(xe), -1, 2)).reshape(xe.shape)
 
 
-def _volume_maps(space: DofSpace, elems, ref_pts):
-    """(deriv, r, P_e) for val and the derivative the kind has."""
+def _volume_maps(space: DofSpace, elems):
+    """(deriv, P_e) for val and the derivative the kind has."""
     if "geom" not in space.payload:
         raise ValueError(f"volume basis undefined for kind {space.kind}")
     fam = space.kind.removeprefix("Broken")
     for deriv in ("val", _DERIV[fam]) if fam in _DERIV else ("val",):
-        yield deriv, reference_basis(fam, space.order, deriv, ref_pts), geometry_map(space, deriv, elems)
+        yield deriv, geometry_map(space, deriv, elems)
 
 
 def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
@@ -727,7 +733,8 @@ def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
     element and basis function."""
     elems = np.asarray(elems, dtype=np.int64)
     out = {}
-    for deriv, r, P in _volume_maps(space, elems, ref_pts):
+    for deriv, P in _volume_maps(space, elems):
+        r = reference_basis(space.kind.removeprefix("Broken"), space.order, deriv, ref_pts)
         a = (r.reshape(-1, r.shape[2]) @ P.transpose(0, 2, 1)).reshape((len(elems),) + r.shape[:2] + (-1,))
         out[deriv] = dual_rows(space, elems, a).reshape(a.shape[:3] + (2,) * (P.shape[1] // 2))
     return Basis(**out)
@@ -824,12 +831,17 @@ def field_values(space: DofSpace, coeffs, elems, ref_pts) -> Basis:
     """A discrete volume field on the given elements at shared reference
     points, val (nelt, nq, ...) and grad or div where the kind has them:
     the element coefficients (in the pushed-forward basis) contracted with
-    the reference arrays, then mapped by P_e."""
+    the reference rows, copy c with the coefficients x[:, 2 l + c], then
+    mapped by P_e."""
     elems = np.asarray(elems, dtype=np.int64)
     x = psi_coefficients(space, elems, coeffs[space.elt_dofs[elems]])
+    fam, nelt, nq = space.kind.removeprefix("Broken"), len(elems), len(ref_pts)
     out = {}
-    for deriv, r, P in _volume_maps(space, elems, ref_pts):
-        v = (x @ r.reshape(len(r), -1)).reshape(len(elems), r.shape[1], -1) @ P.transpose(0, 2, 1)
+    for deriv, P in _volume_maps(space, elems):
+        rows = _reference_rows(fam, space.order, deriv, ref_pts)
+        nc = x.shape[1] // len(rows)  # 2 copies, or 1 where rows are the full basis
+        v = np.swapaxes(x.reshape(nelt, -1, nc), 1, 2).reshape(-1, len(rows)) @ rows.reshape(len(rows), -1)
+        v = np.swapaxes(v.reshape(nelt, nc, nq, -1), 1, 2).reshape(nelt, nq, -1) @ P.transpose(0, 2, 1)
         out[deriv] = v.reshape(v.shape[:2] + (2,) * (P.shape[1] // 2))
     return Basis(**out)
 

@@ -1,6 +1,8 @@
 """Closed-form benchmark solutions audited by finite differences and
 independent quadrature oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from dpgelast.forms import bc_from_exact
 from dpgelast.dpg_solver import solve_dpg
 from dpgelast.spaces import evaluate_field, evaluate_field_gradient
 from dpgelast.exact_solutions import (
+    ExactSolution,
     smooth_solution_2d,
     singular_solution,
     solve_singularity_exponent,
@@ -156,6 +159,49 @@ class TestSingular:
         )
         rates = np.log(mags[1:] / mags[:-1]) / np.log(r[1:] / r[:-1])
         assert np.abs(rates - (a - 1)).max() < 1e-10
+
+    def test_fields_homogeneous_about_corner(self, singular):
+        # u(lam x) = lam^a u(x), grad u and sigma scale with lam^(a-1): the
+        # property error_norms uses to spread strip-0 values over the strips
+        a = singular.params.a
+        rng = np.random.default_rng(8)
+        pts = np.concatenate(
+            [
+                interior_points(rng, 50, ((0.05, 0.95), (0.05, 0.95))),
+                interior_points(rng, 50, ((-0.95, -0.05), (0.05, 0.95))),
+                interior_points(rng, 50, ((0.05, 0.95), (-0.95, -0.05))),
+            ]
+        )
+        for fn, s in (
+            (singular.displacement, a),
+            (singular.displacement_gradient, a - 1),
+            (singular.stress, a - 1),
+        ):
+            base = fn(pts)
+            for level in range(45):
+                lam = 0.5**level
+                want = lam**s * base
+                assert np.abs(fn(lam * pts) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_displacement_at_corner_is_zero(self, singular):
+        # Dirichlet data and interpolation evaluate it at the corner vertex
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = singular.displacement(np.zeros((3, 2)))
+        assert np.array_equal(u, np.zeros((3, 2)))
+
+    def test_singular_corner_needs_params(self, singular):
+        fields = dict(
+            displacement=singular.displacement,
+            displacement_gradient=singular.displacement_gradient,
+            stress=singular.stress,
+            body_force=singular.body_force,
+            material=singular.material,
+        )
+        with pytest.raises(ValueError):
+            ExactSolution(**fields, singular_corner=np.zeros(2))
+        with pytest.raises(ValueError):
+            ExactSolution(**fields, params=singular.params)
 
     def test_body_force_zero(self, singular):
         pts = np.array([[0.3, 0.4], [-0.2, 0.5]])

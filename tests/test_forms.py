@@ -80,7 +80,7 @@ def quadrature_blocks(form, degree):
     reference triangle element by element and edge by edge."""
     mesh, desc = form.mesh, form.desc
     elems = np.arange(mesh.num_triangles)
-    rule, wts, pts = element_quadrature(mesh, elems, degree)
+    rule, wts, pts = element_quadrature(form.geom, elems, degree)
     layout = assemble_local_blocks(form, elems[:1], degree)
     ts, fs, hs = layout.test_slices, layout.field_slices, layout.trace_slices
     B = np.zeros((len(elems),) + layout.B.shape[1:])
@@ -199,7 +199,7 @@ class TestGramKernel:
             "BrokenHdiv": lambda: broken_hdiv_space(sk, p),
         }[kind]()
         elems = np.arange(m.num_triangles)
-        rule, wts, _ = element_quadrature(m, elems, 2 * p + 2)
+        rule, wts, _ = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
         norm = "H1" if kind.endswith("H1") else "Hdiv"
         ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
         G = gram_blocks(space, elems, 2 * p + 2, norm)
@@ -214,7 +214,7 @@ class TestGramKernel:
             "BrokenHdiv": lambda: broken_hdiv_space(skeleton(m), 2),
         }.get(kind, lambda: l2_space(m, 2, kind))()
         elems = np.arange(m.num_triangles)
-        rule, wts, _ = element_quadrature(m, elems, 6)
+        rule, wts, _ = element_quadrature(space.payload["geom"], elems, 6)
         basis = volume_basis(space, elems, rule.points)
         G = gram_blocks(space, elems, 6, "L2")
         assert np.array_equal(G, volume_blocks(space, "val", space, "val", elems, 6))
@@ -264,7 +264,7 @@ class TestReferenceKernels:
         rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
         cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
         elems = np.arange(mesh.num_triangles)
-        rule, wts, _ = element_quadrature(mesh, elems, degree)
+        rule, wts, _ = element_quadrature(form.geom, elems, degree)
         gx, off = [], 0
         for name, kind in desc.field_slots:
             space = form.field_spaces[name]
@@ -285,7 +285,7 @@ class TestReferenceKernels:
         tests = build_test_spaces(desc, skeleton(mesh), p, P_RES - p)
         elems = np.arange(mesh.num_triangles)
         degree = 2 * P_RES + 2
-        rule, wts, _ = element_quadrature(mesh, elems, degree)
+        rule, wts, _ = element_quadrature(geometry(mesh), elems, degree)
         for name, space in tests.items():
             norm = desc.test_norms[name]
             ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)

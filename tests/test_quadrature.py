@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dpgelast.quadrature import (
+    QuadratureRule,
     triangle_rule,
     edge_rule,
     map_to_physical,
@@ -86,3 +87,25 @@ def test_graded_rule_matches_plain_rule_for_smooth():
     ppts, pwts = map_to_physical(rule, verts[None])
     f = lambda p: np.sin(p[..., 0]) * np.exp(p[..., 1])
     assert abs(np.sum(wts * f(pts)) - np.sum(pwts * f(ppts))) < 1e-10
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_graded_strips_are_scaled_copies_of_strip_zero(k):
+    # strip l of the graded rule is strip 0 scaled by 2^-l toward the graded
+    # vertex; with that vertex at the origin (local vertex k) the points
+    # scale bitwise, both for the rule graded toward reference vertex 0 and
+    # mapped from the corner-first vertices k, k + 1, k + 2 and for the rule
+    # built on the physical vertices
+    levels, degree = 44, 16
+    nq = len(triangle_rule(degree).weights)
+    verts = np.roll(np.array([[0.0, 0.0], [0.7, 0.1], [0.2, 0.9]]), k, axis=0)
+    unit = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    ref = QuadratureRule(*graded_triangle_rule(unit, 0, degree, levels), degree)
+    mapped = map_to_physical(ref, verts[(k + np.arange(3)) % 3][None])
+    for pts, wts in ((mapped[0][0], mapped[1][0]), graded_triangle_rule(verts, k, degree, levels)):
+        assert len(wts) == (2 * levels + 1) * nq
+        p = pts[: 2 * nq * levels].reshape(levels, 2 * nq, 2)
+        w = wts[: 2 * nq * levels].reshape(levels, 2 * nq)
+        for level in range(levels):
+            assert np.array_equal(p[level], 0.5**level * p[0])
+            assert np.array_equal(w[level], 0.25**level * w[0])
