@@ -7,16 +7,17 @@ The workhorse path condenses the element-local blocks
 
 into a sparse SPD system on the trial dofs, eliminates essential
 constraints symmetrically, and solves with a sparse LU (iterative
-fallback). Each element's A_K and b_K come from one Cholesky factor
-L_K of G_K as W^T W with W = L_K^{-1} [M_K | l_K], so A_K is symmetric
-by construction. The SPD free system is factored with a minimum-degree
-ordering on A + A^T and diagonal pivots (SuperLU's symmetric mode); the
-indefinite KKT and saddle-point systems keep partial pivoting. A system
-whose reciprocal 1-norm condition estimate falls below machine epsilon,
-e.g. one on a mesh with no Gamma0 edge, raises LinAlgError. Each solve
-records its path, residual, condition estimate and fill in
-extras["solver"]. The same solution can be obtained without condensation from
-the symmetric saddle-point system
+fallback). A_K and b_K are W^T W with W = L_K^{-1} [M_K | l_K], so A_K is
+symmetric by construction: a vector test slot's Gram is G1 kron I_2, L_K
+is one Cholesky factor of G1, and one forward substitution, batched over
+the elements, takes both copies' rows. The SPD free system is factored
+with a minimum-degree ordering on A + A^T and diagonal pivots (SuperLU's
+symmetric mode); the indefinite KKT and saddle-point systems keep partial
+pivoting. A system whose reciprocal 1-norm condition estimate falls
+below machine epsilon, e.g. one on a mesh with no Gamma0 edge, raises
+LinAlgError. Each solve records its path, residual, condition estimate
+and fill in extras["solver"]. The same solution can be obtained without
+condensation from the symmetric saddle-point system
 
     [ G  M ] [ psi ]   [ l ]
     [ M^T 0 ] [  x  ] = [ 0 ],
@@ -116,18 +117,31 @@ def gram_cholesky(G):
         raise ValueError("element Gram matrix is not SPD") from err
 
 
-def condense_local(blocks, test_slice=slice(None)):
-    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l),
-    restricted to the test dofs in test_slice.
+def forward_substitution(L, X):
+    """Y = L^{-1} X for lower-triangular L (nelt, n, n) and X (nelt, n, k),
+    row by row, each row one batched product over all elements."""
+    Y = np.array(X, dtype=float)
+    for i in range(L.shape[1]):
+        Y[:, i] -= (L[:, i, None, :i] @ Y[:, :i])[:, 0]
+        Y[:, i] /= L[:, i, i, None]
+    return Y
 
-    With the Cholesky factor G = L L^T and W = L^{-1} [M | l],
-    A = W_M^T W_M and b = W_M^T W_l; a Gram matrix that is not SPD
-    raises ValueError.
+
+def condense_local(blocks, test_slot: Optional[str] = None):
+    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l) on the
+    test dofs of one test slot, or of all of them.
+
+    Per slot, with its one-copy Gram G1 = L L^T and W = L^{-1} [M | l] (the
+    rows c l + j of each copy j as more right-hand sides), A = W_M^T W_M and
+    b = W_M^T W_l; a Gram matrix that is not SPD raises ValueError.
     """
-    s = test_slice
-    MB = np.concatenate([blocks.B[:, s, :], blocks.Bhat[:, s, :], blocks.l[:, s, None]], axis=2)
-    L = gram_cholesky(blocks.G[:, s, s])
-    W = np.linalg.solve(L, MB)
+    W = []
+    for name in [test_slot] if test_slot else blocks.G:
+        s, c = blocks.test_slices[name], blocks.test_copies[name]
+        MB = np.concatenate([blocks.B[:, s], blocks.Bhat[:, s], blocks.l[:, s, None]], axis=2)
+        E, n, m = MB.shape
+        W.append(forward_substitution(gram_cholesky(blocks.G[name]), MB.reshape(E, n // c, c * m)).reshape(E, n, m))
+    W = np.concatenate(W, axis=1)
     WM = W[..., :-1]
     A = np.swapaxes(WM, 1, 2) @ WM
     b = np.einsum("etm,et->em", WM, W[..., -1], optimize=True)
@@ -152,7 +166,7 @@ def assemble_normal_equations(
     for start in range(0, nelt, chunk):
         elems = np.arange(start, min(start + chunk, nelt))
         blocks = assemble_local_blocks(form, elems)
-        A[elems], b = condense_local(blocks, blocks.test_slices[test_slot] if test_slot else slice(None))
+        A[elems], b = condense_local(blocks, test_slot)
         np.add.at(rhs, gdofs[elems].ravel(), b.ravel())
     return GlobalSystem(form=form, layout=layout, K=scatter_blocks([(gdofs, gdofs, A)], (n, n)), rhs=rhs)
 
@@ -187,7 +201,8 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     if len(free) == 0:
         return x, info
     Kf = K[free][:, free].tocsc()
-    rhs_f = rhs[free] - K[free][:, constrained] @ values if len(constrained) else rhs[free]
+    # x holds the values on the constrained dofs and zeros elsewhere
+    rhs_f = (rhs - K @ x)[free] if len(constrained) else rhs[free]
     if C is not None:
         Cf = C[:, free]
         d_f = d - C[:, constrained] @ values if len(constrained) else d
@@ -299,7 +314,11 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     gdofs = element_trial_dofs(form, layout, np.arange(nelt))
     psi_dofs = np.arange(npsi).reshape(nelt, ntest)
     Bg = scatter_blocks([(psi_dofs, gdofs, M)], (npsi, layout.ndof))
-    G = scatter_blocks([(psi_dofs, psi_dofs, blocks.G)], (npsi, npsi))
+    gram = []
+    for name, s in blocks.test_slices.items():  # copy j of a slot's one-copy Gram on its dofs c l + j
+        d, c = psi_dofs[:, s], blocks.test_copies[name]
+        gram += [(d[:, j::c], d[:, j::c], blocks.G[name]) for j in range(c)]
+    G = scatter_blocks(gram, (npsi, npsi))
 
     free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)
     Bf = Bg[:, free]

@@ -9,7 +9,8 @@ instantiating all discrete spaces; assembly produces per-element blocks
 
     B (test x field), Bhat (test x trace), G (test Gram), l (load)
 
-in batched numpy arrays, chunked over elements to bound memory.
+in batched numpy arrays, chunked over elements to bound memory; G holds
+one copy G1 per test slot, its Gram being G1 kron I_c (gram_blocks).
 
 The blocks are reference tensors times geometry coefficients (Kirby and
 Logg, ACM TOMS 32, 2006): a volume term's block is |det J| P_test^T O
@@ -52,6 +53,8 @@ from .spaces import (
     trace_edge_basis,
     Geometry,
     reference_basis,
+    reference_rows,
+    row_copies,
     geometry_map,
     dual_rows,
     edge_flips,
@@ -320,9 +323,10 @@ class LocalBlocks:
     elems: np.ndarray
     B: np.ndarray  # (nelt, ntest, nfield)
     Bhat: np.ndarray  # (nelt, ntest, ntrace)
-    G: np.ndarray  # (nelt, ntest, ntest)
+    G: dict  # test slot -> one copy of its Gram (gram_blocks)
     l: np.ndarray  # (nelt, ntest)
     test_slices: dict  # test slot -> slice in local test index
+    test_copies: dict  # test slot -> c, its Gram being G[slot] kron I_c
     field_slices: dict
     trace_slices: dict
 
@@ -366,18 +370,21 @@ def _key(space: DofSpace):
 
 
 @lru_cache(maxsize=None)
-def _rule_basis(key, deriv: str, degree: int) -> np.ndarray:
-    """reference_basis of a (kind, order) at the points of the triangle rule."""
-    r = reference_basis(*key, deriv, triangle_rule(degree).points)
+def _rule_basis(key, deriv: str, degree: int, one_copy: bool = False) -> np.ndarray:
+    """reference_basis of a (kind, order) at the points of the triangle rule,
+    or with one_copy the reference_rows it copies, as (n, nq, R)."""
+    pts = triangle_rule(degree).points
+    r = reference_rows(*key, deriv, pts) if one_copy else reference_basis(*key, deriv, pts)
+    r = r.reshape(r.shape[:2] + (-1,))
     r.flags.writeable = False
     return r
 
 
 @lru_cache(maxsize=None)
-def _reference_tensor(test_key, test_deriv: str, trial_key, trial_deriv: str, degree: int) -> np.ndarray:
+def _reference_tensor(test_key, test_deriv: str, trial_key, trial_deriv: str, degree: int, one_copy: bool = False) -> np.ndarray:
     """M[a, b, t, u] = sum_q w_q r_test[t, q, a] r_trial[u, q, b] on the
     triangle rule of the degree, as (R_test * R_trial, nt * nu)."""
-    rt, ru = _rule_basis(test_key, test_deriv, degree), _rule_basis(trial_key, trial_deriv, degree)
+    rt, ru = (_rule_basis(k, d, degree, one_copy) for k, d in ((test_key, test_deriv), (trial_key, trial_deriv)))
     M = np.einsum("q,tqa,uqb->abtu", triangle_rule(degree).weights, rt, ru).reshape(rt.shape[2] * ru.shape[2], -1)
     M.flags.writeable = False
     return M
@@ -388,17 +395,20 @@ def op_matrix(op: str, material) -> np.ndarray:
     return _apply_op(np.eye(4).reshape(4, 2, 2), op, material).reshape(4, 4).T
 
 
-def volume_blocks(test: DofSpace, test_deriv: str, trial: DofSpace, trial_deriv: str, elems, degree: int, O=None):
+def volume_blocks(test: DofSpace, test_deriv: str, trial: DofSpace, trial_deriv: str, elems, degree: int, O=None, one_copy=False):
     """Element blocks sum_q w_q <D_test v_t, O D_trial u_u> (nelt, test nloc,
     trial nloc): the coefficients |det J| P_test^T O P_trial times the
-    reference tensor of the pair, one matmul; O (op_matrix) defaults to I."""
-    E = len(elems)
-    M = _reference_tensor(_key(test), test_deriv, _key(trial), trial_deriv, degree)
-    Pu = geometry_map(trial, trial_deriv, elems)
-    Pu = Pu if O is None else O @ Pu
-    coef = geometry_map(test, test_deriv, elems).transpose(0, 2, 1) @ Pu
+    reference tensor of the pair, one matmul; O (op_matrix) defaults to I.
+    With one_copy, of a space with itself and O = I, the block (nelt, n, n)
+    of one copy of the reference rows, n = nloc / c for c = row_copies: the
+    whole block is that kron I_c, as geometry_map is I_c kron one copy's map."""
+    E, c = len(elems), row_copies(test) if one_copy else 1
+    M = _reference_tensor(_key(test), test_deriv, _key(trial), trial_deriv, degree, one_copy)
+    Pt, Pu = (geometry_map(s, d, elems) for s, d in ((test, test_deriv), (trial, trial_deriv)))
+    Pu = Pu[:, : Pu.shape[1] // c, : Pu.shape[2] // c] if O is None else O @ Pu
+    coef = Pt[:, : Pt.shape[1] // c, : Pt.shape[2] // c].transpose(0, 2, 1) @ Pu
     coef *= np.abs(test.payload["geom"].det[elems])[:, None, None]
-    blk = dual_rows(test, elems, (coef.reshape(E, -1) @ M).reshape(E, test.nloc, trial.nloc))
+    blk = dual_rows(test, elems, (coef.reshape(E, -1) @ M).reshape(E, test.nloc // c, trial.nloc // c))
     return dual_rows(trial, elems, blk.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
@@ -406,11 +416,12 @@ _NORM_DERIVS = {"L2": ("val",), "H1": ("val", "grad"), "Hdiv": ("val", "div")}
 
 
 def gram_blocks(space: DofSpace, elems, degree: int, norm: str) -> np.ndarray:
-    """Element Gram matrices of a volume space in the L2, H1 or Hdiv norm:
-    the val kernel, plus the grad or div kernel."""
+    """One copy G1 of the element Gram matrices of a volume space in the L2,
+    H1 or Hdiv norm, the Gram being G1 kron I_c: the one-copy val kernel,
+    plus the grad or div kernel."""
     if norm not in _NORM_DERIVS:
         raise ValueError(f"unknown norm {norm!r}")
-    return sum(volume_blocks(space, d, space, d, elems, degree) for d in _NORM_DERIVS[norm])
+    return sum(volume_blocks(space, d, space, d, elems, degree, one_copy=True) for d in _NORM_DERIVS[norm])
 
 
 def basis_pairing(space: DofSpace, deriv: str, elems, degree: int, vals) -> np.ndarray:
@@ -461,7 +472,6 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
     nelt = len(elems)
     B = np.zeros((nelt, ntest, nfield))
     Bhat = np.zeros((nelt, ntest, ntrace))
-    G = np.zeros((nelt, ntest, ntest))
     l = np.zeros((nelt, ntest))
 
     for term in form.desc.terms:
@@ -470,9 +480,8 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         blk = volume_blocks(test, term.test_deriv, trial, term.trial_deriv, elems, degree, O)
         B[:, test_slices[term.test], field_slices[term.trial]] += term.sign * blk
 
-    for name, _ in form.desc.test_slots:
-        s = test_slices[name]
-        G[:, s, s] = gram_blocks(form.test_spaces[name], elems, degree, form.desc.test_norms[name])
+    spaces = form.test_spaces
+    G = {n: gram_blocks(spaces[n], elems, degree, form.desc.test_norms[n]) for n, _ in form.desc.test_slots}
 
     # load (f, v)
     _, _, pts = element_quadrature(form.geom, elems, degree)
@@ -492,6 +501,7 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         G=G,
         l=l,
         test_slices=test_slices,
+        test_copies={n: row_copies(spaces[n]) for n in G},
         field_slices=field_slices,
         trace_slices=trace_slices,
     )

@@ -30,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .dpg_solver import _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
-from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken
+from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
     DESCRIPTORS, BCData, Formulation, assemble_local_blocks, gram_blocks, scatter_blocks, trace_pairing_blocks,
     volume_blocks,
@@ -112,12 +112,17 @@ def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empt
         raise ValueError(f"{spec_id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
-    gx = []
+    # each Gram is one copy G1, the copy j of a slot's dofs d being d[:, j::c]
+    gx, gy = [], []
     for name, kind in desc.field_slots:
-        s = blocks.field_slices[name]
-        gx.append((cols[:, s], cols[:, s], gram_blocks(form.field_spaces[name], blocks.elems, degree, _TRIAL_NORM[kind])))
+        space, d = form.field_spaces[name], cols[:, blocks.field_slices[name]]
+        G, c = gram_blocks(space, blocks.elems, degree, _TRIAL_NORM[kind]), row_copies(space)
+        gx += [(d[:, j::c], d[:, j::c], G) for j in range(c)]
+    for name, s in blocks.test_slices.items():
+        d, c = rows[:, s], blocks.test_copies[name]
+        gy += [(d[:, j::c], d[:, j::c], blocks.G[name]) for j in range(c)]
     B = scatter_blocks([(rows, cols, blocks.B)], (ntest, ntrial))[tfree][:, ufree]
-    GY = scatter_blocks([(rows, rows, blocks.G)], (ntest, ntest))[tfree][:, tfree]
+    GY = scatter_blocks(gy, (ntest, ntest))[tfree][:, tfree]
     GX = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]
     return B, GY, GX
 
@@ -175,7 +180,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
         ],
         (n, n),
     )
-    Mmass = scatter_blocks([(ud, ud, gram_blocks(uspace, elems, degree, "L2")), (wd, wd, ww)], (n, n))
+    mu, c = gram_blocks(uspace, elems, degree, "L2"), row_copies(uspace)
+    Mmass = scatter_blocks([(ud[:, j::c], ud[:, j::c], mu) for j in range(c)] + [(wd, wd, ww)], (n, n))
     ufree = np.concatenate([_free(uspace), np.arange(nw) + nu])
     Mf = Mmass[ufree][:, ufree]
     lam = spla.eigsh(A[ufree][:, ufree], k=1, M=Mf, sigma=SHIFT, v0=np.ones(len(ufree)), return_eigenvectors=False)
@@ -193,7 +199,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
         ],
         (tspace.ndof, n2),
     )[tfree]
-    GT = scatter_blocks([(td, td, gram_blocks(tspace, elems, degree, "Hdiv"))], (tspace.ndof, tspace.ndof))
+    gt, c = gram_blocks(tspace, elems, degree, "Hdiv"), row_copies(tspace)
+    GT = scatter_blocks([(td[:, j::c], td[:, j::c], gt) for j in range(c)], (tspace.ndof, tspace.ndof))
     # both L2 trial spaces carry orthonormal bases, so their Gram is the identity
     lam2 = _min_infsup_eig(B, GT[tfree][:, tfree], sp.identity(n2, format="csr"))
     c_b = float(np.sqrt(max(lam2, 0.0)))
@@ -238,7 +245,8 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
     ):
         J = jump_pairing_matrix(brok, trace)
         bnorm = np.empty(brok.ndof)  # sqrt(G_ii): the norm of each broken basis function
-        bnorm[brok.elt_dofs] = np.sqrt(np.diagonal(gram_blocks(brok, elems, 2 * p + 2, norm), axis1=1, axis2=2))
+        diag = np.diagonal(gram_blocks(brok, elems, 2 * p + 2, norm), axis1=1, axis2=2)
+        bnorm[brok.elt_dofs] = np.sqrt(np.repeat(diag, row_copies(brok), axis=1))
         fwd = 0.0
         for _ in range(n_samples):
             x = rng.standard_normal(conf.ndof)

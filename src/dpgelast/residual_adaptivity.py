@@ -13,12 +13,13 @@ material map is applied, and the values are paired with the enriched
 test space's reference arrays (basis_pairing); the trace terms are the
 skeleton pairing blocks times the element's trace coefficients. Only
 the Gram-inverted (broken H1 and H(div)) test slots form their Gram
-matrices; the batched Cholesky factor that the solver's condensation
-uses turns r_K into L_K^{-1} r_K, whose squared norm is eta_K^2. Test
-slots identified with L2 need no Gram inversion: their residual is the
-pointwise function sum sign * project(op(u_h)) - f, integrated
-exactly, which avoids the projection onto a finite modal basis
-altogether.
+matrices, one copy G1 per slot (the Gram is G1 kron I_2); as in the
+solver's condensation, the Cholesky factor L_K of G1 and one batched
+forward substitution, with both copies of r_K as right-hand sides, give
+L_K^{-1} r_K, whose squared norm is eta_K^2. Test slots identified with
+L2 need no Gram inversion: their residual is the pointwise function sum
+sign * project(op(u_h)) - f, integrated exactly, which avoids the
+projection onto a finite modal basis altogether.
 
 Marking uses a simple maximum strategy and refinement is
 newest-vertex bisection, so the adaptive loop is
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Mesh, refine
-from .spaces import field_values
+from .spaces import field_values, row_copies
 from .forms import (
     formulation,
     build_test_spaces,
@@ -45,7 +46,7 @@ from .forms import (
     element_momentum_integrals,
     MOMENTUM_QUAD_DEGREE,
 )
-from .dpg_solver import SolutionFields, assemble_and_solve, gram_cholesky, CHUNK
+from .dpg_solver import SolutionFields, assemble_and_solve, gram_cholesky, forward_substitution, CHUNK
 
 P_RES = 4
 
@@ -115,8 +116,8 @@ def _dual_norms_sq(fields, tests, slots, elems, degree):
     out = np.zeros(len(elems))
     for n in slots:
         L = gram_cholesky(gram_blocks(tests[n], elems, degree, desc.test_norms[n]))
-        W = np.linalg.solve(L, r[n][..., None])[..., 0]
-        out += np.einsum("et,et->e", W, W)
+        W = forward_substitution(L, r[n].reshape(len(elems), L.shape[1], row_copies(tests[n])))
+        out += np.einsum("etc,etc->e", W, W)
     return out
 
 

@@ -658,7 +658,17 @@ def _copies(rows):
     return out
 
 
-def _reference_rows(fam: str, order: int, deriv: str, pts) -> np.ndarray:
+_FULL_ROWS = ("L2sym", "L2skew")
+
+
+def row_copies(space: DofSpace) -> int:
+    """How many interleaved copies of its reference rows a volume space's
+    basis carries: ncopies, or 1 for L2sym and L2skew, whose rows are the
+    whole basis. Its element Gram is then one copy's Gram kron I_c."""
+    return 1 if space.kind in _FULL_ROWS else space.ncopies
+
+
+def reference_rows(fam: str, order: int, deriv: str, pts) -> np.ndarray:
     """What reference_basis is built from at reference points (nq, 2): the
     scalar or row arrays (n, nq, ...) that H1, Hdiv and L2vec carry in two
     interleaved copies; L2sym and L2skew give their full array (nloc, nq, 4)."""
@@ -681,8 +691,8 @@ def reference_basis(fam: str, order: int, deriv: str, pts) -> np.ndarray:
     deriv (val, grad or div) of basis function t at point q is P_e r[t, q]
     flattened, with P_e from geometry_map. Scalar and row bases come in two
     interleaved copies; L2sym and L2skew carry their component tensors."""
-    r = _reference_rows(fam, order, deriv, pts)
-    r = r if fam in ("L2sym", "L2skew") else _copies(r)
+    r = reference_rows(fam, order, deriv, pts)
+    r = r if fam in _FULL_ROWS else _copies(r)
     return r.reshape(r.shape[:2] + (-1,))
 
 
@@ -708,7 +718,7 @@ def dual_rows(space: DofSpace, elems, X):
     if space.kind != "Hdiv":
         return X
     Ct = space.payload["C"][elems].transpose(0, 2, 1)
-    return (Ct @ X.reshape(Ct.shape[:2] + (-1,))).reshape(X.shape)
+    return (Ct @ X.reshape(Ct.shape[:2] + (np.prod(X.shape[1:], dtype=int) // Ct.shape[1],))).reshape(X.shape)
 
 
 def psi_coefficients(space: DofSpace, elems, xe):
@@ -716,7 +726,7 @@ def psi_coefficients(space: DofSpace, elems, xe):
     pushed-forward reference basis: C[e] x for a conforming H(div) space."""
     if space.kind != "Hdiv":
         return xe
-    return (space.payload["C"][elems] @ xe.reshape(len(xe), -1, 2)).reshape(xe.shape)
+    return (space.payload["C"][elems] @ xe.reshape(len(xe), xe.shape[1] // 2, 2)).reshape(xe.shape)
 
 
 def _volume_maps(space: DofSpace, elems):
@@ -735,7 +745,7 @@ def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
     out = {}
     for deriv, P in _volume_maps(space, elems):
         r = reference_basis(space.kind.removeprefix("Broken"), space.order, deriv, ref_pts)
-        a = (r.reshape(-1, r.shape[2]) @ P.transpose(0, 2, 1)).reshape((len(elems),) + r.shape[:2] + (-1,))
+        a = (r.reshape(-1, r.shape[2]) @ P.transpose(0, 2, 1)).reshape((len(elems),) + r.shape[:2] + P.shape[1:2])
         out[deriv] = dual_rows(space, elems, a).reshape(a.shape[:3] + (2,) * (P.shape[1] // 2))
     return Basis(**out)
 
@@ -836,12 +846,11 @@ def field_values(space: DofSpace, coeffs, elems, ref_pts) -> Basis:
     elems = np.asarray(elems, dtype=np.int64)
     x = psi_coefficients(space, elems, coeffs[space.elt_dofs[elems]])
     fam, nelt, nq = space.kind.removeprefix("Broken"), len(elems), len(ref_pts)
-    out = {}
+    out, nc = {}, row_copies(space)
     for deriv, P in _volume_maps(space, elems):
-        rows = _reference_rows(fam, space.order, deriv, ref_pts)
-        nc = x.shape[1] // len(rows)  # 2 copies, or 1 where rows are the full basis
-        v = np.swapaxes(x.reshape(nelt, -1, nc), 1, 2).reshape(-1, len(rows)) @ rows.reshape(len(rows), -1)
-        v = np.swapaxes(v.reshape(nelt, nc, nq, -1), 1, 2).reshape(nelt, nq, -1) @ P.transpose(0, 2, 1)
+        rows = reference_rows(fam, space.order, deriv, ref_pts)
+        v = np.swapaxes(x.reshape(nelt, len(rows), nc), 1, 2).reshape(-1, len(rows)) @ rows.reshape(len(rows), -1)
+        v = np.swapaxes(v.reshape(nelt, nc, nq, P.shape[2] // nc), 1, 2).reshape(nelt, nq, P.shape[2]) @ P.transpose(0, 2, 1)
         out[deriv] = v.reshape(v.shape[:2] + (2,) * (P.shape[1] // 2))
     return Basis(**out)
 

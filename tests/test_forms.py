@@ -21,6 +21,7 @@ from dpgelast.spaces import (
     l2_space,
     broken_h1_space,
     broken_hdiv_space,
+    row_copies,
 )
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import (
@@ -64,6 +65,22 @@ def contraction(wts, a, b):
     return np.einsum("eq,etqk,euqk->etu", wts, a, b, optimize=True)
 
 
+def padded_gram(G1, c):
+    """The Gram G1 kron I_c (nelt, c n, c n) of c interleaved copies."""
+    E, n, _ = G1.shape
+    return np.einsum("elm,ab->elamb", G1, np.eye(c)).reshape(E, n * c, n * c)
+
+
+def full_gram(blocks):
+    """The block-diagonal element Gram over all test rows from the one-copy
+    Grams of the slots."""
+    n = blocks.B.shape[1]
+    G = np.zeros((len(blocks.elems), n, n))
+    for name, s in blocks.test_slices.items():
+        G[:, s, s] = padded_gram(blocks.G[name], blocks.test_copies[name])
+    return G
+
+
 def quadrature_gram(wts, basis, norm):
     G = contraction(wts, basis.val, basis.val)
     if norm == "H1":
@@ -85,7 +102,7 @@ def quadrature_blocks(form, degree):
     ts, fs, hs = layout.test_slices, layout.field_slices, layout.trace_slices
     B = np.zeros((len(elems),) + layout.B.shape[1:])
     Bhat = np.zeros((len(elems),) + layout.Bhat.shape[1:])
-    G = np.zeros((len(elems),) + layout.G.shape[1:])
+    G = np.zeros((len(elems),) + layout.B.shape[1:2] * 2)
     l = np.zeros((len(elems),) + layout.l.shape[1:])
     tb = {n: volume_basis(form.test_spaces[n], elems, rule.points) for n, _ in desc.test_slots}
     fb = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in desc.field_slots}
@@ -163,14 +180,14 @@ class TestGram:
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_symmetric_spd(self, spec):
         form = formulation(spec, build_square_mesh(2), MAT, 2)
-        G = assemble_local_blocks(form, [3]).G[0]
+        G = full_gram(assemble_local_blocks(form, [3]))[0]
         assert np.abs(G - G.T).max() < 1e-13 * max(1.0, np.abs(G).max())
         assert np.linalg.eigvalsh(G).min() > 0
 
     def test_l2_slots_identity(self):
         # orthonormal L2 test bases make their Gram block the identity
         form = formulation("strong", build_square_mesh(2), MAT, 1)
-        G = assemble_local_blocks(form, [0]).G[0]
+        G = full_gram(assemble_local_blocks(form, [0]))[0]
         assert np.abs(G - np.eye(G.shape[0])).max() < 1e-12
 
     def test_broken_h1_constant_energy_is_area(self):
@@ -181,7 +198,7 @@ class TestGram:
         c = np.zeros(space.nloc)
         c[0::2] = 1.0
         area = form.mesh.areas()[0]
-        assert abs(c @ blocks.G[0] @ c - area) < 1e-13
+        assert abs(c @ full_gram(blocks)[0] @ c - area) < 1e-13
 
 
 class TestGramKernel:
@@ -202,7 +219,7 @@ class TestGramKernel:
         rule, wts, _ = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
         norm = "H1" if kind.endswith("H1") else "Hdiv"
         ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
-        G = gram_blocks(space, elems, 2 * p + 2, norm)
+        G = padded_gram(gram_blocks(space, elems, 2 * p + 2, norm), row_copies(space))
         assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
 
     @pytest.mark.parametrize("kind", ["L2vec", "L2sym", "L2skew", "BrokenH1", "BrokenHdiv"])
@@ -216,7 +233,8 @@ class TestGramKernel:
         elems = np.arange(m.num_triangles)
         rule, wts, _ = element_quadrature(space.payload["geom"], elems, 6)
         basis = volume_basis(space, elems, rule.points)
-        G = gram_blocks(space, elems, 6, "L2")
+        c = row_copies(space)
+        G = padded_gram(gram_blocks(space, elems, 6, "L2"), c)
         assert np.array_equal(G, volume_blocks(space, "val", space, "val", elems, 6))
         ref = contraction(wts, basis.val, basis.val)
         assert np.abs(G - ref).max() <= 1e-14 * np.abs(ref).max()
@@ -225,6 +243,33 @@ class TestGramKernel:
         m = build_square_mesh(1)
         with pytest.raises(ValueError, match="unknown norm"):
             gram_blocks(broken_h1_space(m, 1), np.arange(m.num_triangles), 4, "H2")
+
+
+class TestOneCopyGram:
+    # the padded Gram formed the old way, as the sum of the padded val and
+    # grad or div kernels, is I_2 kron one block: its cross-copy blocks are
+    # exact zeros, its copy blocks equal (bitwise but for one ulp at
+    # BrokenHdiv p=3 on the L-shape, where the padded matmul sums the two
+    # copies' terms in a different order), and that block is the one-copy Gram
+    DERIVS = {"L2": ("val",), "H1": ("val", "grad"), "Hdiv": ("val", "div")}
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["BrokenH1", "BrokenHdiv", "L2vec"])
+    @pytest.mark.parametrize("domain", ["square", "lshape"])
+    def test_padded_gram_is_two_equal_copies(self, domain, kind, p):
+        m = build_square_mesh(4) if domain == "square" else corner_graded_lshape()
+        space, norm = {
+            "BrokenH1": lambda: (broken_h1_space(m, p), "H1"),
+            "BrokenHdiv": lambda: (broken_hdiv_space(skeleton(m), p), "Hdiv"),
+            "L2vec": lambda: (l2_space(m, p, "L2vec"), "L2"),
+        }[kind]()
+        elems, degree = np.arange(m.num_triangles), 2 * p + 2
+        padded = sum(volume_blocks(space, d, space, d, elems, degree) for d in self.DERIVS[norm])
+        assert row_copies(space) == 2
+        assert np.all(padded[:, 0::2, 1::2] == 0) and np.all(padded[:, 1::2, 0::2] == 0)
+        assert np.abs(padded[:, 0::2, 0::2] - padded[:, 1::2, 1::2]).max() <= 1e-15 * np.abs(padded).max()
+        G1 = gram_blocks(space, elems, degree, norm)
+        assert np.abs(G1 - padded[:, 0::2, 0::2]).max() <= 1e-14 * np.abs(G1).max()
 
 
 class TestReferenceKernels:
@@ -241,7 +286,7 @@ class TestReferenceKernels:
         form = formulation(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth))
         blocks = assemble_local_blocks(form)
         refs = quadrature_blocks(form, form.quad_degree())
-        for got, ref in zip((blocks.B, blocks.Bhat, blocks.G, blocks.l), refs):
+        for got, ref in zip((blocks.B, blocks.Bhat, full_gram(blocks), blocks.l), refs):
             if ref.size:
                 assert rel_err(got, ref) <= 1e-13
 
@@ -289,7 +334,7 @@ class TestReferenceKernels:
         for name, space in tests.items():
             norm = desc.test_norms[name]
             ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
-            assert rel_err(gram_blocks(space, elems, degree, norm), ref) <= 1e-13
+            assert rel_err(padded_gram(gram_blocks(space, elems, degree, norm), row_copies(space)), ref) <= 1e-13
 
 
 class TestScatterBlocks:

@@ -176,8 +176,10 @@ def dense_eta(fields, p_res=P_RES):
     eta2 = np.zeros(len(elems))
     for name, _ in form.desc.test_slots:
         if form.desc.test_norms[name] != "L2":
-            s = blocks.test_slices[name]
-            eta2 += np.einsum("et,et->e", r[:, s], np.linalg.solve(blocks.G[:, s, s], r[:, s, None])[..., 0])
+            s, c = blocks.test_slices[name], blocks.test_copies[name]
+            G1 = blocks.G[name]  # the Gram is G1 kron I_c on the interleaved copies
+            G = np.einsum("elm,ab->elamb", G1, np.eye(c)).reshape(len(elems), G1.shape[1] * c, -1)
+            eta2 += np.einsum("et,et->e", r[:, s], np.linalg.solve(G, r[:, s, None])[..., 0])
     wts, reps, load_reps, _ = l2_slot_residual_ops(form_res, elems, quad_degree=max(2 * p_res + 2, 16))
     for name, rep in reps.items():
         R = np.einsum("enq...,en->eq...", rep, xloc[:, : rep.shape[1]])

@@ -8,9 +8,10 @@ import scipy.sparse.linalg as spla
 from dpgelast.material import MaterialParams, stiffness_apply_array
 from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d, error_norms
-from dpgelast.forms import BCData, bc_from_exact, formulation, FORMULATION_IDS
+from dpgelast.forms import BCData, bc_from_exact, formulation, FORMULATION_IDS, assemble_local_blocks, volume_blocks
 from dpgelast.dpg_solver import (
     condense_local,
+    forward_substitution,
     assemble_and_solve,
     solve_dpg,
     solve_fosls,
@@ -23,8 +24,20 @@ MAT = MaterialParams(lam=1.0, mu=1.0)
 
 
 class FakeBlocks:
-    def __init__(self, B, Bhat, G, l):
-        self.B, self.Bhat, self.G, self.l = B, Bhat, G, l
+    """(B, Bhat, l) over all test rows and one Gram per test slot; a single
+    slot "v" with one copy by default."""
+
+    def __init__(self, B, Bhat, G, l, test_slices=None, test_copies=None):
+        self.B, self.Bhat, self.l = B, Bhat, l
+        self.G = G if isinstance(G, dict) else {"v": G}
+        self.test_slices = test_slices or {"v": slice(0, B.shape[1])}
+        self.test_copies = test_copies or {name: 1 for name in self.G}
+
+
+def padded_gram(G1, c):
+    """The Gram G1 kron I_c (nelt, c n, c n) of c interleaved copies."""
+    E, n, _ = G1.shape
+    return np.einsum("elm,ab->elamb", G1, np.eye(c)).reshape(E, n * c, n * c)
 
 
 class LinearField:
@@ -117,13 +130,71 @@ class TestCondenseLocal:
     def test_test_slice_condenses_the_sub_blocks(self):
         blocks = self._random_blocks(3, 10, 4, 2)
         s = slice(3, 8)
-        sub = FakeBlocks(B=blocks.B[:, s], Bhat=blocks.Bhat[:, s], G=blocks.G[:, s, s], l=blocks.l[:, s])
-        A, b = condense_local(blocks, s)
+        blocks.test_slices = {"a": slice(0, 3), "b": s, "c": slice(8, 10)}
+        blocks.G = {n: blocks.G["v"][:, t, t] for n, t in blocks.test_slices.items()}
+        blocks.test_copies = {n: 1 for n in blocks.G}
+        sub = FakeBlocks(B=blocks.B[:, s], Bhat=blocks.Bhat[:, s], G=blocks.G["b"], l=blocks.l[:, s])
+        A, b = condense_local(blocks, "b")
         for e in range(3):
             M = np.concatenate([sub.B[e], sub.Bhat[e]], axis=1)
-            Ginv = np.linalg.inv(sub.G[e])
+            Ginv = np.linalg.inv(sub.G["v"][e])
             assert np.abs(A[e] - M.T @ Ginv @ M).max() < 1e-10
             assert np.abs(b[e] - M.T @ Ginv @ sub.l[e]).max() < 1e-10
+
+    def test_copies_against_dense_inverse_oracle(self):
+        # a two-copy slot beside a one-copy slot: G1 kron I_2 inverted densely
+        rng = np.random.default_rng(2)
+        R1, R2 = rng.standard_normal((4, 4, 4)), rng.standard_normal((4, 3, 3))
+        G = {"tau": R1 @ np.swapaxes(R1, 1, 2) + 4 * np.eye(4), "w": R2 @ np.swapaxes(R2, 1, 2) + 3 * np.eye(3)}
+        blocks = FakeBlocks(
+            B=rng.standard_normal((4, 11, 5)), Bhat=rng.standard_normal((4, 11, 2)), G=G, l=rng.standard_normal((4, 11)),
+            test_slices={"tau": slice(0, 8), "w": slice(8, 11)}, test_copies={"tau": 2, "w": 1},
+        )
+        A, b = condense_local(blocks)
+        Gfull = np.zeros((4, 11, 11))
+        Gfull[:, :8, :8], Gfull[:, 8:, 8:] = padded_gram(G["tau"], 2), G["w"]
+        for e in range(4):
+            M = np.concatenate([blocks.B[e], blocks.Bhat[e]], axis=1)
+            Ginv = np.linalg.inv(Gfull[e])
+            assert np.abs(A[e] - M.T @ Ginv @ M).max() < 1e-10
+            assert np.abs(b[e] - M.T @ Ginv @ blocks.l[e]).max() < 1e-10
+        assert np.array_equal(A, A.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("spec,test_slot", [("ultraweak", None), ("mixed", None), ("mixed", "tau")])
+    def test_real_chunk_against_padded_gram(self, spec, test_slot):
+        # M^T G^{-1} M with G the padded Gram formed the old way, as the sum
+        # of the val and grad or div kernels over all copies
+        smooth = smooth_solution_2d()
+        form = formulation(spec, build_square_mesh(4), smooth.material, 2, bc=bc_from_exact(smooth))
+        elems = np.arange(0, 32, 3)
+        blocks = assemble_local_blocks(form, elems)
+        derivs = {"L2": ("val",), "H1": ("val", "grad"), "Hdiv": ("val", "div")}
+        rows = blocks.test_slices[test_slot] if test_slot else slice(None)
+        Gfull = np.zeros((len(elems),) + blocks.B.shape[1:2] * 2)
+        for name, s in blocks.test_slices.items():
+            space = form.test_spaces[name]
+            Gfull[:, s, s] = sum(volume_blocks(space, d, space, d, elems, form.quad_degree()) for d in derivs[form.desc.test_norms[name]])
+        A, b = condense_local(blocks, test_slot)
+        for e in range(len(elems)):
+            M = np.concatenate([blocks.B[e], blocks.Bhat[e]], axis=1)[rows]
+            Ginv = np.linalg.inv(Gfull[e][rows, rows])
+            Aref, bref = M.T @ Ginv @ M, M.T @ Ginv @ blocks.l[e][rows]
+            assert np.abs(A[e] - Aref).max() <= 1e-10 * np.abs(Aref).max()
+            assert np.abs(b[e] - bref).max() <= 1e-10 * np.abs(bref).max()
+
+
+class TestForwardSubstitution:
+    @pytest.mark.parametrize("nelt,n,k", [(5, 7, 1), (5, 15, 98), (0, 6, 3)])
+    def test_matches_dense_solve(self, nelt, n, k):
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal((nelt, n, n))
+        L = np.linalg.cholesky(R @ np.swapaxes(R, 1, 2) + n * np.eye(n))
+        X = rng.standard_normal((nelt, n, k))
+        Y = forward_substitution(L, X)
+        assert Y.shape == X.shape
+        if nelt:
+            ref = np.linalg.solve(L, X)
+            assert np.abs(Y - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def _no_gamma0_mesh():

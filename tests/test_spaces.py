@@ -15,6 +15,7 @@ from dpgelast.spaces import (
     l2_space,
     trace_spaces,
     volume_basis,
+    field_values,
     edge_reference,
     edge_flips,
     edge_points,
@@ -462,3 +463,35 @@ class TestTopologicalNumbering:
         coeffs = interpolate(thm12, field)
         assert len(thm12.constrained_dofs) > 0
         assert np.array_equal(coeffs[thm12.constrained_dofs], thm12.constrained_values)
+
+
+class TestEmptyElementList:
+    # an element filter that selects nothing gives empty arrays of the
+    # usual trailing shapes
+    SPACES = {
+        "H1": lambda m: h1_space(m, 2),
+        "BrokenH1": lambda m: broken_h1_space(m, 2),
+        "Hdiv": lambda m: hdiv_space(skeleton(m), 2),
+        "BrokenHdiv": lambda m: broken_hdiv_space(skeleton(m), 2),
+        "L2vec": lambda m: l2_space(m, 1, "L2vec"),
+        "L2sym": lambda m: l2_space(m, 1, "L2sym"),
+        "L2skew": lambda m: l2_space(m, 1, "L2skew"),
+    }
+    PTS = np.array([[0.2, 0.3], [0.1, 0.6], [0.5, 0.25]])
+
+    @pytest.mark.parametrize("kind", SPACES)
+    def test_field_values(self, kind):
+        space = self.SPACES[kind](build_square_mesh(2))
+        x = np.random.default_rng(0).standard_normal(space.ndof)
+        empty, some = field_values(space, x, [], self.PTS), field_values(space, x, [0, 3], self.PTS)
+        for deriv in ("val", "grad", "div"):
+            ref = getattr(some, deriv)
+            assert (getattr(empty, deriv) is None) if ref is None else getattr(empty, deriv).shape == (0,) + ref.shape[1:]
+
+    @pytest.mark.parametrize("kind", SPACES)
+    def test_volume_basis(self, kind):
+        space = self.SPACES[kind](build_square_mesh(2))
+        empty, some = volume_basis(space, [], self.PTS), volume_basis(space, [0, 3], self.PTS)
+        for deriv in ("val", "grad", "div"):
+            ref = getattr(some, deriv)
+            assert (getattr(empty, deriv) is None) if ref is None else getattr(empty, deriv).shape == (0,) + ref.shape[1:]
