@@ -5,18 +5,22 @@ The workhorse path condenses the element-local blocks
     A_K = M_K^T G_K^{-1} M_K,   b_K = M_K^T G_K^{-1} l_K,
     M_K = [B_K | Bhat_K],
 
-into a sparse SPD system on the trial dofs, eliminates essential
-constraints symmetrically, and solves with a sparse LU (iterative
-fallback). A_K and b_K are W^T W with W = L_K^{-1} [M_K | l_K], so A_K is
-symmetric by construction: a vector test slot's Gram is G1 kron I_2, L_K
-is one Cholesky factor of G1, and one forward substitution, batched over
-the elements, takes both copies' rows. The SPD free system is factored
-with a minimum-degree ordering on A + A^T and diagonal pivots (SuperLU's
-symmetric mode); the indefinite KKT and saddle-point systems keep partial
-pivoting. A system whose reciprocal 1-norm condition estimate falls
-below machine epsilon, e.g. one on a mesh with no Gamma0 edge, raises
-LinAlgError. Each solve records its path, residual, condition estimate
-and fill in extras["solver"]. The same solution can be obtained without
+into a sparse SPD system, eliminates essential constraints
+symmetrically, and solves with a sparse LU (iterative fallback). A_K and
+b_K are W^T W with W = L_K^{-1} [M_K | l_K], so A_K is symmetric by
+construction: a vector test slot's Gram is G1 kron I_2, L_K is one
+Cholesky factor of G1, and one forward substitution, batched over the
+elements, takes both copies' rows. The L2 field dofs belong to one
+element each: they are eliminated from A_K before the scatter (static
+condensation), only the interface system of conforming fields and
+traces is factored, and they are recovered per element after the solve.
+The SPD free system is factored with a minimum-degree ordering on
+A + A^T and diagonal pivots (SuperLU's symmetric mode); the indefinite
+KKT and saddle-point systems keep partial pivoting. A system whose
+reciprocal 1-norm condition estimate falls below machine epsilon, e.g.
+one on a mesh with no Gamma0 edge, raises LinAlgError. Each solve
+records its path, residual, condition estimate, fill and factored size
+in extras["solver"]. The same solution can be obtained without
 condensation from the symmetric saddle-point system
 
     [ G  M ] [ psi ]   [ l ]
@@ -102,10 +106,21 @@ class SolutionFields:
 
 @dataclass
 class GlobalSystem:
+    """K and rhs on the interface dofs `iface`; L L^T = A_ll and Y = L^{-1} [A_li | b_l] recover
+    the local dofs `ldofs` (nelt, nl) from the interface columns `idofs` (nelt, ni) of K."""
+
     form: Formulation
     layout: object
     K: sp.csr_matrix
     rhs: np.ndarray
+    iface: np.ndarray
+    ldofs: np.ndarray
+    idofs: np.ndarray
+    L: np.ndarray
+    Y: np.ndarray
+
+
+LOCAL_KINDS = ("L2sym", "L2vec", "L2skew")
 
 
 def gram_cholesky(G):
@@ -123,6 +138,16 @@ def forward_substitution(L, X):
     Y = np.array(X, dtype=float)
     for i in range(L.shape[1]):
         Y[:, i] -= (L[:, i, None, :i] @ Y[:, :i])[:, 0]
+        Y[:, i] /= L[:, i, i, None]
+    return Y
+
+
+def backward_substitution(L, X):
+    """Y = L^{-T} X for lower-triangular L (nelt, n, n) and X (nelt, n, k),
+    row by row from the last, each row one batched product over all elements."""
+    Y = np.array(X, dtype=float)
+    for i in reversed(range(L.shape[1])):
+        Y[:, i] -= (L[:, None, i + 1 :, i] @ Y[:, i + 1 :])[:, 0]
         Y[:, i] /= L[:, i, i, None]
     return Y
 
@@ -151,24 +176,41 @@ def condense_local(blocks, test_slot: Optional[str] = None):
 def assemble_normal_equations(
     form: Formulation, chunk: int = CHUNK, test_slot: Optional[str] = None
 ) -> GlobalSystem:
-    """Condensed normal equations of a broken formulation on its trial dofs.
+    """Condensed normal equations of a broken formulation on its interface dofs.
 
-    With test_slot, only that test slot is condensed; the caller accounts
-    for the others.
+    The columns of the L2 field slots (LOCAL_KINDS) belong to one element
+    each and are eliminated there: with A_ll = L L^T and Y = L^{-1} [A_li | b_l],
+    the Schur complement S = A_ii - Y_i^T Y_i, exactly symmetric, and
+    s = b_i - Y_i^T y_b are scattered on the remaining dofs. With test_slot,
+    only that test slot is condensed and nothing is eliminated; the caller
+    accounts for the others.
     """
     layout = trial_layout(form)
-    n = layout.ndof
-    rhs = np.zeros(n)
     nelt = form.mesh.num_triangles
     gdofs = element_trial_dofs(form, layout, np.arange(nelt))  # (nelt, nloc)
+    slots = form.desc.field_slots
+    local = np.repeat([k in LOCAL_KINDS and test_slot is None for _, k in slots], [form.field_spaces[n].nloc for n, _ in slots])
+    li, ii = np.flatnonzero(local), np.flatnonzero(np.r_[~local, np.ones(gdofs.shape[1] - len(local), bool)])  # traces kept
+    keep = np.ones(layout.ndof, bool)
+    keep[gdofs[:, li]] = False
+    inum = np.cumsum(keep) - 1  # interface numbering of the kept dofs
+    rhs = np.zeros(int(keep.sum()))
+    idofs = inum[gdofs[:, ii]]
     # all blocks in one array: chunk blocks kept among the chunks' work arrays fragment the heap
-    A = np.empty(gdofs.shape + gdofs.shape[1:])
+    S = np.empty((nelt, len(ii), len(ii)))
+    L = np.empty((nelt, len(li), len(li)))
+    Y = np.empty((nelt, len(li), len(ii) + 1))
     for start in range(0, nelt, chunk):
-        elems = np.arange(start, min(start + chunk, nelt))
-        blocks = assemble_local_blocks(form, elems)
-        A[elems], b = condense_local(blocks, test_slot)
-        np.add.at(rhs, gdofs[elems].ravel(), b.ravel())
-    return GlobalSystem(form=form, layout=layout, K=scatter_blocks([(gdofs, gdofs, A)], (n, n)), rhs=rhs)
+        e = slice(start, min(start + chunk, nelt))
+        A, b = condense_local(assemble_local_blocks(form, np.arange(e.start, e.stop)), test_slot)
+        L[e] = gram_cholesky(A[:, li[:, None], li])
+        Y[e] = forward_substitution(L[e], np.concatenate([A[:, li[:, None], ii], b[:, li, None]], axis=2))
+        Yi = Y[e, :, :-1]
+        S[e] = A[:, ii[:, None], ii] - np.swapaxes(Yi, 1, 2) @ Yi
+        s = b[:, ii] - np.einsum("eli,el->ei", Yi, Y[e, :, -1], optimize=True)
+        np.add.at(rhs, idofs[e].ravel(), s.ravel())
+    K = scatter_blocks([(idofs, idofs, S)], (len(rhs), len(rhs)))
+    return GlobalSystem(form, layout, K, rhs, np.flatnonzero(keep), gdofs[:, li], idofs, L, Y)
 
 
 # minimum-degree ordering on A + A^T with diagonal pivots, for SPD systems
@@ -180,7 +222,8 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
 
     Returns the full solution vector and a record of the solve: the
     path ("lu" or "cg"), the relative residual, the reciprocal
-    condition estimate, the free-dof count and the LU fill.
+    condition estimate, the free-dof count, the size of the factored
+    system and the LU fill.
 
     With linear constraint rows C x = d the free system is the
     symmetric indefinite KKT system
@@ -197,7 +240,7 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     free = np.setdiff1d(np.arange(n), constrained)
     x = np.zeros(n)
     x[constrained] = values
-    info = {"path": "lu", "residual": 0.0, "rcond": None, "free_dofs": len(free), "lu_nnz": None}
+    info = {"path": "lu", "residual": 0.0, "rcond": None, "free_dofs": len(free), "factored_dofs": 0, "lu_nnz": None}
     if len(free) == 0:
         return x, info
     Kf = K[free][:, free].tocsc()
@@ -226,6 +269,7 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
                 raise np.linalg.LinAlgError(f"iterative solve did not converge (info={status})")
             info["path"] = "cg"
     info["residual"] = _relative_residual(Kf, sol, rhs_f)
+    info["factored_dofs"] = Kf.shape[0]
     x[free] = sol[: len(free)]
     return x, info
 
@@ -280,10 +324,19 @@ def _fields_from_vector(form: Formulation, layout, x, spec_name=None, extras=Non
 
 
 def assemble_and_solve(form: Formulation) -> SolutionFields:
-    """Solve the condensed normal equations of a broken formulation."""
+    """Solve the condensed normal equations of a broken formulation on its
+    interface dofs, then recover the element-local dofs
+    x_l = L^{-T} (y_b - Y_i x_i) element by element."""
     system = assemble_normal_equations(form)
-    x, info = _solve_constrained(system.K, system.rhs, system.layout.constrained, system.layout.values)
-    return _fields_from_vector(form, system.layout, x, extras={"solver": info})
+    layout = system.layout
+    xi, info = _solve_constrained(system.K, system.rhs, np.searchsorted(system.iface, layout.constrained), layout.values)
+    x = np.zeros(layout.ndof)
+    x[system.iface] = xi
+    Yb, Yi = system.Y[..., -1:], system.Y[..., :-1]
+    x[system.ldofs] = backward_substitution(system.L, Yb - Yi @ xi[system.idofs][..., None])[..., 0]
+    fields = _fields_from_vector(form, layout, x, extras={"solver": info})
+    info["free_dofs"] = fields.num_free_dofs()
+    return fields
 
 
 def solve_dpg(spec_id, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> SolutionFields:
@@ -337,6 +390,7 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
         "residual": _relative_residual(Kfull, sol, rhs),
         "rcond": rcond,
         "free_dofs": len(free),
+        "factored_dofs": Kfull.shape[0],
         "lu_nnz": lu.nnz,
     }
     psi = sol[:npsi].reshape(nelt, ntest)

@@ -569,18 +569,18 @@ def scatter_blocks(triples, shape) -> sp.csr_matrix:
     adds blocks[e, i, j] at (row_dofs[e, i], col_dofs[e, j]). Repeated
     entries are summed by a single COO to CSR conversion, on the int32
     indices CSR keeps while the shape allows (no int64 copy to convert).
+    A single contiguous block array serves as the COO data as it is.
     """
     triples = [(np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)) for r, c, b in triples]
     total = sum(b.size for _, _, b in triples)
     rows = np.empty(total, dtype=np.int32 if max(shape) < 2**31 else np.int64)
     cols = np.empty_like(rows)
-    vals = np.empty(total)
+    vals = triples[0][2].reshape(-1) if len(triples) == 1 else np.concatenate([b.reshape(-1) for _, _, b in triples])
     off = 0
     for r, c, b in triples:
         k = b.size
         rows[off : off + k].reshape(b.shape)[...] = r[:, :, None]
         cols[off : off + k].reshape(b.shape)[...] = c[:, None, :]
-        vals[off : off + k] = b.ravel()
         off += k
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dpg_solver import _factor_checked
+from .dpg_solver import _factor_checked, _SPD_LU
 from .mesh import Mesh, skeleton as make_skeleton
 from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
@@ -46,6 +46,9 @@ TEST_ORDER_BUMP = {"strong": 1, "ultraweak": 1, "dualmixed": 0, "mixed": 1, "pri
 # Shift of the shift-invert eigensolves: just below zero, so the shifted
 # operators stay nonsingular when the smallest eigenvalue is 0.
 SHIFT = -1e-6
+# on the p=1 inf-sup table, pivot thresholds 0 and 1e-6 move lambda by up to
+# 1.0e-9 and 3.1e-10 against partial pivoting, 1e-3 by 2.5e-13
+_SADDLE_LU = dict(_SPD_LU, diag_pivot_thresh=1e-3)
 
 _TRIAL_NORM = {"H1": "H1", "Hdiv": "Hdiv", "L2sym": "L2", "L2vec": "L2", "L2skew": "L2"}
 
@@ -131,10 +134,12 @@ def _min_infsup_eig(B, GY, GX) -> float:
     """Smallest eigenvalue of B^T G_Y^{-1} B x = lambda G_X x, by shift-invert.
 
     [[G_Y, B], [B^T, sigma G_X]] [z; w] = [0; y] gives w = -(B^T G_Y^{-1} B - sigma G_X)^{-1} y,
-    so one LU of that saddle matrix serves every ARPACK iteration.
+    so one LU of that saddle matrix serves every ARPACK iteration. With
+    SHIFT < 0 the matrix is symmetric quasi-definite (Vanderbei, SIAM J.
+    Optim. 5, 1995), so it is ordered on A + A^T with near-diagonal pivots.
     """
     m, n = B.shape
-    lu, _ = _factor_checked(sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc"), "inf-sup saddle matrix")
+    lu, _ = _factor_checked(sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc"), "inf-sup saddle matrix", **_SADDLE_LU)
     inv = spla.LinearOperator((n, n), matvec=lambda y: -lu.solve(np.r_[np.zeros(m), y.ravel()])[m:], dtype=float)
     # shift-invert mode applies only OPinv and M, never its first argument
     lam = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=np.ones(n), return_eigenvectors=False)

@@ -366,6 +366,21 @@ class TestScatterBlocks:
         K = scatter_blocks(triples, shape)
         assert np.abs(K.toarray() - ref).max() < 1e-14
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_single_triple_leaves_its_blocks_unchanged(self, transposed):
+        # one contiguous block array is the COO data itself, a strided one is copied
+        rng = np.random.default_rng(6)
+        rows, cols = rng.integers(5, size=(6, 3)), rng.integers(5, size=(6, 3))
+        blocks = rng.standard_normal((6, 3, 3))
+        if transposed:
+            blocks = np.swapaxes(blocks, 1, 2)
+        kept = blocks.copy()
+        ref = np.zeros((5, 5))
+        np.add.at(ref, (rows[:, :, None], cols[:, None, :]), blocks)
+        K = scatter_blocks([(rows, cols, blocks)], (5, 5))
+        assert np.abs(K.toarray() - ref).max() < 1e-14
+        assert np.array_equal(blocks, kept)
+
 
 class TestTraceBlocks:
     def test_strong_zero_width(self):

@@ -6,10 +6,24 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from dpgelast.material import MaterialParams, stiffness_apply_array
-from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, uniform_refine
-from dpgelast.exact_solutions import smooth_solution_2d, error_norms
-from dpgelast.forms import BCData, bc_from_exact, formulation, FORMULATION_IDS, assemble_local_blocks, volume_blocks
+from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, uniform_refine
+from dpgelast.exact_solutions import smooth_solution_2d, singular_solution, error_norms
+from dpgelast.forms import (
+    BCData,
+    bc_from_exact,
+    formulation,
+    FORMULATION_IDS,
+    assemble_local_blocks,
+    volume_blocks,
+    trial_layout,
+    element_trial_dofs,
+    scatter_blocks,
+)
+from dpgelast import dpg_solver
 from dpgelast.dpg_solver import (
+    _solve_constrained,
+    assemble_normal_equations,
+    backward_substitution,
     condense_local,
     forward_substitution,
     assemble_and_solve,
@@ -197,6 +211,82 @@ class TestForwardSubstitution:
             assert np.abs(Y - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+class TestBackwardSubstitution:
+    @pytest.mark.parametrize("nelt,n,k", [(5, 7, 1), (5, 18, 31), (4, 1, 2), (0, 6, 3)])
+    def test_matches_dense_solve(self, nelt, n, k):
+        rng = np.random.default_rng(n)
+        R = rng.standard_normal((nelt, n, n))
+        L = np.linalg.cholesky(R @ np.swapaxes(R, 1, 2) + n * np.eye(n))
+        X = rng.standard_normal((nelt, n, k))
+        Y = backward_substitution(L, X)
+        assert Y.shape == X.shape
+        if nelt:
+            ref = np.linalg.solve(np.swapaxes(L, 1, 2), X)
+            assert np.abs(Y - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def uncondensed_solve(form):
+    """The normal equations on every trial dof, the element-local L2 fields
+    included, scattered and solved whole."""
+    layout = trial_layout(form)
+    elems = np.arange(form.mesh.num_triangles)
+    A, b = condense_local(assemble_local_blocks(form, elems))
+    gdofs = element_trial_dofs(form, layout, elems)
+    rhs = np.zeros(layout.ndof)
+    np.add.at(rhs, gdofs.ravel(), b.ravel())
+    K = scatter_blocks([(gdofs, gdofs, A)], (layout.ndof, layout.ndof))
+    return _solve_constrained(K, rhs, layout.constrained, layout.values)[0]
+
+
+class TestStaticCondensation:
+    # ultraweak, mixed and dualmixed eliminate their L2 fields per element;
+    # strong and primal have none, so their system is the uncondensed one
+    ELIMINATED = ("ultraweak", "mixed", "dualmixed")
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_matches_uncondensed_on_square(self, spec, p):
+        smooth = smooth_solution_2d()
+        form = formulation(spec, build_square_mesh(8), smooth.material, p, bc=bc_from_exact(smooth))
+        x = assemble_and_solve(form).full_vector()
+        ref = uncondensed_solve(form)
+        if spec in self.ELIMINATED:
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        else:
+            assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_matches_uncondensed_on_lshape(self, spec):
+        sing = singular_solution()
+        form = formulation(spec, build_lshape_mesh(2), sing.material, 1, bc=bc_from_exact(sing))
+        x = assemble_and_solve(form).full_vector()
+        ref = uncondensed_solve(form)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_interface_system(self, spec, monkeypatch):
+        scattered = []
+
+        def keep_blocks(triples, shape):
+            scattered.extend(b for _, _, b in triples)
+            return scatter_blocks(triples, shape)
+
+        monkeypatch.setattr(dpg_solver, "scatter_blocks", keep_blocks)
+        smooth = smooth_solution_2d()
+        form = formulation(spec, build_square_mesh(3), smooth.material, 2, bc=bc_from_exact(smooth))
+        system = assemble_normal_equations(form, chunk=7)
+        K, layout = system.K, system.layout
+        # every element's Schur complement is exactly symmetric
+        (S,) = scattered
+        assert np.array_equal(S, np.swapaxes(S, 1, 2))
+        eliminated = [n for n, k in form.desc.field_slots if k.startswith("L2")]
+        assert bool(eliminated) == (spec in self.ELIMINATED)
+        nlocal = sum(form.field_spaces[n].ndof for n in eliminated)
+        assert K.shape[0] == len(system.iface) == layout.ndof - nlocal
+        assert system.ldofs.size == nlocal
+        assert np.all(np.isin(layout.constrained, system.iface))
+
+
 def _no_gamma0_mesh():
     sq = build_square_mesh(3)
     return Mesh(vertices=sq.vertices, triangles=sq.triangles, boundary_tags={k: GAMMA1 for k in sq.boundary_tags})
@@ -208,6 +298,8 @@ class TestSingularSystems:
     SOLVES = {
         "hybrid_mixed": lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc),
         "primal": lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
+        "mixed": lambda m, mat, bc: solve_dpg("mixed", m, mat, 1, bc=bc),
+        "dualmixed": lambda m, mat, bc: solve_dpg("dualmixed", m, mat, 1, bc=bc),
         "ultraweak": lambda m, mat, bc: solve_dpg("ultraweak", m, mat, 1, bc=bc),
         "fosls": lambda m, mat, bc: solve_fosls(m, mat, 1, bc),
         "galerkin": lambda m, mat, bc: solve_galerkin_primal(m, mat, 1, bc),
@@ -236,7 +328,20 @@ class TestSolverRecord:
         assert info["residual"] < 1e-10
         assert np.finfo(float).eps < info["rcond"] <= 1.0
         assert info["free_dofs"] == f.num_free_dofs()
+        # the L2 fields are eliminated per element; only the interface is factored
+        assert info["factored_dofs"] == f.num_free_dofs() - sum(f.coeffs[n].size for n in ("sigma", "u", "omega"))
         assert info["lu_nnz"] >= info["free_dofs"]
+
+    def test_factored_dofs_without_elimination(self):
+        smooth = smooth_solution_2d()
+        bc = bc_from_exact(smooth)
+        m = build_square_mesh(2)
+        f = solve_dpg("primal", m, smooth.material, 1, bc=bc)
+        assert f.extras["solver"]["factored_dofs"] == f.extras["solver"]["free_dofs"] == f.num_free_dofs()
+        h = solve_hybrid_mixed(m, smooth.material, 1, bc=bc, conservative=True)
+        assert h.extras["solver"]["factored_dofs"] == h.num_free_dofs() + 2 * m.num_triangles
+        s = solve_saddle_point(formulation("primal", m, smooth.material, 1, bc=bc))
+        assert s.extras["solver"]["factored_dofs"] == s.num_free_dofs() + s.extras["psi"].size
 
     def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
         smooth = smooth_solution_2d()
