@@ -28,22 +28,21 @@ condensation from the symmetric saddle-point system
 
 which also exposes the error representation function psi.
 
-Two direct least-squares variants avoid the Gram inversion on
-L2-identified test slots by integrating the pointwise residual
-representers exactly: solve_fosls (all slots, Strong formulation) and
-solve_hybrid_mixed (Gram inversion only on the H(div) test slot of the
-Mixed formulation). By default solve_hybrid_mixed is the exact-L2 path
-of the mixed minimum-residual solve, which does not balance momentum
-elementwise; with conservative=True it minimizes the same functional
-subject to int_K (div sigma_h + f) = 0 on every element, solving the
-KKT system with one P0(K)^2 Lagrange multiplier per element. A
-classical Galerkin primal solver is included as a reference.
+An L2 test slot whose broken test space contains the slot's residual
+B(U_h) gives the exact L2 Riesz map, so the least-squares variants are
+condensed solves with large enough test spaces: solve_fosls is the
+Strong formulation with order-p L2 test spaces, and solve_hybrid_mixed
+the Mixed formulation at dp=1. With conservative=True the hybrid solve
+minimizes the same functional subject to int_K (div sigma_h + f) = 0 on
+every element, solving the KKT system with one P0(K)^2 Lagrange
+multiplier per element. A classical Galerkin primal solver is included
+as a reference.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -59,13 +58,13 @@ from .forms import (
     BCData,
     TrialLayout,
     formulation,
+    build_test_spaces,
     assemble_local_blocks,
     element_quadrature,
     trial_layout,
     slot_layout,
     element_trial_dofs,
     scatter_blocks,
-    l2_slot_residual_ops,
     element_momentum_integrals,
     volume_blocks,
     op_matrix,
@@ -152,16 +151,16 @@ def backward_substitution(L, X):
     return Y
 
 
-def condense_local(blocks, test_slot: Optional[str] = None):
-    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l) on the
-    test dofs of one test slot, or of all of them.
+def condense_local(blocks):
+    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l), summed
+    over the test slots of blocks.G.
 
     Per slot, with its one-copy Gram G1 = L L^T and W = L^{-1} [M | l] (the
     rows c l + j of each copy j as more right-hand sides), A = W_M^T W_M and
     b = W_M^T W_l; a Gram matrix that is not SPD raises ValueError.
     """
     W = []
-    for name in [test_slot] if test_slot else blocks.G:
+    for name in blocks.G:
         s, c = blocks.test_slices[name], blocks.test_copies[name]
         MB = np.concatenate([blocks.B[:, s], blocks.Bhat[:, s], blocks.l[:, s, None]], axis=2)
         E, n, m = MB.shape
@@ -173,23 +172,19 @@ def condense_local(blocks, test_slot: Optional[str] = None):
     return A, b
 
 
-def assemble_normal_equations(
-    form: Formulation, chunk: int = CHUNK, test_slot: Optional[str] = None
-) -> GlobalSystem:
+def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSystem:
     """Condensed normal equations of a broken formulation on its interface dofs.
 
     The columns of the L2 field slots (LOCAL_KINDS) belong to one element
     each and are eliminated there: with A_ll = L L^T and Y = L^{-1} [A_li | b_l],
     the Schur complement S = A_ii - Y_i^T Y_i, exactly symmetric, and
-    s = b_i - Y_i^T y_b are scattered on the remaining dofs. With test_slot,
-    only that test slot is condensed and nothing is eliminated; the caller
-    accounts for the others.
+    s = b_i - Y_i^T y_b are scattered on the remaining dofs.
     """
     layout = trial_layout(form)
     nelt = form.mesh.num_triangles
     gdofs = element_trial_dofs(form, layout, np.arange(nelt))  # (nelt, nloc)
     slots = form.desc.field_slots
-    local = np.repeat([k in LOCAL_KINDS and test_slot is None for _, k in slots], [form.field_spaces[n].nloc for n, _ in slots])
+    local = np.repeat([k in LOCAL_KINDS for _, k in slots], [form.field_spaces[n].nloc for n, _ in slots])
     li, ii = np.flatnonzero(local), np.flatnonzero(np.r_[~local, np.ones(gdofs.shape[1] - len(local), bool)])  # traces kept
     keep = np.ones(layout.ndof, bool)
     keep[gdofs[:, li]] = False
@@ -202,7 +197,7 @@ def assemble_normal_equations(
     Y = np.empty((nelt, len(li), len(ii) + 1))
     for start in range(0, nelt, chunk):
         e = slice(start, min(start + chunk, nelt))
-        A, b = condense_local(assemble_local_blocks(form, np.arange(e.start, e.stop)), test_slot)
+        A, b = condense_local(assemble_local_blocks(form, np.arange(e.start, e.stop)))
         L[e] = gram_cholesky(A[:, li[:, None], li])
         Y[e] = forward_substitution(L[e], np.concatenate([A[:, li[:, None], ii], b[:, li, None]], axis=2))
         Yi = Y[e, :, :-1]
@@ -305,14 +300,14 @@ def _factor_checked(A, what, **lu_options):
     return lu, rcond
 
 
-def _fields_from_vector(form: Formulation, layout, x, spec_name=None, extras=None) -> SolutionFields:
+def _fields_from_vector(form: Formulation, layout, x, extras=None) -> SolutionFields:
     spaces = dict(form.field_spaces)
     spaces.update(form.trace_spaces)
     coeffs = {name: x[off : off + spaces[name].ndof].copy() for name, off in layout.offsets.items()}
     return SolutionFields(
         mesh=form.mesh,
         material=form.material,
-        spec_name=spec_name or form.id,
+        spec_name=form.id,
         p=form.p,
         dp=form.dp,
         spaces=spaces,
@@ -323,13 +318,22 @@ def _fields_from_vector(form: Formulation, layout, x, spec_name=None, extras=Non
     )
 
 
-def assemble_and_solve(form: Formulation) -> SolutionFields:
+def assemble_and_solve(form: Formulation, C=None, d=None) -> SolutionFields:
     """Solve the condensed normal equations of a broken formulation on its
     interface dofs, then recover the element-local dofs
-    x_l = L^{-T} (y_b - Y_i x_i) element by element."""
+    x_l = L^{-T} (y_b - Y_i x_i) element by element.
+
+    Constraint rows C x = d (C sparse on the trial dofs) are imposed on the
+    interface system through Lagrange multipliers; a row with a nonzero on
+    an eliminated element-local column raises ValueError.
+    """
     system = assemble_normal_equations(form)
     layout = system.layout
-    xi, info = _solve_constrained(system.K, system.rhs, np.searchsorted(system.iface, layout.constrained), layout.values)
+    if C is not None:
+        if abs(C[:, system.ldofs.ravel()]).sum():
+            raise ValueError("constraint rows touch element-local dofs, which are eliminated before the solve")
+        C = C[:, system.iface]
+    xi, info = _solve_constrained(system.K, system.rhs, np.searchsorted(system.iface, layout.constrained), layout.values, C, d)
     x = np.zeros(layout.ndof)
     x[system.iface] = xi
     Yb, Yi = system.Y[..., -1:], system.Y[..., :-1]
@@ -401,49 +405,23 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
 
 
 # ---------------------------------------------------------------------------
-# exact-L2 least-squares paths
-
-
-def _assemble_exact_l2(form: Formulation, chunk: int = CHUNK):
-    """Global matrix and rhs of the exact least-squares terms over the
-    L2-identified test slots, on field columns only."""
-    layout = trial_layout(form)
-    n = layout.ndof
-    rhs = np.zeros(n)
-    triples = []
-    nelt = form.mesh.num_triangles
-    for start in range(0, nelt, chunk):
-        elems = np.arange(start, min(start + chunk, nelt))
-        wts, reps, load_reps, _ = l2_slot_residual_ops(form, elems)
-        gdofs = element_trial_dofs(form, layout, elems)
-        nfield = next(iter(reps.values())).shape[1]
-        fdofs = gdofs[:, :nfield]
-        A = np.zeros((len(elems), nfield, nfield))
-        b = np.zeros((len(elems), nfield))
-        for name, rep in reps.items():
-            r = rep.reshape(rep.shape[:3] + (-1,))
-            A += np.einsum("eq,emqk,enqk->emn", wts, r, r, optimize=True)
-            lr = load_reps[name]
-            if lr is not None:
-                b += np.einsum("eq,eqk,emqk->em", wts, lr.reshape(lr.shape[:2] + (-1,)), r, optimize=True)
-        triples.append((fdofs, fdofs, A))
-        np.add.at(rhs, fdofs.ravel(), b.ravel())
-    return layout, scatter_blocks(triples, (n, n)), rhs
+# least-squares paths: condensed solves with exact-L2 test spaces
 
 
 def solve_fosls(mesh, material, p, bc: Optional[BCData] = None) -> SolutionFields:
     """First-order-system least squares: the Strong formulation with the
-    exact L2 Riesz map instead of a discrete Gram inversion."""
+    exact L2 Riesz map. Its order-p L2 test spaces hold sigma_h - C grad u_h,
+    div sigma_h and skew sigma_h; dp=0 keeps the 2p+2 quadrature rule."""
     form = formulation("strong", mesh, material, p, dp=0, bc=bc)
-    layout, K, rhs = _assemble_exact_l2(form)
-    x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
-    return _fields_from_vector(form, layout, x, spec_name="fosls", extras={"solver": info})
+    form = replace(form, test_spaces=build_test_spaces(form.desc, form.skeleton, p, 1))
+    return replace(assemble_and_solve(form), spec_name="fosls")
 
 
-def _momentum_constraints(form: Formulation, layout):
+def _momentum_constraints(form: Formulation):
     """Rows C and values d of the elementwise momentum balance
     int_K (div sigma_h + f) . e_c = 0, rows 2K and 2K+1 for element K."""
     space = form.field_spaces["sigma"]
+    layout = trial_layout(form)
     nelt = form.mesh.num_triangles
     d = np.zeros(2 * nelt)
     triples = []
@@ -459,29 +437,22 @@ def _momentum_constraints(form: Formulation, layout):
     return C, d
 
 
-def solve_hybrid_mixed(
-    mesh, material, p, dp=1, bc: Optional[BCData] = None, *, conservative: bool = False
-) -> SolutionFields:
-    """Mixed formulation with Gram inversion only on the H(div) test slot;
-    the discontinuous test slots use the exact L2 Riesz map.
+def solve_hybrid_mixed(mesh, material, p, bc: Optional[BCData] = None, *, conservative: bool = False) -> SolutionFields:
+    """The Mixed formulation at dp=1: its order-p L2 test spaces hold
+    div sigma_h and skew sigma_h, so the discontinuous test slots use the
+    exact L2 Riesz map.
 
-    By default this is the exact-L2 path of the mixed minimum-residual
-    solve and agrees with solve_dpg("mixed"). Its stationarity couples
-    the momentum residual with the constitutive and symmetry residuals,
-    so momentum is not balanced elementwise. With conservative=True the
-    same functional is minimized subject to int_K (div sigma_h + f) = 0
-    on every element K, through one Lagrange multiplier in P0(K)^2 per
+    By default this is solve_dpg("mixed"). Its stationarity couples the
+    momentum residual with the constitutive and symmetry residuals, so
+    momentum is not balanced elementwise. With conservative=True the same
+    functional is minimized subject to int_K (div sigma_h + f) = 0 on
+    every element K, through one Lagrange multiplier in P0(K)^2 per
     element (Ellis, Demkowicz, Chan, Moser, CAMWA 68, 2014); the
     multipliers are not returned.
     """
-    form = formulation("mixed", mesh, material, p, dp=dp, bc=bc)
-    layout, K2, rhs2 = _assemble_exact_l2(form)
-    tau = assemble_normal_equations(form, test_slot="tau")
-    K = K2 + tau.K
-    rhs = rhs2 + tau.rhs
-    C, d = _momentum_constraints(form, layout) if conservative else (None, None)
-    x, info = _solve_constrained(K, rhs, layout.constrained, layout.values, C, d)
-    return _fields_from_vector(form, layout, x, spec_name="hybrid_mixed", extras={"solver": info})
+    form = formulation("mixed", mesh, material, p, dp=1, bc=bc)
+    C, d = _momentum_constraints(form) if conservative else (None, None)
+    return replace(assemble_and_solve(form, C, d), spec_name="hybrid_mixed")
 
 
 # ---------------------------------------------------------------------------

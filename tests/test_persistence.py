@@ -8,7 +8,7 @@ import pytest
 from dpgelast.mesh import build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import bc_from_exact
-from dpgelast.dpg_solver import solve_dpg, solve_galerkin_primal
+from dpgelast.dpg_solver import solve_dpg, solve_fosls, solve_galerkin_primal, solve_hybrid_mixed
 from dpgelast.residual_adaptivity import element_residuals
 from dpgelast.persistence_formats import (
     FORMAT_VERSION,
@@ -94,6 +94,25 @@ class TestSolutionFile:
         save_solution(f, path)
         g = load_solution(path, "primal", mesh, bc=bc)
         assert g.num_free_dofs() == f.num_free_dofs()
+        assert np.array_equal(element_residuals(g).eta, element_residuals(f).eta)
+
+    @pytest.mark.parametrize("spec", ["fosls", "hybrid_mixed"])
+    def test_least_squares_round_trip(self, spec, tmp_path):
+        # load_solution rebuilds these on their base formulations, strong and mixed
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(3)
+        bc = bc_from_exact(smooth)
+        if spec == "fosls":
+            f = solve_fosls(mesh, smooth.material, 2, bc)
+        else:
+            f = solve_hybrid_mixed(mesh, smooth.material, 2, bc=bc, conservative=True)
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        g = load_solution(path, spec, mesh, bc=bc)
+        assert g.spec_name == spec and g.dp == f.dp
+        assert set(g.coeffs) == set(f.coeffs)
+        for name in f.coeffs:
+            assert np.array_equal(g.coeffs[name], f.coeffs[name]), name
         assert np.array_equal(element_residuals(g).eta, element_residuals(f).eta)
 
     def test_not_a_solution_file(self, tmp_path):

@@ -1,8 +1,11 @@
 """Solver tests: condensation oracles, path equivalences, exact
 reproduction of representable solutions, and benchmark error behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dpgelast.material import MaterialParams, stiffness_apply_array
@@ -18,6 +21,7 @@ from dpgelast.forms import (
     trial_layout,
     element_trial_dofs,
     scatter_blocks,
+    l2_slot_residual_ops,
 )
 from dpgelast import dpg_solver
 from dpgelast.dpg_solver import (
@@ -141,20 +145,6 @@ class TestCondenseLocal:
         A, _ = condense_local(self._random_blocks(7, 12, 5, 4))
         assert np.array_equal(A, A.swapaxes(1, 2))
 
-    def test_test_slice_condenses_the_sub_blocks(self):
-        blocks = self._random_blocks(3, 10, 4, 2)
-        s = slice(3, 8)
-        blocks.test_slices = {"a": slice(0, 3), "b": s, "c": slice(8, 10)}
-        blocks.G = {n: blocks.G["v"][:, t, t] for n, t in blocks.test_slices.items()}
-        blocks.test_copies = {n: 1 for n in blocks.G}
-        sub = FakeBlocks(B=blocks.B[:, s], Bhat=blocks.Bhat[:, s], G=blocks.G["b"], l=blocks.l[:, s])
-        A, b = condense_local(blocks, "b")
-        for e in range(3):
-            M = np.concatenate([sub.B[e], sub.Bhat[e]], axis=1)
-            Ginv = np.linalg.inv(sub.G["v"][e])
-            assert np.abs(A[e] - M.T @ Ginv @ M).max() < 1e-10
-            assert np.abs(b[e] - M.T @ Ginv @ sub.l[e]).max() < 1e-10
-
     def test_copies_against_dense_inverse_oracle(self):
         # a two-copy slot beside a one-copy slot: G1 kron I_2 inverted densely
         rng = np.random.default_rng(2)
@@ -174,8 +164,8 @@ class TestCondenseLocal:
             assert np.abs(b[e] - M.T @ Ginv @ blocks.l[e]).max() < 1e-10
         assert np.array_equal(A, A.swapaxes(1, 2))
 
-    @pytest.mark.parametrize("spec,test_slot", [("ultraweak", None), ("mixed", None), ("mixed", "tau")])
-    def test_real_chunk_against_padded_gram(self, spec, test_slot):
+    @pytest.mark.parametrize("spec", ["ultraweak", "mixed"])
+    def test_real_chunk_against_padded_gram(self, spec):
         # M^T G^{-1} M with G the padded Gram formed the old way, as the sum
         # of the val and grad or div kernels over all copies
         smooth = smooth_solution_2d()
@@ -183,16 +173,15 @@ class TestCondenseLocal:
         elems = np.arange(0, 32, 3)
         blocks = assemble_local_blocks(form, elems)
         derivs = {"L2": ("val",), "H1": ("val", "grad"), "Hdiv": ("val", "div")}
-        rows = blocks.test_slices[test_slot] if test_slot else slice(None)
         Gfull = np.zeros((len(elems),) + blocks.B.shape[1:2] * 2)
         for name, s in blocks.test_slices.items():
             space = form.test_spaces[name]
             Gfull[:, s, s] = sum(volume_blocks(space, d, space, d, elems, form.quad_degree()) for d in derivs[form.desc.test_norms[name]])
-        A, b = condense_local(blocks, test_slot)
+        A, b = condense_local(blocks)
         for e in range(len(elems)):
-            M = np.concatenate([blocks.B[e], blocks.Bhat[e]], axis=1)[rows]
-            Ginv = np.linalg.inv(Gfull[e][rows, rows])
-            Aref, bref = M.T @ Ginv @ M, M.T @ Ginv @ blocks.l[e][rows]
+            M = np.concatenate([blocks.B[e], blocks.Bhat[e]], axis=1)
+            Ginv = np.linalg.inv(Gfull[e])
+            Aref, bref = M.T @ Ginv @ M, M.T @ Ginv @ blocks.l[e]
             assert np.abs(A[e] - Aref).max() <= 1e-10 * np.abs(Aref).max()
             assert np.abs(b[e] - bref).max() <= 1e-10 * np.abs(bref).max()
 
@@ -332,14 +321,21 @@ class TestSolverRecord:
         assert info["factored_dofs"] == f.num_free_dofs() - sum(f.coeffs[n].size for n in ("sigma", "u", "omega"))
         assert info["lu_nnz"] >= info["free_dofs"]
 
+    def test_conservative_hybrid_factors_interface_and_multipliers(self):
+        # u and omega are eliminated per element; sigma, uhat and the two
+        # momentum multipliers per element are factored
+        smooth = smooth_solution_2d()
+        m = build_square_mesh(2)
+        h = solve_hybrid_mixed(m, smooth.material, 1, bc=bc_from_exact(smooth), conservative=True)
+        eliminated = h.coeffs["u"].size + h.coeffs["omega"].size
+        assert h.extras["solver"]["factored_dofs"] == h.num_free_dofs() - eliminated + 2 * m.num_triangles
+
     def test_factored_dofs_without_elimination(self):
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
         m = build_square_mesh(2)
         f = solve_dpg("primal", m, smooth.material, 1, bc=bc)
         assert f.extras["solver"]["factored_dofs"] == f.extras["solver"]["free_dofs"] == f.num_free_dofs()
-        h = solve_hybrid_mixed(m, smooth.material, 1, bc=bc, conservative=True)
-        assert h.extras["solver"]["factored_dofs"] == h.num_free_dofs() + 2 * m.num_triangles
         s = solve_saddle_point(formulation("primal", m, smooth.material, 1, bc=bc))
         assert s.extras["solver"]["factored_dofs"] == s.num_free_dofs() + s.extras["psi"].size
 
@@ -403,15 +399,6 @@ class TestPathEquivalences:
             d = np.linalg.norm(a.coeffs[k] - b.coeffs[k]) / np.linalg.norm(a.coeffs[k])
             assert d < 1e-8, k
 
-    def test_hybrid_equals_generic_mixed(self):
-        smooth = smooth_solution_2d()
-        bc = bc_from_exact(smooth)
-        m = build_square_mesh(3)
-        a = solve_dpg("mixed", m, smooth.material, 1, bc=bc)
-        b = solve_hybrid_mixed(m, smooth.material, 1, bc=bc)
-        d = np.linalg.norm(a.coeffs["u"] - b.coeffs["u"]) / np.linalg.norm(a.coeffs["u"])
-        assert d < 1e-8
-
     def test_saddle_point_matches_condensed(self):
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
@@ -447,6 +434,63 @@ class TestPathEquivalences:
         form = formulation("primal", build_square_mesh(2), MAT, 1, bc=bc)
         sol = solve_saddle_point(form)
         assert np.abs(sol.extras["psi"]).max() < 1e-10
+
+
+def pointwise_l2_solve(form, C=None, d=None):
+    """The exact-L2 least-squares solve assembled from pointwise residual
+    representers: each L2 test slot's squared residual integrated exactly
+    over the field columns, the Gram-inverted slots condensed, and the
+    normal equations solved on every trial dof."""
+    layout = trial_layout(form)
+    elems = np.arange(form.mesh.num_triangles)
+    gdofs = element_trial_dofs(form, layout, elems)
+    A = np.zeros((len(elems),) + gdofs.shape[1:] * 2)
+    b = np.zeros(gdofs.shape)
+    inverted = [n for n, _ in form.desc.test_slots if form.desc.test_norms[n] != "L2"]
+    if inverted:
+        blocks = assemble_local_blocks(form, elems)
+        A[:], b[:] = condense_local(dataclasses.replace(blocks, G={n: blocks.G[n] for n in inverted}))
+    wts, reps, load_reps, _ = l2_slot_residual_ops(form, elems)
+    for name, rep in reps.items():
+        r = rep.reshape(rep.shape[:3] + (-1,))
+        nfield = r.shape[1]
+        A[:, :nfield, :nfield] += np.einsum("eq,emqk,enqk->emn", wts, r, r)
+        lr = load_reps[name]
+        if lr is not None:
+            b[:, :nfield] += np.einsum("eq,eqk,emqk->em", wts, lr.reshape(lr.shape[:2] + (-1,)), r)
+    rhs = np.zeros(layout.ndof)
+    np.add.at(rhs, gdofs.ravel(), b.ravel())
+    K = scatter_blocks([(gdofs, gdofs, A)], (layout.ndof, layout.ndof))
+    return _solve_constrained(K, rhs, layout.constrained, layout.values, C, d)[0]
+
+
+class TestExactL2:
+    # FOSLS and the hybrid mixed solve are condensed DPG solves whose L2 test
+    # spaces hold the residual, so they reproduce the pointwise assembly
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("path", ["fosls", "hybrid", "hybrid_conservative"])
+    def test_matches_pointwise_assembly(self, path, p):
+        smooth = smooth_solution_2d()
+        bc = bc_from_exact(smooth)
+        m = build_square_mesh(4)
+        if path == "fosls":
+            x = solve_fosls(m, smooth.material, p, bc).full_vector()
+            ref = pointwise_l2_solve(formulation("strong", m, smooth.material, p, dp=0, bc=bc))
+        else:
+            conservative = path == "hybrid_conservative"
+            x = solve_hybrid_mixed(m, smooth.material, p, bc=bc, conservative=conservative).full_vector()
+            form = formulation("mixed", m, smooth.material, p, dp=1, bc=bc)
+            C, d = dpg_solver._momentum_constraints(form) if conservative else (None, None)
+            ref = pointwise_l2_solve(form, C, d)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_constraint_on_eliminated_dof_rejected(self):
+        # a row on a u dof of the mixed formulation, which is eliminated per element
+        form = formulation("mixed", build_square_mesh(2), MAT, 1, bc=BCData())
+        layout = trial_layout(form)
+        C = sp.csr_matrix(([1.0], ([0], [layout.offsets["u"]])), shape=(1, layout.ndof))
+        with pytest.raises(ValueError, match="element-local"):
+            assemble_and_solve(form, C, np.zeros(1))
 
 
 class TestBenchmarkErrors:
