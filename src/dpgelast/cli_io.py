@@ -66,6 +66,8 @@ class RunConfig:
             raise ConfigError(f"p_res must be >= p + 1, got p_res={self.p_res} with p={self.p}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        if not 0.0 <= self.theta < 1.0:
+            raise ConfigError(f"theta must lie in [0, 1), got {self.theta}")
         return self
 
     def benchmark_setup(self):
@@ -226,6 +228,8 @@ def run_adaptive(cfg: RunConfig) -> ConvergenceRecord:
     cfg.validate()
     if cfg.formulation == "galerkin":
         raise ConfigError("adaptive runs need a minimum-residual formulation")
+    if cfg.steps < 2:  # the rate fit needs two solves; converge's steps + 1 rows allow 1
+        raise ConfigError(f"steps must be >= 2 for an adaptive run, got {cfg.steps}")
     mesh, exact, bc = cfg.benchmark_setup()
     t0 = time.perf_counter()
     history = adaptive_loop(

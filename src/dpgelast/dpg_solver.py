@@ -6,21 +6,27 @@ The workhorse path condenses the element-local blocks
     M_K = [B_K | Bhat_K],
 
 into a sparse SPD system, eliminates essential constraints
-symmetrically, and solves with a sparse LU (iterative fallback). A_K and
-b_K are W^T W with W = L_K^{-1} [M_K | l_K], so A_K is symmetric by
-construction: a vector test slot's Gram is G1 kron I_2, L_K is one
-Cholesky factor of G1, and one forward substitution, batched over the
-elements, takes both copies' rows. The L2 field dofs belong to one
-element each: they are eliminated from A_K before the scatter (static
-condensation), only the interface system of conforming fields and
-traces is factored, and they are recovered per element after the solve.
+symmetrically, and solves with a sparse LU (iterative fallback). M_K and
+G_K are the same on every element of a geometry class (forms), so A_K is
+formed once per class and only b_K per element: with W_M = L^{-1} M_K and
+W_l = L^{-1} l_K, A_K = W_M^T W_M is symmetric by construction and
+b_K = W_M^T W_l. A vector test slot's Gram is G1 kron I_2, L is one
+Cholesky factor of G1 per class, and one forward substitution, batched
+over the classes, takes both copies' rows of M_K and of the loads of all
+the class's elements. The L2 field dofs belong to one element each: they
+are eliminated from A_K before the scatter (static condensation; the
+Schur complement once per class), only the interface system of
+conforming fields and traces is factored, and they are recovered per
+element after the solve.
 The SPD free system is factored with a minimum-degree ordering on
 A + A^T and diagonal pivots (SuperLU's symmetric mode); the indefinite
 KKT and saddle-point systems keep partial pivoting. A system whose
 reciprocal 1-norm condition estimate falls below machine epsilon, e.g.
 one on a mesh with no Gamma0 edge, raises LinAlgError. Each solve
 records its path, residual, condition estimate, fill and factored size
-in extras["solver"]. The same solution can be obtained without
+in extras["solver"]; the condensed path adds the number of geometry
+classes and the range over classes of a lower bound on the test Gram's
+condition number. The same solution can be obtained without
 condensation from the symmetric saddle-point system
 
     [ G  M ] [ psi ]   [ l ]
@@ -69,11 +75,12 @@ from .forms import (
     volume_blocks,
     op_matrix,
     basis_pairing,
+    CHUNK,
+    ClassGroups,
+    class_chunks,
 )
 
 log = logging.getLogger(__name__)
-
-CHUNK = 512
 
 
 @dataclass
@@ -105,8 +112,11 @@ class SolutionFields:
 
 @dataclass
 class GlobalSystem:
-    """K and rhs on the interface dofs `iface`; L L^T = A_ll and Y = L^{-1} [A_li | b_l] recover
-    the local dofs `ldofs` (nelt, nl) from the interface columns `idofs` (nelt, ni) of K."""
+    """K and rhs on the interface dofs `iface`. Per geometry class, L L^T = A_ll
+    and Y = L^{-1} A_li, and per element y_b = L^{-1} b_l, recover the local
+    dofs `ldofs` (nelt, nl) from the interface columns `idofs` (nelt, ni) of
+    K; `cls` is each element's class. gram_cond holds the min and max over
+    classes and test slots of cholesky_cond_bound of the test Gram."""
 
     form: Formulation
     layout: object
@@ -115,8 +125,11 @@ class GlobalSystem:
     iface: np.ndarray
     ldofs: np.ndarray
     idofs: np.ndarray
+    cls: np.ndarray
     L: np.ndarray
     Y: np.ndarray
+    yb: np.ndarray
+    gram_cond: tuple
 
 
 LOCAL_KINDS = ("L2sym", "L2vec", "L2skew")
@@ -129,6 +142,14 @@ def gram_cholesky(G):
         return np.linalg.cholesky(G)
     except np.linalg.LinAlgError as err:
         raise ValueError("element Gram matrix is not SPD") from err
+
+
+def cholesky_cond_bound(L):
+    """(max_i L_ii / min_i L_ii)^2 (nelt,) of Cholesky factors L (nelt, n, n):
+    a lower bound on cond(L L^T), as each L_ii^2 is a pivot (a Schur
+    complement of a leading block) and lies between its extreme eigenvalues."""
+    d = np.diagonal(L, axis1=1, axis2=2)
+    return (d.max(axis=1) / d.min(axis=1)) ** 2
 
 
 def forward_substitution(L, X):
@@ -151,34 +172,44 @@ def backward_substitution(L, X):
     return Y
 
 
-def condense_local(blocks):
-    """Per-element normal-equation blocks (A, b) from (B, Bhat, G, l), summed
-    over the test slots of blocks.G.
+def condense_local(blocks, gram_cond=None):
+    """Normal-equation blocks from (B, Bhat, G, l), summed over the test
+    slots of blocks.G: A (nclass, m, m) per class row of blocks.cls and
+    b (nelt, m) per element.
 
-    Per slot, with its one-copy Gram G1 = L L^T and W = L^{-1} [M | l] (the
-    rows c l + j of each copy j as more right-hand sides), A = W_M^T W_M and
-    b = W_M^T W_l; a Gram matrix that is not SPD raises ValueError.
+    Per slot, with its one-copy Gram G1 = L L^T of a class, W_M = L^{-1} M
+    and W_l = L^{-1} l_K (the rows c l + j of each copy j as more
+    right-hand sides; the loads of a class's elements side by side,
+    ClassGroups), A = W_M^T W_M and b_K = W_M^T W_l; a Gram matrix that is
+    not SPD raises ValueError. A list gram_cond receives each slot's
+    cholesky_cond_bound per class.
     """
+    groups = ClassGroups(blocks.cls)
     W = []
     for name in blocks.G:
         s, c = blocks.test_slices[name], blocks.test_copies[name]
-        MB = np.concatenate([blocks.B[:, s], blocks.Bhat[:, s], blocks.l[:, s, None]], axis=2)
-        E, n, m = MB.shape
-        W.append(forward_substitution(gram_cholesky(blocks.G[name]), MB.reshape(E, n // c, c * m)).reshape(E, n, m))
+        L = gram_cholesky(blocks.G[name])
+        if gram_cond is not None:
+            gram_cond.append(cholesky_cond_bound(L))
+        MB = [groups.take(blocks.B[:, s]), groups.take(blocks.Bhat[:, s]), groups.pack(blocks.l[:, s, None])]
+        MB = np.concatenate(MB, axis=2)
+        p, n, k = MB.shape
+        W.append(forward_substitution(groups.take(L), MB.reshape(p, n // c, c * k)).reshape(p, n, k))
     W = np.concatenate(W, axis=1)
-    WM = W[..., :-1]
-    A = np.swapaxes(WM, 1, 2) @ WM
-    b = np.einsum("etm,et->em", WM, W[..., -1], optimize=True)
-    return A, b
+    m = blocks.B.shape[2] + blocks.Bhat.shape[2]
+    WM = groups.first(W[..., :m])
+    return np.swapaxes(WM, 1, 2) @ WM, groups.unpack(np.swapaxes(W[..., :m], 1, 2) @ W[..., m:])[..., 0]
 
 
 def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSystem:
     """Condensed normal equations of a broken formulation on its interface dofs.
 
     The columns of the L2 field slots (LOCAL_KINDS) belong to one element
-    each and are eliminated there: with A_ll = L L^T and Y = L^{-1} [A_li | b_l],
-    the Schur complement S = A_ii - Y_i^T Y_i, exactly symmetric, and
-    s = b_i - Y_i^T y_b are scattered on the remaining dofs.
+    each and are eliminated there: per geometry class, with A_ll = L L^T and
+    Y_i = L^{-1} A_li, the Schur complement S = A_ii - Y_i^T Y_i, exactly
+    symmetric, is scattered for each of its elements; per element,
+    y_b = L^{-1} b_l and s = b_i - Y_i^T y_b. Work runs over chunks of
+    whole classes (class_chunks).
     """
     layout = trial_layout(form)
     nelt = form.mesh.num_triangles
@@ -189,23 +220,34 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
     keep = np.ones(layout.ndof, bool)
     keep[gdofs[:, li]] = False
     inum = np.cumsum(keep) - 1  # interface numbering of the kept dofs
-    rhs = np.zeros(int(keep.sum()))
     idofs = inum[gdofs[:, ii]]
-    # all blocks in one array: chunk blocks kept among the chunks' work arrays fragment the heap
-    S = np.empty((nelt, len(ii), len(ii)))
-    L = np.empty((nelt, len(li), len(li)))
-    Y = np.empty((nelt, len(li), len(ii) + 1))
-    for start in range(0, nelt, chunk):
-        e = slice(start, min(start + chunk, nelt))
-        A, b = condense_local(assemble_local_blocks(form, np.arange(e.start, e.stop)))
-        L[e] = gram_cholesky(A[:, li[:, None], li])
-        Y[e] = forward_substitution(L[e], np.concatenate([A[:, li[:, None], ii], b[:, li, None]], axis=2))
-        Yi = Y[e, :, :-1]
-        S[e] = A[:, ii[:, None], ii] - np.swapaxes(Yi, 1, 2) @ Yi
-        s = b[:, ii] - np.einsum("eli,el->ei", Yi, Y[e, :, -1], optimize=True)
-        np.add.at(rhs, idofs[e].ravel(), s.ravel())
+    cls = form.classes
+    ncls = cls.max() + 1
+    S = np.empty((nelt, len(ii), len(ii)))  # each element's class Schur complement
+    L = np.empty((ncls, len(li), len(li)))
+    Y = np.empty((ncls, len(li), len(ii)))
+    yb = np.empty((nelt, len(li)))
+    s = np.empty((nelt, len(ii)))
+    gram_cond = []
+    for elems in class_chunks(cls, chunk):
+        blocks = assemble_local_blocks(form, elems)
+        A, b = condense_local(blocks, gram_cond)
+        c, groups = cls[blocks.reps], ClassGroups(blocks.cls)
+        L[c] = Lc = gram_cholesky(A[:, li[:, None], li])
+        X = np.concatenate([groups.take(A[:, li[:, None], ii]), groups.pack(b[:, li, None])], axis=2)
+        W = forward_substitution(groups.take(Lc), X)
+        Yp, yp = W[..., : len(ii)], W[..., len(ii) :]
+        Y[c] = Yi = groups.first(Yp)
+        S[elems] = (A[:, ii[:, None], ii] - np.swapaxes(Yi, 1, 2) @ Yi)[blocks.cls]
+        yb[elems] = groups.unpack(yp)[..., 0]
+        s[elems] = b[:, ii] - groups.unpack(np.swapaxes(Yp, 1, 2) @ yp)[..., 0]
+    rhs = np.zeros(int(keep.sum()))
+    np.add.at(rhs, idofs.ravel(), s.ravel())
     K = scatter_blocks([(idofs, idofs, S)], (len(rhs), len(rhs)))
-    return GlobalSystem(form, layout, K, rhs, np.flatnonzero(keep), gdofs[:, li], idofs, L, Y)
+    bounds = np.concatenate(gram_cond)
+    return GlobalSystem(
+        form, layout, K, rhs, np.flatnonzero(keep), gdofs[:, li], idofs, cls, L, Y, yb, (bounds.min(), bounds.max())
+    )
 
 
 # minimum-degree ordering on A + A^T with diagonal pivots, for SPD systems
@@ -336,8 +378,11 @@ def assemble_and_solve(form: Formulation, C=None, d=None) -> SolutionFields:
     xi, info = _solve_constrained(system.K, system.rhs, np.searchsorted(system.iface, layout.constrained), layout.values, C, d)
     x = np.zeros(layout.ndof)
     x[system.iface] = xi
-    Yb, Yi = system.Y[..., -1:], system.Y[..., :-1]
-    x[system.ldofs] = backward_substitution(system.L, Yb - Yi @ xi[system.idofs][..., None])[..., 0]
+    groups = ClassGroups(system.cls)
+    yp = groups.pack(system.yb[..., None]) - groups.take(system.Y) @ groups.pack(xi[system.idofs][..., None])
+    x[system.ldofs] = groups.unpack(backward_substitution(groups.take(system.L), yp))[..., 0]
+    info["geometry_classes"] = len(system.L)
+    info["gram_cond_min"], info["gram_cond_max"] = map(float, system.gram_cond)
     fields = _fields_from_vector(form, layout, x, extras={"solver": info})
     info["free_dofs"] = fields.num_free_dofs()
     return fields
@@ -365,7 +410,7 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     layout = trial_layout(form)
     nelt = form.mesh.num_triangles
     blocks = assemble_local_blocks(form, np.arange(nelt))
-    M = np.concatenate([blocks.B, blocks.Bhat], axis=2)
+    M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
     ntest = M.shape[1]
     npsi = nelt * ntest
     gdofs = element_trial_dofs(form, layout, np.arange(nelt))
@@ -374,7 +419,8 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     gram = []
     for name, s in blocks.test_slices.items():  # copy j of a slot's one-copy Gram on its dofs c l + j
         d, c = psi_dofs[:, s], blocks.test_copies[name]
-        gram += [(d[:, j::c], d[:, j::c], blocks.G[name]) for j in range(c)]
+        G1 = blocks.G[name][blocks.cls]
+        gram += [(d[:, j::c], d[:, j::c], G1) for j in range(c)]
     G = scatter_blocks(gram, (npsi, npsi))
 
     free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)

@@ -5,12 +5,21 @@ described declaratively: trial slots (volume fields and skeleton
 traces), broken or discontinuous test slots, bilinear volume terms,
 skeleton pairing terms, load slots, and test norms. A concrete
 Formulation binds a descriptor to a mesh, material, and orders (p, dp),
-instantiating all discrete spaces; assembly produces per-element blocks
+instantiating all discrete spaces; assembly produces element-local blocks
 
     B (test x field), Bhat (test x trace), G (test Gram), l (load)
 
-in batched numpy arrays, chunked over elements to bound memory; G holds
-one copy G1 per test slot, its Gram being G1 kron I_c (gram_blocks).
+in batched numpy arrays. Every element is affine and the material
+constant, so B, Bhat and G depend on an element only through its
+Jacobian J, the orientations of its edges and the signs of its trace
+normals: elements with equal keys form one geometry class
+(geometry_classes, numbered once per Formulation), and B, Bhat and G are
+built once per class, on its first element; only the load l is built per
+element. Work is chunked over whole classes with their elements
+(class_chunks) to bound memory, and a product of a class matrix with its
+elements' arrays runs on them side by side (ClassGroups). G
+holds one copy G1 per test slot, its Gram being G1 kron I_c
+(gram_blocks).
 
 The blocks are reference tensors times geometry coefficients (Kirby and
 Logg, ACM TOMS 32, 2006): a volume term's block is |det J| P_test^T O
@@ -32,7 +41,7 @@ the right-hand side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -249,6 +258,11 @@ class Formulation:
     def quad_degree(self):
         return 2 * (self.p + self.dp) + 2
 
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The geometry class of each element (geometry_classes)."""
+        return geometry_classes(self.geom, self.skeleton)
+
 
 def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: int = 1, bc: Optional[BCData] = None) -> Formulation:
     """Instantiate a broken formulation with all of its discrete spaces."""
@@ -316,14 +330,100 @@ def project_to_kind(arr, kind):
     return arr
 
 
+# ---------------------------------------------------------------------------
+# geometry classes
+
+CHUNK = 512  # elements per assembly chunk of whole classes
+
+
+def geometry_classes(geom: Geometry, sk: Skeleton) -> np.ndarray:
+    """Class index (nelt,) of the elements of the skeleton's mesh by the key
+    of everything their data-free blocks depend on, compared bitwise: the
+    Jacobian J, the edge orientations (edge_flips) and the trace normal
+    signs. Classes are numbered largest first, ties by first element, so a
+    mesh without repeated keys gets arange(nelt)."""
+    J = np.ascontiguousarray(geom.J).reshape(-1, 4).view(np.int64)
+    keys = np.concatenate([J, edge_flips(sk.mesh, slice(None)), sk.tri_signs], axis=1)
+    _, first, inv, counts = np.unique(keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.lexsort((first, -counts))] = np.arange(len(first))
+    return rank[inv.ravel()]
+
+
+def class_chunks(cls, chunk: int = CHUNK):
+    """Element arrays covering the mesh, each holding whole classes of cls,
+    class by class: as many classes as fit in chunk elements, or one."""
+    counts = np.bincount(cls)
+    members, ends = np.argsort(cls, kind="stable"), np.cumsum(counts)
+    start = 0
+    while start < len(counts):
+        stop = max(start + 1, np.searchsorted(ends, ends[start] - counts[start] + chunk, side="right"))
+        yield members[ends[start] - counts[start] : ends[stop - 1]]
+        start = stop
+
+
+def element_classes(form: Formulation, elems):
+    """The geometry classes among the elements: their first elements
+    (nclass,), in class order, and each element's class row (nelt,)."""
+    _, first, cls = np.unique(form.classes[elems], return_index=True, return_inverse=True)
+    return elems[first], cls.ravel()
+
+
+class ClassGroups:
+    """The elements of each class side by side, so that one product with the
+    class's matrix serves many of them. A class is cut into pieces of at
+    most g = ceil(nelt / nclass) elements, so the zero padding leaves at
+    most 2 nelt + nclass element columns: pack lays per-element arrays
+    (nelt, n, k) out as the columns of their piece, (npiece, n, g * k), and
+    unpack reverses it; take gives each piece its class's array, and first
+    each class its first piece's array. With no class cut, pieces are
+    classes."""
+
+    def __init__(self, cls):
+        counts = np.bincount(cls)
+        g = -(-len(cls) // len(counts))
+        order = np.argsort(cls, kind="stable")
+        rank = np.arange(len(cls)) - np.repeat(np.cumsum(counts) - counts, counts)  # place in its class
+        npieces = -(-counts // g)
+        self.firsts = np.cumsum(npieces) - npieces
+        self.cls = np.repeat(np.arange(len(counts)), npieces)  # the class of each piece
+        self.nelt = len(cls)
+        self.index = np.full((len(self.cls), g), len(cls))  # padding reads a zero row
+        self.index[self.firsts[cls[order]] + rank // g, rank % g] = order
+
+    def take(self, M):
+        """Class arrays (nclass, ...) as piece arrays (npiece, ...)."""
+        return M if len(self.cls) == len(M) else M[self.cls]
+
+    def first(self, P):
+        """Piece arrays (npiece, ...) as class arrays, from each class's first piece."""
+        return P if len(self.cls) == len(self.firsts) else P[self.firsts]
+
+    def pack(self, X):
+        X = np.concatenate([X, np.zeros((1,) + X.shape[1:])])[self.index]  # (npiece, g, n, k)
+        p, g, n, k = X.shape
+        return X.transpose(0, 2, 1, 3).reshape(p, n, g * k)
+
+    def unpack(self, Y, k: int = 1):
+        p, r = Y.shape[:2]
+        Y = Y.reshape(p, r, self.index.shape[1], k).transpose(0, 2, 1, 3)
+        out = np.empty((self.nelt, r, k))
+        real = self.index < self.nelt
+        out[self.index[real]] = Y[real]
+        return out
+
+
 @dataclass
 class LocalBlocks:
-    """Batched per-element blocks for a chunk of elements."""
+    """The data-free blocks of the geometry classes of a set of elements,
+    one row per class, and the load of each element."""
 
     elems: np.ndarray
-    B: np.ndarray  # (nelt, ntest, nfield)
-    Bhat: np.ndarray  # (nelt, ntest, ntrace)
-    G: dict  # test slot -> one copy of its Gram (gram_blocks)
+    cls: np.ndarray  # (nelt,) each element's class row
+    reps: np.ndarray  # (nclass,) the element each class row was built on
+    B: np.ndarray  # (nclass, ntest, nfield)
+    Bhat: np.ndarray  # (nclass, ntest, ntrace)
+    G: dict  # test slot -> one copy of its Gram (gram_blocks), (nclass, n, n)
     l: np.ndarray  # (nelt, ntest)
     test_slices: dict  # test slot -> slice in local test index
     test_copies: dict  # test slot -> c, its Gram being G[slot] kron I_c
@@ -461,27 +561,28 @@ def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems,
 
 
 def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> LocalBlocks:
-    """Assemble (B, Bhat, G, l) for the given elements (default: all)."""
-    mesh = form.mesh
+    """Assemble B, Bhat and G once per geometry class among the given
+    elements (default: all), on the first of its elements, and l for every
+    element."""
     if elems is None:
-        elems = np.arange(mesh.num_triangles)
+        elems = np.arange(form.mesh.num_triangles)
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
+    reps, cls = element_classes(form, elems)
 
     test_slices, ntest, field_slices, nfield, trace_slices, ntrace = _local_layout(form)
-    nelt = len(elems)
-    B = np.zeros((nelt, ntest, nfield))
-    Bhat = np.zeros((nelt, ntest, ntrace))
-    l = np.zeros((nelt, ntest))
+    B = np.zeros((len(reps), ntest, nfield))
+    Bhat = np.zeros((len(reps), ntest, ntrace))
+    l = np.zeros((len(elems), ntest))
 
     for term in form.desc.terms:
         O = op_matrix(term.op, form.material) if term.op else None
         test, trial = form.test_spaces[term.test], form.field_spaces[term.trial]
-        blk = volume_blocks(test, term.test_deriv, trial, term.trial_deriv, elems, degree, O)
+        blk = volume_blocks(test, term.test_deriv, trial, term.trial_deriv, reps, degree, O)
         B[:, test_slices[term.test], field_slices[term.trial]] += term.sign * blk
 
     spaces = form.test_spaces
-    G = {n: gram_blocks(spaces[n], elems, degree, form.desc.test_norms[n]) for n, _ in form.desc.test_slots}
+    G = {n: gram_blocks(spaces[n], reps, degree, form.desc.test_norms[n]) for n, _ in form.desc.test_slots}
 
     # load (f, v)
     _, _, pts = element_quadrature(form.geom, elems, degree)
@@ -490,12 +591,14 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
 
     for tt in form.desc.trace_terms:
         pair = trace_pairing_blocks(
-            form.test_spaces[tt.test], form.trace_spaces[tt.trace], form.skeleton, elems, degree
+            form.test_spaces[tt.test], form.trace_spaces[tt.trace], form.skeleton, reps, degree
         )
         Bhat[:, test_slices[tt.test], trace_slices[tt.trace]] += tt.sign * pair
 
     return LocalBlocks(
         elems=elems,
+        cls=cls,
+        reps=reps,
         B=B,
         Bhat=Bhat,
         G=G,

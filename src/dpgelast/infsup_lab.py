@@ -115,16 +115,17 @@ def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empt
         raise ValueError(f"{spec_id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
-    # each Gram is one copy G1, the copy j of a slot's dofs d being d[:, j::c]
+    # one block per geometry class, gathered by element; each Gram is one
+    # copy G1, the copy j of a slot's dofs d being d[:, j::c]
     gx, gy = [], []
     for name, kind in desc.field_slots:
         space, d = form.field_spaces[name], cols[:, blocks.field_slices[name]]
-        G, c = gram_blocks(space, blocks.elems, degree, _TRIAL_NORM[kind]), row_copies(space)
+        G, c = gram_blocks(space, blocks.reps, degree, _TRIAL_NORM[kind])[blocks.cls], row_copies(space)
         gx += [(d[:, j::c], d[:, j::c], G) for j in range(c)]
     for name, s in blocks.test_slices.items():
-        d, c = rows[:, s], blocks.test_copies[name]
-        gy += [(d[:, j::c], d[:, j::c], blocks.G[name]) for j in range(c)]
-    B = scatter_blocks([(rows, cols, blocks.B)], (ntest, ntrial))[tfree][:, ufree]
+        d, c, G = rows[:, s], blocks.test_copies[name], blocks.G[name][blocks.cls]
+        gy += [(d[:, j::c], d[:, j::c], G) for j in range(c)]
+    B = scatter_blocks([(rows, cols, blocks.B[blocks.cls])], (ntest, ntrial))[tfree][:, ufree]
     GY = scatter_blocks(gy, (ntest, ntest))[tfree][:, tfree]
     GX = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]
     return B, GY, GX

@@ -13,10 +13,12 @@ material map is applied, and the values are paired with the enriched
 test space's reference arrays (basis_pairing); the trace terms are the
 skeleton pairing blocks times the element's trace coefficients. Only
 the Gram-inverted (broken H1 and H(div)) test slots form their Gram
-matrices, one copy G1 per slot (the Gram is G1 kron I_2); as in the
-solver's condensation, the Cholesky factor L_K of G1 and one batched
-forward substitution, with both copies of r_K as right-hand sides, give
-L_K^{-1} r_K, whose squared norm is eta_K^2. Test slots identified with
+matrices, one copy G1 per slot (the Gram is G1 kron I_2). The Grams, their
+Cholesky factors L and the skeleton pairing blocks are data-free, so they
+are built once per geometry class of the solve's formulation (forms); r_K
+is formed per element, and one forward substitution per class, with both
+copies of the residuals of all its elements as right-hand sides, gives
+L^{-1} r_K, whose squared norm is eta_K^2. Test slots identified with
 L2 need no Gram inversion: their residual is the pointwise function sum
 sign * project(op(u_h)) - f, integrated exactly, which avoids the
 projection onto a finite modal basis altogether.
@@ -45,8 +47,12 @@ from .forms import (
     project_to_kind,
     element_momentum_integrals,
     MOMENTUM_QUAD_DEGREE,
+    CHUNK,
+    ClassGroups,
+    class_chunks,
+    element_classes,
 )
-from .dpg_solver import SolutionFields, assemble_and_solve, gram_cholesky, forward_substitution, CHUNK
+from .dpg_solver import SolutionFields, assemble_and_solve, gram_cholesky, forward_substitution
 
 P_RES = 4
 
@@ -80,8 +86,7 @@ def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualRep
     degree = 2 * (form.p + dp_res) + 2
     nelt = form.mesh.num_triangles
     eta2 = np.zeros(nelt)
-    for start in range(0, nelt, CHUNK):
-        elems = np.arange(start, min(start + CHUNK, nelt))
+    for elems in class_chunks(form.classes):
         if inverted:
             eta2[elems] += _dual_norms_sq(fields, tests, inverted, elems, degree)
         if pointwise:
@@ -96,9 +101,12 @@ def _trial_values(fields: SolutionFields, terms, elems, ref_pts) -> dict:
 
 
 def _dual_norms_sq(fields, tests, slots, elems, degree):
-    """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K."""
+    """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K, the
+    Grams and pairing blocks built once per geometry class."""
     form = fields.form
     desc = form.desc
+    reps, cls = element_classes(form, elems)
+    groups = ClassGroups(cls)
     rule, _, pts = element_quadrature(form.geom, elems, degree)
     terms = [t for t in desc.terms if t.test in slots]
     uh = _trial_values(fields, terms, elems, rule.points)
@@ -112,11 +120,12 @@ def _dual_norms_sq(fields, tests, slots, elems, degree):
         if tt.test in r:
             trace = fields.spaces[tt.trace]
             xhat = fields.coeffs[tt.trace][trace.edge_dofs[form.mesh.tri_edges[elems]]].reshape(len(elems), -1, 1)
-            r[tt.test] += tt.sign * (trace_pairing_blocks(tests[tt.test], trace, form.skeleton, elems, degree) @ xhat)[..., 0]
+            T = trace_pairing_blocks(tests[tt.test], trace, form.skeleton, reps, degree)
+            r[tt.test] += tt.sign * groups.unpack(groups.take(T) @ groups.pack(xhat))[..., 0]
     out = np.zeros(len(elems))
     for n in slots:
-        L = gram_cholesky(gram_blocks(tests[n], elems, degree, desc.test_norms[n]))
-        W = forward_substitution(L, r[n].reshape(len(elems), L.shape[1], row_copies(tests[n])))
+        L, c = gram_cholesky(gram_blocks(tests[n], reps, degree, desc.test_norms[n])), row_copies(tests[n])
+        W = groups.unpack(forward_substitution(groups.take(L), groups.pack(r[n].reshape(len(elems), L.shape[1], c))), c)
         out += np.einsum("etc,etc->e", W, W)
     return out
 

@@ -163,6 +163,24 @@ class TestAdaptiveRun:
         with pytest.raises(ConfigError):
             run_adaptive(cfg)
 
+    @pytest.mark.parametrize("key,value", [("steps", 1), ("theta", 1.0), ("theta", -0.1)])
+    def test_bad_config_rejected_before_any_solve(self, tmp_path, monkeypatch, key, value):
+        import dpgelast.cli_io as cli_io
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the loop ran on a bad config")
+
+        monkeypatch.setattr(cli_io, "adaptive_loop", no_solve)
+        cfg = RunConfig(benchmark="lshape_singular", output_dir=str(tmp_path))
+        setattr(cfg, key, value)
+        with pytest.raises(ConfigError, match=key):
+            run_adaptive(cfg)
+        assert not (tmp_path / "adaptive.csv").exists()
+
+    def test_two_steps_valid(self, tmp_path):
+        cfg = RunConfig(benchmark="lshape_singular", steps=2, theta=0.0, output_dir=str(tmp_path))
+        assert len(run_adaptive(cfg).steps) == 2
+
 
 class TestInfSupRun:
     def test_table(self, tmp_path):
@@ -215,6 +233,16 @@ class TestMain:
         assert rc == 1
         err = capsys.readouterr().err
         assert "override 1" in err and "'p'" in err
+
+    @pytest.mark.parametrize("override", ["steps=1", "theta=1.5"])
+    def test_adapt_bad_config_exit_code_names_key(self, tmp_path, capsys, override):
+        rc = main(["adapt", "--set", override, "--set", f"output_dir={tmp_path}"])
+        assert rc == 1
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "adaptive.csv").exists()
+
+    def test_converge_one_step_valid(self):
+        assert parse_config("steps=1\n").steps == 1
 
     def test_override_comment_stripped(self):
         cfg = _build_config(argparse.Namespace(config=None, set=["steps=1 # c", "p = 2"]))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dpgelast.material import MaterialParams
-from dpgelast.mesh import build_square_mesh, build_lshape_mesh, uniform_refine, skeleton, refine
+from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, uniform_refine, skeleton, refine
 from dpgelast.quadrature import triangle_rule, map_to_physical, edge_rule
 from dpgelast.spaces import (
     interpolate,
@@ -22,6 +22,7 @@ from dpgelast.spaces import (
     broken_h1_space,
     broken_hdiv_space,
     row_copies,
+    edge_flips,
 )
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import (
@@ -40,7 +41,11 @@ from dpgelast.forms import (
     trial_term_values,
     trial_layout,
     element_trial_dofs,
+    geometry_classes,
+    class_chunks,
+    ClassGroups,
 )
+from dpgelast.dpg_solver import condense_local
 from dpgelast.infsup_lab import _infsup_operators, _conforming_space, _numbered, _TRIAL_NORM
 from dpgelast.residual_adaptivity import P_RES
 
@@ -77,7 +82,7 @@ def full_gram(blocks):
     n = blocks.B.shape[1]
     G = np.zeros((len(blocks.elems), n, n))
     for name, s in blocks.test_slices.items():
-        G[:, s, s] = padded_gram(blocks.G[name], blocks.test_copies[name])
+        G[:, s, s] = padded_gram(blocks.G[name][blocks.cls], blocks.test_copies[name])
     return G
 
 
@@ -150,6 +155,110 @@ def interpolant_vector(form, exact):
         off = layout.offsets[name]
         x[off : off + space.ndof] = interpolate(space, exact)
     return x, layout
+
+
+def perturbed_mesh(m, seed=5):
+    """m with every interior vertex moved at random by up to 15% of the
+    smallest edge, so no two elements share a geometry key."""
+    rng = np.random.default_rng(seed)
+    v = m.vertices.copy()
+    interior = np.ones(len(v), bool)
+    interior[m.edges[m.edge_tris[:, 1] == -1].ravel()] = False
+    h = skeleton(m).lengths.min()
+    v[interior] += rng.uniform(-0.15, 0.15, (interior.sum(), 2)) * h
+    return Mesh(vertices=v, triangles=m.triangles, boundary_tags=m.boundary_tags)
+
+
+def mesh_classes(m):
+    return geometry_classes(geometry(m), skeleton(m))
+
+
+class TestGeometryClasses:
+    def test_square_has_two_shapes_four_classes(self):
+        # two (J, flips) shapes; the elements with an edge on the boundary,
+        # where the element owns the fixed normal, carry other trace signs
+        m = build_square_mesh(32)
+        flips = edge_flips(m, slice(None))
+        keys = np.concatenate([geometry(m).J.reshape(-1, 4).view(np.int64), flips], axis=1)
+        assert len(np.unique(keys, axis=0)) == 2
+        assert np.array_equal(np.bincount(mesh_classes(m)), [992, 992, 32, 32])
+
+    def test_refined_square_has_25(self):
+        m = build_square_mesh(2)
+        for _ in range(4):
+            m = uniform_refine(m)
+        assert mesh_classes(m).max() + 1 == 25
+
+    def test_perturbed_mesh_one_element_per_class(self):
+        m = perturbed_mesh(uniform_refine(build_square_mesh(4)))
+        assert np.array_equal(mesh_classes(m), np.arange(m.num_triangles))
+
+    @pytest.mark.parametrize("mesh", ["square", "lshape"])
+    def test_members_share_key_bitwise(self, mesh):
+        m = uniform_refine(build_square_mesh(3)) if mesh == "square" else corner_graded_lshape(5)
+        cls, geom, sk = mesh_classes(m), geometry(m), skeleton(m)
+        flips = edge_flips(m, slice(None))
+        counts = np.bincount(cls)
+        assert np.all(np.diff(counts) <= 0)  # numbered largest first
+        for k in range(len(counts)):
+            members = np.flatnonzero(cls == k)
+            for a in (geom.J.view(np.int64), flips, sk.tri_signs):
+                assert np.all(a[members] == a[members[0]])
+        # different classes differ somewhere in the key
+        first = np.unique(cls, return_index=True)[1]
+        keys = np.concatenate([geom.J[first].reshape(-1, 4).view(np.int64), flips[first], sk.tri_signs[first]], axis=1)
+        assert len(np.unique(keys, axis=0)) == len(first)
+
+    def test_chunks_hold_whole_classes(self):
+        m = build_square_mesh(2)
+        for _ in range(4):
+            m = uniform_refine(m)
+        cls = mesh_classes(m)
+        chunks = list(class_chunks(cls, 512))
+        assert np.array_equal(np.sort(np.concatenate(chunks)), np.arange(m.num_triangles))
+        for elems in chunks:
+            ks = np.unique(cls[elems])
+            assert np.sum(np.isin(cls, ks)) == len(elems)
+            assert len(ks) == 1 or len(elems) <= 512
+
+    @pytest.mark.parametrize("sizes", [[9, 7, 7, 6, 6, 5], [30, 1, 1, 1, 1, 1], [1] * 6])
+    def test_groups_round_trip(self, sizes):
+        rng = np.random.default_rng(0)
+        cls = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        X = rng.standard_normal((len(cls), 3, 2))
+        groups = ClassGroups(cls)
+        P = groups.pack(X)
+        assert P.shape == (len(groups.cls), 3, 2 * groups.index.shape[1])
+        assert groups.index.size <= 2 * len(cls) + len(sizes)  # padding at most about doubles
+        assert np.array_equal(groups.unpack(P, 2), X)
+        # one matrix per class applied to its elements' columns
+        M = rng.standard_normal((len(sizes), 4, 3))
+        ref = np.einsum("eij,ejk->eik", M[cls], X)
+        assert np.abs(groups.unpack(groups.take(M) @ P, 2) - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.array_equal(groups.first(groups.take(M)), M)
+
+    @pytest.mark.parametrize("mesh", ["square", "lshape"])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_class_blocks_match_single_element(self, spec, mesh):
+        # every element's class blocks and condensed blocks against those
+        # assembled from the element alone
+        m = build_square_mesh(4) if mesh == "square" else corner_graded_lshape(5)
+        smooth = smooth_solution_2d()
+        form = formulation(spec, m, smooth.material, 2, bc=bc_from_exact(smooth))
+        blocks = assemble_local_blocks(form)
+        assert len(blocks.reps) < m.num_triangles
+        A, b = condense_local(blocks)
+        for e in range(m.num_triangles):
+            one, k = assemble_local_blocks(form, [e]), blocks.cls[e]
+            A1, b1 = condense_local(one)
+            assert rel_err(blocks.B[k], one.B[0]) <= 1e-13
+            if one.Bhat.size:
+                assert rel_err(blocks.Bhat[k], one.Bhat[0]) <= 1e-13
+            for name in one.G:
+                assert rel_err(blocks.G[name][k], one.G[name][0]) <= 1e-13
+            assert np.abs(blocks.l[e] - one.l[0]).max() <= 1e-13 * np.abs(one.l[0]).max()
+            assert rel_err(A[k], A1[0]) <= 1e-10
+            assert rel_err(b[e], b1[0]) <= 1e-10
 
 
 class TestRegistry:
@@ -286,7 +395,7 @@ class TestReferenceKernels:
         form = formulation(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth))
         blocks = assemble_local_blocks(form)
         refs = quadrature_blocks(form, form.quad_degree())
-        for got, ref in zip((blocks.B, blocks.Bhat, full_gram(blocks), blocks.l), refs):
+        for got, ref in zip((blocks.B[blocks.cls], blocks.Bhat[blocks.cls], full_gram(blocks), blocks.l), refs):
             if ref.size:
                 assert rel_err(got, ref) <= 1e-13
 
@@ -438,7 +547,8 @@ class TestTraceBlocks:
         total = np.zeros(layout.ndof)
         for i, e in enumerate(elems):
             ye = y[conf.elt_dofs[e]]
-            total[gdofs[i]] += ye @ np.concatenate([blocks.B[i], blocks.Bhat[i]], axis=1)
+            k = blocks.cls[i]
+            total[gdofs[i]] += ye @ np.concatenate([blocks.B[k], blocks.Bhat[k]], axis=1)
         off = layout.offsets["shat"]
         free = np.setdiff1d(np.arange(shat.ndof), shat.constrained_dofs)
         assert np.abs(total[off + free]).max() < 1e-11
@@ -528,7 +638,7 @@ class TestFieldBlocks:
         blocks = assemble_local_blocks(form, np.arange(form.mesh.num_triangles))
         for i in range(form.mesh.num_triangles):
             xs = coeffs[sig_space.elt_dofs[i]]
-            rows = blocks.B[i][blocks.test_slices["w"], blocks.field_slices["sigma"]]
+            rows = blocks.B[blocks.cls[i]][blocks.test_slices["w"], blocks.field_slices["sigma"]]
             assert np.abs(rows @ xs).max() < 1e-11
 
 
@@ -544,7 +654,7 @@ class TestConsistency:
             elems = np.arange(m.num_triangles)
             blocks = assemble_local_blocks(form, elems)
             gdofs = element_trial_dofs(form, layout, elems)
-            M = np.concatenate([blocks.B, blocks.Bhat], axis=2)
+            M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
             r = np.einsum("etm,em->et", M, x[gdofs]) - blocks.l
             norms.append(np.abs(r).max())
             m = uniform_refine(m)

@@ -172,12 +172,12 @@ def dense_eta(fields, p_res=P_RES):
     elems = np.arange(form.mesh.num_triangles)
     xloc = fields.full_vector()[element_trial_dofs(form_res, fields.layout, elems)]
     blocks = assemble_local_blocks(form_res, elems)
-    r = np.einsum("etm,em->et", np.concatenate([blocks.B, blocks.Bhat], axis=2), xloc) - blocks.l
+    r = np.einsum("etm,em->et", np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls], xloc) - blocks.l
     eta2 = np.zeros(len(elems))
     for name, _ in form.desc.test_slots:
         if form.desc.test_norms[name] != "L2":
             s, c = blocks.test_slices[name], blocks.test_copies[name]
-            G1 = blocks.G[name]  # the Gram is G1 kron I_c on the interleaved copies
+            G1 = blocks.G[name][blocks.cls]  # the Gram is G1 kron I_c on the interleaved copies
             G = np.einsum("elm,ab->elamb", G1, np.eye(c)).reshape(len(elems), G1.shape[1] * c, -1)
             eta2 += np.einsum("et,et->e", r[:, s], np.linalg.solve(G, r[:, s, None])[..., 0])
     wts, reps, load_reps, _ = l2_slot_residual_ops(form_res, elems, quad_degree=max(2 * p_res + 2, 16))

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dpgelast.material import MaterialParams, stiffness_apply_array
-from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, uniform_refine
+from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, uniform_refine, refine
 from dpgelast.exact_solutions import smooth_solution_2d, singular_solution, error_norms
 from dpgelast.forms import (
     BCData,
@@ -28,6 +28,7 @@ from dpgelast.dpg_solver import (
     _solve_constrained,
     assemble_normal_equations,
     backward_substitution,
+    cholesky_cond_bound,
     condense_local,
     forward_substitution,
     assemble_and_solve,
@@ -43,10 +44,11 @@ MAT = MaterialParams(lam=1.0, mu=1.0)
 
 class FakeBlocks:
     """(B, Bhat, l) over all test rows and one Gram per test slot; a single
-    slot "v" with one copy by default."""
+    slot "v" with one copy by default. Each element is its own class."""
 
     def __init__(self, B, Bhat, G, l, test_slices=None, test_copies=None):
         self.B, self.Bhat, self.l = B, Bhat, l
+        self.cls = np.arange(len(l))
         self.G = G if isinstance(G, dict) else {"v": G}
         self.test_slices = test_slices or {"v": slice(0, B.shape[1])}
         self.test_copies = test_copies or {name: 1 for name in self.G}
@@ -179,10 +181,11 @@ class TestCondenseLocal:
             Gfull[:, s, s] = sum(volume_blocks(space, d, space, d, elems, form.quad_degree()) for d in derivs[form.desc.test_norms[name]])
         A, b = condense_local(blocks)
         for e in range(len(elems)):
-            M = np.concatenate([blocks.B[e], blocks.Bhat[e]], axis=1)
+            k = blocks.cls[e]
+            M = np.concatenate([blocks.B[k], blocks.Bhat[k]], axis=1)
             Ginv = np.linalg.inv(Gfull[e])
             Aref, bref = M.T @ Ginv @ M, M.T @ Ginv @ blocks.l[e]
-            assert np.abs(A[e] - Aref).max() <= 1e-10 * np.abs(Aref).max()
+            assert np.abs(A[k] - Aref).max() <= 1e-10 * np.abs(Aref).max()
             assert np.abs(b[e] - bref).max() <= 1e-10 * np.abs(bref).max()
 
 
@@ -219,11 +222,12 @@ def uncondensed_solve(form):
     included, scattered and solved whole."""
     layout = trial_layout(form)
     elems = np.arange(form.mesh.num_triangles)
-    A, b = condense_local(assemble_local_blocks(form, elems))
+    blocks = assemble_local_blocks(form, elems)
+    A, b = condense_local(blocks)
     gdofs = element_trial_dofs(form, layout, elems)
     rhs = np.zeros(layout.ndof)
     np.add.at(rhs, gdofs.ravel(), b.ravel())
-    K = scatter_blocks([(gdofs, gdofs, A)], (layout.ndof, layout.ndof))
+    K = scatter_blocks([(gdofs, gdofs, A[blocks.cls])], (layout.ndof, layout.ndof))
     return _solve_constrained(K, rhs, layout.constrained, layout.values)[0]
 
 
@@ -320,6 +324,26 @@ class TestSolverRecord:
         # the L2 fields are eliminated per element; only the interface is factored
         assert info["factored_dofs"] == f.num_free_dofs() - sum(f.coeffs[n].size for n in ("sigma", "u", "omega"))
         assert info["lu_nnz"] >= info["free_dofs"]
+
+    def test_geometry_classes_and_gram_condition_recorded(self):
+        smooth = smooth_solution_2d()
+        bc = bc_from_exact(smooth)
+        square = assemble_and_solve(formulation("primal", build_square_mesh(4), smooth.material, 2, bc=bc))
+        m = build_lshape_mesh()
+        for _ in range(5):  # graded towards the re-entrant corner
+            m = refine(m, np.argsort(np.linalg.norm(m.triangle_vertices().mean(axis=1), axis=1))[:4])
+        form = formulation("primal", m, smooth.material, 2, bc=bc)
+        graded = assemble_and_solve(form)
+        info = graded.extras["solver"]
+        assert info["geometry_classes"] == form.classes.max() + 1 < m.num_triangles
+        assert square.extras["solver"]["geometry_classes"] == 4
+        # the bound is a lower bound on every class's Gram condition number
+        G1 = assemble_local_blocks(form).G["v"]
+        bound = cholesky_cond_bound(np.linalg.cholesky(G1))
+        assert np.all(bound <= np.linalg.cond(G1))
+        assert (info["gram_cond_min"], info["gram_cond_max"]) == (bound.min(), bound.max())
+        assert 1.0 <= info["gram_cond_min"] <= info["gram_cond_max"]
+        assert info["gram_cond_max"] > square.extras["solver"]["gram_cond_max"]
 
     def test_conservative_hybrid_factors_interface_and_multipliers(self):
         # u and omega are eliminated per element; sigma, uhat and the two
@@ -422,7 +446,7 @@ class TestPathEquivalences:
         elems = np.arange(form.mesh.num_triangles)
         blocks = assemble_local_blocks(form, elems)
         gdofs = element_trial_dofs(form, layout, elems)
-        M = np.concatenate([blocks.B, blocks.Bhat], axis=2)
+        M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
         Btpsi = np.zeros(layout.ndof)
         np.add.at(Btpsi, gdofs.ravel(), np.einsum("etm,et->em", M, psi).ravel())
         free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)
@@ -449,7 +473,8 @@ def pointwise_l2_solve(form, C=None, d=None):
     inverted = [n for n, _ in form.desc.test_slots if form.desc.test_norms[n] != "L2"]
     if inverted:
         blocks = assemble_local_blocks(form, elems)
-        A[:], b[:] = condense_local(dataclasses.replace(blocks, G={n: blocks.G[n] for n in inverted}))
+        Acls, b[:] = condense_local(dataclasses.replace(blocks, G={n: blocks.G[n] for n in inverted}))
+        A[:] = Acls[blocks.cls]
     wts, reps, load_reps, _ = l2_slot_residual_ops(form, elems)
     for name, rep in reps.items():
         r = rep.reshape(rep.shape[:3] + (-1,))
