@@ -71,6 +71,7 @@ from .forms import (
     slot_layout,
     element_trial_dofs,
     scatter_blocks,
+    gram_copies,
     element_momentum_integrals,
     volume_blocks,
     op_matrix,
@@ -417,10 +418,8 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     psi_dofs = np.arange(npsi).reshape(nelt, ntest)
     Bg = scatter_blocks([(psi_dofs, gdofs, M)], (npsi, layout.ndof))
     gram = []
-    for name, s in blocks.test_slices.items():  # copy j of a slot's one-copy Gram on its dofs c l + j
-        d, c = psi_dofs[:, s], blocks.test_copies[name]
-        G1 = blocks.G[name][blocks.cls]
-        gram += [(d[:, j::c], d[:, j::c], G1) for j in range(c)]
+    for name, s in blocks.test_slices.items():
+        gram += gram_copies(psi_dofs[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
     G = scatter_blocks(gram, (npsi, npsi))
 
     free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)

@@ -26,10 +26,12 @@ Logg, ACM TOMS 32, 2006): a volume term's block is |det J| P_test^T O
 P_trial, with O the C or S matrix, contracted with the cached reference
 tensor of the two spaces' reference arrays (volume_blocks, and the Grams
 as sums of such terms); a skeleton pairing scales a reference edge tensor
-per local edge and orientation (trace_pairing_blocks); the load and the
-estimator's residual pair quadrature values of f and u_h with the shared
-reference arrays in one matmul (basis_pairing). The solvers, the estimator
-and the inf-sup lab share these kernels and scatter_blocks.
+per local edge and orientation (trace_pairing_blocks); the load pairs
+quadrature values of f with the shared reference arrays in one matmul
+(basis_pairing). The solvers, the estimator and the inf-sup lab take
+their blocks from assemble_local_blocks; the solvers and the inf-sup lab
+scatter them with scatter_blocks, a Gram G1 kron I_c once per copy
+(gram_copies).
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -362,13 +364,6 @@ def class_chunks(cls, chunk: int = CHUNK):
         start = stop
 
 
-def element_classes(form: Formulation, elems):
-    """The geometry classes among the elements: their first elements
-    (nclass,), in class order, and each element's class row (nelt,)."""
-    _, first, cls = np.unique(form.classes[elems], return_index=True, return_inverse=True)
-    return elems[first], cls.ravel()
-
-
 class ClassGroups:
     """The elements of each class side by side, so that one product with the
     class's matrix serves many of them. A class is cut into pieces of at
@@ -568,7 +563,8 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         elems = np.arange(form.mesh.num_triangles)
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    reps, cls = element_classes(form, elems)
+    _, first, cls = np.unique(form.classes[elems], return_index=True, return_inverse=True)
+    reps, cls = elems[first], cls.ravel()
 
     test_slices, ntest, field_slices, nfield, trace_slices, ntrace = _local_layout(form)
     B = np.zeros((len(reps), ntest, nfield))
@@ -686,6 +682,12 @@ def scatter_blocks(triples, shape) -> sp.csr_matrix:
         cols[off : off + k].reshape(b.shape)[...] = c[:, None, :]
         off += k
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def gram_copies(dofs, G1, c: int) -> list:
+    """scatter_blocks triples of the Grams G1 kron I_c (gram_blocks) on the
+    element dofs (nelt, c n), copy j of each row l sitting on dof c l + j."""
+    return [(dofs[:, j::c], dofs[:, j::c], G1) for j in range(c)]
 
 
 # ---------------------------------------------------------------------------

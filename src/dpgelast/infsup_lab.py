@@ -32,8 +32,8 @@ from .dpg_solver import _factor_checked, _SPD_LU
 from .mesh import Mesh, skeleton as make_skeleton
 from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
-    DESCRIPTORS, BCData, Formulation, assemble_local_blocks, gram_blocks, scatter_blocks, trace_pairing_blocks,
-    volume_blocks,
+    DESCRIPTORS, BCData, Formulation, assemble_local_blocks, gram_blocks, gram_copies, scatter_blocks,
+    trace_pairing_blocks, volume_blocks,
 )
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
@@ -115,16 +115,14 @@ def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empt
         raise ValueError(f"{spec_id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
-    # one block per geometry class, gathered by element; each Gram is one
-    # copy G1, the copy j of a slot's dofs d being d[:, j::c]
+    # one block per geometry class, gathered by element
     gx, gy = [], []
     for name, kind in desc.field_slots:
-        space, d = form.field_spaces[name], cols[:, blocks.field_slices[name]]
-        G, c = gram_blocks(space, blocks.reps, degree, _TRIAL_NORM[kind])[blocks.cls], row_copies(space)
-        gx += [(d[:, j::c], d[:, j::c], G) for j in range(c)]
+        space = form.field_spaces[name]
+        G = gram_blocks(space, blocks.reps, degree, _TRIAL_NORM[kind])[blocks.cls]
+        gx += gram_copies(cols[:, blocks.field_slices[name]], G, row_copies(space))
     for name, s in blocks.test_slices.items():
-        d, c, G = rows[:, s], blocks.test_copies[name], blocks.G[name][blocks.cls]
-        gy += [(d[:, j::c], d[:, j::c], G) for j in range(c)]
+        gy += gram_copies(rows[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
     B = scatter_blocks([(rows, cols, blocks.B[blocks.cls])], (ntest, ntrial))[tfree][:, ufree]
     GY = scatter_blocks(gy, (ntest, ntest))[tfree][:, tfree]
     GX = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]
@@ -186,8 +184,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
         ],
         (n, n),
     )
-    mu, c = gram_blocks(uspace, elems, degree, "L2"), row_copies(uspace)
-    Mmass = scatter_blocks([(ud[:, j::c], ud[:, j::c], mu) for j in range(c)] + [(wd, wd, ww)], (n, n))
+    mu = gram_copies(ud, gram_blocks(uspace, elems, degree, "L2"), row_copies(uspace))
+    Mmass = scatter_blocks(mu + [(wd, wd, ww)], (n, n))
     ufree = np.concatenate([_free(uspace), np.arange(nw) + nu])
     Mf = Mmass[ufree][:, ufree]
     lam = spla.eigsh(A[ufree][:, ufree], k=1, M=Mf, sigma=SHIFT, v0=np.ones(len(ufree)), return_eigenvectors=False)
@@ -205,8 +203,8 @@ def auxiliary_constants(mesh: Mesh, p: int):
         ],
         (tspace.ndof, n2),
     )[tfree]
-    gt, c = gram_blocks(tspace, elems, degree, "Hdiv"), row_copies(tspace)
-    GT = scatter_blocks([(td[:, j::c], td[:, j::c], gt) for j in range(c)], (tspace.ndof, tspace.ndof))
+    gt = gram_copies(td, gram_blocks(tspace, elems, degree, "Hdiv"), row_copies(tspace))
+    GT = scatter_blocks(gt, (tspace.ndof, tspace.ndof))
     # both L2 trial spaces carry orthonormal bases, so their Gram is the identity
     lam2 = _min_infsup_eig(B, GT[tfree][:, tfree], sp.identity(n2, format="csr"))
     c_b = float(np.sqrt(max(lam2, 0.0)))

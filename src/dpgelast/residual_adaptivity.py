@@ -1,27 +1,25 @@
 """Residual evaluation and adaptive refinement.
 
 The minimum-residual framework comes with a built-in error estimator:
-the discrete dual norm of the element residual r_K = B_K x_K - l_K,
+the discrete dual norm of the element residual r_K = B_K x_K + Bhat_K xhat_K - l_K,
 
     eta_K^2 = r_K^T G_K^{-1} r_K,
 
 evaluated in an enriched broken test space of fixed order p_res
-(Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). The
-residual is formed without B: each trial field of the solve is
-evaluated once at the quadrature points (field_values), the term's
-material map is applied, and the values are paired with the enriched
-test space's reference arrays (basis_pairing); the trace terms are the
-skeleton pairing blocks times the element's trace coefficients. Only
-the Gram-inverted (broken H1 and H(div)) test slots form their Gram
-matrices, one copy G1 per slot (the Gram is G1 kron I_2). The Grams, their
-Cholesky factors L and the skeleton pairing blocks are data-free, so they
-are built once per geometry class of the solve's formulation (forms); r_K
-is formed per element, and one forward substitution per class, with both
-copies of the residuals of all its elements as right-hand sides, gives
-L^{-1} r_K, whose squared norm is eta_K^2. Test slots identified with
-L2 need no Gram inversion: their residual is the pointwise function sum
-sign * project(op(u_h)) - f, integrated exactly, which avoids the
-projection onto a finite modal basis altogether.
+(Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). B, Bhat,
+G and l are the solve's element blocks (forms.assemble_local_blocks) of its
+formulation with the test spaces at order p_res: B, Bhat and G once per
+geometry class, l per element. For each Gram-inverted (broken H1 and
+H(div)) test slot, r_K is formed from the class blocks and the element's
+coefficients of the solve, then one forward substitution per class with
+the Cholesky factor L of the slot's one-copy Gram G1 (the Gram is
+G1 kron I_c), with both copies of the residuals of all its elements as
+right-hand sides, gives L^{-1} r_K, whose squared norm is eta_K^2. B x
+and l cancel before the substitution: substituting them apart and
+subtracting after lets a one-ulp change of G move eta_K by more. Test
+slots identified with L2 need no Gram inversion: their residual is the
+pointwise function sum sign * project(op(u_h)) - f, integrated exactly,
+which avoids the projection onto a finite modal basis altogether.
 
 Marking uses a simple maximum strategy and refinement is
 newest-vertex bisection, so the adaptive loop is
@@ -30,19 +28,18 @@ solve -> estimate -> mark -> refine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .mesh import Mesh, refine
-from .spaces import field_values, row_copies
+from .spaces import field_values
 from .forms import (
     formulation,
     build_test_spaces,
+    assemble_local_blocks,
+    element_trial_dofs,
     element_quadrature,
-    gram_blocks,
-    basis_pairing,
-    trace_pairing_blocks,
     trial_term_values,
     project_to_kind,
     element_momentum_integrals,
@@ -50,7 +47,6 @@ from .forms import (
     CHUNK,
     ClassGroups,
     class_chunks,
-    element_classes,
 )
 from .dpg_solver import SolutionFields, assemble_and_solve, gram_cholesky, forward_substitution
 
@@ -73,60 +69,43 @@ def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualRep
     """Per-element residual dual norms of a computed solution.
 
     The solve's own trial spaces and coefficients are used; only the test
-    spaces are built, at the enriched order.
+    spaces are built, at the enriched order p_res, which may not lie below
+    the trial order p.
     """
     form = fields.form
     if form is None:
         raise ValueError("residuals need the broken formulation the solution came from")
+    if p_res < form.p:
+        raise ValueError(f"residual test order p_res={p_res} lies below the trial order p={form.p}")
     desc = form.desc
-    dp_res = max(p_res - form.p, 0)
-    tests = build_test_spaces(desc, form.skeleton, form.p, dp_res)
+    dp_res = p_res - form.p
+    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(desc, form.skeleton, form.p, dp_res))
     inverted = [n for n, _ in desc.test_slots if desc.test_norms[n] != "L2"]
     pointwise = [(n, k) for n, k in desc.test_slots if desc.test_norms[n] == "L2"]
-    degree = 2 * (form.p + dp_res) + 2
-    nelt = form.mesh.num_triangles
-    eta2 = np.zeros(nelt)
-    for elems in class_chunks(form.classes):
+    x = fields.full_vector()
+    eta2 = np.zeros(form.mesh.num_triangles)
+    for elems in class_chunks(form_res.classes):
         if inverted:
-            eta2[elems] += _dual_norms_sq(fields, tests, inverted, elems, degree)
+            xloc = x[element_trial_dofs(form_res, fields.layout, elems)]
+            eta2[elems] += _dual_norms_sq(assemble_local_blocks(form_res, elems), xloc, inverted)
         if pointwise:
             eta2[elems] += _pointwise_norms_sq(fields, pointwise, elems, max(2 * p_res + 2, 16))
     return ResidualReport(eta=np.sqrt(eta2), p_res=p_res)
 
 
-def _trial_values(fields: SolutionFields, terms, elems, ref_pts) -> dict:
-    """The trial fields the terms read, on the elements at the points."""
-    names = dict.fromkeys(t.trial for t in terms)
-    return {n: field_values(fields.spaces[n], fields.coeffs[n], elems, ref_pts) for n in names}
-
-
-def _dual_norms_sq(fields, tests, slots, elems, degree):
-    """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K, the
-    Grams and pairing blocks built once per geometry class."""
-    form = fields.form
-    desc = form.desc
-    reps, cls = element_classes(form, elems)
-    groups = ClassGroups(cls)
-    rule, _, pts = element_quadrature(form.geom, elems, degree)
-    terms = [t for t in desc.terms if t.test in slots]
-    uh = _trial_values(fields, terms, elems, rule.points)
-    r = {n: np.zeros((len(elems), tests[n].nloc)) for n in slots}
-    for term in terms:
-        vals = trial_term_values(term, uh, form.material)
-        r[term.test] += term.sign * basis_pairing(tests[term.test], term.test_deriv, elems, degree, vals)
-    if desc.load_slot in r:
-        r[desc.load_slot] -= basis_pairing(tests[desc.load_slot], "val", elems, degree, form.bc.body_force(pts))
-    for tt in desc.trace_terms:
-        if tt.test in r:
-            trace = fields.spaces[tt.trace]
-            xhat = fields.coeffs[tt.trace][trace.edge_dofs[form.mesh.tri_edges[elems]]].reshape(len(elems), -1, 1)
-            T = trace_pairing_blocks(tests[tt.test], trace, form.skeleton, reps, degree)
-            r[tt.test] += tt.sign * groups.unpack(groups.take(T) @ groups.pack(xhat))[..., 0]
-    out = np.zeros(len(elems))
+def _dual_norms_sq(blocks, xloc, slots):
+    """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K: per slot,
+    r_K = [B | Bhat] x_K - l_K on the class blocks, then L^{-1} r_K with
+    the rows c l + j of each copy j as more right-hand sides (condense_local)."""
+    groups = ClassGroups(blocks.cls)
+    M, X = np.concatenate([blocks.B, blocks.Bhat], axis=2), groups.pack(xloc[..., None])
+    out = np.zeros(len(blocks.elems))
     for n in slots:
-        L, c = gram_cholesky(gram_blocks(tests[n], reps, degree, desc.test_norms[n])), row_copies(tests[n])
-        W = groups.unpack(forward_substitution(groups.take(L), groups.pack(r[n].reshape(len(elems), L.shape[1], c))), c)
-        out += np.einsum("etc,etc->e", W, W)
+        s, c = blocks.test_slices[n], blocks.test_copies[n]
+        r = groups.take(M[:, s]) @ X - groups.pack(blocks.l[:, s, None])
+        p, m, g = r.shape
+        W = forward_substitution(groups.take(gram_cholesky(blocks.G[n])), r.reshape(p, m // c, c * g))
+        out += groups.unpack(np.sum((W * W).reshape(p, m, g), axis=1, keepdims=True))[:, 0, 0]
     return out
 
 
@@ -138,7 +117,8 @@ def _pointwise_norms_sq(fields, slots, elems, degree):
     rule, wts, pts = element_quadrature(form.geom, elems, degree)
     names = {n for n, _ in slots}
     terms = [t for t in desc.terms if t.test in names]
-    uh = _trial_values(fields, terms, elems, rule.points)
+    trials = dict.fromkeys(t.trial for t in terms)
+    uh = {n: field_values(fields.spaces[n], fields.coeffs[n], elems, rule.points) for n in trials}
     out = np.zeros(len(elems))
     for name, kind in slots:
         R = sum(

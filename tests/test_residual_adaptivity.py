@@ -18,6 +18,7 @@ from dpgelast.forms import (
     bc_from_exact,
     build_test_spaces,
     assemble_local_blocks,
+    class_chunks,
     element_trial_dofs,
     l2_slot_residual_ops,
 )
@@ -30,6 +31,7 @@ from dpgelast.residual_adaptivity import (
     adaptive_loop,
     local_conservation_defect,
 )
+from test_forms import perturbed_mesh
 
 MAT = MaterialParams(lam=1.0, mu=1.0)
 
@@ -150,6 +152,12 @@ class TestEstimator:
         monkeypatch.setattr(spaces, "trace_spaces", fail)
         assert np.array_equal(element_residuals(f).eta, eta)
 
+    def test_p_res_below_trial_order_raises(self):
+        smooth = smooth_solution_2d()
+        f = solve_dpg("primal", build_square_mesh(2), smooth.material, 3, bc=bc_from_exact(smooth))
+        with pytest.raises(ValueError, match="p_res=2 .* p=3"):
+            element_residuals(f, p_res=2)
+
     def test_eta_decreases_under_uniform_refinement(self):
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
@@ -190,30 +198,54 @@ def dense_eta(fields, p_res=P_RES):
     return np.sqrt(eta2)
 
 
+def assert_matches_dense(fields):
+    ref = dense_eta(fields)
+    rep = element_residuals(fields)
+    assert np.all(np.abs(rep.eta - ref) <= 1e-11 * ref)
+    total = np.sqrt(np.sum(ref**2))
+    assert abs(rep.total - total) <= 1e-13 * total
+
+
 class TestDenseOracle:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     @pytest.mark.parametrize("domain", ["square", "lshape"])
     def test_matches_assembled_blocks(self, domain, spec, p):
-        # the matrix-free residual sums B x - l in another order, so the
-        # cancelling difference agrees to rounding, not bitwise
+        # the estimator forms B x - l class by class with its elements side
+        # by side, in another order than the dense einsum, so the cancelling
+        # difference agrees to rounding, not bitwise
         exact, mesh = (
             (smooth_solution_2d(), build_square_mesh(4)) if domain == "square" else (singular_solution(), build_lshape_mesh(2))
         )
-        f = solve_dpg(spec, mesh, exact.material, p, bc=bc_from_exact(exact))
-        ref = dense_eta(f)
-        rep = element_residuals(f)
-        assert np.all(np.abs(rep.eta - ref) <= 1e-11 * ref)
-        total = np.sqrt(np.sum(ref**2))
-        assert abs(rep.total - total) <= 1e-13 * total
+        assert_matches_dense(solve_dpg(spec, mesh, exact.material, p, bc=bc_from_exact(exact)))
+
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_matches_with_one_element_per_class(self, spec, p):
+        smooth = smooth_solution_2d()
+        mesh = perturbed_mesh(uniform_refine(build_square_mesh(4)))
+        assert_matches_dense(solve_dpg(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth)))
+
+    @pytest.mark.parametrize("spec", ["primal", "ultraweak"])
+    def test_matches_across_class_chunks(self, spec):
+        # 2 048 triangles in 25 geometry classes, estimated in 5 chunks
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(2)
+        for _ in range(4):
+            mesh = uniform_refine(mesh)
+        f = solve_dpg(spec, mesh, smooth.material, 1, bc=bc_from_exact(smooth))
+        assert len(list(class_chunks(f.form.classes))) == 5
+        assert_matches_dense(f)
 
     def test_non_spd_gram_raises(self, monkeypatch):
-        import dpgelast.residual_adaptivity as ra
+        # the estimator's Grams come from forms.assemble_local_blocks, which
+        # the solve uses too, so solve before patching
+        import dpgelast.forms as forms
 
-        gram = ra.gram_blocks
-        monkeypatch.setattr(ra, "gram_blocks", lambda *args: -gram(*args))
         smooth = smooth_solution_2d()
         f = solve_dpg("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        gram = forms.gram_blocks
+        monkeypatch.setattr(forms, "gram_blocks", lambda *args: -gram(*args))
         with pytest.raises(ValueError, match="not SPD"):
             element_residuals(f)
 
@@ -221,7 +253,7 @@ class TestDenseOracle:
         # a symmetric one-ulp relative perturbation of every element Gram
         # moves eta_K only by rounding when the test bases are well
         # conditioned; an H(div) Gram with cond ~ 1e12 moves it by ~1e-11
-        import dpgelast.residual_adaptivity as ra
+        import dpgelast.forms as forms
 
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(2)
@@ -229,14 +261,14 @@ class TestDenseOracle:
             mesh = uniform_refine(mesh)
         f = solve_dpg("ultraweak", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
         eta = element_residuals(f).eta
-        gram, rng = ra.gram_blocks, np.random.default_rng(0)
+        gram, rng = forms.gram_blocks, np.random.default_rng(0)
 
         def perturbed(*args):
             G = gram(*args)
             P = rng.standard_normal(G.shape)
             return G * (1.0 + np.finfo(float).eps * 0.5 * (P + np.swapaxes(P, 1, 2)))
 
-        monkeypatch.setattr(ra, "gram_blocks", perturbed)
+        monkeypatch.setattr(forms, "gram_blocks", perturbed)
         assert np.all(np.abs(element_residuals(f).eta - eta) <= 1e-13 * eta)
 
 
