@@ -41,8 +41,9 @@ Strong formulation with order-p L2 test spaces, and solve_hybrid_mixed
 the Mixed formulation at dp=1. With conservative=True the hybrid solve
 minimizes the same functional subject to int_K (div sigma_h + f) = 0 on
 every element, solving the KKT system with one P0(K)^2 Lagrange
-multiplier per element. A classical Galerkin primal solver is included
-as a reference.
+multiplier per element. A classical Galerkin primal solver, on the
+blocks of the unbroken primal pair (forms.unbroken_formulation), is
+included as a reference.
 """
 
 from __future__ import annotations
@@ -56,26 +57,23 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .material import MaterialParams
-from .mesh import Mesh, GAMMA1, skeleton as make_skeleton
+from .mesh import Mesh, GAMMA1
 from .quadrature import edge_rule
-from .spaces import h1_space, edge_points, edge_flips, edge_reference
+from .spaces import edge_points, edge_flips, edge_reference
 from .forms import (
+    DESCRIPTORS,
     Formulation,
     BCData,
     TrialLayout,
     formulation,
+    unbroken_formulation,
     build_test_spaces,
     assemble_local_blocks,
-    element_quadrature,
     trial_layout,
-    slot_layout,
     element_trial_dofs,
     scatter_blocks,
     gram_copies,
     element_momentum_integrals,
-    volume_blocks,
-    op_matrix,
-    basis_pairing,
     CHUNK,
     ClassGroups,
     class_chunks,
@@ -507,25 +505,18 @@ def solve_hybrid_mixed(mesh, material, p, bc: Optional[BCData] = None, *, conser
 def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> SolutionFields:
     """Standard conforming Galerkin method for the primal problem:
     (C grad u, grad v) = (f, v) + (g, v)_Gamma1 on H1 with the
-    displacement boundary eliminated."""
-    bc = bc if bc is not None else BCData()
-    space = h1_space(mesh, p, gamma0_constrained=True, bc_fn=bc.u0)
+    displacement boundary eliminated: K and the body-force load are the
+    element blocks B and l of the unbroken primal pair at test order p,
+    whose test space is the trial space."""
+    form = unbroken_formulation(DESCRIPTORS["primal"], mesh, material, p, p, bc)
+    bc, space, sk = form.bc, form.field_spaces["u"], form.skeleton
+    blocks = assemble_local_blocks(form)
     n = space.ndof
+    K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.B[blocks.cls])], (n, n))
     rhs = np.zeros(n)
-    triples = []
-    nelt = mesh.num_triangles
-    for start in range(0, nelt, CHUNK):
-        elems = np.arange(start, min(start + CHUNK, nelt))
-        _, _, pts = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
-        A = volume_blocks(space, "grad", space, "grad", elems, 2 * p + 2, op_matrix("C", material))
-        b = basis_pairing(space, "val", elems, 2 * p + 2, bc.body_force(pts))
-        gdofs = space.elt_dofs[elems]
-        triples.append((gdofs, gdofs, A))
-        np.add.at(rhs, gdofs.ravel(), b.ravel())
-    K = scatter_blocks(triples, (n, n))
-    # traction load on Gamma1
+    np.add.at(rhs, space.elt_dofs.ravel(), blocks.l.ravel())
+    # traction load on Gamma1, one edge per call of g
     if bc.g is not None:
-        sk = make_skeleton(mesh)
         tq, twq = edge_rule(2 * p + 6)
         ref = edge_reference("H1", p, tq)
         for eid in mesh.boundary_edge_ids(GAMMA1):
@@ -534,17 +525,6 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
             gv = np.asarray(bc.g(edge_points(mesh, eid, tq), sk.normals[eid]), dtype=float)
             ev = ref[loc, edge_flips(mesh, [t0])[0, loc]]  # (nloc, nq, 2)
             np.add.at(rhs, space.elt_dofs[t0], sk.lengths[eid] * np.einsum("q,qc,lqc->l", twq, gv, ev))
-    layout = slot_layout({"u": space})
+    layout = trial_layout(form)
     x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
-    return SolutionFields(
-        mesh=mesh,
-        material=material,
-        spec_name="galerkin",
-        p=p,
-        dp=0,
-        spaces={"u": space},
-        coeffs={"u": x},
-        form=None,
-        layout=layout,
-        extras={"solver": info},
-    )
+    return replace(_fields_from_vector(form, layout, x, {"solver": info}), spec_name="galerkin", form=None)

@@ -3,9 +3,11 @@
 Five broken formulations of the first-order elasticity system are
 described declaratively: trial slots (volume fields and skeleton
 traces), broken or discontinuous test slots, bilinear volume terms,
-skeleton pairing terms, load slots, and test norms. A concrete
-Formulation binds a descriptor to a mesh, material, and orders (p, dp),
-instantiating all discrete spaces; assembly produces element-local blocks
+skeleton pairing terms, an optional load slot, and test and trial norms.
+A concrete Formulation binds a descriptor to a mesh, material, and orders
+(p, dp), instantiating all discrete spaces; unbroken_formulation binds it
+to its unbroken pair instead (conforming test spaces, no skeleton terms).
+Assembly produces element-local blocks
 
     B (test x field), Bhat (test x trace), G (test Gram), l (load)
 
@@ -13,7 +15,7 @@ in batched numpy arrays. Every element is affine and the material
 constant, so B, Bhat and G depend on an element only through its
 Jacobian J, the orientations of its edges and the signs of its trace
 normals: elements with equal keys form one geometry class
-(geometry_classes, numbered once per Formulation), and B, Bhat and G are
+(geometry_classes, once per Formulation, kept by replace), and B, Bhat and G are
 built once per class, on its first element; only the load l is built per
 element. Work is chunked over whole classes with their elements
 (class_chunks) to bound memory, and a product of a class matrix with its
@@ -28,8 +30,9 @@ tensor of the two spaces' reference arrays (volume_blocks, and the Grams
 as sums of such terms); a skeleton pairing scales a reference edge tensor
 per local edge and orientation (trace_pairing_blocks); the load pairs
 quadrature values of f with the shared reference arrays in one matmul
-(basis_pairing). The solvers, the estimator and the inf-sup lab take
-their blocks from assemble_local_blocks; the solvers and the inf-sup lab
+(basis_pairing). The solvers, the estimator, the inf-sup lab and the
+Galerkin reference take their blocks from assemble_local_blocks, and no
+other module calls these kernels; the solvers and the inf-sup lab
 scatter them with scatter_blocks, a Gram G1 kron I_c once per copy
 (gram_copies).
 
@@ -42,8 +45,8 @@ the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -103,7 +106,8 @@ class FormulationDescriptor:
     terms: tuple
     trace_terms: tuple
     test_norms: dict  # test name -> L2 | H1 | Hdiv
-    load_slot: str  # test slot receiving (f, v)
+    trial_norms: dict  # field name -> L2 | H1 | Hdiv, the trial Gram of the inf-sup pair
+    load_slot: Optional[str] = None  # test slot receiving (f, v), if any
 
 
 DESCRIPTORS = {
@@ -120,6 +124,7 @@ DESCRIPTORS = {
         ),
         trace_terms=(),
         test_norms={"tau": "L2", "v": "L2", "w": "L2"},
+        trial_norms={"sigma": "Hdiv", "u": "H1"},
         load_slot="v",
     ),
     "ultraweak": FormulationDescriptor(
@@ -135,6 +140,7 @@ DESCRIPTORS = {
         ),
         trace_terms=(TraceTerm("tau", "uhat", -1.0), TraceTerm("v", "shat", -1.0)),
         test_norms={"tau": "Hdiv", "v": "H1"},
+        trial_norms={"sigma": "L2", "u": "L2", "omega": "L2"},
         load_slot="v",
     ),
     "dualmixed": FormulationDescriptor(
@@ -149,6 +155,7 @@ DESCRIPTORS = {
         ),
         trace_terms=(TraceTerm("v", "shat", -1.0),),
         test_norms={"tau": "L2", "v": "H1"},
+        trial_norms={"sigma": "L2", "u": "H1"},
         load_slot="v",
     ),
     "mixed": FormulationDescriptor(
@@ -165,6 +172,7 @@ DESCRIPTORS = {
         ),
         trace_terms=(TraceTerm("tau", "uhat", -1.0),),
         test_norms={"tau": "Hdiv", "v": "L2", "w": "L2"},
+        trial_norms={"sigma": "Hdiv", "u": "L2", "omega": "L2"},
         load_slot="v",
     ),
     "primal": FormulationDescriptor(
@@ -175,6 +183,7 @@ DESCRIPTORS = {
         terms=(Term("v", "grad", "u", "grad", 1.0, "C"),),
         trace_terms=(TraceTerm("v", "shat", -1.0),),
         test_norms={"v": "H1"},
+        trial_norms={"u": "H1"},
         load_slot="v",
     ),
 }
@@ -201,11 +210,11 @@ def bc_from_exact(exact) -> BCData:
     return BCData(f=exact.body_force, g=exact.traction, u0=exact.displacement)
 
 
-def _trial_space(kind, sk, p, bc: BCData):
+def _trial_space(kind, sk, p, bc: BCData, gamma0=True):
     if kind == "Hdiv":
         return hdiv_space(sk, p, gamma1_constrained=True, traction_fn=bc.g)
     if kind == "H1":
-        return h1_space(sk.mesh, p, gamma0_constrained=True, bc_fn=bc.u0)
+        return h1_space(sk.mesh, p, gamma0_constrained=gamma0, bc_fn=bc.u0)
     if kind in ("L2sym", "L2vec", "L2skew"):
         return l2_space(sk.mesh, p - 1, kind)
     raise ValueError(f"unknown trial kind {kind!r}")
@@ -241,6 +250,7 @@ class Formulation:
     trace_spaces: dict
     test_spaces: dict
     skeleton: object
+    _classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def id(self):
@@ -248,8 +258,9 @@ class Formulation:
 
     @property
     def geom(self):
-        """The element geometry every volume space of the mesh holds."""
-        return self.test_spaces[self.desc.load_slot].payload["geom"]
+        """The element geometry every volume space of the mesh holds, read
+        off a test space."""
+        return next(iter(self.test_spaces.values())).payload["geom"]
 
     def trial_slot_names(self):
         return [n for n, _ in self.desc.field_slots] + [n for n, _ in self.desc.trace_slots]
@@ -260,10 +271,14 @@ class Formulation:
     def quad_degree(self):
         return 2 * (self.p + self.dp) + 2
 
-    @cached_property
+    @property
     def classes(self) -> np.ndarray:
-        """The geometry class of each element (geometry_classes)."""
-        return geometry_classes(self.geom, self.skeleton)
+        """The geometry class of each element (geometry_classes), computed
+        on first use. It depends on the mesh and skeleton only, so
+        dataclasses.replace hands it on to a formulation with other spaces."""
+        if self._classes is None:
+            self._classes = geometry_classes(self.geom, self.skeleton)
+        return self._classes
 
 
 def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: int = 1, bc: Optional[BCData] = None) -> Formulation:
@@ -295,6 +310,22 @@ def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: 
         trace_spaces=traces,
         test_spaces=tests,
         skeleton=sk,
+    )
+
+
+def unbroken_formulation(desc: FormulationDescriptor, mesh: Mesh, material, p: int, q: int, bc: Optional[BCData] = None, gamma0: bool = True) -> Formulation:
+    """The unbroken conforming pair of a descriptor: its trial slots on
+    conforming spaces of order p with their boundary constraints (without
+    gamma0, H1 slots are free on Gamma0), its test slots on their
+    conforming counterparts of order q with zero data, and no skeleton
+    terms, which vanish on conforming test functions."""
+    bc = bc if bc is not None else BCData()
+    sk = make_skeleton(mesh)
+    fields = {n: _trial_space(k, sk, p, bc, gamma0) for n, k in desc.field_slots}
+    tests = {n: _trial_space(k.removeprefix("Broken"), sk, q, BCData(), gamma0) for n, k in desc.test_slots}
+    return Formulation(
+        desc=replace(desc, trace_slots=(), trace_terms=()), mesh=mesh, material=material, p=p, dp=q - p, bc=bc,
+        field_spaces=fields, trace_spaces={}, test_spaces=tests, skeleton=sk,
     )
 
 
@@ -580,10 +611,10 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
     spaces = form.test_spaces
     G = {n: gram_blocks(spaces[n], reps, degree, form.desc.test_norms[n]) for n, _ in form.desc.test_slots}
 
-    # load (f, v)
-    _, _, pts = element_quadrature(form.geom, elems, degree)
-    load = form.desc.load_slot
-    l[:, test_slices[load]] = basis_pairing(form.test_spaces[load], "val", elems, degree, form.bc.body_force(pts))
+    load = form.desc.load_slot  # (f, v)
+    if load is not None:
+        _, _, pts = element_quadrature(form.geom, elems, degree)
+        l[:, test_slices[load]] = basis_pairing(form.test_spaces[load], "val", elems, degree, form.bc.body_force(pts))
 
     for tt in form.desc.trace_terms:
         pair = trace_pairing_blocks(

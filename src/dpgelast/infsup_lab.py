@@ -1,28 +1,30 @@
 """Discrete inf-sup diagnostics on unbroken conforming pairs.
 
-For each formulation the trial slots keep their usual conforming spaces
-and constraints, the broken test slots are replaced by their conforming
-counterparts, and the skeleton terms drop (they vanish identically for
-conforming test functions). The discrete inf-sup constant is then
+Each pair is a descriptor built by forms.unbroken_formulation: the trial
+slots keep their usual conforming spaces and constraints, the broken
+test slots are replaced by their conforming counterparts, and the
+skeleton terms drop (they vanish identically for conforming test
+functions). The discrete inf-sup constant is then
 
     gamma_h^2 = min eig of  B^T G_Y^{-1} B  x = gamma^2 G_X x,
 
-with G_Y the test-norm Gram and G_X the trial-norm Gram, both reduced
-to unconstrained dofs. The smallest eigenvalue comes from ARPACK in
+with G_Y the test-norm Gram and G_X the Gram of the descriptor's trial
+norms, both reduced to unconstrained dofs. The smallest eigenvalue comes from ARPACK in
 shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
 is applied through one sparse LU of the saddle matrix
 [[G_Y, B], [B^T, sigma G_X]]. A degenerate regime with the displacement
 boundary removed exposes the rigid-body kernel.
 
-The module also computes two auxiliary stability constants of the
-continuous analysis on discrete subspaces, and runs the jump screens
-that certify the skeleton pairings annihilate exactly the conforming
-members of the broken spaces.
+The two auxiliary stability constants of the continuous analysis are
+the inf-sup constants of two more pairs (POINCARE, DIVERGENCE) on
+discrete subspaces. The module also runs the jump screens that certify
+the skeleton pairings annihilate exactly the conforming members of the
+broken spaces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,10 +32,10 @@ import scipy.sparse.linalg as spla
 
 from .dpg_solver import _factor_checked, _SPD_LU
 from .mesh import Mesh, skeleton as make_skeleton
-from .spaces import h1_space, hdiv_space, l2_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
+from .spaces import h1_space, hdiv_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
-    DESCRIPTORS, BCData, Formulation, assemble_local_blocks, gram_blocks, gram_copies, scatter_blocks,
-    trace_pairing_blocks, volume_blocks,
+    DESCRIPTORS, FormulationDescriptor, Term, assemble_local_blocks, gram_blocks, gram_copies, scatter_blocks,
+    trace_pairing_blocks, unbroken_formulation,
 )
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
@@ -50,17 +52,33 @@ SHIFT = -1e-6
 # 1.0e-9 and 3.1e-10 against partial pivoting, 1e-3 by 2.5e-13
 _SADDLE_LU = dict(_SPD_LU, diag_pivot_thresh=1e-3)
 
-_TRIAL_NORM = {"H1": "H1", "Hdiv": "Hdiv", "L2sym": "L2", "L2vec": "L2", "L2skew": "L2"}
-
-
-def _conforming_space(kind, sk, order, gamma0_empty):
-    if kind in ("H1", "BrokenH1"):
-        return h1_space(sk.mesh, order, gamma0_constrained=not gamma0_empty)
-    if kind in ("Hdiv", "BrokenHdiv"):
-        return hdiv_space(sk, order, gamma1_constrained=True)
-    if kind in ("L2sym", "L2vec", "L2skew"):
-        return l2_space(sk.mesh, order - 1, kind)
-    raise ValueError(f"unknown kind {kind!r}")
+# The pairs of the auxiliary constants, with no load. At test order p the
+# order-(p-1) L2 test slots of POINCARE hold omega - grad u, so its inf-sup
+# constant is 1/C_P; DIVERGENCE pairs L2 (u, omega) with an H(div) tau.
+POINCARE = FormulationDescriptor(
+    id="C_P",
+    field_slots=(("u", "H1"), ("omega", "L2skew")),
+    trace_slots=(),
+    test_slots=(("tau", "L2sym"), ("w", "L2skew")),
+    terms=(
+        Term("tau", "val", "u", "grad", -1.0),
+        Term("w", "val", "u", "grad", -1.0),
+        Term("w", "val", "omega", "val", 1.0),
+    ),
+    trace_terms=(),
+    test_norms={"tau": "L2", "w": "L2"},
+    trial_norms={"u": "L2", "omega": "L2"},
+)
+DIVERGENCE = FormulationDescriptor(
+    id="C_B",
+    field_slots=(("u", "L2vec"), ("omega", "L2skew")),
+    trace_slots=(),
+    test_slots=(("tau", "BrokenHdiv"),),
+    terms=(Term("tau", "div", "u", "val", 1.0), Term("tau", "val", "omega", "val", 1.0)),
+    trace_terms=(),
+    test_norms={"tau": "Hdiv"},
+    trial_norms={"u": "L2", "omega": "L2"},
+)
 
 
 def _free(space):
@@ -88,38 +106,21 @@ class InfSupResult:
     ntest: int
 
 
-def _infsup_operators(spec_id, mesh: Mesh, material, p: int, q: int, gamma0_empty: bool = False):
-    """Free-by-free sparse B, G_Y and G_X of the unbroken conforming pair.
-
-    B and G_Y come from the element assembly of the formulation with its
-    test slots on conforming spaces of order q and its skeleton terms
-    dropped; G_X is the trial-norm Gram.
-    """
-    desc = DESCRIPTORS[spec_id]
-    sk = make_skeleton(mesh)
-    form = Formulation(
-        desc=replace(desc, trace_slots=(), trace_terms=()),
-        mesh=mesh,
-        material=material,
-        p=p,
-        dp=q - p,
-        bc=BCData(),
-        field_spaces={n: _conforming_space(k, sk, p, gamma0_empty) for n, k in desc.field_slots},
-        trace_spaces={},
-        test_spaces={n: _conforming_space(k, sk, q, gamma0_empty) for n, k in desc.test_slots},
-        skeleton=sk,
-    )
-    rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
-    cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
+def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int, q: int, gamma0_empty: bool = False):
+    """Free-by-free sparse B, G_Y and G_X of the unbroken pair of a
+    descriptor with test order q (forms.unbroken_formulation): B and G_Y
+    from its element assembly, G_X the Gram of its trial norms."""
+    form = unbroken_formulation(desc, mesh, material, p, q, gamma0=not gamma0_empty)
+    rows, tfree, ntest = _numbered(form.test_spaces.values())
+    cols, ufree, ntrial = _numbered(form.field_spaces.values())
     if len(ufree) == 0 or len(tfree) == 0:
-        raise ValueError(f"{spec_id}: no unconstrained dofs left on this mesh, refine first")
+        raise ValueError(f"{desc.id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
     # one block per geometry class, gathered by element
     gx, gy = [], []
-    for name, kind in desc.field_slots:
-        space = form.field_spaces[name]
-        G = gram_blocks(space, blocks.reps, degree, _TRIAL_NORM[kind])[blocks.cls]
+    for name, space in form.field_spaces.items():
+        G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])[blocks.cls]
         gx += gram_copies(cols[:, blocks.field_slices[name]], G, row_copies(space))
     for name, s in blocks.test_slices.items():
         gy += gram_copies(rows[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
@@ -148,7 +149,7 @@ def _min_infsup_eig(B, GY, GX) -> float:
 def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = False, test_order=None) -> InfSupResult:
     """Discrete inf-sup constant of the unbroken conforming pair."""
     q = test_order if test_order is not None else p + TEST_ORDER_BUMP[spec_id]
-    B, GY, GX = _infsup_operators(spec_id, mesh, material, p, q, gamma0_empty)
+    B, GY, GX = _infsup_operators(DESCRIPTORS[spec_id], mesh, material, p, q, gamma0_empty)
     gamma = float(np.sqrt(max(_min_infsup_eig(B, GY, GX), 0.0)))
     return InfSupResult(spec_id=spec_id, p=p, test_order=q, gamma=gamma, ntrial=B.shape[1], ntest=B.shape[0])
 
@@ -157,58 +158,14 @@ def auxiliary_constants(mesh: Mesh, p: int):
     """Two discrete stability constants of the continuous analysis.
 
     C_P bounds the pair (u, omega) in L2 by the combination
-    ||omega - grad u||: it is 1/sqrt(lambda_min) of the quotient
-    minimized over H1-conforming u vanishing on Gamma0 and elementwise
-    skew omega. C_B is the discrete inf-sup constant of
-    (u, div tau) + (omega, tau) over the H(div) test norm.
+    ||omega - grad u||, over H1-conforming u vanishing on Gamma0 and
+    elementwise skew omega: 1/gamma of POINCARE at test order p. C_B is
+    the discrete inf-sup constant of (u, div tau) + (omega, tau) over the
+    H(div) test norm: gamma of DIVERGENCE at test order p + 1.
     """
-    uspace = h1_space(mesh, p, gamma0_constrained=True)
-    wspace = l2_space(mesh, p - 1, "L2skew")
-    tspace = hdiv_space(make_skeleton(mesh), p + 1, gamma1_constrained=True)
-    elems = np.arange(mesh.num_triangles)
-    degree = 2 * (p + 2) + 2
-    nu, nw = uspace.ndof, wspace.ndof
-    n = nu + nw
-
-    # columns of (omega - grad u) for the combined trial vector
-    ud = uspace.elt_dofs
-    wd = wspace.elt_dofs + nu
-    ww = gram_blocks(wspace, elems, degree, "L2")
-    cross = -volume_blocks(uspace, "grad", wspace, "val", elems, degree)
-    A = scatter_blocks(
-        [
-            (ud, ud, volume_blocks(uspace, "grad", uspace, "grad", elems, degree)),
-            (wd, wd, ww),
-            (ud, wd, cross),
-            (wd, ud, np.swapaxes(cross, 1, 2)),
-        ],
-        (n, n),
-    )
-    mu = gram_copies(ud, gram_blocks(uspace, elems, degree, "L2"), row_copies(uspace))
-    Mmass = scatter_blocks(mu + [(wd, wd, ww)], (n, n))
-    ufree = np.concatenate([_free(uspace), np.arange(nw) + nu])
-    Mf = Mmass[ufree][:, ufree]
-    lam = spla.eigsh(A[ufree][:, ufree], k=1, M=Mf, sigma=SHIFT, v0=np.ones(len(ufree)), return_eigenvectors=False)
-    c_p = float(1.0 / np.sqrt(max(lam[0], 1e-300)))
-
-    # divergence-pair inf-sup: trial (u, omega) in L2, test tau in H(div)
-    u2 = l2_space(mesh, p - 1, "L2vec")
-    n2 = u2.ndof + wspace.ndof
-    td = tspace.elt_dofs
-    tfree = _free(tspace)
-    B = scatter_blocks(
-        [
-            (td, u2.elt_dofs, volume_blocks(tspace, "div", u2, "val", elems, degree)),
-            (td, wspace.elt_dofs + u2.ndof, volume_blocks(tspace, "val", wspace, "val", elems, degree)),
-        ],
-        (tspace.ndof, n2),
-    )[tfree]
-    gt = gram_copies(td, gram_blocks(tspace, elems, degree, "Hdiv"), row_copies(tspace))
-    GT = scatter_blocks(gt, (tspace.ndof, tspace.ndof))
-    # both L2 trial spaces carry orthonormal bases, so their Gram is the identity
-    lam2 = _min_infsup_eig(B, GT[tfree][:, tfree], sp.identity(n2, format="csr"))
-    c_b = float(np.sqrt(max(lam2, 0.0)))
-    return {"C_P": c_p, "C_B": c_b}
+    lam_p = _min_infsup_eig(*_infsup_operators(POINCARE, mesh, None, p, p))
+    lam_b = _min_infsup_eig(*_infsup_operators(DIVERGENCE, mesh, None, p, p + 1))
+    return {"C_P": float(1.0 / np.sqrt(max(lam_p, 1e-300))), "C_B": float(np.sqrt(max(lam_b, 0.0)))}
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,19 @@ the discrete dual norm of the element residual r_K = B_K x_K + Bhat_K xhat_K - l
 evaluated in an enriched broken test space of fixed order p_res
 (Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). B, Bhat,
 G and l are the solve's element blocks (forms.assemble_local_blocks) of its
-formulation with the test spaces at order p_res: B, Bhat and G once per
-geometry class, l per element. For each Gram-inverted (broken H1 and
-H(div)) test slot, r_K is formed from the class blocks and the element's
-coefficients of the solve, then one forward substitution per class with
-the Cholesky factor L of the slot's one-copy Gram G1 (the Gram is
-G1 kron I_c), with both copies of the residuals of all its elements as
-right-hand sides, gives L^{-1} r_K, whose squared norm is eta_K^2. B x
-and l cancel before the substitution: substituting them apart and
-subtracting after lets a one-ulp change of G move eta_K by more. Test
-slots identified with L2 need no Gram inversion: their residual is the
-pointwise function sum sign * project(op(u_h)) - f, integrated exactly,
-which avoids the projection onto a finite modal basis altogether.
+formulation restricted to its Gram-inverted (broken H1 and H(div)) test
+slots, at order p_res: B, Bhat and G once per geometry class of the
+solve, l per element. For each such slot, r_K is formed from the class
+blocks and the element's coefficients of the solve, then one forward
+substitution per class with the Cholesky factor L of the slot's one-copy
+Gram G1 (the Gram is G1 kron I_c), with both copies of the residuals of
+all its elements as right-hand sides, gives L^{-1} r_K, whose squared
+norm is eta_K^2. B x and l cancel before the substitution: substituting
+them apart and subtracting after lets a one-ulp change of G move eta_K
+by more. Test slots identified with L2 need no Gram inversion: their
+residual is the pointwise function sum sign * project(op(u_h)) - f,
+integrated exactly, which avoids the projection onto a finite modal
+basis altogether.
 
 Marking uses a simple maximum strategy and refinement is
 newest-vertex bisection, so the adaptive loop is
@@ -78,13 +79,22 @@ def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualRep
     if p_res < form.p:
         raise ValueError(f"residual test order p_res={p_res} lies below the trial order p={form.p}")
     desc = form.desc
-    dp_res = p_res - form.p
-    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(desc, form.skeleton, form.p, dp_res))
     inverted = [n for n, _ in desc.test_slots if desc.test_norms[n] != "L2"]
     pointwise = [(n, k) for n, k in desc.test_slots if desc.test_norms[n] == "L2"]
+    if inverted:  # the formulation restricted to these test slots, at order p_res
+        sub = replace(
+            desc,
+            test_slots=tuple(s for s in desc.test_slots if s[0] in inverted),
+            terms=tuple(t for t in desc.terms if t.test in inverted),
+            trace_terms=tuple(t for t in desc.trace_terms if t.test in inverted),
+            test_norms={n: desc.test_norms[n] for n in inverted},
+            load_slot=desc.load_slot if desc.load_slot in inverted else None,
+        )
+        dp_res = p_res - form.p
+        form_res = replace(form, desc=sub, dp=dp_res, test_spaces=build_test_spaces(sub, form.skeleton, form.p, dp_res))
     x = fields.full_vector()
     eta2 = np.zeros(form.mesh.num_triangles)
-    for elems in class_chunks(form_res.classes):
+    for elems in class_chunks(form.classes):
         if inverted:
             xloc = x[element_trial_dofs(form_res, fields.layout, elems)]
             eta2[elems] += _dual_norms_sq(assemble_local_blocks(form_res, elems), xloc, inverted)

@@ -1,8 +1,6 @@
 """Local assembly tests: Gram structure, trace pairings, loads, and
 exact-solution consistency of the formulation blocks."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -29,9 +27,9 @@ from dpgelast.forms import (
     DESCRIPTORS,
     FORMULATION_IDS,
     BCData,
-    Formulation,
     bc_from_exact,
     formulation,
+    unbroken_formulation,
     build_test_spaces,
     assemble_local_blocks,
     element_quadrature,
@@ -46,7 +44,7 @@ from dpgelast.forms import (
     ClassGroups,
 )
 from dpgelast.dpg_solver import condense_local
-from dpgelast.infsup_lab import _infsup_operators, _conforming_space, _numbered, _TRIAL_NORM
+from dpgelast.infsup_lab import _infsup_operators, _numbered
 from dpgelast.residual_adaptivity import P_RES
 
 
@@ -403,16 +401,9 @@ class TestReferenceKernels:
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_infsup_operators_match_quadrature(self, mesh, spec, p):
         q = p + 1
-        B, GY, GX = _infsup_operators(spec, mesh, MAT, p, q)
         desc = DESCRIPTORS[spec]
-        sk = skeleton(mesh)
-        form = Formulation(
-            desc=replace(desc, trace_slots=(), trace_terms=()), mesh=mesh, material=MAT, p=p, dp=1, bc=BCData(),
-            field_spaces={n: _conforming_space(k, sk, p, False) for n, k in desc.field_slots},
-            trace_spaces={},
-            test_spaces={n: _conforming_space(k, sk, q, False) for n, k in desc.test_slots},
-            skeleton=sk,
-        )
+        B, GY, GX = _infsup_operators(desc, mesh, MAT, p, q)
+        form = unbroken_formulation(desc, mesh, MAT, p, q)
         degree = 2 * (q + 1) + 2
         Bq, _, Gq, _ = quadrature_blocks(form, degree)
         rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
@@ -420,11 +411,11 @@ class TestReferenceKernels:
         elems = np.arange(mesh.num_triangles)
         rule, wts, _ = element_quadrature(form.geom, elems, degree)
         gx, off = [], 0
-        for name, kind in desc.field_slots:
+        for name, _ in desc.field_slots:
             space = form.field_spaces[name]
             s = slice(off, off + space.nloc)
             off += space.nloc
-            gx.append((cols[:, s], cols[:, s], quadrature_gram(wts, volume_basis(space, elems, rule.points), _TRIAL_NORM[kind])))
+            gx.append((cols[:, s], cols[:, s], quadrature_gram(wts, volume_basis(space, elems, rule.points), desc.trial_norms[name])))
         for got, ref in (
             (B, scatter_blocks([(rows, cols, Bq)], (ntest, ntrial))[tfree][:, ufree]),
             (GY, scatter_blocks([(rows, rows, Gq)], (ntest, ntest))[tfree][:, tfree]),

@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from dpgelast.material import MaterialParams
 from dpgelast.mesh import build_square_mesh, skeleton, uniform_refine
-from dpgelast.forms import FORMULATION_IDS
+from dpgelast.forms import DESCRIPTORS, FORMULATION_IDS
 from dpgelast.infsup_lab import (
     TEST_ORDER_BUMP,
     _infsup_operators,
@@ -92,7 +92,7 @@ class TestDiscreteInfSup:
 
 def dense_gamma(spec, mesh, p, gamma0_empty):
     """gamma from the dense generalized eigenproblem of the same operators."""
-    B, GY, GX = (M.toarray() for M in _infsup_operators(spec, mesh, MAT, p, p + TEST_ORDER_BUMP[spec], gamma0_empty))
+    B, GY, GX = (M.toarray() for M in _infsup_operators(DESCRIPTORS[spec], mesh, MAT, p, p + TEST_ORDER_BUMP[spec], gamma0_empty))
     A = B.T @ np.linalg.solve(GY, B)
     lam = sla.eigh(0.5 * (A + A.T), GX, eigvals_only=True)
     return float(np.sqrt(max(lam[0], 0.0)))
@@ -129,6 +129,22 @@ class TestAuxiliaryConstants:
         m = build_square_mesh(1)
         for rec in self.RECORDED:
             c = auxiliary_constants(m, 1)
+            for key in ("C_P", "C_B"):
+                assert abs(c[key] - rec[key]) <= 1e-10 * rec[key]
+            m = uniform_refine(m)
+
+    # p = 2 on the same meshes, recorded from the hand assembly of the two
+    # pairs that preceded their descriptors
+    RECORDED_P2 = [
+        {"C_P": 1.272957209359628, "C_B": 0.7405824330405951},
+        {"C_P": 1.3631808977651407, "C_B": 0.6420443576581992},
+        {"C_P": 1.4209208479345576, "C_B": 0.5845008622515253},
+    ]
+
+    def test_matches_recorded_p2(self):
+        m = build_square_mesh(1)
+        for rec in self.RECORDED_P2:
+            c = auxiliary_constants(m, 2)
             for key in ("C_P", "C_B"):
                 assert abs(c[key] - rec[key]) <= 1e-10 * rec[key]
             m = uniform_refine(m)

@@ -152,6 +152,33 @@ class TestEstimator:
         monkeypatch.setattr(spaces, "trace_spaces", fail)
         assert np.array_equal(element_residuals(f).eta, eta)
 
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_reuses_the_solve_geometry_classes(self, monkeypatch, spec):
+        import dpgelast.forms as forms
+
+        calls = []
+        classes = forms.geometry_classes
+        monkeypatch.setattr(forms, "geometry_classes", lambda *args: calls.append(args) or classes(*args))
+        smooth = smooth_solution_2d()
+        element_residuals(solve_dpg(spec, build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_blocks_only_the_gram_inverted_slots(self, monkeypatch, spec):
+        # the L2-identified test slots are integrated pointwise, so the
+        # p_res formulation leaves them out; strong builds no blocks at all
+        import dpgelast.residual_adaptivity as ra
+
+        smooth = smooth_solution_2d()
+        f = solve_dpg(spec, build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        seen = set()
+        blocks = ra.assemble_local_blocks
+        monkeypatch.setattr(ra, "assemble_local_blocks", lambda form, *a: seen.add(tuple(form.test_spaces)) or blocks(form, *a))
+        element_residuals(f)
+        desc = f.form.desc
+        inverted = tuple(n for n, _ in desc.test_slots if desc.test_norms[n] != "L2")
+        assert seen == ({inverted} if inverted else set())
+
     def test_p_res_below_trial_order_raises(self):
         smooth = smooth_solution_2d()
         f = solve_dpg("primal", build_square_mesh(2), smooth.material, 3, bc=bc_from_exact(smooth))

@@ -9,7 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from dpgelast.material import MaterialParams, stiffness_apply_array
-from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, uniform_refine, refine
+from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, uniform_refine, refine, skeleton
+from dpgelast.quadrature import edge_rule
+from dpgelast.spaces import h1_space, edge_points, edge_flips, edge_reference
 from dpgelast.exact_solutions import smooth_solution_2d, singular_solution, error_norms
 from dpgelast.forms import (
     BCData,
@@ -18,6 +20,11 @@ from dpgelast.forms import (
     FORMULATION_IDS,
     assemble_local_blocks,
     volume_blocks,
+    basis_pairing,
+    element_quadrature,
+    op_matrix,
+    slot_layout,
+    CHUNK,
     trial_layout,
     element_trial_dofs,
     scatter_blocks,
@@ -38,6 +45,7 @@ from dpgelast.dpg_solver import (
     solve_saddle_point,
     solve_galerkin_primal,
 )
+from test_forms import corner_graded_lshape
 
 MAT = MaterialParams(lam=1.0, mu=1.0)
 
@@ -516,6 +524,61 @@ class TestExactL2:
         C = sp.csr_matrix(([1.0], ([0], [layout.offsets["u"]])), shape=(1, layout.ndof))
         with pytest.raises(ValueError, match="element-local"):
             assemble_and_solve(form, C, np.zeros(1))
+
+
+def galerkin_loop_system(mesh, material, p, bc):
+    """K, rhs and the H1 space of the Galerkin primal method by a loop over
+    chunks of elements, volume_blocks and basis_pairing on the H1 space
+    itself, and the traction on Gamma1 edge by edge: the assembly that
+    preceded the blocks of the unbroken primal pair."""
+    space = h1_space(mesh, p, gamma0_constrained=True, bc_fn=bc.u0)
+    n, nelt = space.ndof, mesh.num_triangles
+    rhs, triples = np.zeros(n), []
+    for start in range(0, nelt, CHUNK):
+        elems = np.arange(start, min(start + CHUNK, nelt))
+        _, _, pts = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
+        A = volume_blocks(space, "grad", space, "grad", elems, 2 * p + 2, op_matrix("C", material))
+        b = basis_pairing(space, "val", elems, 2 * p + 2, bc.body_force(pts))
+        gdofs = space.elt_dofs[elems]
+        triples.append((gdofs, gdofs, A))
+        np.add.at(rhs, gdofs.ravel(), b.ravel())
+    K = scatter_blocks(triples, (n, n))
+    sk = skeleton(mesh)
+    tq, twq = edge_rule(2 * p + 6)
+    ref = edge_reference("H1", p, tq)
+    for eid in mesh.boundary_edge_ids(GAMMA1):
+        t0 = mesh.edge_tris[eid, 0]
+        loc = int(np.where(mesh.tri_edges[t0] == eid)[0][0])
+        gv = np.asarray(bc.g(edge_points(mesh, eid, tq), sk.normals[eid]), dtype=float)
+        ev = ref[loc, edge_flips(mesh, [t0])[0, loc]]
+        np.add.at(rhs, space.elt_dofs[t0], sk.lengths[eid] * np.einsum("q,qc,lqc->l", twq, gv, ev))
+    return K, rhs, space
+
+
+class TestGalerkinOracle:
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_element_loop_bitwise(self, monkeypatch, p):
+        # the unbroken primal pair's class blocks gathered by element, on a
+        # corner-graded L-shape with traction on Gamma1
+        sing = singular_solution()
+        bc, mesh = bc_from_exact(sing), corner_graded_lshape()
+        seen = {}
+        solve = dpg_solver._solve_constrained
+
+        def spy(K, rhs, *args):
+            seen.update(K=K, rhs=rhs)
+            return solve(K, rhs, *args)
+
+        monkeypatch.setattr(dpg_solver, "_solve_constrained", spy)
+        f = solve_galerkin_primal(mesh, sing.material, p, bc)
+        K, rhs, space = galerkin_loop_system(mesh, sing.material, p, bc)
+        layout = slot_layout({"u": space})
+        x, _ = solve(K, rhs, layout.constrained, layout.values)
+        for a, b in ((seen["K"].indptr, K.indptr), (seen["K"].indices, K.indices), (seen["K"].data, K.data)):
+            assert np.array_equal(a, b)
+        assert np.array_equal(seen["rhs"], rhs)
+        assert np.array_equal(f.coeffs["u"], x)
+        assert np.array_equal(f.layout.constrained, layout.constrained)
 
 
 class TestBenchmarkErrors:
