@@ -396,24 +396,24 @@ def write_vtk(mesh: Mesh, path, cell_data=None):
 
     cell_data is an optional {name: per-triangle array} mapping.
     """
-    lines = [
-        "# vtk DataFile Version 2.0",
-        f"triangle mesh generation {mesh.generation}",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.num_vertices} double",
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    parts = [
+        "# vtk DataFile Version 2.0\n"
+        f"triangle mesh generation {mesh.generation}\n"
+        "ASCII\n"
+        "DATASET UNSTRUCTURED_GRID\n"
+        f"POINTS {nv} double\n",
+        ("%.17g %.17g 0\n" * nv) % tuple(mesh.vertices.ravel().tolist()),
+        f"CELLS {nt} {4 * nt}\n",
+        ("3 %d %d %d\n" * nt) % tuple(mesh.triangles.ravel().tolist()),
+        f"CELL_TYPES {nt}\n",
+        "5\n" * nt,
     ]
-    lines.extend(["%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist()])
-    nt = mesh.num_triangles
-    lines.append(f"CELLS {nt} {4 * nt}")
-    lines.extend(["3 %d %d %d" % (a, b, c) for a, b, c in mesh.triangles.tolist()])
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
     if cell_data:
-        lines.append(f"CELL_DATA {nt}")
+        parts.append(f"CELL_DATA {nt}\n")
         for name, arr in cell_data.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(["%.17g" % v for v in np.asarray(arr, dtype=float).tolist()])
+            values = np.asarray(arr, dtype=float).ravel().tolist()
+            parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            parts.append(("%.17g\n" * len(values)) % tuple(values))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))

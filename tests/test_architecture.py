@@ -1,6 +1,8 @@
 """Architecture checks on the package source: the reference-tensor element
 kernels are called by the element assembly of forms only, so every other
-module takes its blocks from forms.assemble_local_blocks."""
+module takes its blocks from forms.assemble_local_blocks; and every sparse
+LU is made in dpg_solver._factor_checked, with SuperLU's panel size left
+at its default."""
 
 import ast
 from pathlib import Path
@@ -26,3 +28,34 @@ def test_forms_calls_the_element_kernels():
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "forms.py"))
 def test_element_kernels_called_only_in_forms(module):
     assert not ELEMENT_KERNELS & set(called_names(SRC / module))
+
+
+def referencing_functions(path, name):
+    """For each reference to `name` in a module, bare or as an attribute, the
+    innermost function around it (None at module level)."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first, so inner functions overwrite outer
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    for node in ast.walk(tree):
+        if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+            yield owner.get(node)
+
+
+def test_splu_only_in_factor_checked():
+    # one factorization site, so every sparse LU goes through its singularity check
+    sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "splu")]
+    assert sites == [("dpg_solver.py", "_factor_checked")]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_panel_size(module):
+    # in a sweep, a panel_size below relax crashed SuperLU at interpreter exit
+    tree = ast.parse((SRC / module).read_text())
+    assert not [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.keyword) and node.arg == "panel_size")
+        or (isinstance(node, ast.Constant) and node.value == "panel_size")
+    ]

@@ -201,6 +201,50 @@ def test_vtk_matches_per_line_formatting(tmp_path):
     assert float(path.read_text().splitlines()[-nt]) == 0.1 + 0.2
 
 
+def row_by_row_write_vtk(mesh, path, cell_data=None):
+    """The writer write_vtk replaced: one formatted string per row."""
+    lines = [
+        "# vtk DataFile Version 2.0",
+        f"triangle mesh generation {mesh.generation}",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.num_vertices} double",
+    ]
+    lines.extend(["%.17g %.17g 0" % (x, y) for x, y in mesh.vertices.tolist()])
+    nt = mesh.num_triangles
+    lines.append(f"CELLS {nt} {4 * nt}")
+    lines.extend(["3 %d %d %d" % (a, b, c) for a, b, c in mesh.triangles.tolist()])
+    lines.append(f"CELL_TYPES {nt}")
+    lines.extend(["5"] * nt)
+    if cell_data:
+        lines.append(f"CELL_DATA {nt}")
+        for name, arr in cell_data.items():
+            lines.append(f"SCALARS {name} double 1")
+            lines.append("LOOKUP_TABLE default")
+            lines.extend(["%.17g" % v for v in np.asarray(arr, dtype=float).tolist()])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def vtk_cases():
+    lshape = build_lshape_mesh(2)
+    for _ in range(3):
+        lshape = uniform_refine(lshape)
+    lshape = refine(lshape, range(0, lshape.num_triangles, 7))
+    rng = np.random.default_rng(5)
+    eta = {"eta": rng.random(lshape.num_triangles), "level": np.arange(lshape.num_triangles) % 5}
+    thirds = refine(build_square_mesh(3), [0, 3])  # thirds print all 17 digits
+    return {"lshape_cell_data": (lshape, eta), "non_dyadic": (thirds, None), "empty_cell_data": (thirds, {})}
+
+
+@pytest.mark.parametrize("case", ["lshape_cell_data", "non_dyadic", "empty_cell_data"])
+def test_vtk_bytes_match_row_by_row_writer(tmp_path, case):
+    m, cell_data = vtk_cases()[case]
+    write_vtk(m, tmp_path / "new.vtk", cell_data=cell_data)
+    row_by_row_write_vtk(m, tmp_path / "old.vtk", cell_data=cell_data)
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "old.vtk").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # The array-based connectivity and refinement against recorded meshes and an
 # independent per-triangle reference.

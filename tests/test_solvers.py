@@ -319,6 +319,14 @@ class TestSingularSystems:
             self.SOLVES[path](_no_gamma0_mesh(), smooth.material, bc_from_exact(smooth))
 
 
+def converge_n32_mesh():
+    """The finest mesh of the converge study: build_square_mesh(2) refined 4 times."""
+    m = build_square_mesh(2)
+    for _ in range(4):
+        m = uniform_refine(m)
+    return m
+
+
 class TestSolverRecord:
     def test_assemble_and_solve_records_the_solve(self):
         smooth = smooth_solution_2d()
@@ -332,6 +340,19 @@ class TestSolverRecord:
         # the L2 fields are eliminated per element; only the interface is factored
         assert info["factored_dofs"] == f.num_free_dofs() - sum(f.coeffs[n].size for n in ("sigma", "u", "omega"))
         assert info["lu_nnz"] >= info["free_dofs"]
+
+    @pytest.mark.parametrize(
+        "spec, mesh, bound",
+        [
+            ("ultraweak", converge_n32_mesh, 2.7e6),  # 3 695 334 with relaxed supernodes
+            ("primal", lambda: build_lshape_mesh(8), 479_320),  # fill with relaxed supernodes
+        ],
+        ids=["ultraweak_converge_n32", "primal_lshape8"],
+    )
+    def test_interface_lu_fill(self, spec, mesh, bound):
+        smooth = smooth_solution_2d()
+        f = solve_dpg(spec, mesh(), smooth.material, 2, bc=bc_from_exact(smooth))
+        assert f.extras["solver"]["lu_nnz"] <= bound
 
     def test_geometry_classes_and_gram_condition_recorded(self):
         smooth = smooth_solution_2d()
