@@ -6,7 +6,7 @@ The workhorse path condenses the element-local blocks
     M_K = [B_K | Bhat_K],
 
 into a sparse SPD system, eliminates essential constraints
-symmetrically, and solves with a sparse LU (iterative fallback). M_K and
+symmetrically, and solves with one sparse LU. M_K and
 G_K are the same on every element of a geometry class (forms), so A_K is
 formed once per class and only b_K per element: with W_M = L^{-1} M_K and
 W_l = L^{-1} l_K, A_K = W_M^T W_M is symmetric by construction and
@@ -20,11 +20,13 @@ conforming fields and traces is factored, and they are recovered per
 element after the solve.
 The SPD free system is factored with a minimum-degree ordering on
 A + A^T and diagonal pivots (SuperLU's symmetric mode); the indefinite
-KKT and saddle-point systems keep partial pivoting. A system whose
-reciprocal 1-norm condition estimate falls below machine epsilon, e.g.
-one on a mesh with no Gamma0 edge, raises LinAlgError. Each solve
-records its path, residual, condition estimate, fill and factored size
-in extras["solver"]; the condensed path adds the number of geometry
+KKT and saddle-point systems keep partial pivoting. A mesh with no
+Gamma0 edge leaves the rigid motions free, so its system is singular:
+every solve checks that structurally before it assembles and raises
+LinAlgError. So do an exactly zero pivot and a relative solve residual
+above 1e-6. Each solve records its residual, reciprocal condition
+estimate (a diagnostic), fill and factored size in extras["solver"];
+the condensed path adds the number of geometry
 classes and the range over classes of a lower bound on the test Gram's
 condition number. The same solution can be obtained without
 condensation from the symmetric saddle-point system
@@ -48,7 +50,6 @@ included as a reference.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -57,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .material import MaterialParams
-from .mesh import Mesh, GAMMA1
+from .mesh import Mesh, GAMMA0, GAMMA1
 from .quadrature import edge_rule
 from .spaces import edge_points, edge_flips, edge_reference
 from .forms import (
@@ -78,8 +79,6 @@ from .forms import (
     ClassGroups,
     class_chunks,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -261,9 +260,8 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     """Symmetric elimination of essential constraints, then sparse solve.
 
     Returns the full solution vector and a record of the solve: the
-    path ("lu" or "cg"), the relative residual, the reciprocal
-    condition estimate, the free-dof count, the size of the factored
-    system and the LU fill.
+    relative residual, the reciprocal condition estimate, the free-dof
+    count, the size of the factored system and the LU fill (_factor_solve).
 
     With linear constraint rows C x = d the free system is the
     symmetric indefinite KKT system
@@ -271,78 +269,62 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
         [ K_ff  C_f^T ] [ x_f    ]   [ rhs_f ]
         [ C_f   0     ] [ lambda ] = [ d_f   ],
 
-    with the essential values eliminated into both right-hand sides. The
-    conjugate-gradient fallback needs an SPD matrix, so a KKT system the
-    sparse LU cannot factor raises instead. A factored system that is
-    singular to working precision raises LinAlgError on either path.
+    with the essential values eliminated into both right-hand sides, and
+    it is factored with partial pivoting.
     """
     n = K.shape[0]
     free = np.setdiff1d(np.arange(n), constrained)
     x = np.zeros(n)
     x[constrained] = values
-    info = {"path": "lu", "residual": 0.0, "rcond": None, "free_dofs": len(free), "factored_dofs": 0, "lu_nnz": None}
+    info = {"residual": 0.0, "rcond": None, "free_dofs": len(free), "factored_dofs": 0, "lu_nnz": None}
     if len(free) == 0:
         return x, info
     Kf = K[free][:, free].tocsc()
     # x holds the values on the constrained dofs and zeros elsewhere
     rhs_f = (rhs - K @ x)[free] if len(constrained) else rhs[free]
+    what, lu_options = "SPD system", _SPD_LU
     if C is not None:
         Cf = C[:, free]
         d_f = d - C[:, constrained] @ values if len(constrained) else d
         Kf = sp.bmat([[Kf, Cf.T], [Cf, None]], format="csc")
         rhs_f = np.concatenate([rhs_f, d_f])
-        try:
-            lu, info["rcond"] = _factor_checked(Kf, "KKT system")
-        except RuntimeError as err:
-            raise np.linalg.LinAlgError(f"KKT system is singular: {err}") from err
-        sol = lu.solve(rhs_f)
-        info["lu_nnz"] = lu.nnz
-    else:
-        try:
-            lu, info["rcond"] = _factor_checked(Kf, "SPD system", **_SPD_LU)
-            sol = lu.solve(rhs_f)
-            info["lu_nnz"] = lu.nnz
-        except RuntimeError:
-            log.warning("sparse LU failed, falling back to conjugate gradients")
-            sol, status = spla.cg(Kf, rhs_f, rtol=1e-12, atol=0.0, maxiter=20000)
-            if status != 0:
-                raise np.linalg.LinAlgError(f"iterative solve did not converge (info={status})")
-            info["path"] = "cg"
-    info["residual"] = _relative_residual(Kf, sol, rhs_f)
-    info["factored_dofs"] = Kf.shape[0]
+        what, lu_options = "KKT system", {}
+    sol, record = _factor_solve(Kf, rhs_f, what, **lu_options)
+    info.update(record)
     x[free] = sol[: len(free)]
     return x, info
 
 
-def _relative_residual(A, x, b):
-    """||A x - b|| / ||b||, logged as a warning when above 1e-6."""
-    rel = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-30))
-    if rel > 1e-6:
-        log.warning("large linear-solve residual: %.3e (relative)", rel)
-    return rel
+def _require_gamma0(mesh: Mesh):
+    """Raise LinAlgError on a mesh with no Gamma0 edge: nothing then fixes
+    the rigid motions, which lie in the kernel of every formulation."""
+    if GAMMA0 not in mesh.boundary_tags.values():
+        raise np.linalg.LinAlgError("the system is singular: the mesh has no Gamma0 edge to fix the rigid motions")
 
 
 def _factor_checked(A, what, **lu_options):
-    """Sparse LU of A and its reciprocal 1-norm condition estimate.
+    """Sparse LU of A; SuperLU's RuntimeError on an exactly zero pivot
+    becomes LinAlgError."""
+    try:
+        return spla.splu(A, **lu_options)
+    except RuntimeError as err:
+        raise np.linalg.LinAlgError(f"{what} is singular: {err}") from err
 
-    A failed factorization raises splu's RuntimeError. A singular A
-    raises LinAlgError: singularity is judged, as in LAPACK's condition
-    estimators, by the reciprocal condition falling below machine
-    epsilon.
-    """
-    lu = spla.splu(A, **lu_options)
-    inv = spla.LinearOperator(
-        A.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=float
-    )
+
+def _factor_solve(A, b, what, **lu_options):
+    """Solve A x = b by one sparse LU; return x and the record of the solve:
+    the relative residual, the reciprocal 1-norm condition estimate (a
+    diagnostic only), the factored size and the LU fill. A relative
+    residual above 1e-6 raises LinAlgError."""
+    lu = _factor_checked(A, what, **lu_options)
+    x = lu.solve(b)
+    residual = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-30))
+    if residual > 1e-6:
+        raise np.linalg.LinAlgError(f"{what} solve left a relative residual of {residual:.1e}")
+    inv = spla.LinearOperator(A.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=float)
     norm1 = abs(A).sum(axis=0).max()  # spla.norm(A, 1) is several times slower
     rcond = float(1.0 / (norm1 * spla.onenormest(inv, t=1)))
-    if rcond < np.finfo(float).eps:
-        raise np.linalg.LinAlgError(
-            f"{what} is singular to working precision (reciprocal condition {rcond:.1e}); "
-            "the minimized functional or the constraint rows are rank deficient, "
-            "e.g. on a mesh with no Gamma0 edge"
-        )
-    return lu, rcond
+    return x, {"residual": residual, "rcond": rcond, "factored_dofs": A.shape[0], "lu_nnz": lu.nnz}
 
 
 def _fields_from_vector(form: Formulation, layout, x, extras=None) -> SolutionFields:
@@ -372,6 +354,7 @@ def assemble_and_solve(form: Formulation, C=None, d=None) -> SolutionFields:
     interface system through Lagrange multipliers; a row with a nonzero on
     an eliminated element-local column raises ValueError.
     """
+    _require_gamma0(form.mesh)
     system = assemble_normal_equations(form)
     layout = system.layout
     if C is not None:
@@ -405,11 +388,11 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
 
     psi is the discrete error representation function in the enriched
     broken test space, stored elementwise as (nelt, ntest_loc). The
-    indefinite system is factored with partial pivoting; a system that is
-    singular to working precision, e.g. on a mesh with no Gamma0 edge,
-    raises LinAlgError. extras["solver"] records the solve as for the
-    condensed path.
+    indefinite system is factored with partial pivoting; a mesh with no
+    Gamma0 edge raises LinAlgError. extras["solver"] records the solve as
+    for the condensed path.
     """
+    _require_gamma0(form.mesh)
     layout = trial_layout(form)
     nelt = form.mesh.num_triangles
     blocks = assemble_local_blocks(form, np.arange(nelt))
@@ -431,19 +414,8 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
         top = top - Bg[:, layout.constrained] @ layout.values
     Kfull = sp.bmat([[G, Bf], [Bf.T, None]], format="csc")
     rhs = np.concatenate([top, np.zeros(len(free))])
-    try:
-        lu, rcond = _factor_checked(Kfull, "saddle-point system")
-    except RuntimeError as err:
-        raise np.linalg.LinAlgError(f"saddle-point system is singular: {err}") from err
-    sol = lu.solve(rhs)
-    info = {
-        "path": "lu",
-        "residual": _relative_residual(Kfull, sol, rhs),
-        "rcond": rcond,
-        "free_dofs": len(free),
-        "factored_dofs": Kfull.shape[0],
-        "lu_nnz": lu.nnz,
-    }
+    sol, info = _factor_solve(Kfull, rhs, "saddle-point system")
+    info["free_dofs"] = len(free)
     psi = sol[:npsi].reshape(nelt, ntest)
     x = np.zeros(layout.ndof)
     x[layout.constrained] = layout.values
@@ -469,19 +441,12 @@ def _momentum_constraints(form: Formulation):
     int_K (div sigma_h + f) . e_c = 0, rows 2K and 2K+1 for element K."""
     space = form.field_spaces["sigma"]
     layout = trial_layout(form)
-    nelt = form.mesh.num_triangles
-    d = np.zeros(2 * nelt)
-    triples = []
-    for start in range(0, nelt, CHUNK):
-        stop = min(start + CHUNK, nelt)
-        elems = np.arange(start, stop)
-        div_int, f_int, _ = element_momentum_integrals(space, form.bc, elems)  # (ne, nloc, 2), (ne, 2)
-        gdofs = space.elt_dofs[elems] + layout.offsets["sigma"]
-        triples.append((2 * elems[:, None] + np.arange(2), gdofs, np.swapaxes(div_int, 1, 2)))
-        d[2 * start : 2 * stop] = -f_int.ravel()
-    C = scatter_blocks(triples, (2 * nelt, layout.ndof))
+    elems = np.arange(form.mesh.num_triangles)
+    div_int, f_int, _ = element_momentum_integrals(space, form.bc, elems)  # (nelt, nloc, 2), (nelt, 2)
+    rows = 2 * elems[:, None] + np.arange(2)
+    C = scatter_blocks([(rows, space.elt_dofs + layout.offsets["sigma"], np.swapaxes(div_int, 1, 2))], (2 * len(elems), layout.ndof))
     C.eliminate_zeros()
-    return C, d
+    return C, -f_int.ravel()
 
 
 def solve_hybrid_mixed(mesh, material, p, bc: Optional[BCData] = None, *, conservative: bool = False) -> SolutionFields:
@@ -512,6 +477,7 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     displacement boundary eliminated: K and the body-force load are the
     element blocks B and l of the unbroken primal pair at test order p,
     whose test space is the trial space."""
+    _require_gamma0(mesh)
     form = unbroken_formulation(DESCRIPTORS["primal"], mesh, material, p, p, bc)
     bc, space, sk = form.bc, form.field_spaces["u"], form.skeleton
     blocks = assemble_local_blocks(form)

@@ -140,7 +140,7 @@ def _min_infsup_eig(B, GY, GX) -> float:
     Optim. 5, 1995), so it is ordered on A + A^T with near-diagonal pivots.
     """
     m, n = B.shape
-    lu, _ = _factor_checked(sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc"), "inf-sup saddle matrix", **_SADDLE_LU)
+    lu = _factor_checked(sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc"), "inf-sup saddle matrix", **_SADDLE_LU)
     inv = spla.LinearOperator((n, n), matvec=lambda y: -lu.solve(np.r_[np.zeros(m), y.ravel()])[m:], dtype=float)
     # shift-invert mode applies only OPinv and M, never its first argument
     lam = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=np.ones(n), return_eigenvectors=False)

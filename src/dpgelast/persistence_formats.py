@@ -4,10 +4,12 @@ Both formats are plain text so regression baselines stay diffable.
 Solution files carry a versioned header, the identifiers needed to
 rebuild the discrete spaces (formulation, orders, material), a mesh
 fingerprint, and one coefficient block per trial slot written with 17
-significant digits, which round-trips doubles exactly. Version 2 files
+significant digits, which round-trips doubles exactly. Version 3 files
 hold H1 coefficients in the topological numbering (vertices, edge
-interiors, cell interiors); version 1 files, written with the older
-coordinate-based H1 numbering, are rejected.
+interiors, cell interiors) and conforming H(div) interior coefficients
+dual to moments against the orthonormal reference modal basis. Older
+files are rejected: version 2 holds interior coefficients dual to
+monomial moments, version 1 the coordinate-based H1 numbering.
 
 A study manifest records the configuration snapshot, the artifact files
 a run produced, and their sha256 hashes; loading verifies every file
@@ -25,7 +27,7 @@ import numpy as np
 
 from .material import MaterialParams
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MANIFEST_VERSION = 1
 
 

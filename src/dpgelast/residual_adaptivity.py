@@ -30,6 +30,7 @@ solve -> estimate -> mark -> refine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .forms import (
     project_to_kind,
     element_momentum_integrals,
     MOMENTUM_QUAD_DEGREE,
-    CHUNK,
     ClassGroups,
     class_chunks,
 )
@@ -66,16 +66,18 @@ class ResidualReport:
         return float(np.sqrt(np.sum(self.eta**2)))
 
 
-def element_residuals(fields: SolutionFields, p_res: int = P_RES) -> ResidualReport:
+def element_residuals(fields: SolutionFields, p_res: Optional[int] = None) -> ResidualReport:
     """Per-element residual dual norms of a computed solution.
 
     The solve's own trial spaces and coefficients are used; only the test
     spaces are built, at the enriched order p_res, which may not lie below
-    the trial order p.
+    the trial order p; by default max(P_RES, p + 1).
     """
     form = fields.form
     if form is None:
         raise ValueError("residuals need the broken formulation the solution came from")
+    if p_res is None:
+        p_res = max(P_RES, form.p + 1)
     if p_res < form.p:
         raise ValueError(f"residual test order p_res={p_res} lies below the trial order p={form.p}")
     desc = form.desc
@@ -168,13 +170,13 @@ def adaptive_loop(
     bc,
     steps: int,
     dp: int = 1,
-    p_res: int = P_RES,
+    p_res: Optional[int] = None,
     theta: float = 0.5,
 ) -> list:
     """Run solve / estimate / mark / refine for a number of steps.
 
     Returns one AdaptiveStep per solve; the mesh of step k+1 is the
-    refinement of the mesh of step k.
+    refinement of the mesh of step k. p_res defaults as in element_residuals.
     """
     history = []
     for step in range(steps):
@@ -201,14 +203,7 @@ def local_conservation_defect(fields: SolutionFields, quad_degree: int = MOMENTU
     if space.kind not in ("Hdiv", "BrokenHdiv"):
         raise ValueError("conservation defect needs an H(div) stress slot")
     bc = fields.form.bc if fields.form is not None else None
-    nelt = fields.mesh.num_triangles
-    defects = np.zeros(nelt)
-    fnorm2 = 0.0
-    for start in range(0, nelt, CHUNK):
-        elems = np.arange(start, min(start + CHUNK, nelt))
-        div_int, f_int, f_sq = element_momentum_integrals(space, bc, elems, quad_degree)
-        xloc = fields.coeffs["sigma"][space.elt_dofs[elems]]
-        defect = np.einsum("el,elc->ec", xloc, div_int) + f_int
-        defects[elems] = np.linalg.norm(defect, axis=1)
-        fnorm2 += np.sum(f_sq)
-    return defects, float(np.sqrt(fnorm2))
+    elems = np.arange(fields.mesh.num_triangles)
+    div_int, f_int, f_sq = element_momentum_integrals(space, bc, elems, quad_degree)
+    defect = np.einsum("el,elc->ec", fields.coeffs["sigma"][space.elt_dofs], div_int) + f_int
+    return np.linalg.norm(defect, axis=1), float(np.sqrt(np.sum(f_sq)))

@@ -22,7 +22,10 @@ Conventions:
   the dual basis of their dofs: moments of the normal trace against
   orthonormal Legendre polynomials in the global edge parameter and the
   fixed skeleton normal, so shared edge dofs match across neighbours
-  without sign bookkeeping. The stress space uses two independent rows.
+  without sign bookkeeping, and area-averaged interior moments against
+  the reference modal basis of order k-1, orthonormal in the
+  area-averaged inner product, which keeps the dual basis well
+  conditioned as k grows. The stress space uses two independent rows.
 * L2 spaces carry an elementwise orthonormal modal basis (the component
   tensors are Frobenius-normalized), so their mass matrices are exactly
   the identity.
@@ -438,22 +441,30 @@ def _rt_span_eval(k, pts):
     return val, div
 
 
-def _rt_interior(k: int, Jh, vals, degree: int):
+def _rt_interior(k: int, Jh, vals, degree: int, modal: bool = True):
     """Area-averaged moments of vector fields vals (nelt, nf, nq, 2) at the
-    triangle rule of the degree against the monomials of degree <= k - 1 in
-    (x - centroid) / h = Jh (xref - 1/3): (nelt, 2 * nmono, nf)."""
+    triangle rule of the degree: (nelt, 2 * nm, nf). The conforming space's
+    dofs (modal) take them against the reference modal basis of order
+    k - 1, orthonormal in the area-averaged inner product (its constant mode
+    is 1), as the edge dofs take length-averaged moments against orthonormal
+    Legendre modes; the reference basis starts from moments against the
+    monomials of degree <= k - 1 in (x - centroid) / h = Jh (xref - 1/3)."""
     rule = triangle_rule(degree)
-    qm = _mono_eval(_mono_exps(k - 1), (rule.points - 1.0 / 3.0) @ Jh.transpose(0, 2, 1)) * rule.weights
     # the weights |det J| w_q over the area |det J| / 2
+    if modal:
+        qm = ortho_modal_eval(k - 1, rule.points) / ortho_modal_eval(0, rule.points) * rule.weights
+        return 2.0 * np.einsum("mq,efqc->ecmf", qm, vals).reshape(len(vals), -1, vals.shape[1])
+    qm = _mono_eval(_mono_exps(k - 1), (rule.points - 1.0 / 3.0) @ Jh.transpose(0, 2, 1)) * rule.weights
     return 2.0 * np.einsum("meq,efqc->ecmf", qm, vals).reshape(len(vals), -1, vals.shape[1])
 
 
-def _rt_dofs(k: int, rows, Jh, scale, flips):
+def _rt_dofs(k: int, rows, Jh, scale, flips, modal: bool = True):
     """The RT_k dofs (nelt, N, N) of reference row fields rows(pts) -> (N,
     nq, 2) pushed forward by Jh = J / h: per local edge, the orthonormal
     Legendre moments of the normal trace against the skeleton normal in the
     global edge parameter, i.e. the reference moment in the edge's
-    orientation flips times scale = sign h / |e| (nelt, 3); then _rt_interior."""
+    orientation flips times scale = sign h / |e| (nelt, 3); then
+    _rt_interior(modal)."""
     tq, twq = edge_rule(2 * k + 2)
     vals = rows(_ref_edge_points(tq).reshape(-1, 2)).reshape(-1, 3, 2, len(tq), 2)
     ref = np.einsum("q,mq,lkoqi,ki->koml", twq, legendre01_eval(k + 1, tq), vals, _REF_NORMALS)
@@ -461,7 +472,7 @@ def _rt_dofs(k: int, rows, Jh, scale, flips):
     if k == 0:
         return M
     vals = np.einsum("eij,lqj->elqi", Jh, rows(triangle_rule(2 * k + 2).points))
-    return np.concatenate([M, _rt_interior(k, Jh, vals, 2 * k + 2)], axis=1)
+    return np.concatenate([M, _rt_interior(k, Jh, vals, 2 * k + 2, modal)], axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +483,7 @@ def _rt_reference(k: int):
     one pass leaves a Gram error of 1e-6 at k = 6 (1e-13 after two)."""
     # outward skeleton normals and h = 1; local edge 2 runs against edge (0, 2)
     span = lambda pts: _rt_span_eval(k, pts)[0]
-    R = np.linalg.inv(_rt_dofs(k, span, np.eye(2)[None], 1.0 / np.linalg.norm(_REF_EDGES, axis=1)[None], [[0, 0, 1]])[0])
+    R = np.linalg.inv(_rt_dofs(k, span, np.eye(2)[None], 1.0 / np.linalg.norm(_REF_EDGES, axis=1)[None], [[0, 0, 1]], False)[0])
     rule = triangle_rule(2 * k + 2)
     val, div = _rt_span_eval(k, rule.points)
     F = np.concatenate([val, div[..., None]], axis=-1).reshape(len(R), -1)  # (N, nq * 3)

@@ -1,8 +1,9 @@
 """Architecture checks on the package source: the reference-tensor element
 kernels are called by the element assembly of forms only, so every other
-module takes its blocks from forms.assemble_local_blocks; and every sparse
-LU is made in dpg_solver._factor_checked, with SuperLU's panel size left
-at its default."""
+module takes its blocks from forms.assemble_local_blocks; every sparse LU
+is made in dpg_solver._factor_checked, with SuperLU's panel size left at
+its default; and no module uses an iterative solver, so every sparse solve
+goes through that one factorization."""
 
 import ast
 from pathlib import Path
@@ -44,7 +45,7 @@ def referencing_functions(path, name):
 
 
 def test_splu_only_in_factor_checked():
-    # one factorization site, so every sparse LU goes through its singularity check
+    # one factorization site, so every sparse LU turns SuperLU's failure into LinAlgError
     sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "splu")]
     assert sites == [("dpg_solver.py", "_factor_checked")]
 
@@ -59,3 +60,14 @@ def test_no_panel_size(module):
         if (isinstance(node, ast.keyword) and node.arg == "panel_size")
         or (isinstance(node, ast.Constant) and node.value == "panel_size")
     ]
+
+
+# scipy.sparse.linalg's Krylov solvers
+ITERATIVE_SOLVERS = {"cg", "cgs", "bicg", "bicgstab", "gmres", "lgmres", "minres", "qmr", "gcrotmk", "tfqmr", "lsqr", "lsmr"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_iterative_solver(module):
+    # one sparse solve path: a failed factorization raises, nothing falls back
+    names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(ast.parse((SRC / module).read_text()))}
+    assert not ITERATIVE_SOLVERS & names

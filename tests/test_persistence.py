@@ -85,6 +85,17 @@ class TestSolutionFile:
         with pytest.raises(PersistenceError, match="unsupported format version 1"):
             load_solution(path, "ultraweak", mesh)
 
+    def test_v2_file_rejected(self, solved, tmp_path):
+        # v2 files hold conforming H(div) interior coefficients dual to monomial moments
+        mesh, f = solved
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        body = path.read_text().splitlines()
+        body[0] = "solutionfile v2"
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(PersistenceError, match="unsupported format version 2"):
+            load_solution(path, "ultraweak", mesh)
+
     def test_reloaded_solution_estimates_like_the_original(self, tmp_path):
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(3)

@@ -185,6 +185,15 @@ class TestEstimator:
         with pytest.raises(ValueError, match="p_res=2 .* p=3"):
             element_residuals(f, p_res=2)
 
+    def test_default_p_res_lies_above_the_trial_order(self):
+        # p_res defaults to max(P_RES, p + 1), so a p = 5 call needs no p_res
+        smooth = smooth_solution_2d()
+        f = solve_dpg("primal", build_square_mesh(2), smooth.material, 5, bc=bc_from_exact(smooth))
+        rep = element_residuals(f)
+        assert rep.p_res == 6
+        assert np.array_equal(rep.eta, element_residuals(f, p_res=6).eta)
+        assert element_residuals(solve_dpg("primal", build_square_mesh(2), smooth.material, 2, bc=bc_from_exact(smooth))).p_res == P_RES
+
     def test_eta_decreases_under_uniform_refinement(self):
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
@@ -369,11 +378,12 @@ class TestConservation:
     def test_conservative_singular_system_raises_without_fallback(self, monkeypatch):
         # with no Gamma0 edge every boundary normal flux is prescribed, so the
         # element balances sum to a fixed total and two constraint rows are
-        # dependent; rigid motions also leave the functional singular
-        def no_cg(*args, **kwargs):
-            raise AssertionError("conjugate gradients must not run on an indefinite system")
+        # dependent; rigid motions also leave the functional singular. The
+        # missing Gamma0 edge is caught before anything is factored.
+        def no_lu(*args, **kwargs):
+            raise AssertionError("a system with no Gamma0 edge must not be factored")
 
-        monkeypatch.setattr(spla, "cg", no_cg)
+        monkeypatch.setattr(spla, "splu", no_lu)
         sq = build_square_mesh(3)
         mesh = Mesh(
             vertices=sq.vertices, triangles=sq.triangles, boundary_tags={k: GAMMA1 for k in sq.boundary_tags}
@@ -386,11 +396,7 @@ class TestConservation:
         def failed_lu(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
-        def no_cg(*args, **kwargs):
-            raise AssertionError("conjugate gradients must not run on an indefinite system")
-
         monkeypatch.setattr(spla, "splu", failed_lu)
-        monkeypatch.setattr(spla, "cg", no_cg)
         smooth = smooth_solution_2d()
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             solve_hybrid_mixed(build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth), conservative=True)

@@ -295,7 +295,8 @@ def _no_gamma0_mesh():
 
 class TestSingularSystems:
     # with every boundary edge in Gamma1 the rigid motions are unconstrained,
-    # so each system is singular; none may return a null-space mix
+    # so each system is singular; none may return a null-space mix, and the
+    # missing Gamma0 edge is caught before anything is factored
     SOLVES = {
         "hybrid_mixed": lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc),
         "primal": lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
@@ -310,13 +311,59 @@ class TestSingularSystems:
 
     @pytest.mark.parametrize("path", sorted(SOLVES))
     def test_no_gamma0_raises_without_fallback(self, path, monkeypatch):
-        def no_cg(*args, **kwargs):
-            raise AssertionError("conjugate gradients must not run on a singular system")
+        def no_lu(*args, **kwargs):
+            raise AssertionError("a system with no Gamma0 edge must not be factored")
 
-        monkeypatch.setattr(spla, "cg", no_cg)
+        monkeypatch.setattr(spla, "splu", no_lu)
         smooth = smooth_solution_2d()
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
             self.SOLVES[path](_no_gamma0_mesh(), smooth.material, bc_from_exact(smooth))
+
+
+def corner_bisected_lshape(rounds=28):
+    """build_lshape_mesh(2) with the triangles at the re-entrant corner
+    bisected `rounds` times: 192 triangles, h_min 2.2e-5 at 28 rounds."""
+    m = build_lshape_mesh(2)
+    for _ in range(rounds):
+        m = refine(m, np.flatnonzero((m.triangle_vertices() == 0).all(axis=2).any(axis=1)))
+    return m
+
+
+class TestGradedRegime:
+    # a strongly graded mesh is well posed however small its condition
+    # estimate: the solve is accurate, so it must not be judged singular
+    @pytest.fixture(scope="class")
+    def graded(self):
+        return corner_bisected_lshape()
+
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_graded_corner_solves(self, graded, spec):
+        assert graded.num_triangles == 192
+        sing = singular_solution()
+        f = solve_dpg(spec, graded, sing.material, 2, bc=bc_from_exact(sing))
+        info = f.extras["solver"]
+        assert info["residual"] <= 1e-11
+        assert info["rcond"] < np.finfo(float).eps  # past any condition threshold at eps
+        assert all(np.isfinite(c).all() for c in f.coeffs.values())
+
+
+class TestHighOrderHdiv:
+    # strong and mixed carry a conforming H(div) stress, whose dual basis
+    # stays well conditioned at high order
+    @pytest.fixture(scope="class")
+    def errors(self):
+        smooth = smooth_solution_2d()
+        out = {}
+        for spec in ("ultraweak", "strong", "mixed"):
+            f = solve_dpg(spec, build_square_mesh(8), smooth.material, 7, bc=bc_from_exact(smooth))
+            out[spec] = (f.extras["solver"]["residual"], error_norms(f, smooth)[0])
+        return out
+
+    @pytest.mark.parametrize("spec", ["strong", "mixed"])
+    def test_p7_square(self, errors, spec):
+        residual, err = errors[spec]
+        assert residual <= 1e-10
+        assert err <= 2.0 * errors["ultraweak"][1]
 
 
 def converge_n32_mesh():
@@ -333,7 +380,6 @@ class TestSolverRecord:
         form = formulation("ultraweak", build_square_mesh(3), smooth.material, 2, bc=bc_from_exact(smooth))
         f = assemble_and_solve(form)
         info = f.extras["solver"]
-        assert info["path"] == "lu"
         assert info["residual"] < 1e-10
         assert np.finfo(float).eps < info["rcond"] <= 1.0
         assert info["free_dofs"] == f.num_free_dofs()
@@ -392,22 +438,37 @@ class TestSolverRecord:
         s = solve_saddle_point(formulation("primal", m, smooth.material, 1, bc=bc))
         assert s.extras["solver"]["factored_dofs"] == s.num_free_dofs() + s.extras["psi"].size
 
-    def test_failed_factorization_falls_back_to_cg(self, monkeypatch):
-        smooth = smooth_solution_2d()
-        bc = bc_from_exact(smooth)
-        m = build_square_mesh(2)
-        a = solve_dpg("primal", m, smooth.material, 1, bc=bc)
-
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
+            lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc, conservative=True),
+            lambda m, mat, bc: solve_saddle_point(formulation("primal", m, mat, 1, bc=bc)),
+        ],
+        ids=["spd", "kkt", "saddle_point"],
+    )
+    def test_failed_factorization_raises(self, solve, monkeypatch):
+        # one solve path: a factorization that fails is an error, with no fallback
         def failed_lu(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
 
         monkeypatch.setattr(spla, "splu", failed_lu)
-        b = solve_dpg("primal", m, smooth.material, 1, bc=bc)
-        assert b.extras["solver"]["path"] == "cg"
-        assert b.extras["solver"]["rcond"] is None
-        for k in a.coeffs:
-            d = np.linalg.norm(a.coeffs[k] - b.coeffs[k]) / max(np.linalg.norm(a.coeffs[k]), 1e-30)
-            assert d < 1e-8, k
+        smooth = smooth_solution_2d()
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve(build_square_mesh(2), smooth.material, bc_from_exact(smooth))
+
+    def test_large_residual_raises(self, monkeypatch):
+        # a solve whose residual is far off raises instead of returning
+        class WrongLU:
+            nnz = 0
+
+            def solve(self, b):
+                return np.zeros_like(b)
+
+        monkeypatch.setattr(dpg_solver, "_factor_checked", lambda *args, **kwargs: WrongLU())
+        smooth = smooth_solution_2d()
+        with pytest.raises(np.linalg.LinAlgError, match="residual"):
+            solve_dpg("primal", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
 
 
 class TestHomogeneous:
