@@ -21,8 +21,8 @@ import numpy as np
 from .material import MaterialParams
 from .mesh import build_square_mesh, build_lshape_mesh, uniform_refine, write_vtk
 from .exact_solutions import smooth_solution_2d, singular_solution, error_norms
-from .forms import bc_from_exact, formulation, FORMULATION_IDS
-from .dpg_solver import assemble_and_solve, solve_galerkin_primal
+from .forms import bc_from_exact, FORMULATION_IDS
+from .dpg_solver import solve_dpg, solve_galerkin_primal
 from .residual_adaptivity import element_residuals, adaptive_loop
 from .infsup_lab import discrete_infsup
 from .persistence_formats import StudyManifest
@@ -136,9 +136,6 @@ class ConvergenceRecord:
     eta_slope: float = float("nan")
     error_slope: float = float("nan")
 
-    def column(self, key):
-        return np.array([row[key] for row in self.steps], dtype=float)
-
 
 def estimate_rate(record, K: int, key: str = "rel_error") -> float:
     """Least-squares slope of log10(value) vs log10(dofs), last K rows."""
@@ -159,8 +156,7 @@ def estimate_rate(record, K: int, key: str = "rel_error") -> float:
 def _solve_once(cfg, mesh, exact, bc):
     if cfg.formulation == "galerkin":
         return solve_galerkin_primal(mesh, exact.material, cfg.p, bc)
-    form = formulation(cfg.formulation, mesh, exact.material, cfg.p, dp=cfg.dp, bc=bc)
-    return assemble_and_solve(form)
+    return solve_dpg(cfg.formulation, mesh, exact.material, cfg.p, dp=cfg.dp, bc=bc)
 
 
 def _residual_total(cfg, fields):

@@ -34,7 +34,8 @@ condensation from the symmetric saddle-point system
     [ G  M ] [ psi ]   [ l ]
     [ M^T 0 ] [  x  ] = [ 0 ],
 
-which also exposes the error representation function psi.
+which also exposes the error representation function psi; it scatters M
+and G by forms.global_operators.
 
 An L2 test slot whose broken test space contains the slot's residual
 B(U_h) gives the exact L2 Riesz map, so the least-squares variants are
@@ -45,7 +46,8 @@ minimizes the same functional subject to int_K (div sigma_h + f) = 0 on
 every element, solving the KKT system with one P0(K)^2 Lagrange
 multiplier per element. A classical Galerkin primal solver, on the
 blocks of the unbroken primal pair (forms.unbroken_formulation), is
-included as a reference.
+included as a reference. path_formulation builds the formulation of
+each named path, for its solve and for load_solution.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from .quadrature import edge_rule
 from .spaces import edge_points, edge_flips, edge_reference
 from .forms import (
     DESCRIPTORS,
+    FORMULATION_IDS,
     Formulation,
     BCData,
     TrialLayout,
@@ -71,9 +74,10 @@ from .forms import (
     build_test_spaces,
     assemble_local_blocks,
     trial_layout,
+    element_dofs,
     element_trial_dofs,
+    global_operators,
     scatter_blocks,
-    gram_copies,
     element_momentum_integrals,
     CHUNK,
     ClassGroups,
@@ -98,14 +102,10 @@ class SolutionFields:
 
     def full_vector(self):
         """Concatenate slot coefficients in the layout ordering."""
-        x = np.zeros(self.layout.ndof)
-        for name, off in self.layout.offsets.items():
-            c = self.coeffs[name]
-            x[off : off + len(c)] = c
-        return x
+        return np.concatenate([self.coeffs[name] for name in self.layout.offsets])
 
     def num_free_dofs(self):
-        return self.layout.ndof - len(self.layout.constrained)
+        return len(self.layout.free)
 
 
 @dataclass
@@ -328,8 +328,7 @@ def _factor_solve(A, b, what, **lu_options):
 
 
 def _fields_from_vector(form: Formulation, layout, x, extras=None) -> SolutionFields:
-    spaces = dict(form.field_spaces)
-    spaces.update(form.trace_spaces)
+    spaces = form.trial_spaces
     coeffs = {name: x[off : off + spaces[name].ndof].copy() for name, off in layout.offsets.items()}
     return SolutionFields(
         mesh=form.mesh,
@@ -369,9 +368,25 @@ def assemble_and_solve(form: Formulation, C=None, d=None) -> SolutionFields:
     x[system.ldofs] = groups.unpack(backward_substitution(groups.take(system.L), yp))[..., 0]
     info["geometry_classes"] = len(system.L)
     info["gram_cond_min"], info["gram_cond_max"] = map(float, system.gram_cond)
-    fields = _fields_from_vector(form, layout, x, extras={"solver": info})
-    info["free_dofs"] = fields.num_free_dofs()
-    return fields
+    info["free_dofs"] = len(layout.free)
+    return _fields_from_vector(form, layout, x, extras={"solver": info})
+
+
+SOLVE_PATHS = FORMULATION_IDS + ("fosls", "hybrid_mixed", "galerkin")
+
+
+def path_formulation(name, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> Formulation:
+    """The formulation a named solve path (SOLVE_PATHS) solves: a broken
+    formulation at (p, dp), or that of solve_fosls (Strong at dp=0 with
+    order-p L2 test spaces), solve_hybrid_mixed or solve_galerkin_primal."""
+    if name == "fosls":
+        form = formulation("strong", mesh, material, p, dp=0, bc=bc)
+        return replace(form, test_spaces=build_test_spaces(form.desc, form.skeleton, p, 1))
+    if name == "hybrid_mixed":
+        return formulation("mixed", mesh, material, p, dp=1, bc=bc)
+    if name == "galerkin":
+        return unbroken_formulation(DESCRIPTORS["primal"], mesh, material, p, p, bc)
+    return formulation(name, mesh, material, p, dp=dp, bc=bc)
 
 
 def solve_dpg(spec_id, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> SolutionFields:
@@ -394,24 +409,14 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     """
     _require_gamma0(form.mesh)
     layout = trial_layout(form)
-    nelt = form.mesh.num_triangles
-    blocks = assemble_local_blocks(form, np.arange(nelt))
-    M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
-    ntest = M.shape[1]
-    npsi = nelt * ntest
-    gdofs = element_trial_dofs(form, layout, np.arange(nelt))
+    elems = np.arange(form.mesh.num_triangles)
+    blocks = assemble_local_blocks(form, elems)
+    nelt, ntest = blocks.l.shape
+    npsi, free = nelt * ntest, layout.free
     psi_dofs = np.arange(npsi).reshape(nelt, ntest)
-    Bg = scatter_blocks([(psi_dofs, gdofs, M)], (npsi, layout.ndof))
-    gram = []
-    for name, s in blocks.test_slices.items():
-        gram += gram_copies(psi_dofs[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
-    G = scatter_blocks(gram, (npsi, npsi))
-
-    free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)
+    Bg, G = global_operators(blocks, psi_dofs, element_trial_dofs(form, layout, elems), (npsi, layout.ndof))
     Bf = Bg[:, free]
-    top = blocks.l.ravel()
-    if len(layout.constrained):
-        top = top - Bg[:, layout.constrained] @ layout.values
+    top = blocks.l.ravel() - Bg[:, layout.constrained] @ layout.values
     Kfull = sp.bmat([[G, Bf], [Bf.T, None]], format="csc")
     rhs = np.concatenate([top, np.zeros(len(free))])
     sol, info = _factor_solve(Kfull, rhs, "saddle-point system")
@@ -431,9 +436,7 @@ def solve_fosls(mesh, material, p, bc: Optional[BCData] = None) -> SolutionField
     """First-order-system least squares: the Strong formulation with the
     exact L2 Riesz map. Its order-p L2 test spaces hold sigma_h - C grad u_h,
     div sigma_h and skew sigma_h; dp=0 keeps the 2p+2 quadrature rule."""
-    form = formulation("strong", mesh, material, p, dp=0, bc=bc)
-    form = replace(form, test_spaces=build_test_spaces(form.desc, form.skeleton, p, 1))
-    return replace(assemble_and_solve(form), spec_name="fosls")
+    return replace(assemble_and_solve(path_formulation("fosls", mesh, material, p, bc=bc)), spec_name="fosls")
 
 
 def _momentum_constraints(form: Formulation):
@@ -444,7 +447,8 @@ def _momentum_constraints(form: Formulation):
     elems = np.arange(form.mesh.num_triangles)
     div_int, f_int, _ = element_momentum_integrals(space, form.bc, elems)  # (nelt, nloc, 2), (nelt, 2)
     rows = 2 * elems[:, None] + np.arange(2)
-    C = scatter_blocks([(rows, space.elt_dofs + layout.offsets["sigma"], np.swapaxes(div_int, 1, 2))], (2 * len(elems), layout.ndof))
+    cols = element_dofs({"sigma": space}, layout, elems)
+    C = scatter_blocks([(rows, cols, np.swapaxes(div_int, 1, 2))], (2 * len(elems), layout.ndof))
     C.eliminate_zeros()
     return C, -f_int.ravel()
 
@@ -462,7 +466,7 @@ def solve_hybrid_mixed(mesh, material, p, bc: Optional[BCData] = None, *, conser
     element (Ellis, Demkowicz, Chan, Moser, CAMWA 68, 2014); the
     multipliers are not returned.
     """
-    form = formulation("mixed", mesh, material, p, dp=1, bc=bc)
+    form = path_formulation("hybrid_mixed", mesh, material, p, bc=bc)
     C, d = _momentum_constraints(form) if conservative else (None, None)
     return replace(assemble_and_solve(form, C, d), spec_name="hybrid_mixed")
 
@@ -478,7 +482,7 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     element blocks B and l of the unbroken primal pair at test order p,
     whose test space is the trial space."""
     _require_gamma0(mesh)
-    form = unbroken_formulation(DESCRIPTORS["primal"], mesh, material, p, p, bc)
+    form = path_formulation("galerkin", mesh, material, p, bc=bc)
     bc, space, sk = form.bc, form.field_spaces["u"], form.skeleton
     blocks = assemble_local_blocks(form)
     n = space.ndof

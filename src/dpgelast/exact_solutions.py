@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .material import MaterialParams
+from .material import MaterialParams, stiffness_apply_array
 from .quadrature import QuadratureRule, triangle_rule, map_to_physical, graded_triangle_rule
 from .spaces import field_values
 
@@ -75,10 +75,6 @@ class ExactSolution:
         n = np.broadcast_to(np.asarray(normal, dtype=float), pts.shape)
         return np.einsum("...ij,...j->...i", sig, n)
 
-    def strain(self, pts):
-        g = self.displacement_gradient(pts)
-        return 0.5 * (g + np.swapaxes(g, -1, -2))
-
 
 def smooth_solution_2d(material: Optional[MaterialParams] = None) -> ExactSolution:
     """Manufactured smooth benchmark on the unit square.
@@ -104,13 +100,7 @@ def smooth_solution_2d(material: Optional[MaterialParams] = None) -> ExactSoluti
         return np.stack([row, row], axis=-2)
 
     def stress(pts):
-        g = displacement_gradient(pts)
-        eps = 0.5 * (g + np.swapaxes(g, -1, -2))
-        tr = eps[..., 0, 0] + eps[..., 1, 1]
-        sig = 2.0 * mu * eps
-        sig[..., 0, 0] += lam * tr
-        sig[..., 1, 1] += lam * tr
-        return sig
+        return stiffness_apply_array(displacement_gradient(pts), m)
 
     def body_force(pts):
         pts = np.asarray(pts, dtype=float)

@@ -32,9 +32,15 @@ per local edge and orientation (trace_pairing_blocks); the load pairs
 quadrature values of f with the shared reference arrays in one matmul
 (basis_pairing). The solvers, the estimator, the inf-sup lab and the
 Galerkin reference take their blocks from assemble_local_blocks, and no
-other module calls these kernels; the solvers and the inf-sup lab
-scatter them with scatter_blocks, a Gram G1 kron I_c once per copy
-(gram_copies).
+other module calls these kernels.
+
+Every global operator is numbered one way: slot_layout numbers slot
+spaces one after another and computes their free ids once
+(TrialLayout.free); element_dofs reads each element's ids in those slots
+(elt_dofs, or edge_dofs on its three edges for a trace slot).
+scatter_blocks sums element blocks into CSR, a Gram G1 kron I_c once per
+copy (gram_copies); global_operators scatters [B | Bhat] and the test
+Gram for the saddle-point solve and the inf-sup operators alike.
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -262,11 +268,16 @@ class Formulation:
         off a test space."""
         return next(iter(self.test_spaces.values())).payload["geom"]
 
+    @property
+    def trial_spaces(self) -> dict:
+        """Field slots, then trace slots, in descriptor order."""
+        return {**self.field_spaces, **self.trace_spaces}
+
     def trial_slot_names(self):
-        return [n for n, _ in self.desc.field_slots] + [n for n, _ in self.desc.trace_slots]
+        return list(self.trial_spaces)
 
     def trial_space(self, name):
-        return self.field_spaces.get(name) or self.trace_spaces[name]
+        return self.trial_spaces[name]
 
     def quad_degree(self):
         return 2 * (self.p + self.dp) + 2
@@ -457,25 +468,22 @@ class LocalBlocks:
     trace_slices: dict
 
 
+def _slices(sizes):
+    """Consecutive slices of the given (name, size) pairs, by name, and their total size."""
+    slices, off = {}, 0
+    for name, n in sizes:
+        slices[name] = slice(off, off + n)
+        off += n
+    return slices, off
+
+
 def _local_layout(form: Formulation):
-    test_slices, off = {}, 0
-    for name, _ in form.desc.test_slots:
-        n = form.test_spaces[name].nloc
-        test_slices[name] = slice(off, off + n)
-        off += n
-    ntest = off
-    field_slices, off = {}, 0
-    for name, _ in form.desc.field_slots:
-        n = form.field_spaces[name].nloc
-        field_slices[name] = slice(off, off + n)
-        off += n
-    nfield = off
-    trace_slices, off = {}, 0
-    for name, _ in form.desc.trace_slots:
-        n = 3 * form.trace_spaces[name].edge_dofs.shape[1]
-        trace_slices[name] = slice(off, off + n)
-        off += n
-    return test_slices, ntest, field_slices, nfield, trace_slices, off
+    """Test, field and trace slices of the local index, with their sizes."""
+    return (
+        *_slices((n, form.test_spaces[n].nloc) for n, _ in form.desc.test_slots),
+        *_slices((n, form.field_spaces[n].nloc) for n, _ in form.desc.field_slots),
+        *_slices((n, 3 * form.trace_spaces[n].nloc) for n, _ in form.desc.trace_slots),
+    )
 
 
 def element_quadrature(geom: Geometry, elems, degree: int):
@@ -638,21 +646,24 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
 
 
 # ---------------------------------------------------------------------------
-# element dof maps into the concatenated global trial vector
+# global numbering of slot spaces
 
 
 @dataclass
 class TrialLayout:
-    """Concatenated global numbering over all trial slots."""
+    """Concatenated global numbering of slot spaces (slot_layout): the
+    trial slots of a formulation, or any other slots, such as the test
+    slots of an unbroken pair."""
 
     offsets: dict  # slot name -> global offset
     ndof: int
     constrained: np.ndarray  # global constrained dof ids, sorted
     values: np.ndarray
+    free: np.ndarray  # global unconstrained dof ids, sorted
 
 
 def trial_layout(form: Formulation) -> TrialLayout:
-    return slot_layout({name: form.trial_space(name) for name in form.trial_slot_names()})
+    return slot_layout(form.trial_spaces)
 
 
 def slot_layout(spaces: dict) -> TrialLayout:
@@ -670,26 +681,28 @@ def slot_layout(spaces: dict) -> TrialLayout:
     cons = np.concatenate(cons) if cons else np.empty(0, dtype=np.int64)
     vals = np.concatenate(vals) if vals else np.empty(0)
     order = np.argsort(cons)
-    return TrialLayout(offsets=offsets, ndof=off, constrained=cons[order], values=vals[order])
+    return TrialLayout(offsets=offsets, ndof=off, constrained=cons[order], values=vals[order], free=np.setdiff1d(np.arange(off), cons))
 
 
-def element_trial_dofs(form: Formulation, layout: TrialLayout, elems) -> np.ndarray:
-    """Global column ids of each element's trial dofs, (nelt, nfield+ntrace).
+def element_dofs(spaces: dict, layout: TrialLayout, elems) -> np.ndarray:
+    """Global ids of each element's dofs in the given slot spaces, numbered
+    by layout, (nelt, sum of local sizes): a volume slot's elt_dofs, a trace
+    slot's edge_dofs on the element's three edges, edge by edge.
 
     Trace columns repeat a global dof when a vertex dof appears on two of
     the element's edges; scatter-adds accumulate correctly.
     """
     elems = np.asarray(elems, dtype=np.int64)
     cols = []
-    for name, _ in form.desc.field_slots:
-        space = form.field_spaces[name]
-        cols.append(space.elt_dofs[elems] + layout.offsets[name])
-    for name, _ in form.desc.trace_slots:
-        space = form.trace_spaces[name]
-        eids = form.mesh.tri_edges[elems]  # (nelt, 3)
-        ed = space.edge_dofs[eids]  # (nelt, 3, nloc_e)
-        cols.append(ed.reshape(len(elems), -1) + layout.offsets[name])
+    for name, space in spaces.items():
+        dofs = space.elt_dofs[elems] if space.elt_dofs is not None else space.edge_dofs[space.mesh.tri_edges[elems]]
+        cols.append(dofs.reshape(len(elems), -1) + layout.offsets[name])
     return np.concatenate(cols, axis=1)
+
+
+def element_trial_dofs(form: Formulation, layout: TrialLayout, elems) -> np.ndarray:
+    """Global column ids of each element's trial dofs, (nelt, nfield+ntrace)."""
+    return element_dofs(form.trial_spaces, layout, elems)
 
 
 def scatter_blocks(triples, shape) -> sp.csr_matrix:
@@ -719,6 +732,18 @@ def gram_copies(dofs, G1, c: int) -> list:
     """scatter_blocks triples of the Grams G1 kron I_c (gram_blocks) on the
     element dofs (nelt, c n), copy j of each row l sitting on dof c l + j."""
     return [(dofs[:, j::c], dofs[:, j::c], G1) for j in range(c)]
+
+
+def global_operators(blocks: LocalBlocks, rows, cols, shape):
+    """The sparse [B | Bhat] (shape) and test Gram (shape[0] square) of the
+    elements of blocks, each class block gathered by element: [B | Bhat] on
+    the element rows (nelt, ntest) and columns (nelt, nfield + ntrace), each
+    test slot's Gram on the rows of its copies (gram_copies)."""
+    M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
+    gram = []
+    for name, s in blocks.test_slices.items():
+        gram += gram_copies(rows[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
+    return scatter_blocks([(rows, cols, M)], shape), scatter_blocks(gram, (shape[0], shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ functions). The discrete inf-sup constant is then
     gamma_h^2 = min eig of  B^T G_Y^{-1} B  x = gamma^2 G_X x,
 
 with G_Y the test-norm Gram and G_X the Gram of the descriptor's trial
-norms, both reduced to unconstrained dofs. The smallest eigenvalue comes from ARPACK in
+norms. Test and trial slots are numbered by forms.slot_layout and
+forms.element_dofs, B and G_Y scattered by forms.global_operators, and
+all three restricted to the layouts' free dofs. The smallest eigenvalue comes from ARPACK in
 shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
 is applied through one sparse LU of the saddle matrix
 [[G_Y, B], [B^T, sigma G_X]]. A degenerate regime with the displacement
@@ -34,8 +36,8 @@ from .dpg_solver import _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
 from .spaces import h1_space, hdiv_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
-    DESCRIPTORS, FormulationDescriptor, Term, assemble_local_blocks, gram_blocks, gram_copies, scatter_blocks,
-    trace_pairing_blocks, unbroken_formulation,
+    DESCRIPTORS, FormulationDescriptor, Term, assemble_local_blocks, element_dofs, global_operators, gram_blocks,
+    gram_copies, scatter_blocks, slot_layout, trace_pairing_blocks, unbroken_formulation,
 )
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
@@ -82,21 +84,6 @@ DIVERGENCE = FormulationDescriptor(
 )
 
 
-def _free(space):
-    return np.setdiff1d(np.arange(space.ndof), space.constrained_dofs)
-
-
-def _numbered(spaces):
-    """Element dofs (nelt, sum of nloc) and free dofs of spaces numbered
-    one after another, and the total dof count."""
-    elt, free, off = [], [], 0
-    for space in spaces:
-        elt.append(space.elt_dofs + off)
-        free.append(_free(space) + off)
-        off += space.ndof
-    return np.concatenate(elt, axis=1), np.concatenate(free), off
-
-
 @dataclass
 class InfSupResult:
     spec_id: str
@@ -110,25 +97,23 @@ class InfSupResult:
 def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int, q: int, gamma0_empty: bool = False):
     """Free-by-free sparse B, G_Y and G_X of the unbroken pair of a
     descriptor with test order q (forms.unbroken_formulation): B and G_Y
-    from its element assembly, G_X the Gram of its trial norms."""
+    from its element assembly (forms.global_operators), G_X the Gram of its
+    trial norms, all numbered by forms.slot_layout."""
     form = unbroken_formulation(desc, mesh, material, p, q, gamma0=not gamma0_empty)
-    rows, tfree, ntest = _numbered(form.test_spaces.values())
-    cols, ufree, ntrial = _numbered(form.field_spaces.values())
-    if len(ufree) == 0 or len(tfree) == 0:
+    test, trial = slot_layout(form.test_spaces), slot_layout(form.field_spaces)
+    if len(trial.free) == 0 or len(test.free) == 0:
         raise ValueError(f"{desc.id}: no unconstrained dofs left on this mesh, refine first")
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
-    # one block per geometry class, gathered by element
-    gx, gy = [], []
+    rows, cols = element_dofs(form.test_spaces, test, blocks.elems), element_dofs(form.field_spaces, trial, blocks.elems)
+    B, GY = global_operators(blocks, rows, cols, (test.ndof, trial.ndof))
+    B, GY = B[test.free][:, trial.free], GY[test.free][:, test.free]
+    gx = []  # one block per geometry class, gathered by element
     for name, space in form.field_spaces.items():
         G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])[blocks.cls]
         gx += gram_copies(cols[:, blocks.field_slices[name]], G, row_copies(space))
-    for name, s in blocks.test_slices.items():
-        gy += gram_copies(rows[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
-    B = scatter_blocks([(rows, cols, blocks.B[blocks.cls])], (ntest, ntrial))[tfree][:, ufree]
-    GY = scatter_blocks(gy, (ntest, ntest))[tfree][:, tfree]
-    GX = scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]
-    return B, GY, GX
+    GX = scatter_blocks(gx, (trial.ndof, trial.ndof))
+    return B, GY, GX[trial.free][:, trial.free]
 
 
 def _min_infsup_eig(B, GY, GX) -> float:
@@ -176,14 +161,13 @@ def auxiliary_constants(mesh: Mesh, p: int):
 def jump_pairing_matrix(broken_space, trace_space):
     """Sparse (CSR) skeleton pairing of a broken space against the free
     dofs of a trace space: J[i, j] = <trace_i, element trace of broken_j>."""
-    mesh = broken_space.mesh
-    elems = np.arange(mesh.num_triangles)
+    elems = np.arange(broken_space.mesh.num_triangles)
     degree = 2 * (broken_space.order + trace_space.order) + 4
     pair = trace_pairing_blocks(broken_space, trace_space, trace_space.payload["skeleton"], elems, degree)
-    rows = trace_space.edge_dofs[mesh.tri_edges].reshape(len(elems), -1)
-    shape = (trace_space.ndof, broken_space.ndof)
-    J = scatter_blocks([(rows, broken_space.elt_dofs, np.swapaxes(pair, 1, 2))], shape)
-    return J[_free(trace_space)]
+    layout = slot_layout({"trace": trace_space})
+    rows = element_dofs({"trace": trace_space}, layout, elems)
+    J = scatter_blocks([(rows, broken_space.elt_dofs, np.swapaxes(pair, 1, 2))], (layout.ndof, broken_space.ndof))
+    return J[layout.free]
 
 
 def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,15 +70,15 @@ def save_solution(fields, path):
 def load_solution(path, spec, mesh, bc=None):
     """Reconstruct a SolutionFields snapshot written by save_solution.
 
-    spec is the formulation id the file is expected to hold; mesh must
-    carry the same generation fingerprint the solution was saved with.
-    bc is the problem data (BCData) the solution was computed with; a
-    file cannot hold callables, so the rebuilt formulation and its
-    boundary constraints take it from here (zero data by default).
+    spec is the solve path the file is expected to hold (SOLVE_PATHS),
+    whose formulation path_formulation rebuilds; mesh must carry the same
+    generation fingerprint the solution was saved with. bc is the problem
+    data (BCData) the solution was computed with; a file cannot hold
+    callables, so the rebuilt formulation and its boundary constraints
+    take it from here (zero data by default).
     """
-    from .forms import formulation, slot_layout, trial_layout, DESCRIPTORS
-    from .dpg_solver import SolutionFields
-    from .spaces import h1_space
+    from .forms import trial_layout
+    from .dpg_solver import SOLVE_PATHS, _fields_from_vector, path_formulation
 
     path = Path(path)
     try:
@@ -112,38 +112,18 @@ def load_solution(path, spec, mesh, bc=None):
         name, n = parts[1], int(parts[2])
         coeffs[name] = np.array([float(v) for v in lines[i + 1 : i + 1 + n]])
         i += 1 + n
-    if set(coeffs) != set(header["slots"]):
+    if {name: len(c) for name, c in coeffs.items()} != {name: n for name, (_, n) in header["slots"].items()}:
         raise PersistenceError(f"{path}: slot blocks do not match the header")
 
-    spec_base = {"fosls": "strong", "hybrid_mixed": "mixed"}.get(spec, spec)
-    if spec_base in DESCRIPTORS:
-        form = formulation(spec_base, mesh, material, p, dp=dp, bc=bc)
-        spaces = dict(form.field_spaces)
-        spaces.update(form.trace_spaces)
-        layout = trial_layout(form)
-    elif spec == "galerkin":
-        form = None
-        u0 = bc.u0 if bc is not None else None
-        spaces = {"u": h1_space(mesh, p, gamma0_constrained=True, bc_fn=u0)}
-        layout = slot_layout(spaces)
-    else:
+    if spec not in SOLVE_PATHS:
         raise PersistenceError(f"{path}: unknown formulation {spec!r}")
-    for name, (kind, n) in header["slots"].items():
-        if name not in spaces or spaces[name].kind != kind or spaces[name].ndof != n:
-            raise PersistenceError(
-                f"{path}: slot {name!r} ({kind}, {n} dofs) does not match the rebuilt spaces"
-            )
-    return SolutionFields(
-        mesh=mesh,
-        material=material,
-        spec_name=spec,
-        p=p,
-        dp=dp,
-        spaces=spaces,
-        coeffs=coeffs,
-        form=form,
-        layout=layout,
-    )
+    form = path_formulation(spec, mesh, material, p, dp=dp, bc=bc)
+    rebuilt = {name: [s.kind, s.ndof] for name, s in form.trial_spaces.items()}
+    if rebuilt != header["slots"]:
+        raise PersistenceError(f"{path}: slots {header['slots']} (kind, dofs) do not match the rebuilt spaces {rebuilt}")
+    layout = trial_layout(form)
+    fields = _fields_from_vector(form, layout, np.concatenate([coeffs[name] for name in layout.offsets]))
+    return replace(fields, spec_name=spec, form=None if spec == "galerkin" else form)  # the estimator rejects a Galerkin solution
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 kernels are called by the element assembly of forms only, so every other
 module takes its blocks from forms.assemble_local_blocks; every sparse LU
 is made in dpg_solver._factor_checked, with SuperLU's panel size left at
-its default; and no module uses an iterative solver, so every sparse solve
-goes through that one factorization."""
+its default; no module uses an iterative solver, so every sparse solve
+goes through that one factorization; and free dofs are computed by
+forms.slot_layout, and by dpg_solver._solve_constrained on the interface
+numbering, only."""
 
 import ast
 from pathlib import Path
@@ -48,6 +50,12 @@ def test_splu_only_in_factor_checked():
     # one factorization site, so every sparse LU turns SuperLU's failure into LinAlgError
     sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "splu")]
     assert sites == [("dpg_solver.py", "_factor_checked")]
+
+
+def test_free_dofs_only_in_slot_layout():
+    # one numbering of slot spaces: every other path reads TrialLayout.free
+    sites = {(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "setdiff1d")}
+    assert sites == {("forms.py", "slot_layout"), ("dpg_solver.py", "_solve_constrained")}
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))

@@ -38,13 +38,15 @@ from dpgelast.forms import (
     scatter_blocks,
     trial_term_values,
     trial_layout,
+    slot_layout,
+    element_dofs,
     element_trial_dofs,
     geometry_classes,
     class_chunks,
     ClassGroups,
 )
 from dpgelast.dpg_solver import condense_local
-from dpgelast.infsup_lab import _infsup_operators, _numbered
+from dpgelast.infsup_lab import _infsup_operators
 from dpgelast.residual_adaptivity import P_RES
 
 
@@ -406,9 +408,12 @@ class TestReferenceKernels:
         form = unbroken_formulation(desc, mesh, MAT, p, q)
         degree = 2 * (q + 1) + 2
         Bq, _, Gq, _ = quadrature_blocks(form, degree)
-        rows, tfree, ntest = _numbered([form.test_spaces[n] for n, _ in desc.test_slots])
-        cols, ufree, ntrial = _numbered([form.field_spaces[n] for n, _ in desc.field_slots])
         elems = np.arange(mesh.num_triangles)
+        tests = {n: form.test_spaces[n] for n, _ in desc.test_slots}
+        fields = {n: form.field_spaces[n] for n, _ in desc.field_slots}
+        test, trial = slot_layout(tests), slot_layout(fields)
+        rows, tfree, ntest = element_dofs(tests, test, elems), test.free, test.ndof
+        cols, ufree, ntrial = element_dofs(fields, trial, elems), trial.free, trial.ndof
         rule, wts, _ = element_quadrature(form.geom, elems, degree)
         gx, off = [], 0
         for name, _ in desc.field_slots:

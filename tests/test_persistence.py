@@ -8,7 +8,7 @@ import pytest
 from dpgelast.mesh import build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import bc_from_exact
-from dpgelast.dpg_solver import solve_dpg, solve_fosls, solve_galerkin_primal, solve_hybrid_mixed
+from dpgelast.dpg_solver import assemble_and_solve, solve_dpg, solve_fosls, solve_galerkin_primal, solve_hybrid_mixed
 from dpgelast.residual_adaptivity import element_residuals
 from dpgelast.persistence_formats import (
     FORMAT_VERSION,
@@ -96,6 +96,18 @@ class TestSolutionFile:
         with pytest.raises(PersistenceError, match="unsupported format version 2"):
             load_solution(path, "ultraweak", mesh)
 
+    def test_block_shorter_than_its_header_rejected(self, solved, tmp_path):
+        mesh, f = solved
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        body = path.read_text().splitlines()
+        k = max(i for i, line in enumerate(body) if line.startswith("slot "))
+        _, name, n = body[k].split()
+        body[k] = f"slot {name} {int(n) - 1}"
+        path.write_text("\n".join(body[:-1]) + "\n")
+        with pytest.raises(PersistenceError, match="slot blocks do not match the header"):
+            load_solution(path, "ultraweak", mesh)
+
     def test_reloaded_solution_estimates_like_the_original(self, tmp_path):
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(3)
@@ -125,6 +137,19 @@ class TestSolutionFile:
         for name in f.coeffs:
             assert np.array_equal(g.coeffs[name], f.coeffs[name]), name
         assert np.array_equal(element_residuals(g).eta, element_residuals(f).eta)
+
+    def test_fosls_reload_rebuilds_the_solved_formulation(self, tmp_path):
+        # FOSLS solves Strong at dp=0 with order-p L2 test spaces, not order p-1
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(4)
+        bc = bc_from_exact(smooth)
+        f = solve_fosls(mesh, smooth.material, 2, bc)
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        g = load_solution(path, "fosls", mesh, bc=bc)
+        assert {n: s.order for n, s in g.form.test_spaces.items()} == {n: s.order for n, s in f.form.test_spaces.items()}
+        x, ref = assemble_and_solve(g.form).full_vector(), f.full_vector()
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_not_a_solution_file(self, tmp_path):
         path = tmp_path / "junk.txt"
