@@ -84,10 +84,10 @@ _FIELD_TYPES = {f.name: f.type for f in dc_fields(RunConfig)}
 
 
 def _coerce(key, raw):
-    t = _FIELD_TYPES[key]
-    if t in ("int", int):
+    t = _FIELD_TYPES[key]  # a string, as annotations are postponed
+    if t == "int":
         return int(raw)
-    if t in ("float", float):
+    if t == "float":
         return float(raw)
     return raw
 
@@ -208,15 +208,7 @@ def run_convergence(cfg: RunConfig) -> ConvergenceRecord:
         )
         if step < cfg.steps:
             mesh = uniform_refine(mesh)
-    K = max(2, cfg.steps - 2)
-    record.error_slope = estimate_rate(record, K, "rel_error")
-    if cfg.formulation != "galerkin":
-        record.eta_slope = estimate_rate(record, K, "eta")
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_convergence_csv(record, out / "convergence.csv")
-    _write_manifest(cfg, out, {"convergence": out / "convergence.csv"})
-    return record
+    return _finish_study(cfg, record, "convergence")
 
 
 def run_adaptive(cfg: RunConfig) -> ConvergenceRecord:
@@ -251,13 +243,20 @@ def run_adaptive(cfg: RunConfig) -> ConvergenceRecord:
                 "wall_time": (time.perf_counter() - t0) if step == len(history) - 1 else 0.0,
             }
         )
+    return _finish_study(cfg, record, "adaptive")
+
+
+def _finish_study(cfg, record, name) -> ConvergenceRecord:
+    """Rate fits over the last max(2, steps - 2) rows (eta only where a
+    minimum-residual method estimates it), then <name>.csv and the manifest."""
     K = max(2, cfg.steps - 2)
-    record.eta_slope = estimate_rate(record, K, "eta")
     record.error_slope = estimate_rate(record, K, "rel_error")
+    if cfg.formulation != "galerkin":
+        record.eta_slope = estimate_rate(record, K, "eta")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_convergence_csv(record, out / "adaptive.csv")
-    _write_manifest(cfg, out, {"adaptive": out / "adaptive.csv"})
+    _write_convergence_csv(record, out / f"{name}.csv")
+    _write_manifest(cfg, out, {name: out / f"{name}.csv"})
     return record
 
 

@@ -171,9 +171,9 @@ def backward_substitution(L, X):
 
 
 def condense_local(blocks, gram_cond=None):
-    """Normal-equation blocks from (B, Bhat, G, l), summed over the test
-    slots of blocks.G: A (nclass, m, m) per class row of blocks.cls and
-    b (nelt, m) per element.
+    """Normal-equation blocks from (M, G, l), summed over the test slots of
+    blocks.G: A (nclass, m, m) per class row of blocks.cls and b (nelt, m)
+    per element.
 
     Per slot, with its one-copy Gram G1 = L L^T of a class, W_M = L^{-1} M
     and W_l = L^{-1} l_K (the rows c l + j of each copy j as more
@@ -189,12 +189,11 @@ def condense_local(blocks, gram_cond=None):
         L = gram_cholesky(blocks.G[name])
         if gram_cond is not None:
             gram_cond.append(cholesky_cond_bound(L))
-        MB = [groups.take(blocks.B[:, s]), groups.take(blocks.Bhat[:, s]), groups.pack(blocks.l[:, s, None])]
-        MB = np.concatenate(MB, axis=2)
+        MB = np.concatenate([groups.take(blocks.M[:, s]), groups.pack(blocks.l[:, s, None])], axis=2)
         p, n, k = MB.shape
         W.append(forward_substitution(groups.take(L), MB.reshape(p, n // c, c * k)).reshape(p, n, k))
     W = np.concatenate(W, axis=1)
-    m = blocks.B.shape[2] + blocks.Bhat.shape[2]
+    m = blocks.M.shape[2]
     WM = groups.first(W[..., :m])
     return np.swapaxes(WM, 1, 2) @ WM, groups.unpack(np.swapaxes(W[..., :m], 1, 2) @ W[..., m:])[..., 0]
 
@@ -372,17 +371,18 @@ def assemble_and_solve(form: Formulation, C=None, d=None) -> SolutionFields:
     return _fields_from_vector(form, layout, x, extras={"solver": info})
 
 
-SOLVE_PATHS = FORMULATION_IDS + ("fosls", "hybrid_mixed", "galerkin")
+SOLVE_PATHS = FORMULATION_IDS + ("fosls", "hybrid_mixed", "hybrid_mixed_conservative", "galerkin")
 
 
 def path_formulation(name, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> Formulation:
     """The formulation a named solve path (SOLVE_PATHS) solves: a broken
     formulation at (p, dp), or that of solve_fosls (Strong at dp=0 with
-    order-p L2 test spaces), solve_hybrid_mixed or solve_galerkin_primal."""
+    order-p L2 test spaces), solve_hybrid_mixed (either path) or
+    solve_galerkin_primal."""
     if name == "fosls":
         form = formulation("strong", mesh, material, p, dp=0, bc=bc)
         return replace(form, test_spaces=build_test_spaces(form.desc, form.skeleton, p, 1))
-    if name == "hybrid_mixed":
+    if name in ("hybrid_mixed", "hybrid_mixed_conservative"):
         return formulation("mixed", mesh, material, p, dp=1, bc=bc)
     if name == "galerkin":
         return unbroken_formulation(DESCRIPTORS["primal"], mesh, material, p, p, bc)
@@ -464,11 +464,13 @@ def solve_hybrid_mixed(mesh, material, p, bc: Optional[BCData] = None, *, conser
     functional is minimized subject to int_K (div sigma_h + f) = 0 on
     every element K, through one Lagrange multiplier in P0(K)^2 per
     element (Ellis, Demkowicz, Chan, Moser, CAMWA 68, 2014); the
-    multipliers are not returned.
+    multipliers are not returned, and the solve path is named
+    hybrid_mixed_conservative.
     """
-    form = path_formulation("hybrid_mixed", mesh, material, p, bc=bc)
+    name = "hybrid_mixed_conservative" if conservative else "hybrid_mixed"
+    form = path_formulation(name, mesh, material, p, bc=bc)
     C, d = _momentum_constraints(form) if conservative else (None, None)
-    return replace(assemble_and_solve(form, C, d), spec_name="hybrid_mixed")
+    return replace(assemble_and_solve(form, C, d), spec_name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +481,14 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     """Standard conforming Galerkin method for the primal problem:
     (C grad u, grad v) = (f, v) + (g, v)_Gamma1 on H1 with the
     displacement boundary eliminated: K and the body-force load are the
-    element blocks B and l of the unbroken primal pair at test order p,
+    element blocks M and l of the unbroken primal pair at test order p,
     whose test space is the trial space."""
     _require_gamma0(mesh)
     form = path_formulation("galerkin", mesh, material, p, bc=bc)
     bc, space, sk = form.bc, form.field_spaces["u"], form.skeleton
     blocks = assemble_local_blocks(form)
     n = space.ndof
-    K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.B[blocks.cls])], (n, n))
+    K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.M[blocks.cls])], (n, n))
     rhs = np.zeros(n)
     np.add.at(rhs, space.elt_dofs.ravel(), blocks.l.ravel())
     # traction load on Gamma1, one edge per call of g

@@ -9,19 +9,19 @@ A concrete Formulation binds a descriptor to a mesh, material, and orders
 to its unbroken pair instead (conforming test spaces, no skeleton terms).
 Assembly produces element-local blocks
 
-    B (test x field), Bhat (test x trace), G (test Gram), l (load)
+    M = [B | Bhat] (test x trial: fields, then traces), G (test Gram), l (load)
 
-in batched numpy arrays. Every element is affine and the material
-constant, so B, Bhat and G depend on an element only through its
-Jacobian J, the orientations of its edges and the signs of its trace
-normals: elements with equal keys form one geometry class
-(geometry_classes, once per Formulation, kept by replace), and B, Bhat and G are
-built once per class, on its first element; only the load l is built per
-element. Work is chunked over whole classes with their elements
-(class_chunks) to bound memory, and a product of a class matrix with its
-elements' arrays runs on them side by side (ClassGroups). G
-holds one copy G1 per test slot, its Gram being G1 kron I_c
-(gram_blocks).
+in batched numpy arrays. Every element is affine (its map is
+Mesh.geometry) and the material constant, so M and G depend on an
+element only through its Jacobian J, the orientations of its edges and
+the signs of its trace normals: elements with equal keys form one
+geometry class (geometry_classes, once per Formulation, kept by
+replace), and M and G are built once per class, on its first element;
+only the load l is built per element. Work is chunked over whole classes
+with their elements (class_chunks) to bound memory, and a product of a
+class matrix with its elements' arrays runs on them side by side
+(ClassGroups). G holds one copy G1 per test slot, its Gram being G1 kron
+I_c (gram_blocks).
 
 The blocks are reference tensors times geometry coefficients (Kirby and
 Logg, ACM TOMS 32, 2006): a volume term's block is |det J| P_test^T O
@@ -39,7 +39,7 @@ spaces one after another and computes their free ids once
 (TrialLayout.free); element_dofs reads each element's ids in those slots
 (elt_dofs, or edge_dofs on its three edges for a trace slot).
 scatter_blocks sums element blocks into CSR, a Gram G1 kron I_c once per
-copy (gram_copies); global_operators scatters [B | Bhat] and the test
+copy (gram_copies); global_operators scatters M and the test
 Gram for the saddle-point solve and the inf-sup operators alike.
 
 Boundary data enters exclusively through essential constraints: the
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .material import MaterialParams, stiffness_apply_array, compliance_apply_array
-from .mesh import Mesh, Skeleton, skeleton as make_skeleton
+from .mesh import Geometry, Mesh, Skeleton, skeleton as make_skeleton
 from .quadrature import triangle_rule, edge_rule
 from .spaces import (
     DofSpace,
@@ -71,7 +71,6 @@ from .spaces import (
     trace_spaces,
     volume_basis,
     trace_edge_basis,
-    Geometry,
     reference_basis,
     reference_rows,
     row_copies,
@@ -263,21 +262,9 @@ class Formulation:
         return self.desc.id
 
     @property
-    def geom(self):
-        """The element geometry every volume space of the mesh holds, read
-        off a test space."""
-        return next(iter(self.test_spaces.values())).payload["geom"]
-
-    @property
     def trial_spaces(self) -> dict:
         """Field slots, then trace slots, in descriptor order."""
         return {**self.field_spaces, **self.trace_spaces}
-
-    def trial_slot_names(self):
-        return list(self.trial_spaces)
-
-    def trial_space(self, name):
-        return self.trial_spaces[name]
 
     def quad_degree(self):
         return 2 * (self.p + self.dp) + 2
@@ -288,7 +275,7 @@ class Formulation:
         on first use. It depends on the mesh and skeleton only, so
         dataclasses.replace hands it on to a formulation with other spaces."""
         if self._classes is None:
-            self._classes = geometry_classes(self.geom, self.skeleton)
+            self._classes = geometry_classes(self.mesh.geometry, self.skeleton)
         return self._classes
 
 
@@ -458,14 +445,12 @@ class LocalBlocks:
     elems: np.ndarray
     cls: np.ndarray  # (nelt,) each element's class row
     reps: np.ndarray  # (nclass,) the element each class row was built on
-    B: np.ndarray  # (nclass, ntest, nfield)
-    Bhat: np.ndarray  # (nclass, ntest, ntrace)
+    M: np.ndarray  # (nclass, ntest, ntrial), [B | Bhat]
     G: dict  # test slot -> one copy of its Gram (gram_blocks), (nclass, n, n)
     l: np.ndarray  # (nelt, ntest)
     test_slices: dict  # test slot -> slice in local test index
     test_copies: dict  # test slot -> c, its Gram being G[slot] kron I_c
-    field_slices: dict
-    trace_slices: dict
+    trial_slices: dict  # trial slot -> slice in local trial index: fields, then traces
 
 
 def _slices(sizes):
@@ -478,11 +463,12 @@ def _slices(sizes):
 
 
 def _local_layout(form: Formulation):
-    """Test, field and trace slices of the local index, with their sizes."""
+    """Test and trial slices of the local index, with their sizes: the trial
+    index holds the fields, then each trace slot on the three edges, as
+    element_dofs numbers them."""
     return (
         *_slices((n, form.test_spaces[n].nloc) for n, _ in form.desc.test_slots),
-        *_slices((n, form.field_spaces[n].nloc) for n, _ in form.desc.field_slots),
-        *_slices((n, 3 * form.trace_spaces[n].nloc) for n, _ in form.desc.trace_slots),
+        *_slices((n, s.nloc if s.elt_dofs is not None else 3 * s.nloc) for n, s in form.trial_spaces.items()),
     )
 
 
@@ -541,7 +527,7 @@ def volume_blocks(test: DofSpace, test_deriv: str, trial: DofSpace, trial_deriv:
     Pt, Pu = (geometry_map(s, d, elems) for s, d in ((test, test_deriv), (trial, trial_deriv)))
     Pu = Pu[:, : Pu.shape[1] // c, : Pu.shape[2] // c] if O is None else O @ Pu
     coef = Pt[:, : Pt.shape[1] // c, : Pt.shape[2] // c].transpose(0, 2, 1) @ Pu
-    coef *= np.abs(test.payload["geom"].det[elems])[:, None, None]
+    coef *= np.abs(test.mesh.geometry.det[elems])[:, None, None]
     blk = dual_rows(test, elems, (coef.reshape(E, -1) @ M).reshape(E, test.nloc // c, trial.nloc // c))
     return dual_rows(trial, elems, blk.transpose(0, 2, 1)).transpose(0, 2, 1)
 
@@ -565,7 +551,7 @@ def basis_pairing(space: DofSpace, deriv: str, elems, degree: int, vals) -> np.n
     E, w = len(elems), triangle_rule(degree).weights
     r = _rule_basis(_key(space), deriv, degree)
     F = vals.reshape(E, len(w), -1) @ geometry_map(space, deriv, elems)
-    F *= (np.abs(space.payload["geom"].det[elems])[:, None] * w)[..., None]
+    F *= (np.abs(space.mesh.geometry.det[elems])[:, None] * w)[..., None]
     return dual_rows(space, elems, F.reshape(E, -1) @ r.reshape(len(r), -1).T)
 
 
@@ -579,15 +565,17 @@ def _edge_tensor(test_key, trace_key, degree: int) -> np.ndarray:
     return T
 
 
-def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems, degree: int) -> np.ndarray:
+def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, elems, degree: int) -> np.ndarray:
     """Skeleton pairings <trace_m, element trace of test_t> on each element,
     (nelt, test nloc, 3 * trace dofs per edge), columns edge by edge: the
     reference edge tensor of each local edge's orientation times |e| for an
     H1 test space or h for an H(div) one (whose normal trace is h / |e|
     times the reference one), and by the sign that turns the stored flux of
-    a TraceHm12 space to the element's outward side."""
+    a TraceHm12 space to the element's outward side, on the trace space's
+    skeleton."""
+    sk = trace_space.skeleton
     T = _edge_tensor(_key(test_space), (trace_space.kind, trace_space.order), degree)
-    fac = sk.lengths[sk.mesh.tri_edges[elems]] if test_space.kind.endswith("H1") else test_space.payload["geom"].hscale[elems, None]
+    fac = sk.lengths[sk.mesh.tri_edges[elems]] if test_space.kind.endswith("H1") else test_space.mesh.geometry.hscale[elems, None]
     if trace_space.kind == "TraceHm12":
         fac = sk.tri_signs[elems] * fac
     blk = fac[..., None, None] * T[np.arange(3), edge_flips(sk.mesh, elems)]
@@ -595,9 +583,9 @@ def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, sk, elems,
 
 
 def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> LocalBlocks:
-    """Assemble B, Bhat and G once per geometry class among the given
-    elements (default: all), on the first of its elements, and l for every
-    element."""
+    """Assemble M = [B | Bhat] and G once per geometry class among the
+    given elements (default: all), on the first of its elements, and l for
+    every element."""
     if elems is None:
         elems = np.arange(form.mesh.num_triangles)
     elems = np.asarray(elems, dtype=np.int64)
@@ -605,44 +593,29 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
     _, first, cls = np.unique(form.classes[elems], return_index=True, return_inverse=True)
     reps, cls = elems[first], cls.ravel()
 
-    test_slices, ntest, field_slices, nfield, trace_slices, ntrace = _local_layout(form)
-    B = np.zeros((len(reps), ntest, nfield))
-    Bhat = np.zeros((len(reps), ntest, ntrace))
+    test_slices, ntest, trial_slices, ntrial = _local_layout(form)
+    M = np.zeros((len(reps), ntest, ntrial))
     l = np.zeros((len(elems), ntest))
 
     for term in form.desc.terms:
         O = op_matrix(term.op, form.material) if term.op else None
         test, trial = form.test_spaces[term.test], form.field_spaces[term.trial]
         blk = volume_blocks(test, term.test_deriv, trial, term.trial_deriv, reps, degree, O)
-        B[:, test_slices[term.test], field_slices[term.trial]] += term.sign * blk
+        M[:, test_slices[term.test], trial_slices[term.trial]] += term.sign * blk
 
     spaces = form.test_spaces
     G = {n: gram_blocks(spaces[n], reps, degree, form.desc.test_norms[n]) for n, _ in form.desc.test_slots}
 
     load = form.desc.load_slot  # (f, v)
     if load is not None:
-        _, _, pts = element_quadrature(form.geom, elems, degree)
+        _, _, pts = element_quadrature(form.mesh.geometry, elems, degree)
         l[:, test_slices[load]] = basis_pairing(form.test_spaces[load], "val", elems, degree, form.bc.body_force(pts))
 
     for tt in form.desc.trace_terms:
-        pair = trace_pairing_blocks(
-            form.test_spaces[tt.test], form.trace_spaces[tt.trace], form.skeleton, reps, degree
-        )
-        Bhat[:, test_slices[tt.test], trace_slices[tt.trace]] += tt.sign * pair
+        pair = trace_pairing_blocks(form.test_spaces[tt.test], form.trace_spaces[tt.trace], reps, degree)
+        M[:, test_slices[tt.test], trial_slices[tt.trace]] += tt.sign * pair
 
-    return LocalBlocks(
-        elems=elems,
-        cls=cls,
-        reps=reps,
-        B=B,
-        Bhat=Bhat,
-        G=G,
-        l=l,
-        test_slices=test_slices,
-        test_copies={n: row_copies(spaces[n]) for n in G},
-        field_slices=field_slices,
-        trace_slices=trace_slices,
-    )
+    return LocalBlocks(elems, cls, reps, M, G, l, test_slices, {n: row_copies(spaces[n]) for n in G}, trial_slices)
 
 
 # ---------------------------------------------------------------------------
@@ -735,15 +708,14 @@ def gram_copies(dofs, G1, c: int) -> list:
 
 
 def global_operators(blocks: LocalBlocks, rows, cols, shape):
-    """The sparse [B | Bhat] (shape) and test Gram (shape[0] square) of the
-    elements of blocks, each class block gathered by element: [B | Bhat] on
-    the element rows (nelt, ntest) and columns (nelt, nfield + ntrace), each
-    test slot's Gram on the rows of its copies (gram_copies)."""
-    M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
+    """The sparse M = [B | Bhat] (shape) and test Gram (shape[0] square) of
+    the elements of blocks, each class block gathered by element: M on the
+    element rows (nelt, ntest) and columns (nelt, ntrial), each test slot's
+    Gram on the rows of its copies (gram_copies)."""
     gram = []
     for name, s in blocks.test_slices.items():
         gram += gram_copies(rows[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
-    return scatter_blocks([(rows, cols, M)], shape), scatter_blocks(gram, (shape[0], shape[0]))
+    return scatter_blocks([(rows, cols, blocks.M[blocks.cls])], shape), scatter_blocks(gram, (shape[0], shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +733,9 @@ def l2_slot_residual_ops(form: Formulation, elems, quad_degree=None):
     """
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    rule, wts, pts = element_quadrature(form.geom, elems, degree)
+    rule, wts, pts = element_quadrature(form.mesh.geometry, elems, degree)
     field_bases = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in form.desc.field_slots}
-    _, _, field_slices, nfield, _, _ = _local_layout(form)
+    field_slices, nfield = _slices((n, form.field_spaces[n].nloc) for n, _ in form.desc.field_slots)
     reps = {}
     load_reps = {}
     nelt, nq = wts.shape
@@ -802,7 +774,7 @@ def element_momentum_integrals(
     evaluates its defects from them, on the same quadrature rule.
     """
     elems = np.asarray(elems, dtype=np.int64)
-    _, wts, pts = element_quadrature(space.payload["geom"], elems, quad_degree)
+    _, wts, pts = element_quadrature(space.mesh.geometry, elems, quad_degree)
     fv = bc.body_force(pts) if bc is not None else np.zeros(pts.shape)
     div_int = np.stack([basis_pairing(space, "div", elems, quad_degree, np.broadcast_to(e, pts.shape)) for e in np.eye(2)], -1)
     f_int = np.einsum("eq,eqc->ec", wts, fv)

@@ -111,7 +111,7 @@ def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int,
     gx = []  # one block per geometry class, gathered by element
     for name, space in form.field_spaces.items():
         G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])[blocks.cls]
-        gx += gram_copies(cols[:, blocks.field_slices[name]], G, row_copies(space))
+        gx += gram_copies(cols[:, blocks.trial_slices[name]], G, row_copies(space))
     GX = scatter_blocks(gx, (trial.ndof, trial.ndof))
     return B, GY, GX[trial.free][:, trial.free]
 
@@ -163,7 +163,7 @@ def jump_pairing_matrix(broken_space, trace_space):
     dofs of a trace space: J[i, j] = <trace_i, element trace of broken_j>."""
     elems = np.arange(broken_space.mesh.num_triangles)
     degree = 2 * (broken_space.order + trace_space.order) + 4
-    pair = trace_pairing_blocks(broken_space, trace_space, trace_space.payload["skeleton"], elems, degree)
+    pair = trace_pairing_blocks(broken_space, trace_space, elems, degree)
     layout = slot_layout({"trace": trace_space})
     rows = element_dofs({"trace": trace_space}, layout, elems)
     J = scatter_blocks([(rows, broken_space.elt_dofs, np.swapaxes(pair, 1, 2))], (layout.ndof, broken_space.ndof))

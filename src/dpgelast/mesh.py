@@ -10,11 +10,15 @@ conforming (no hanging vertices).
 Boundary edges carry one of two tags: "g0" (displacement boundary) or
 "g1" (traction boundary). Tags are inherited by the child halves of a
 split boundary edge and never change class.
+
+Every element is affine; the mesh owns their maps (Mesh.geometry), built
+on first use and shared by every space and formulation on the mesh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -52,6 +56,17 @@ def _connectivity(tris: np.ndarray):
     second = np.nonzero(first[inverse] != np.arange(3 * nt))[0]
     edge_tris[flat_eid[second], 1] = second // 3
     return ends[first[order]], edge_tris, flat_eid.reshape(nt, 3)
+
+
+@dataclass(frozen=True)
+class Geometry:
+    """Affine maps of all elements: x = origin + J xref."""
+
+    origin: np.ndarray  # (nelt, 2)
+    J: np.ndarray  # (nelt, 2, 2)
+    Jinv: np.ndarray
+    det: np.ndarray  # (nelt,), positive
+    hscale: np.ndarray  # (nelt,), sqrt of twice the area
 
 
 @dataclass(frozen=True)
@@ -119,6 +134,19 @@ class Mesh:
     def triangle_vertices(self) -> np.ndarray:
         """Coordinates of all triangles, shape (nt, 3, 2)."""
         return self.vertices[self.triangles]
+
+    @cached_property
+    def geometry(self) -> Geometry:
+        """The affine maps of the elements, built on first use."""
+        verts = self.triangle_vertices()
+        J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        Jinv = np.empty_like(J)
+        Jinv[:, 0, 0] = J[:, 1, 1] / det
+        Jinv[:, 0, 1] = -J[:, 0, 1] / det
+        Jinv[:, 1, 0] = -J[:, 1, 0] / det
+        Jinv[:, 1, 1] = J[:, 0, 0] / det
+        return Geometry(origin=verts[:, 0], J=J, Jinv=Jinv, det=det, hscale=np.sqrt(np.abs(det)))
 
     def areas(self) -> np.ndarray:
         v = self.triangle_vertices()

@@ -1,21 +1,22 @@
 """Residual evaluation and adaptive refinement.
 
 The minimum-residual framework comes with a built-in error estimator:
-the discrete dual norm of the element residual r_K = B_K x_K + Bhat_K xhat_K - l_K,
+the discrete dual norm of the element residual r_K = M_K x_K - l_K, with
+M_K = [B_K | Bhat_K] acting on the field and trace unknowns together,
 
     eta_K^2 = r_K^T G_K^{-1} r_K,
 
 evaluated in an enriched broken test space of fixed order p_res
-(Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). B, Bhat,
-G and l are the solve's element blocks (forms.assemble_local_blocks) of its
+(Demkowicz, Gopalakrishnan, Niemi, Appl. Numer. Math. 62, 2012). M, G
+and l are the solve's element blocks (forms.assemble_local_blocks) of its
 formulation restricted to its Gram-inverted (broken H1 and H(div)) test
-slots, at order p_res: B, Bhat and G once per geometry class of the
-solve, l per element. For each such slot, r_K is formed from the class
+slots, at order p_res: M and G once per geometry class of the solve, l
+per element. For each such slot, r_K is formed from the class
 blocks and the element's coefficients of the solve, then one forward
 substitution per class with the Cholesky factor L of the slot's one-copy
 Gram G1 (the Gram is G1 kron I_c), with both copies of the residuals of
 all its elements as right-hand sides, gives L^{-1} r_K, whose squared
-norm is eta_K^2. B x and l cancel before the substitution: substituting
+norm is eta_K^2. M x and l cancel before the substitution: substituting
 them apart and subtracting after lets a one-ulp change of G move eta_K
 by more. Test slots identified with L2 need no Gram inversion: their
 residual is the pointwise function sum sign * project(op(u_h)) - f,
@@ -107,14 +108,14 @@ def element_residuals(fields: SolutionFields, p_res: Optional[int] = None) -> Re
 
 def _dual_norms_sq(blocks, xloc, slots):
     """sum over the Gram-inverted test slots of r_K^T G_K^{-1} r_K: per slot,
-    r_K = [B | Bhat] x_K - l_K on the class blocks, then L^{-1} r_K with
-    the rows c l + j of each copy j as more right-hand sides (condense_local)."""
+    r_K = M x_K - l_K on the class blocks, then L^{-1} r_K with the rows
+    c l + j of each copy j as more right-hand sides (condense_local)."""
     groups = ClassGroups(blocks.cls)
-    M, X = np.concatenate([blocks.B, blocks.Bhat], axis=2), groups.pack(xloc[..., None])
+    X = groups.pack(xloc[..., None])
     out = np.zeros(len(blocks.elems))
     for n in slots:
         s, c = blocks.test_slices[n], blocks.test_copies[n]
-        r = groups.take(M[:, s]) @ X - groups.pack(blocks.l[:, s, None])
+        r = groups.take(blocks.M[:, s]) @ X - groups.pack(blocks.l[:, s, None])
         p, m, g = r.shape
         W = forward_substitution(groups.take(gram_cholesky(blocks.G[n])), r.reshape(p, m // c, c * g))
         out += groups.unpack(np.sum((W * W).reshape(p, m, g), axis=1, keepdims=True))[:, 0, 0]
@@ -126,7 +127,7 @@ def _pointwise_norms_sq(fields, slots, elems, degree):
     pointwise residual sum sign * project(op(u_h)) - f on each element."""
     form = fields.form
     desc = form.desc
-    rule, wts, pts = element_quadrature(form.geom, elems, degree)
+    rule, wts, pts = element_quadrature(form.mesh.geometry, elems, degree)
     names = {n for n, _ in slots}
     terms = [t for t in desc.terms if t.test in names]
     trials = dict.fromkeys(t.trial for t in terms)

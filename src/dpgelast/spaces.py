@@ -32,19 +32,21 @@ Conventions:
 * Trace spaces live on skeleton edges: continuous piecewise order-p
   nodal functions (TraceH12) and per-edge discontinuous Legendre modes of
   order p-1 measured against the fixed normal (TraceHm12).
-* H(div) spaces take the caller's Skeleton, as the trace spaces do.
+* H(div) spaces take the caller's Skeleton, as the trace spaces do, and
+  keep it (DofSpace.skeleton); a conforming one also keeps C.
 
 Every element is affine, so each basis is a reference basis and a
 per-element linear map: reference_basis gives components r (nloc, nq, R)
 at shared reference points, geometry_map the map P_e to physical values
-(H1 I, gradients I (x) J^-T; H(div) I (x) J / h, divergences I / h; L2
-I / h; h = sqrt(det J)), dual_rows the combination through C of a
-conforming H(div) space, and edge_reference the traces on the local edges
-in both orientations of the global edge parameter; nothing is pulled
-back. volume_basis and field_values (coefficients contracted with the
-unpadded rows of r, one copy per component, before P_e) evaluate from
-them; evaluate_field wraps field_values for physical points. _rt_dofs
-takes the RT dofs of reference data for the reference basis and for C.
+from Mesh.geometry (H1 I, gradients I (x) J^-T; H(div) I (x) J / h,
+divergences I / h; L2 I / h; h = sqrt(det J)), dual_rows the combination
+through C of a conforming H(div) space, and edge_reference the traces on
+the local edges in both orientations of the global edge parameter;
+nothing is pulled back. volume_basis and field_values (coefficients
+contracted with the unpadded rows of r, one copy per component, before
+P_e) evaluate from them; evaluate_field wraps field_values for physical
+points. _rt_dofs takes the RT dofs of reference data for the reference
+basis and for C.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Mesh, Skeleton, GAMMA0, GAMMA1
+from .mesh import Geometry, Mesh, Skeleton, GAMMA0, GAMMA1
 from .quadrature import triangle_rule, edge_rule
 
 
@@ -153,36 +155,6 @@ _SKEW_COMPS = np.array([[[0.0, 1.0 / np.sqrt(2.0)], [-1.0 / np.sqrt(2.0), 0.0]]]
 # geometry
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Affine maps of all elements: x = origin + J xref."""
-
-    origin: np.ndarray  # (nelt, 2)
-    J: np.ndarray  # (nelt, 2, 2)
-    Jinv: np.ndarray
-    det: np.ndarray  # (nelt,), positive
-    hscale: np.ndarray  # (nelt,), sqrt of twice the area
-
-
-def geometry(mesh: Mesh) -> Geometry:
-    verts = mesh.triangle_vertices()
-    origin = verts[:, 0]
-    J = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]], axis=-1)
-    det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    Jinv = np.empty_like(J)
-    Jinv[:, 0, 0] = J[:, 1, 1] / det
-    Jinv[:, 0, 1] = -J[:, 0, 1] / det
-    Jinv[:, 1, 0] = -J[:, 1, 0] / det
-    Jinv[:, 1, 1] = J[:, 0, 0] / det
-    return Geometry(
-        origin=origin,
-        J=J,
-        Jinv=Jinv,
-        det=det,
-        hscale=np.sqrt(np.abs(det)),
-    )
-
-
 def to_reference(geom: Geometry, elems, pts):
     """Pull physical points (..., 2) on the given elements back to the
     reference triangle. elems broadcasts against the leading axes."""
@@ -201,6 +173,8 @@ class DofSpace:
     elt_dofs maps each element to its global dofs (volume kinds);
     edge_dofs maps each skeleton edge to its global dofs (trace kinds).
     constrained_dofs / constrained_values hold essential boundary data.
+    skeleton is the Skeleton of the H(div) and trace kinds; C the dual
+    combination of a conforming H(div) space (_rt_dual).
     """
 
     kind: str
@@ -212,7 +186,8 @@ class DofSpace:
     edge_dofs: Optional[np.ndarray] = None
     constrained_dofs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     constrained_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    payload: dict = field(default_factory=dict)
+    skeleton: Optional[Skeleton] = None
+    C: Optional[np.ndarray] = None
 
     @property
     def nloc(self) -> int:
@@ -354,7 +329,6 @@ def h1_space(mesh: Mesh, p: int, gamma0_constrained: bool = False, bc_fn=None) -
         ndof=2 * (base + nt * len(inner)),
         ncopies=2,
         elt_dofs=_interleave(elt_scalar, 2),
-        payload={"geom": geometry(mesh), "p": p},
     )
     if gamma0_constrained:
         _constrain_gamma0(space, ids, bc_fn)
@@ -365,7 +339,6 @@ def broken_h1_space(mesh: Mesh, p: int) -> DofSpace:
     """Element-local vector Lagrange space (no inter-element sharing)."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    geom = geometry(mesh)
     nloc_s = len(_ref_lattice(p))
     elt_scalar = np.arange(mesh.num_triangles * nloc_s, dtype=np.int64).reshape(
         mesh.num_triangles, nloc_s
@@ -377,7 +350,6 @@ def broken_h1_space(mesh: Mesh, p: int) -> DofSpace:
         ndof=2 * mesh.num_triangles * nloc_s,
         ncopies=2,
         elt_dofs=_interleave(elt_scalar, 2),
-        payload={"geom": geom, "p": p},
     )
 
 
@@ -404,7 +376,6 @@ def l2_space(mesh: Mesh, k: int, kind: str) -> DofSpace:
     if kind not in _L2_KIND_COMPS:
         raise ValueError(f"unknown L2 kind {kind!r}")
     ncopies = 2 if kind == "L2vec" else len(_L2_KIND_COMPS[kind])
-    geom = geometry(mesh)
     nmodes = len(_mono_exps(k))
     nloc = nmodes * ncopies
     elt_scalar = np.arange(mesh.num_triangles * nmodes, dtype=np.int64).reshape(
@@ -417,7 +388,6 @@ def l2_space(mesh: Mesh, k: int, kind: str) -> DofSpace:
         ndof=mesh.num_triangles * nloc,
         ncopies=ncopies,
         elt_dofs=_interleave(elt_scalar, ncopies),
-        payload={"geom": geom, "k": k},
     )
 
 
@@ -499,7 +469,7 @@ def _rt_dual(space: DofSpace):
     """(nelt, N, N) inverses C[e] of the dofs of the pushed-forward basis psi
     of an H(div) space without C: the dual basis is phi_l = sum_j C[e, j,
     l] psi_j, and the psi-coefficients of a dual-basis field x are C[e] x."""
-    geom, sk, k = space.payload["geom"], space.payload["skeleton"], space.payload["k"]
+    geom, sk, k = space.mesh.geometry, space.skeleton, space.order - 1
     scale = sk.tri_signs * geom.hscale[:, None] / sk.lengths[space.mesh.tri_edges]
     Jh = geom.J / geom.hscale[:, None, None]
     rows = lambda pts: reference_basis("Hdiv", k + 1, "val", pts)[0::2, :, :2]  # one stress row
@@ -531,9 +501,9 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
         ndof=2 * (ne * nmom + nelt * ninter),
         ncopies=2,
         elt_dofs=_interleave(np.concatenate([edge, inner], axis=1), 2),
-        payload={"geom": geometry(mesh), "skeleton": sk, "k": p - 1},
+        skeleton=sk,
     )
-    space.payload["C"] = _rt_dual(space)
+    space.C = _rt_dual(space)
     if gamma1_constrained:
         _constrain_gamma1(space, sk, nmom, 2 * p + 4, traction_fn)
     return space
@@ -554,7 +524,7 @@ def broken_hdiv_space(sk: Skeleton, p: int) -> DofSpace:
         ndof=2 * nelt * nloc_s,
         ncopies=2,
         elt_dofs=_interleave(elt_scalar, 2),
-        payload={"geom": geometry(mesh), "skeleton": sk, "k": p - 1},
+        skeleton=sk,
     )
 
 
@@ -593,7 +563,7 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
         ndof=2 * (mesh.num_vertices + (p - 1) * ne),
         ncopies=2,
         edge_dofs=_interleave(ids, 2),
-        payload={"skeleton": sk, "p": p},
+        skeleton=sk,
     )
     _constrain_gamma0(th12, ids, u0_fn)
     nmom = p
@@ -604,7 +574,7 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
         ndof=2 * ne * nmom,
         ncopies=2,
         edge_dofs=_interleave(np.arange(ne * nmom, dtype=np.int64).reshape(ne, nmom), 2),
-        payload={"skeleton": sk, "nmom": nmom},
+        skeleton=sk,
     )
     _constrain_gamma1(thm12, sk, nmom, 2 * nmom + 8, traction_fn)
     return th12, thm12
@@ -711,7 +681,7 @@ def geometry_map(space: DofSpace, deriv: str, elems) -> np.ndarray:
     """Per-element maps P_e (nelt, D, R) from reference_basis components to
     flattened physical values; the H(div) ones are the contravariant Piola
     map times sqrt(det J)."""
-    geom, fam = space.payload["geom"], space.kind.removeprefix("Broken")
+    geom, fam = space.mesh.geometry, space.kind.removeprefix("Broken")
     if fam == "H1":
         if deriv == "val":
             return np.broadcast_to(np.eye(2), (len(elems), 2, 2))
@@ -728,7 +698,7 @@ def dual_rows(space: DofSpace, elems, X):
     combines them through C, phi_l = sum_j C[e, j, l] psi_j, per stress row."""
     if space.kind != "Hdiv":
         return X
-    Ct = space.payload["C"][elems].transpose(0, 2, 1)
+    Ct = space.C[elems].transpose(0, 2, 1)
     return (Ct @ X.reshape(Ct.shape[:2] + (np.prod(X.shape[1:], dtype=int) // Ct.shape[1],))).reshape(X.shape)
 
 
@@ -737,12 +707,12 @@ def psi_coefficients(space: DofSpace, elems, xe):
     pushed-forward reference basis: C[e] x for a conforming H(div) space."""
     if space.kind != "Hdiv":
         return xe
-    return (space.payload["C"][elems] @ xe.reshape(len(xe), xe.shape[1] // 2, 2)).reshape(xe.shape)
+    return (space.C[elems] @ xe.reshape(len(xe), xe.shape[1] // 2, 2)).reshape(xe.shape)
 
 
 def _volume_maps(space: DofSpace, elems):
     """(deriv, P_e) for val and the derivative the kind has."""
-    if "geom" not in space.payload:
+    if space.elt_dofs is None:
         raise ValueError(f"volume basis undefined for kind {space.kind}")
     fam = space.kind.removeprefix("Broken")
     for deriv in ("val", _DERIV[fam]) if fam in _DERIV else ("val",):
@@ -795,10 +765,9 @@ def interpolate(space: DofSpace, exact):
     """
     mesh = space.mesh
     coeffs = np.zeros(space.ndof)
+    geom = mesh.geometry
     if space.kind in ("H1", "BrokenH1"):
-        geom = space.payload["geom"]
-        p = space.payload["p"]
-        ref = _ref_lattice(p)
+        ref = _ref_lattice(space.order)
         phys = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, ref)
         vals = exact.displacement(phys)  # (nelt, nloc_s, 2)
         coeffs[space.elt_dofs[:, 0::2]] = vals[..., 0]
@@ -808,8 +777,7 @@ def interpolate(space: DofSpace, exact):
         # the basis is orthonormal, so the L2 projection is the weighted
         # moment of the field against it; the skew basis sees only the
         # skew part of the full displacement gradient
-        geom = space.payload["geom"]
-        rule = triangle_rule(2 * space.payload["k"] + 8)
+        rule = triangle_rule(2 * space.order + 8)
         phys = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, rule.points)
         wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
         fn = {"L2vec": "displacement", "L2sym": "stress", "L2skew": "displacement_gradient"}[space.kind]
@@ -823,8 +791,8 @@ def interpolate(space: DofSpace, exact):
         # the dof functionals of the two stress rows; a shared edge dof gets
         # the same value from both sides, so plain assignment is safe. The
         # broken space writes the same interpolant in its own basis.
-        k, geom = space.payload["k"], space.payload["geom"]
-        mom = _edge_moments(mesh, space.payload["skeleton"], np.arange(mesh.num_edges), k + 1, 2 * k + 10, lambda x, n: exact.stress(x) @ n)
+        k = space.order - 1
+        mom = _edge_moments(mesh, space.skeleton, np.arange(mesh.num_edges), k + 1, 2 * k + 10, lambda x, n: exact.stress(x) @ n)
         F = mom[mesh.tri_edges].reshape(mesh.num_triangles, -1, 2)
         if k >= 1:
             pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, triangle_rule(2 * k + 10).points)
@@ -835,14 +803,13 @@ def interpolate(space: DofSpace, exact):
         coeffs[space.elt_dofs] = F.reshape(len(F), -1)
         return coeffs
     if space.kind == "TraceH12":
-        ids = _edge_nodes(mesh, space.payload["p"])
+        ids = _edge_nodes(mesh, space.order)
         sids, pts = _edge_node_points(mesh, ids, np.arange(mesh.num_edges))
         coeffs[_interleave(sids[:, None], 2)] = exact.displacement(pts)
         return coeffs
     if space.kind == "TraceHm12":
-        nmom = space.payload["nmom"]
-        eids = np.arange(mesh.num_edges)
-        mom = _edge_moments(mesh, space.payload["skeleton"], eids, nmom, 2 * nmom + 8, exact.traction)
+        nmom, eids = space.order + 1, np.arange(mesh.num_edges)
+        mom = _edge_moments(mesh, space.skeleton, eids, nmom, 2 * nmom + 8, exact.traction)
         coeffs[space.edge_dofs] = mom.reshape(len(eids), -1)
         return coeffs
     raise ValueError(f"interpolation undefined for kind {space.kind}")
@@ -868,10 +835,10 @@ def field_values(space: DofSpace, coeffs, elems, ref_pts) -> Basis:
 
 def _one_element(space: DofSpace, coeffs, e: int, phys_pts) -> Basis:
     """field_values on element e at physical points (nq, 2)."""
-    if "geom" not in space.payload:
+    if space.elt_dofs is None:
         raise ValueError(f"evaluation undefined for kind {space.kind}")
     elems = np.array([e])
-    ref = to_reference(space.payload["geom"], elems, np.asarray(phys_pts, dtype=float)[None])[0]
+    ref = to_reference(space.mesh.geometry, elems, np.asarray(phys_pts, dtype=float)[None])[0]
     return field_values(space, coeffs, elems, ref)
 
 

@@ -3,9 +3,12 @@ kernels are called by the element assembly of forms only, so every other
 module takes its blocks from forms.assemble_local_blocks; every sparse LU
 is made in dpg_solver._factor_checked, with SuperLU's panel size left at
 its default; no module uses an iterative solver, so every sparse solve
-goes through that one factorization; and free dofs are computed by
+goes through that one factorization; free dofs are computed by
 forms.slot_layout, and by dpg_solver._solve_constrained on the interface
-numbering, only."""
+numbering, only; and each element fact is stored once: the affine maps
+are built by Mesh.geometry alone, a space keeps typed fields, not a
+payload dict, and an element operator is one M = [B | Bhat], never glued
+from a separate trace block."""
 
 import ast
 from pathlib import Path
@@ -33,15 +36,20 @@ def test_element_kernels_called_only_in_forms(module):
     assert not ELEMENT_KERNELS & set(called_names(SRC / module))
 
 
-def referencing_functions(path, name):
-    """For each reference to `name` in a module, bare or as an attribute, the
-    innermost function around it (None at module level)."""
+def referencing_functions(path, name, calls_only=False):
+    """For each reference to `name` in a module, bare or as an attribute (with
+    calls_only, each call of it), the innermost function around it (None at
+    module level)."""
     tree = ast.parse(path.read_text())
     owner = {}
     for fn in ast.walk(tree):  # breadth first, so inner functions overwrite outer
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((node, fn.name) for node in ast.walk(fn))
     for node in ast.walk(tree):
+        if calls_only:
+            if not isinstance(node, ast.Call):
+                continue
+            node = node.func
         if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
             yield owner.get(node)
 
@@ -79,3 +87,19 @@ def test_no_iterative_solver(module):
     # one sparse solve path: a failed factorization raises, nothing falls back
     names = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(ast.parse((SRC / module).read_text()))}
     assert not ITERATIVE_SOLVERS & names
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_no_payload_or_separate_trace_block(module):
+    # a space's facts are typed fields; the element operator is one M = [B | Bhat]
+    tree = ast.parse((SRC / module).read_text())
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = attrs | {getattr(node, "id", None) or getattr(node, "arg", None) for node in ast.walk(tree)}
+    assert "payload" not in attrs
+    assert "Bhat" not in names
+
+
+def test_geometry_built_only_by_the_mesh():
+    # one affine map per mesh, which every space and formulation reads
+    sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "Geometry", calls_only=True)]
+    assert sites == [("mesh.py", "geometry")]

@@ -10,7 +10,6 @@ from dpgelast.quadrature import triangle_rule, map_to_physical, edge_rule
 from dpgelast.spaces import (
     interpolate,
     volume_basis,
-    geometry,
     to_reference,
     edge_points,
     trace_edge_basis,
@@ -76,10 +75,16 @@ def padded_gram(G1, c):
     return np.einsum("elm,ab->elamb", G1, np.eye(c)).reshape(E, n * c, n * c)
 
 
+def field_trace_split(form, M):
+    """The field and trace columns B and Bhat of M = [B | Bhat]."""
+    nf = sum(s.nloc for s in form.field_spaces.values())
+    return M[..., :nf], M[..., nf:]
+
+
 def full_gram(blocks):
     """The block-diagonal element Gram over all test rows from the one-copy
     Grams of the slots."""
-    n = blocks.B.shape[1]
+    n = blocks.M.shape[1]
     G = np.zeros((len(blocks.elems), n, n))
     for name, s in blocks.test_slices.items():
         G[:, s, s] = padded_gram(blocks.G[name][blocks.cls], blocks.test_copies[name])
@@ -102,22 +107,21 @@ def quadrature_blocks(form, degree):
     reference triangle element by element and edge by edge."""
     mesh, desc = form.mesh, form.desc
     elems = np.arange(mesh.num_triangles)
-    rule, wts, pts = element_quadrature(form.geom, elems, degree)
+    rule, wts, pts = element_quadrature(form.mesh.geometry, elems, degree)
     layout = assemble_local_blocks(form, elems[:1], degree)
-    ts, fs, hs = layout.test_slices, layout.field_slices, layout.trace_slices
-    B = np.zeros((len(elems),) + layout.B.shape[1:])
-    Bhat = np.zeros((len(elems),) + layout.Bhat.shape[1:])
-    G = np.zeros((len(elems),) + layout.B.shape[1:2] * 2)
+    ts, fs = layout.test_slices, layout.trial_slices
+    M = np.zeros((len(elems),) + layout.M.shape[1:])
+    G = np.zeros((len(elems),) + layout.M.shape[1:2] * 2)
     l = np.zeros((len(elems),) + layout.l.shape[1:])
     tb = {n: volume_basis(form.test_spaces[n], elems, rule.points) for n, _ in desc.test_slots}
     fb = {n: volume_basis(form.field_spaces[n], elems, rule.points) for n, _ in desc.field_slots}
     for term in desc.terms:
         uarr = trial_term_values(term, fb, form.material)
-        B[:, ts[term.test], fs[term.trial]] += term.sign * contraction(wts, getattr(tb[term.test], term.test_deriv), uarr)
+        M[:, ts[term.test], fs[term.trial]] += term.sign * contraction(wts, getattr(tb[term.test], term.test_deriv), uarr)
     for name, _ in desc.test_slots:
         G[:, ts[name], ts[name]] = quadrature_gram(wts, tb[name], desc.test_norms[name])
     l[:, ts[desc.load_slot]] = np.einsum("eq,eqc,elqc->el", wts, form.bc.body_force(pts), tb[desc.load_slot].val)
-    geom, sk = geometry(mesh), form.skeleton
+    geom, sk = mesh.geometry, form.skeleton
     tq, twq = edge_rule(degree)
     for tt in desc.trace_terms:
         test, trace = form.test_spaces[tt.test], form.trace_spaces[tt.trace]
@@ -132,9 +136,9 @@ def quadrature_blocks(form, degree):
                 trace_of_test = val if test.kind == "BrokenH1" else val @ (sign * sk.normals[eid])
                 fac = sk.lengths[eid] * (sign if trace.kind == "TraceHm12" else 1.0)
                 pair = fac * np.einsum("q,tqc,mqc->tm", twq, trace_of_test, tbasis)
-                c0 = hs[tt.trace].start + k * nm
-                Bhat[e, ts[tt.test], c0 : c0 + nm] += tt.sign * pair
-    return B, Bhat, G, l
+                c0 = fs[tt.trace].start + k * nm
+                M[e, ts[tt.test], c0 : c0 + nm] += tt.sign * pair
+    return (*field_trace_split(form, M), G, l)
 
 
 def rel_err(a, b):
@@ -150,8 +154,7 @@ def interpolant_vector(form, exact):
     """Full trial vector interpolating the exact solution in every slot."""
     layout = trial_layout(form)
     x = np.zeros(layout.ndof)
-    for name in form.trial_slot_names():
-        space = form.trial_space(name)
+    for name, space in form.trial_spaces.items():
         off = layout.offsets[name]
         x[off : off + space.ndof] = interpolate(space, exact)
     return x, layout
@@ -170,7 +173,7 @@ def perturbed_mesh(m, seed=5):
 
 
 def mesh_classes(m):
-    return geometry_classes(geometry(m), skeleton(m))
+    return geometry_classes(m.geometry, skeleton(m))
 
 
 class TestGeometryClasses:
@@ -179,7 +182,7 @@ class TestGeometryClasses:
         # where the element owns the fixed normal, carry other trace signs
         m = build_square_mesh(32)
         flips = edge_flips(m, slice(None))
-        keys = np.concatenate([geometry(m).J.reshape(-1, 4).view(np.int64), flips], axis=1)
+        keys = np.concatenate([m.geometry.J.reshape(-1, 4).view(np.int64), flips], axis=1)
         assert len(np.unique(keys, axis=0)) == 2
         assert np.array_equal(np.bincount(mesh_classes(m)), [992, 992, 32, 32])
 
@@ -196,7 +199,7 @@ class TestGeometryClasses:
     @pytest.mark.parametrize("mesh", ["square", "lshape"])
     def test_members_share_key_bitwise(self, mesh):
         m = uniform_refine(build_square_mesh(3)) if mesh == "square" else corner_graded_lshape(5)
-        cls, geom, sk = mesh_classes(m), geometry(m), skeleton(m)
+        cls, geom, sk = mesh_classes(m), m.geometry, skeleton(m)
         flips = edge_flips(m, slice(None))
         counts = np.bincount(cls)
         assert np.all(np.diff(counts) <= 0)  # numbered largest first
@@ -251,9 +254,10 @@ class TestGeometryClasses:
         for e in range(m.num_triangles):
             one, k = assemble_local_blocks(form, [e]), blocks.cls[e]
             A1, b1 = condense_local(one)
-            assert rel_err(blocks.B[k], one.B[0]) <= 1e-13
-            if one.Bhat.size:
-                assert rel_err(blocks.Bhat[k], one.Bhat[0]) <= 1e-13
+            (B, Bhat), (B1, Bhat1) = field_trace_split(form, blocks.M), field_trace_split(form, one.M)
+            assert rel_err(B[k], B1[0]) <= 1e-13
+            if Bhat1.size:
+                assert rel_err(Bhat[k], Bhat1[0]) <= 1e-13
             for name in one.G:
                 assert rel_err(blocks.G[name][k], one.G[name][0]) <= 1e-13
             assert np.abs(blocks.l[e] - one.l[0]).max() <= 1e-13 * np.abs(one.l[0]).max()
@@ -325,7 +329,7 @@ class TestGramKernel:
             "BrokenHdiv": lambda: broken_hdiv_space(sk, p),
         }[kind]()
         elems = np.arange(m.num_triangles)
-        rule, wts, _ = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
+        rule, wts, _ = element_quadrature(space.mesh.geometry, elems, 2 * p + 2)
         norm = "H1" if kind.endswith("H1") else "Hdiv"
         ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
         G = padded_gram(gram_blocks(space, elems, 2 * p + 2, norm), row_copies(space))
@@ -340,7 +344,7 @@ class TestGramKernel:
             "BrokenHdiv": lambda: broken_hdiv_space(skeleton(m), 2),
         }.get(kind, lambda: l2_space(m, 2, kind))()
         elems = np.arange(m.num_triangles)
-        rule, wts, _ = element_quadrature(space.payload["geom"], elems, 6)
+        rule, wts, _ = element_quadrature(space.mesh.geometry, elems, 6)
         basis = volume_basis(space, elems, rule.points)
         c = row_copies(space)
         G = padded_gram(gram_blocks(space, elems, 6, "L2"), c)
@@ -395,7 +399,7 @@ class TestReferenceKernels:
         form = formulation(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth))
         blocks = assemble_local_blocks(form)
         refs = quadrature_blocks(form, form.quad_degree())
-        for got, ref in zip((blocks.B[blocks.cls], blocks.Bhat[blocks.cls], full_gram(blocks), blocks.l), refs):
+        for got, ref in zip((*field_trace_split(form, blocks.M[blocks.cls]), full_gram(blocks), blocks.l), refs):
             if ref.size:
                 assert rel_err(got, ref) <= 1e-13
 
@@ -414,7 +418,7 @@ class TestReferenceKernels:
         test, trial = slot_layout(tests), slot_layout(fields)
         rows, tfree, ntest = element_dofs(tests, test, elems), test.free, test.ndof
         cols, ufree, ntrial = element_dofs(fields, trial, elems), trial.free, trial.ndof
-        rule, wts, _ = element_quadrature(form.geom, elems, degree)
+        rule, wts, _ = element_quadrature(form.mesh.geometry, elems, degree)
         gx, off = [], 0
         for name, _ in desc.field_slots:
             space = form.field_spaces[name]
@@ -435,7 +439,7 @@ class TestReferenceKernels:
         tests = build_test_spaces(desc, skeleton(mesh), p, P_RES - p)
         elems = np.arange(mesh.num_triangles)
         degree = 2 * P_RES + 2
-        rule, wts, _ = element_quadrature(geometry(mesh), elems, degree)
+        rule, wts, _ = element_quadrature(mesh.geometry, elems, degree)
         for name, space in tests.items():
             norm = desc.test_norms[name]
             ref = quadrature_gram(wts, volume_basis(space, elems, rule.points), norm)
@@ -490,7 +494,7 @@ class TestScatterBlocks:
 class TestTraceBlocks:
     def test_strong_zero_width(self):
         form = formulation("strong", build_square_mesh(2), MAT, 1)
-        assert assemble_local_blocks(form, [0]).Bhat[0].shape[1] == 0
+        assert field_trace_split(form, assemble_local_blocks(form, [0]).M)[1][0].shape[1] == 0
 
     def test_constant_trace_against_constant_tensor(self):
         # <uhat, tau.n> for constant uhat and constant tau is
@@ -499,9 +503,9 @@ class TestTraceBlocks:
         form = formulation("ultraweak", m, MAT, 1)
         e = 2
         blocks = assemble_local_blocks(form, [e])
-        tb = blocks.Bhat[0]
+        tb = blocks.M[0]  # xhat below vanishes on the field columns
         # uhat == (1, 0): nodal trace dofs all 1 in the x component
-        uh_cols = blocks.trace_slices["uhat"]
+        uh_cols = blocks.trial_slices["uhat"]
         nloc_e = form.trace_spaces["uhat"].edge_dofs.shape[1]
         xhat = np.zeros(tb.shape[1])
         base = uh_cols.start
@@ -544,7 +548,7 @@ class TestTraceBlocks:
         for i, e in enumerate(elems):
             ye = y[conf.elt_dofs[e]]
             k = blocks.cls[i]
-            total[gdofs[i]] += ye @ np.concatenate([blocks.B[k], blocks.Bhat[k]], axis=1)
+            total[gdofs[i]] += ye @ blocks.M[k]
         off = layout.offsets["shat"]
         free = np.setdiff1d(np.arange(shat.ndof), shat.constrained_dofs)
         assert np.abs(total[off + free]).max() < 1e-11
@@ -582,7 +586,7 @@ class TestFieldBlocks:
         u_space = form.field_spaces["u"]
         c = np.zeros(u_space.nloc)
         c[0::2] = 1.0  # constant displacement (1, 0)
-        assert np.abs(blocks.B[0] @ c).max() < 1e-13
+        assert np.abs(field_trace_split(form, blocks.M)[0][0] @ c).max() < 1e-13
 
     def test_ultraweak_skew_pairing_oracle(self):
         # (omega, tau) for constant skew omega and constant tau = area * omega:tau
@@ -607,9 +611,9 @@ class TestFieldBlocks:
         xw = interpolate(omega_space, WField())[omega_space.elt_dofs[e]]
         tau_space = form.test_spaces["tau"]
         ytau = interpolate(tau_space, TField())[tau_space.elt_dofs[e]]
-        y = np.zeros(blocks.B.shape[1])
+        y = np.zeros(blocks.M.shape[1])
         y[blocks.test_slices["tau"]] = ytau
-        got = y @ blocks.B[0][:, blocks.field_slices["omega"]] @ xw
+        got = y @ blocks.M[0][:, blocks.trial_slices["omega"]] @ xw
         area = m.areas()[e]
         expected = area * np.sum(w * tau_mat)
         assert abs(got - expected) < 1e-12
@@ -634,7 +638,7 @@ class TestFieldBlocks:
         blocks = assemble_local_blocks(form, np.arange(form.mesh.num_triangles))
         for i in range(form.mesh.num_triangles):
             xs = coeffs[sig_space.elt_dofs[i]]
-            rows = blocks.B[blocks.cls[i]][blocks.test_slices["w"], blocks.field_slices["sigma"]]
+            rows = blocks.M[blocks.cls[i]][blocks.test_slices["w"], blocks.trial_slices["sigma"]]
             assert np.abs(rows @ xs).max() < 1e-11
 
 
@@ -650,7 +654,7 @@ class TestConsistency:
             elems = np.arange(m.num_triangles)
             blocks = assemble_local_blocks(form, elems)
             gdofs = element_trial_dofs(form, layout, elems)
-            M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
+            M = blocks.M[blocks.cls]
             r = np.einsum("etm,em->et", M, x[gdofs]) - blocks.l
             norms.append(np.abs(r).max())
             m = uniform_refine(m)

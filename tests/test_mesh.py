@@ -89,6 +89,17 @@ def test_refine_single_conforming():
     assert abs(r.areas().sum() - 1.0) < 1e-13
 
 
+def test_geometry_is_built_on_first_use_and_kept():
+    # building and refining never form the affine maps, which hold about
+    # 96 bytes per triangle
+    m = refine(build_lshape_mesh(2), [0])
+    assert "geometry" not in vars(m)
+    g = m.geometry
+    assert m.geometry is g
+    assert np.array_equal(g.det, 2 * m.areas())
+    assert np.array_equal(g.origin + g.J[:, :, 0], m.triangle_vertices()[:, 1])
+
+
 def test_uniform_refine_quarters():
     m = build_square_mesh(2)
     r = uniform_refine(m)

@@ -119,7 +119,7 @@ class TestSolutionFile:
         assert g.num_free_dofs() == f.num_free_dofs()
         assert np.array_equal(element_residuals(g).eta, element_residuals(f).eta)
 
-    @pytest.mark.parametrize("spec", ["fosls", "hybrid_mixed"])
+    @pytest.mark.parametrize("spec", ["fosls", "hybrid_mixed", "hybrid_mixed_conservative"])
     def test_least_squares_round_trip(self, spec, tmp_path):
         # load_solution rebuilds these on their base formulations, strong and mixed
         smooth = smooth_solution_2d()
@@ -128,7 +128,7 @@ class TestSolutionFile:
         if spec == "fosls":
             f = solve_fosls(mesh, smooth.material, 2, bc)
         else:
-            f = solve_hybrid_mixed(mesh, smooth.material, 2, bc=bc, conservative=True)
+            f = solve_hybrid_mixed(mesh, smooth.material, 2, bc=bc, conservative=spec == "hybrid_mixed_conservative")
         path = tmp_path / "sol.txt"
         save_solution(f, path)
         g = load_solution(path, spec, mesh, bc=bc)
@@ -137,6 +137,17 @@ class TestSolutionFile:
         for name in f.coeffs:
             assert np.array_equal(g.coeffs[name], f.coeffs[name]), name
         assert np.array_equal(element_residuals(g).eta, element_residuals(f).eta)
+
+    def test_conservative_file_is_not_a_plain_hybrid_file(self, tmp_path):
+        # the file names the solve path, so a reload says whether the
+        # elementwise momentum balance was imposed
+        smooth = smooth_solution_2d()
+        mesh = build_square_mesh(2)
+        bc = bc_from_exact(smooth)
+        path = tmp_path / "sol.txt"
+        save_solution(solve_hybrid_mixed(mesh, smooth.material, 1, bc=bc, conservative=True), path)
+        with pytest.raises(PersistenceError):
+            load_solution(path, "hybrid_mixed", mesh, bc=bc)
 
     def test_fosls_reload_rebuilds_the_solved_formulation(self, tmp_path):
         # FOSLS solves Strong at dp=0 with order-p L2 test spaces, not order p-1

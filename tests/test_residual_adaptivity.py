@@ -16,13 +16,15 @@ from dpgelast.forms import (
     FORMULATION_IDS,
     BCData,
     bc_from_exact,
+    formulation,
     build_test_spaces,
     assemble_local_blocks,
     class_chunks,
     element_trial_dofs,
     l2_slot_residual_ops,
 )
-from dpgelast.dpg_solver import solve_dpg, solve_hybrid_mixed
+from dpgelast import mesh as mesh_module, residual_adaptivity
+from dpgelast.dpg_solver import assemble_and_solve, solve_dpg, solve_hybrid_mixed
 from dpgelast.residual_adaptivity import (
     P_RES,
     ResidualReport,
@@ -206,6 +208,25 @@ class TestEstimator:
         assert totals[1] < totals[0] and totals[2] < totals[1]
 
 
+def test_solve_and_estimate_read_one_geometry(monkeypatch):
+    # every volume space of the solve and every test space of its estimate
+    # reads the mesh's one affine map, built once
+    built, estimated, make = [], [], mesh_module.Geometry
+    monkeypatch.setattr(mesh_module, "Geometry", lambda **maps: built.append(make(**maps)) or built[-1])
+    monkeypatch.setattr(
+        residual_adaptivity, "assemble_local_blocks", lambda form, *a, **k: estimated.append(form) or assemble_local_blocks(form, *a, **k)
+    )
+    m = build_square_mesh(2)
+    smooth = smooth_solution_2d()
+    form = formulation("ultraweak", m, smooth.material, 2, bc=bc_from_exact(smooth))
+    element_residuals(assemble_and_solve(form))
+    spaces = [*form.field_spaces.values(), *form.test_spaces.values(), *(s for f in estimated for s in f.test_spaces.values())]
+    volume = [s for s in spaces if s.elt_dofs is not None]
+    assert estimated and len(volume) == 5 + 2 * len(estimated)
+    assert all(s.mesh.geometry is m.geometry for s in volume)
+    assert built == [m.geometry]
+
+
 def dense_eta(fields, p_res=P_RES):
     """The estimator through the assembled element blocks: r = B x - l from
     assemble_local_blocks on the enriched test spaces, G^{-1} r by a dense
@@ -216,7 +237,7 @@ def dense_eta(fields, p_res=P_RES):
     elems = np.arange(form.mesh.num_triangles)
     xloc = fields.full_vector()[element_trial_dofs(form_res, fields.layout, elems)]
     blocks = assemble_local_blocks(form_res, elems)
-    r = np.einsum("etm,em->et", np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls], xloc) - blocks.l
+    r = np.einsum("etm,em->et", blocks.M[blocks.cls], xloc) - blocks.l
     eta2 = np.zeros(len(elems))
     for name, _ in form.desc.test_slots:
         if form.desc.test_norms[name] != "L2":

@@ -51,11 +51,11 @@ MAT = MaterialParams(lam=1.0, mu=1.0)
 
 
 class FakeBlocks:
-    """(B, Bhat, l) over all test rows and one Gram per test slot; a single
-    slot "v" with one copy by default. Each element is its own class."""
+    """M = [B | Bhat] and l over all test rows and one Gram per test slot; a
+    single slot "v" with one copy by default. Each element is its own class."""
 
     def __init__(self, B, Bhat, G, l, test_slices=None, test_copies=None):
-        self.B, self.Bhat, self.l = B, Bhat, l
+        self.M, self.l = np.concatenate([B, Bhat], axis=2), l
         self.cls = np.arange(len(l))
         self.G = G if isinstance(G, dict) else {"v": G}
         self.test_slices = test_slices or {"v": slice(0, B.shape[1])}
@@ -168,7 +168,7 @@ class TestCondenseLocal:
         Gfull = np.zeros((4, 11, 11))
         Gfull[:, :8, :8], Gfull[:, 8:, 8:] = padded_gram(G["tau"], 2), G["w"]
         for e in range(4):
-            M = np.concatenate([blocks.B[e], blocks.Bhat[e]], axis=1)
+            M = blocks.M[e]
             Ginv = np.linalg.inv(Gfull[e])
             assert np.abs(A[e] - M.T @ Ginv @ M).max() < 1e-10
             assert np.abs(b[e] - M.T @ Ginv @ blocks.l[e]).max() < 1e-10
@@ -183,14 +183,14 @@ class TestCondenseLocal:
         elems = np.arange(0, 32, 3)
         blocks = assemble_local_blocks(form, elems)
         derivs = {"L2": ("val",), "H1": ("val", "grad"), "Hdiv": ("val", "div")}
-        Gfull = np.zeros((len(elems),) + blocks.B.shape[1:2] * 2)
+        Gfull = np.zeros((len(elems),) + blocks.M.shape[1:2] * 2)
         for name, s in blocks.test_slices.items():
             space = form.test_spaces[name]
             Gfull[:, s, s] = sum(volume_blocks(space, d, space, d, elems, form.quad_degree()) for d in derivs[form.desc.test_norms[name]])
         A, b = condense_local(blocks)
         for e in range(len(elems)):
             k = blocks.cls[e]
-            M = np.concatenate([blocks.B[k], blocks.Bhat[k]], axis=1)
+            M = blocks.M[k]
             Ginv = np.linalg.inv(Gfull[e])
             Aref, bref = M.T @ Ginv @ M, M.T @ Ginv @ blocks.l[e]
             assert np.abs(A[k] - Aref).max() <= 1e-10 * np.abs(Aref).max()
@@ -536,7 +536,7 @@ class TestPathEquivalences:
         elems = np.arange(form.mesh.num_triangles)
         blocks = assemble_local_blocks(form, elems)
         gdofs = element_trial_dofs(form, layout, elems)
-        M = np.concatenate([blocks.B, blocks.Bhat], axis=2)[blocks.cls]
+        M = blocks.M[blocks.cls]
         Btpsi = np.zeros(layout.ndof)
         np.add.at(Btpsi, gdofs.ravel(), np.einsum("etm,et->em", M, psi).ravel())
         free = np.setdiff1d(np.arange(layout.ndof), layout.constrained)
@@ -618,7 +618,7 @@ def galerkin_loop_system(mesh, material, p, bc):
     rhs, triples = np.zeros(n), []
     for start in range(0, nelt, CHUNK):
         elems = np.arange(start, min(start + CHUNK, nelt))
-        _, _, pts = element_quadrature(space.payload["geom"], elems, 2 * p + 2)
+        _, _, pts = element_quadrature(space.mesh.geometry, elems, 2 * p + 2)
         A = volume_blocks(space, "grad", space, "grad", elems, 2 * p + 2, op_matrix("C", material))
         b = basis_pairing(space, "val", elems, 2 * p + 2, bc.body_force(pts))
         gdofs = space.elt_dofs[elems]

@@ -23,7 +23,6 @@ from dpgelast.spaces import (
     evaluate_field,
     evaluate_field_gradient,
     evaluate_trace_field,
-    geometry,
     ortho_modal_eval,
     legendre01_eval,
     embed_in_broken,
@@ -282,7 +281,7 @@ class TestConformity:
         elems = np.arange(m.num_triangles)
         t = edge_rule(2 * p + 4)[0]
         ev = edge_reference("H1", p, t)[np.arange(3), edge_flips(m, elems)].swapaxes(1, 2)
-        geom = geometry(m)
+        geom = m.geometry
         for loc in range(3):
             a, b = m.vertices[m.edges[m.tri_edges[:, loc]]].transpose(1, 0, 2)
             ref = to_reference(geom, elems, a[:, None] + t[:, None] * (b - a)[:, None])
@@ -301,8 +300,8 @@ class TestDualBasis:
         # then area-averaged moments against the reference modal basis,
         # orthonormal in the area-averaged inner product
         m = corner_refined_lshape()
-        sk, geom, k = skeleton(m), geometry(m), p - 1
-        C = hdiv_space(sk, p).payload["C"]
+        sk, geom, k = skeleton(m), m.geometry, p - 1
+        C = hdiv_space(sk, p).C
         brok = broken_hdiv_space(sk, p)
         tq, twq = edge_rule(2 * p + 2)
         rule = triangle_rule(2 * p + 2)
@@ -324,7 +323,7 @@ class TestDualBasis:
     def test_dual_basis_condition_flat_in_p(self):
         # the modal interior moments keep C well conditioned at high order
         # (the scaled monomial moments gave 5.2e6 at p = 7)
-        C = hdiv_space(skeleton(build_square_mesh(1)), 7).payload["C"]
+        C = hdiv_space(skeleton(build_square_mesh(1)), 7).C
         assert np.linalg.cond(C).max() < 1e3
 
 
@@ -337,7 +336,7 @@ class TestExactSequence:
         rule = triangle_rule(2 * p + 4)
         elems = np.arange(mesh.num_triangles)
         basis = volume_basis(space, elems, rule.points)
-        geom = geometry(mesh)
+        geom = mesh.geometry
         modal = ortho_modal_eval(p - 1, rule.points)
         wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
         scal = modal[None] / np.sqrt(np.abs(geom.det))[:, None, None]
@@ -354,7 +353,7 @@ class TestGramAndQuadrature:
         rule = triangle_rule(8)
         elems = np.arange(mesh.num_triangles)
         basis = volume_basis(space, elems, rule.points)
-        geom = geometry(mesh)
+        geom = mesh.geometry
         wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
         v = basis.val.reshape(basis.val.shape[:3] + (-1,))
         M = np.einsum("eq,emqk,enqk->emn", wts, v, v)
@@ -448,7 +447,7 @@ class TestTopologicalNumbering:
         s = h1_space(m, p)
         th12, _ = trace_spaces(skeleton(m), p)
         ref = np.array([[i / p, j / p] for j in range(p + 1) for i in range(p + 1 - j)])
-        geom = geometry(m)
+        geom = m.geometry
         t = np.arange(p + 1) / p
         for e in range(m.num_triangles):
             lattice = geom.origin[e] + ref @ geom.J[e].T
