@@ -110,10 +110,11 @@ class SolutionFields:
 
 @dataclass
 class GlobalSystem:
-    """K and rhs on the interface dofs `iface`. Per geometry class, L L^T = A_ll
-    and Y = L^{-1} A_li, and per element y_b = L^{-1} b_l, recover the local
-    dofs `ldofs` (nelt, nl) from the interface columns `idofs` (nelt, ni) of
-    K; `cls` is each element's class. gram_cond holds the min and max over
+    """K (CSR, scattered from one Schur complement per class) and rhs on the
+    interface dofs `iface`. Per geometry class, L L^T = A_ll and
+    Y = L^{-1} A_li, and per element y_b = L^{-1} b_l, recover the local dofs
+    `ldofs` (nelt, nl) from the interface columns `idofs` (nelt, ni) of K;
+    `cls` is each element's class. gram_cond holds the min and max over
     classes and test slots of cholesky_cond_bound of the test Gram."""
 
     form: Formulation
@@ -204,7 +205,7 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
     The columns of the L2 field slots (LOCAL_KINDS) belong to one element
     each and are eliminated there: per geometry class, with A_ll = L L^T and
     Y_i = L^{-1} A_li, the Schur complement S = A_ii - Y_i^T Y_i, exactly
-    symmetric, is scattered for each of its elements; per element,
+    symmetric, is kept once and scattered for all its elements; per element,
     y_b = L^{-1} b_l and s = b_i - Y_i^T y_b. Work runs over chunks of
     whole classes (class_chunks).
     """
@@ -220,7 +221,7 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
     idofs = inum[gdofs[:, ii]]
     cls = form.classes
     ncls = cls.max() + 1
-    S = np.empty((nelt, len(ii), len(ii)))  # each element's class Schur complement
+    S = np.empty((ncls, len(ii), len(ii)))  # each class's Schur complement
     L = np.empty((ncls, len(li), len(li)))
     Y = np.empty((ncls, len(li), len(ii)))
     yb = np.empty((nelt, len(li)))
@@ -235,12 +236,12 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
         W = forward_substitution(groups.take(Lc), X)
         Yp, yp = W[..., : len(ii)], W[..., len(ii) :]
         Y[c] = Yi = groups.first(Yp)
-        S[elems] = (A[:, ii[:, None], ii] - np.swapaxes(Yi, 1, 2) @ Yi)[blocks.cls]
+        S[c] = A[:, ii[:, None], ii] - np.swapaxes(Yi, 1, 2) @ Yi
         yb[elems] = groups.unpack(yp)[..., 0]
         s[elems] = b[:, ii] - groups.unpack(np.swapaxes(Yp, 1, 2) @ yp)[..., 0]
     rhs = np.zeros(int(keep.sum()))
     np.add.at(rhs, idofs.ravel(), s.ravel())
-    K = scatter_blocks([(idofs, idofs, S)], (len(rhs), len(rhs)))
+    K = scatter_blocks([(idofs, idofs, S, cls)], (len(rhs), len(rhs)))
     bounds = np.concatenate(gram_cond)
     return GlobalSystem(
         form, layout, K, rhs, np.flatnonzero(keep), gdofs[:, li], idofs, cls, L, Y, yb, (bounds.min(), bounds.max())
@@ -488,7 +489,7 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     bc, space, sk = form.bc, form.field_spaces["u"], form.skeleton
     blocks = assemble_local_blocks(form)
     n = space.ndof
-    K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.M[blocks.cls])], (n, n))
+    K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.M, blocks.cls)], (n, n))
     rhs = np.zeros(n)
     np.add.at(rhs, space.elt_dofs.ravel(), blocks.l.ravel())
     # traction load on Gamma1, one edge per call of g

@@ -38,9 +38,9 @@ Every global operator is numbered one way: slot_layout numbers slot
 spaces one after another and computes their free ids once
 (TrialLayout.free); element_dofs reads each element's ids in those slots
 (elt_dofs, or edge_dofs on its three edges for a trace slot).
-scatter_blocks sums element blocks into CSR, a Gram G1 kron I_c once per
-copy (gram_copies); global_operators scatters M and the test
-Gram for the saddle-point solve and the inf-sup operators alike.
+scatter_blocks sums class blocks straight into CSR for their elements, a
+Gram G1 kron I_c once per copy (gram_copies); global_operators scatters M,
+then the test Gram, for the saddle-point solve and the inf-sup operators.
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -679,43 +679,61 @@ def element_trial_dofs(form: Formulation, layout: TrialLayout, elems) -> np.ndar
 
 
 def scatter_blocks(triples, shape) -> sp.csr_matrix:
-    """Sum element blocks into one sparse matrix of the given shape.
+    """Sum blocks into one CSR matrix of the given shape. A triple (row_dofs
+    (ne, m), col_dofs (ne, n), blocks, cls) adds blocks[cls[e], i, j], one
+    block per class, at (row_dofs[e, i], col_dofs[e, j]); with cls None or
+    left out, blocks is (ne, m, n). The element rows (e, i), stably sorted
+    by global row, are gathered straight into a CSR with duplicates in the
+    entry order of a COO to CSR conversion, whose sums one sum_duplicates
+    then gives bit for bit, explicit zeros kept: no per-element block or COO
+    index array is built. The arrays are compact, int32 indices if they fit."""
+    parts, bo, co = [], 0, 0
+    for r, c, b, *k in triples:  # per element row: global row, width, first entry in the flat blocks and col_dofs
+        r, c, b = np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)
+        (ne, m), n = r.shape, c.shape[1]
+        k = np.asarray(k[0]) if k and k[0] is not None else np.arange(ne)
+        rows = (k[:, None] * m + np.arange(m)).ravel()  # each element row's row in blocks
+        parts.append((r.ravel(), np.full(r.size, n), bo + rows * n, co + np.repeat(np.arange(ne) * n, m), b.ravel(), c.ravel()))
+        bo, co = bo + b.size, co + c.size
+    keys, width, bsrc, csrc, B, C = map(np.concatenate, zip(*parts))
+    total = int(width.sum())
+    if total == 0:
+        return sp.csr_matrix(shape)
+    idx = np.int32 if max(*shape, total) < 2**31 else np.int64
+    order, C = np.argsort(keys, kind="stable"), C.astype(idx)
+    indptr = np.r_[0, np.cumsum(np.bincount(keys, width, shape[0]))].astype(idx)
+    data, indices = np.empty(total), np.empty(total, idx)
+    if np.all(width == width[0]):  # one width: whole rows through 2-D views, no per-entry index
+        w = width[0]
+        np.take(B.reshape(-1, w), bsrc[order] // w, axis=0, out=data.reshape(-1, w), mode="clip")
+        np.take(C.reshape(-1, w), csrc[order] // w, axis=0, out=indices.reshape(-1, w), mode="clip")
+    else:  # entry j of every element row wider than j, one j at a time
+        first = (np.cumsum(width[order]) - width[order])[np.argsort(order)]
+        for j in range(width.max()):
+            on = width > j
+            data[first[on] + j], indices[first[on] + j] = B[bsrc[on] + j], C[csrc[on] + j]
+    del parts, keys, width, bsrc, csrc, order  # freed before the sum, which copies the entries it keeps
+    K = sp.csr_matrix((data, indices, indptr), shape=shape)
+    K.sum_duplicates()
+    if K.data.base is not None:  # scipy keeps views of the buffers when over half of them is kept
+        K.data, K.indices = K.data.copy(), K.indices.copy()
+    return K
 
-    Each triple (row_dofs (ne, m), col_dofs (ne, n), blocks (ne, m, n))
-    adds blocks[e, i, j] at (row_dofs[e, i], col_dofs[e, j]). Repeated
-    entries are summed by a single COO to CSR conversion, on the int32
-    indices CSR keeps while the shape allows (no int64 copy to convert).
-    A single contiguous block array serves as the COO data as it is.
-    """
-    triples = [(np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)) for r, c, b in triples]
-    total = sum(b.size for _, _, b in triples)
-    rows = np.empty(total, dtype=np.int32 if max(shape) < 2**31 else np.int64)
-    cols = np.empty_like(rows)
-    vals = triples[0][2].reshape(-1) if len(triples) == 1 else np.concatenate([b.reshape(-1) for _, _, b in triples])
-    off = 0
-    for r, c, b in triples:
-        k = b.size
-        rows[off : off + k].reshape(b.shape)[...] = r[:, :, None]
-        cols[off : off + k].reshape(b.shape)[...] = c[:, None, :]
-        off += k
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
-
-def gram_copies(dofs, G1, c: int) -> list:
-    """scatter_blocks triples of the Grams G1 kron I_c (gram_blocks) on the
-    element dofs (nelt, c n), copy j of each row l sitting on dof c l + j."""
-    return [(dofs[:, j::c], dofs[:, j::c], G1) for j in range(c)]
+def gram_copies(dofs, G1, c: int, cls) -> list:
+    """scatter_blocks triples of the Grams G1 kron I_c (gram_blocks), one per
+    class of cls (or element, cls None), on the element dofs (nelt, c n),
+    copy j of each row l sitting on dof c l + j."""
+    return [(dofs[:, j::c], dofs[:, j::c], G1, cls) for j in range(c)]
 
 
 def global_operators(blocks: LocalBlocks, rows, cols, shape):
-    """The sparse M = [B | Bhat] (shape) and test Gram (shape[0] square) of
-    the elements of blocks, each class block gathered by element: M on the
-    element rows (nelt, ntest) and columns (nelt, ntrial), each test slot's
-    Gram on the rows of its copies (gram_copies)."""
-    gram = []
-    for name, s in blocks.test_slices.items():
-        gram += gram_copies(rows[:, s], blocks.G[name][blocks.cls], blocks.test_copies[name])
-    return scatter_blocks([(rows, cols, blocks.M[blocks.cls])], shape), scatter_blocks(gram, (shape[0], shape[0]))
+    """Yield the sparse M = [B | Bhat] (shape), then, only when asked for, the
+    test Gram (shape[0] square): M on the element rows (nelt, ntest) and
+    columns (nelt, ntrial), each test slot's Gram on its copies' rows."""
+    yield scatter_blocks([(rows, cols, blocks.M, blocks.cls)], shape)
+    gram = [gram_copies(rows[:, s], blocks.G[n], blocks.test_copies[n], blocks.cls) for n, s in blocks.test_slices.items()]
+    yield scatter_blocks([t for copies in gram for t in copies], (shape[0], shape[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ functions). The discrete inf-sup constant is then
 
 with G_Y the test-norm Gram and G_X the Gram of the descriptor's trial
 norms. Test and trial slots are numbered by forms.slot_layout and
-forms.element_dofs, B and G_Y scattered by forms.global_operators, and
-all three restricted to the layouts' free dofs. The smallest eigenvalue comes from ARPACK in
+forms.element_dofs, B then G_Y scattered by forms.global_operators, and
+each of the three restricted to the free dofs once built. The smallest eigenvalue comes from ARPACK in
 shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
 is applied through one sparse LU of the saddle matrix
 [[G_Y, B], [B^T, sigma G_X]]. A degenerate regime with the displacement
@@ -106,12 +106,13 @@ def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int,
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
     rows, cols = element_dofs(form.test_spaces, test, blocks.elems), element_dofs(form.field_spaces, trial, blocks.elems)
-    B, GY = global_operators(blocks, rows, cols, (test.ndof, trial.ndof))
-    B, GY = B[test.free][:, trial.free], GY[test.free][:, test.free]
-    gx = []  # one block per geometry class, gathered by element
+    ops = global_operators(blocks, rows, cols, (test.ndof, trial.ndof))
+    B = next(ops)[test.free][:, trial.free]  # cut down before G_Y is scattered
+    GY = next(ops)[test.free][:, test.free]
+    gx = []  # one block per geometry class
     for name, space in form.field_spaces.items():
-        G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])[blocks.cls]
-        gx += gram_copies(cols[:, blocks.trial_slices[name]], G, row_copies(space))
+        G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])
+        gx += gram_copies(cols[:, blocks.trial_slices[name]], G, row_copies(space), blocks.cls)
     GX = scatter_blocks(gx, (trial.ndof, trial.ndof))
     return B, GY, GX[trial.free][:, trial.free]
 

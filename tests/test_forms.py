@@ -3,6 +3,7 @@ exact-solution consistency of the formulation blocks."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dpgelast.material import MaterialParams
 from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, uniform_refine, skeleton, refine
@@ -35,6 +36,7 @@ from dpgelast.forms import (
     gram_blocks,
     volume_blocks,
     scatter_blocks,
+    gram_copies,
     trial_term_values,
     trial_layout,
     slot_layout,
@@ -477,7 +479,7 @@ class TestScatterBlocks:
 
     @pytest.mark.parametrize("transposed", [False, True])
     def test_single_triple_leaves_its_blocks_unchanged(self, transposed):
-        # one contiguous block array is the COO data itself, a strided one is copied
+        # the blocks are read and never written, contiguous or strided
         rng = np.random.default_rng(6)
         rows, cols = rng.integers(5, size=(6, 3)), rng.integers(5, size=(6, 3))
         blocks = rng.standard_normal((6, 3, 3))
@@ -489,6 +491,81 @@ class TestScatterBlocks:
         K = scatter_blocks([(rows, cols, blocks)], (5, 5))
         assert np.abs(K.toarray() - ref).max() < 1e-14
         assert np.array_equal(blocks, kept)
+
+
+def coo_oracle(triples, shape):
+    """The sum of the triples by a COO to CSR conversion, every class
+    block copied out to its elements first."""
+    rows, cols, vals = [], [], []
+    for r, c, b, cls in triples:
+        b = b if cls is None else b[cls]
+        rows.append(np.broadcast_to(r[:, :, None], b.shape).ravel())
+        cols.append(np.broadcast_to(c[:, None, :], b.shape).ravel())
+        vals.append(b.ravel())
+    return sp.coo_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=shape).tocsr()
+
+
+class TestClassScatter:
+    # class blocks scattered straight into CSR give the COO conversion's matrix
+    # bit for bit: the same entries, in the same order, with the same sums
+
+    @staticmethod
+    def assert_bitwise(K, ref):
+        assert K.shape == ref.shape
+        for got, want in ((K.indptr, ref.indptr), (K.indices, ref.indices), (K.data, ref.data)):
+            assert np.array_equal(got, want)
+
+    @staticmethod
+    def assert_compact(K):
+        assert len(K.data) == len(K.indices) == K.nnz
+        assert K.data.base is None and K.indices.base is None
+
+    def test_one_class_triple(self):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(40, size=(300, 6))
+        triples = [(rows, rows, rng.standard_normal((4, 6, 6)), rng.integers(4, size=300))]
+        K = scatter_blocks(triples, (40, 40))
+        self.assert_bitwise(K, coo_oracle(triples, (40, 40)))
+        self.assert_compact(K)
+
+    def test_several_equal_width_triples(self):
+        # the copies of a vector Gram, with a per-element triple among them
+        rng = np.random.default_rng(12)
+        dofs, cls = rng.integers(30, size=(50, 8)), rng.integers(3, size=50)
+        triples = gram_copies(dofs, rng.standard_normal((3, 4, 4)), 2, cls)
+        triples.append((dofs[:, :4], dofs[:, 4:], rng.standard_normal((50, 4, 4)), None))
+        K = scatter_blocks(triples, (30, 30))
+        self.assert_bitwise(K, coo_oracle(triples, (30, 30)))
+        self.assert_compact(K)
+
+    def test_mixed_widths_non_square(self):
+        rng = np.random.default_rng(13)
+        shape = (17, 23)
+        triples = []
+        for ne, m, n, ncls in ((20, 3, 5, 2), (15, 4, 2, None), (10, 2, 7, 3)):
+            rows, cols = rng.integers(shape[0], size=(ne, m)), rng.integers(shape[1], size=(ne, n))
+            blocks = rng.standard_normal((ne if ncls is None else ncls, m, n))
+            cls = None if ncls is None else rng.integers(ncls, size=ne)
+            triples += [(rows, cols, blocks, cls), (rows, cols, -blocks, cls)]
+        K = scatter_blocks(triples, shape)
+        ref = coo_oracle(triples, shape)
+        # the negated copies leave stored zeros and rounding residue, each set by the summation order
+        assert np.any(ref.data == 0) and np.any(ref.data != 0)
+        self.assert_bitwise(K, ref)
+        self.assert_compact(K)
+
+    def test_few_duplicates_leave_no_view(self):
+        # 24 of 28 entries survive the sum, more than half: scipy keeps views of
+        # the buffers there, and the arrays are copied out all the same
+        rows = np.arange(12).reshape(6, 2)
+        triples = [
+            (rows, rows, np.arange(8.0).reshape(2, 2, 2), np.array([0, 1, 0, 1, 0, 1])),
+            (rows[:1], rows[:1], np.ones((1, 2, 2)), None),
+        ]
+        K = scatter_blocks(triples, (12, 12))
+        self.assert_bitwise(K, coo_oracle(triples, (12, 12)))
+        assert K.nnz == 24
+        self.assert_compact(K)
 
 
 class TestTraceBlocks:
