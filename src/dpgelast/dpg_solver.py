@@ -110,12 +110,11 @@ class SolutionFields:
 
 @dataclass
 class GlobalSystem:
-    """K (CSR, scattered from one Schur complement per class) and rhs on the
-    interface dofs `iface`. Per geometry class, L L^T = A_ll and
-    Y = L^{-1} A_li, and per element y_b = L^{-1} b_l, recover the local dofs
-    `ldofs` (nelt, nl) from the interface columns `idofs` (nelt, ni) of K;
-    `cls` is each element's class. gram_cond holds the min and max over
-    classes and test slots of cholesky_cond_bound of the test Gram."""
+    """K (CSR, from one Schur complement per class) and rhs on the interface
+    dofs `iface`. Per class, L L^T = A_ll and Y = L^{-1} A_li, and per element
+    y_b = L^{-1} b_l, recover the local dofs `ldofs` (nelt, nl) from the
+    interface columns `idofs` (nelt, ni) of K; `cls` is each element's class.
+    gram_cond is the (min, max) of cholesky_cond_bound over class test Grams."""
 
     form: Formulation
     layout: object

@@ -680,18 +680,21 @@ def element_trial_dofs(form: Formulation, layout: TrialLayout, elems) -> np.ndar
 
 def scatter_blocks(triples, shape) -> sp.csr_matrix:
     """Sum blocks into one CSR matrix of the given shape. A triple (row_dofs
-    (ne, m), col_dofs (ne, n), blocks, cls) adds blocks[cls[e], i, j], one
-    block per class, at (row_dofs[e, i], col_dofs[e, j]); with cls None or
-    left out, blocks is (ne, m, n). The element rows (e, i), stably sorted
-    by global row, are gathered straight into a CSR with duplicates in the
-    entry order of a COO to CSR conversion, whose sums one sum_duplicates
-    then gives bit for bit, explicit zeros kept: no per-element block or COO
-    index array is built. The arrays are compact, int32 indices if they fit."""
+    (ne, m), col_dofs (ne, n), blocks, cls) adds blocks[cls[e], i, j] at
+    (row_dofs[e, i], col_dofs[e, j]), one block per class; with cls None or
+    left out, blocks is (ne, m, n). The element rows (e, i), stably sorted by
+    global row, go straight into a CSR with duplicates in the entry order of
+    a COO to CSR conversion, whose sums one sum_duplicates gives bit for bit,
+    explicit zeros kept: no per-element block or COO index array is built.
+    The arrays are compact, int32 indices if they fit. Mismatched shapes and
+    ids outside the shape or blocks raise ValueError."""
     parts, bo, co = [], 0, 0
     for r, c, b, *k in triples:  # per element row: global row, width, first entry in the flat blocks and col_dofs
         r, c, b = np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)
         (ne, m), n = r.shape, c.shape[1]
         k = np.asarray(k[0]) if k and k[0] is not None else np.arange(ne)
+        if k.shape != (ne,) or len(c) != ne or b.shape[1:] != (m, n) or any(np.any((a < 0) | (a >= hi)) for a, hi in ((k, len(b)), (r, shape[0]), (c, shape[1]))):
+            raise ValueError("scatter_blocks: triple shapes disagree, or a row, column or class id is out of range")
         rows = (k[:, None] * m + np.arange(m)).ravel()  # each element row's row in blocks
         parts.append((r.ravel(), np.full(r.size, n), bo + rows * n, co + np.repeat(np.arange(ne) * n, m), b.ravel(), c.ravel()))
         bo, co = bo + b.size, co + c.size
@@ -703,10 +706,9 @@ def scatter_blocks(triples, shape) -> sp.csr_matrix:
     order, C = np.argsort(keys, kind="stable"), C.astype(idx)
     indptr = np.r_[0, np.cumsum(np.bincount(keys, width, shape[0]))].astype(idx)
     data, indices = np.empty(total), np.empty(total, idx)
-    if np.all(width == width[0]):  # one width: whole rows through 2-D views, no per-entry index
-        w = width[0]
-        np.take(B.reshape(-1, w), bsrc[order] // w, axis=0, out=data.reshape(-1, w), mode="clip")
-        np.take(C.reshape(-1, w), csrc[order] // w, axis=0, out=indices.reshape(-1, w), mode="clip")
+    if np.all(width == width[0]):  # one width: whole rows through 2-D views, no per-entry index; "clip" fills out unbuffered, and every id was checked
+        np.take(B.reshape(-1, width[0]), bsrc[order] // width[0], axis=0, out=data.reshape(-1, width[0]), mode="clip")
+        np.take(C.reshape(-1, width[0]), csrc[order] // width[0], axis=0, out=indices.reshape(-1, width[0]), mode="clip")
     else:  # entry j of every element row wider than j, one j at a time
         first = (np.cumsum(width[order]) - width[order])[np.argsort(order)]
         for j in range(width.max()):
@@ -721,9 +723,8 @@ def scatter_blocks(triples, shape) -> sp.csr_matrix:
 
 
 def gram_copies(dofs, G1, c: int, cls) -> list:
-    """scatter_blocks triples of the Grams G1 kron I_c (gram_blocks), one per
-    class of cls (or element, cls None), on the element dofs (nelt, c n),
-    copy j of each row l sitting on dof c l + j."""
+    """scatter_blocks triples of G1 kron I_c, G1 per class of cls (or element
+    if None), on element dofs (nelt, c n): row l's copy j sits on c l + j."""
     return [(dofs[:, j::c], dofs[:, j::c], G1, cls) for j in range(c)]
 
 

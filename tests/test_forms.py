@@ -567,6 +567,22 @@ class TestClassScatter:
         assert K.nnz == 24
         self.assert_compact(K)
 
+    @pytest.mark.parametrize("bad", ["col", "row", "class", "negative_class", "cls_length"])
+    def test_bad_index_raises(self, bad):
+        # an id past the shape, or a class index past the blocks, would otherwise
+        # leave an invalid matrix or read another triple's block
+        rows, cls = np.arange(6).reshape(3, 2), np.array([0, 1, 0])
+        cols = rows.copy()
+        if bad == "col":
+            cols[2, 1] = 6
+        elif bad == "row":
+            rows[1, 0] = 6
+        else:
+            cls = {"class": np.array([0, 2, 0]), "negative_class": np.array([0, -1, 0]), "cls_length": cls[:2]}[bad]
+        triples = [(rows, cols, np.ones((2, 2, 2)), cls), (rows, rows, np.ones((2, 2, 2)), np.zeros(3, int))]
+        with pytest.raises(ValueError):
+            scatter_blocks(triples, (6, 6))
+
 
 class TestTraceBlocks:
     def test_strong_zero_width(self):
