@@ -247,12 +247,13 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
     )
 
 
-# minimum-degree ordering on A + A^T with diagonal pivots, for SPD systems.
-# relax=1 turns off SuperLU's relaxed supernodes: padding small subtrees
-# into dense supernodes stores zeros, and on the condensed interface
-# systems it costs more than it saves (n=32 ultraweak p=2: L+U 3.70M ->
-# 2.65M entries, gstrf about half the time).
-_SPD_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, options={"SymmetricMode": True})
+# minimum-degree ordering on A + A^T with diagonal pivots, for symmetric
+# quasi-definite systems: the SPD interface systems and the inf-sup saddle
+# matrix (infsup_lab._min_infsup_eig). relax=1 turns off SuperLU's relaxed
+# supernodes: padding small subtrees into dense supernodes stores zeros,
+# and on the condensed interface systems it costs more than it saves
+# (n=32 ultraweak p=2: L+U 3.70M -> 2.65M entries, gstrf about half the time).
+_QUASIDEFINITE_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, options={"SymmetricMode": True})
 
 
 def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
@@ -281,7 +282,7 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     Kf = K[free][:, free].tocsc()
     # x holds the values on the constrained dofs and zeros elsewhere
     rhs_f = (rhs - K @ x)[free] if len(constrained) else rhs[free]
-    what, lu_options = "SPD system", _SPD_LU
+    what, lu_options = "SPD system", _QUASIDEFINITE_LU
     if C is not None:
         Cf = C[:, free]
         d_f = d - C[:, constrained] @ values if len(constrained) else d

@@ -119,8 +119,9 @@ def smooth_solution_2d(material: Optional[MaterialParams] = None) -> ExactSoluti
     )
 
 
-def _exponent_residual(a: float, nu: float) -> float:
-    """Value of the matching condition whose root fixes the exponent."""
+def _exponent_residual(a, nu: float):
+    """Value of the matching condition whose root fixes the exponent, at a
+    scalar or an array of exponents a."""
     th = 0.75 * np.pi
     denom = (a + 1) * np.sin((a + 1) * th)
     C1 = (4.0 * (1.0 - nu) - (a + 1)) * np.sin((a - 1) * th) / denom
@@ -140,19 +141,16 @@ def solve_singularity_exponent(nu: float) -> SingularParams:
     # scan for a genuine sign change away from both before bisecting.
     eps = 1e-6
     grid = np.linspace(eps, 1.0 - eps, 4001)
-    vals = np.array([_exponent_residual(g, nu) for g in grid])
+    vals = _exponent_residual(grid, nu)
     pole = 1.0 / 3.0
-    bracket = None
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0 and not (grid[i] < pole < grid[i + 1]):
-            bracket = (grid[i], grid[i + 1])
-            break
-    if bracket is None:
+    change = (vals[:-1] * vals[1:] < 0) & ~((grid[:-1] < pole) & (pole < grid[1:]))
+    if not change.any():
         raise ValueError(
             "no sign change for the exponent equation on "
             f"({eps}, {1 - eps}): endpoint residuals {vals[0]:.3e}, {vals[-1]:.3e}"
         )
-    lo, hi = bracket
+    i = int(np.argmax(change))
+    lo, hi = grid[i], grid[i + 1]
     flo = _exponent_residual(lo, nu)
     while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)

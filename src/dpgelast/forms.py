@@ -199,7 +199,12 @@ FORMULATION_IDS = tuple(DESCRIPTORS)
 @dataclass
 class BCData:
     """Problem data: body force f(pts), traction g(pts, normal) on
-    Gamma1, and prescribed displacement u0(pts) on Gamma0."""
+    Gamma1, and prescribed displacement u0(pts) on Gamma0.
+
+    g returns one traction per point, (..., 2), for points with any
+    leading axes: the Gamma1 moments call it once per distinct edge
+    normal with the points of all edges sharing it, (nedges, nq, 2), and
+    the Galerkin traction load once per edge, (nq, 2)."""
 
     f: Callable = None
     g: Callable = None

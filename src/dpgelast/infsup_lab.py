@@ -14,8 +14,17 @@ forms.element_dofs, B then G_Y scattered by forms.global_operators, and
 each of the three restricted to the free dofs once built. The smallest eigenvalue comes from ARPACK in
 shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
 is applied through one sparse LU of the saddle matrix
-[[G_Y, B], [B^T, sigma G_X]]. A degenerate regime with the displacement
-boundary removed exposes the rigid-body kernel.
+[[G_Y, B], [B^T, sigma G_X]]. With sigma < 0 that matrix is symmetric
+quasi-definite, so it has an LDL^T factorization for every symmetric
+ordering (Vanderbei, SIAM J. Optim. 5, 1995) and is factored with
+diagonal pivots on a minimum-degree ordering of A + A^T, like the SPD
+systems of the solvers. Its growth factor is bounded only by about
+||B||^2 / |sigma| (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl.
+17, 1996), which leaves the shift-invert eigenvalue up to about 1e-9
+off on the p=1 table. The eigenvalue is therefore taken as a Rayleigh
+quotient at ARPACK's eigenvector, whose error is quadratic in the
+eigenvector's. A degenerate regime with the displacement boundary
+removed exposes the rigid-body kernel.
 
 The two auxiliary stability constants of the continuous analysis are
 the inf-sup constants of two more pairs (POINCARE, DIVERGENCE) on
@@ -32,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dpg_solver import _factor_checked
+from .dpg_solver import _QUASIDEFINITE_LU, _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
 from .spaces import h1_space, hdiv_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
@@ -50,10 +59,6 @@ TEST_ORDER_BUMP = {"strong": 1, "ultraweak": 1, "dualmixed": 0, "mixed": 1, "pri
 # Shift of the shift-invert eigensolves: just below zero, so the shifted
 # operators stay nonsingular when the smallest eigenvalue is 0.
 SHIFT = -1e-6
-# on the p=1 inf-sup table, pivot thresholds 0 and 1e-6 move lambda by up to
-# 1.0e-9 and 3.1e-10 against partial pivoting, 1e-3 by 2.5e-13.
-# default relaxed supernodes kept: relax=1 moves p=2 gamma 1.6e-12 for 4% less fill
-_SADDLE_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=1e-3, options={"SymmetricMode": True})
 
 # The pairs of the auxiliary constants, with no load. At test order p the
 # order-(p-1) L2 test slots of POINCARE hold omega - grad u, so its inf-sup
@@ -120,17 +125,30 @@ def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int,
 def _min_infsup_eig(B, GY, GX) -> float:
     """Smallest eigenvalue of B^T G_Y^{-1} B x = lambda G_X x, by shift-invert.
 
-    [[G_Y, B], [B^T, sigma G_X]] [z; w] = [0; y] gives w = -(B^T G_Y^{-1} B - sigma G_X)^{-1} y,
-    so one LU of that saddle matrix serves every ARPACK iteration. With
-    SHIFT < 0 the matrix is symmetric quasi-definite (Vanderbei, SIAM J.
-    Optim. 5, 1995), so it is ordered on A + A^T with near-diagonal pivots.
+    With S = B^T G_Y^{-1} B, [[G_Y, B], [B^T, sigma G_X]] [z; w] = [0; y]
+    gives w = -(S - sigma G_X)^{-1} y, so one LU of that saddle matrix
+    serves every ARPACK iteration. The matrix is symmetric quasi-definite
+    (SHIFT < 0), so the LU takes diagonal pivots in a symmetric
+    minimum-degree order, with far less fill than threshold pivoting;
+    its solves are then only about 1e-9 accurate. lambda is therefore the
+    Rayleigh quotient of (S - sigma G_X)^{-1} G_X in the G_X inner product
+    at ARPACK's eigenvector x: with g = G_X x and [z; w] the solve for
+    [0; g] after one step of iterative refinement, lambda = sigma -
+    x^T g / g^T w. Its error is quadratic in the error of x, and the
+    refinement takes the solve's drift out of g^T w.
     """
     m, n = B.shape
-    lu = _factor_checked(sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc"), "inf-sup saddle matrix", **_SADDLE_LU)
+    A = sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc")
+    lu = _factor_checked(A, "inf-sup saddle matrix", **_QUASIDEFINITE_LU)
     inv = spla.LinearOperator((n, n), matvec=lambda y: -lu.solve(np.r_[np.zeros(m), y.ravel()])[m:], dtype=float)
     # shift-invert mode applies only OPinv and M, never its first argument
-    lam = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=np.ones(n), return_eigenvectors=False)
-    return float(lam[0])
+    _, X = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=np.ones(n))
+    x = X[:, 0]
+    g = GX @ x
+    rhs = np.r_[np.zeros(m), g]
+    zw = lu.solve(rhs)
+    zw += lu.solve(rhs - A @ zw)
+    return float(SHIFT - (x @ g) / (g @ zw[m:]))
 
 
 def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = False, test_order=None) -> InfSupResult:

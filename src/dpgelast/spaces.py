@@ -259,16 +259,19 @@ def _constrain_gamma0(space: DofSpace, ids, fn):
 def _edge_moments(mesh: Mesh, sk: Skeleton, eids, nmom: int, degree: int, fn):
     """Orthonormal Legendre moments of fn(pts, normal) on each given edge,
     taken against its fixed skeleton normal, (len(eids), nmom, 2); zero
-    when fn is None."""
+    when fn is None. fn is called once per distinct normal, with the
+    points of all edges sharing it, (nedges, nq, 2)."""
     mom = np.zeros((len(eids), nmom, 2))
     if fn is None:
         return mom
     tq, twq = edge_rule(degree)
     leg = legendre01_eval(nmom, tq)
     pts = edge_points(mesh, eids, tq)
-    for n, eid in enumerate(eids):
-        g = np.asarray(fn(pts[n], sk.normals[eid]), dtype=float)
-        mom[n] = np.einsum("q,mq,qc->mc", twq, leg, g)
+    normals, which = np.unique(sk.normals[eids], axis=0, return_inverse=True)
+    for k, normal in enumerate(normals):
+        sel = which.ravel() == k
+        g = np.asarray(fn(pts[sel], normal), dtype=float)
+        mom[sel] = np.einsum("q,mq,eqc->emc", twq, leg, g)
     return mom
 
 
@@ -484,7 +487,8 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
     between neighbours through the fixed-normal moment functionals. When
     gamma1_constrained is set, the normal-trace dofs on the traction
     boundary are constrained, with values projected from
-    traction_fn(pts, normal) -> (n, 2) (zero by default).
+    traction_fn(pts, normal) -> (nedges, nq, 2), called once per distinct
+    edge normal on the points of its edges (zero by default).
     """
     if p < 1:
         raise ValueError(f"H(div) order must be at least 1, got {p}")
@@ -549,7 +553,7 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
     (zero by default). TraceHm12: per-edge discontinuous order-(p-1)
     Legendre modes of the normal flux with respect to the fixed normal,
     2 components, constrained on Gamma1 to the moments of
-    traction_fn(pts, normal) (zero by default).
+    traction_fn(pts, normal), called as in hdiv_space (zero by default).
     """
     if p < 1:
         raise ValueError(f"trace order must be at least 1, got {p}")

@@ -106,6 +106,33 @@ class TestSingularityExponent:
             assert abs(_exponent_residual(params.a, nu)) <= 1e-12
 
 
+def scalar_scan_exponent(nu):
+    """(a, C1) of the exponent solve with one scalar residual call per scan
+    point and a loop over the scan for the first admissible sign change."""
+    grid = np.linspace(1e-6, 1.0 - 1e-6, 4001)
+    vals = [_exponent_residual(g, nu) for g in grid]
+    i = next(i for i in range(len(grid) - 1) if vals[i] * vals[i + 1] < 0 and not grid[i] < 1 / 3 < grid[i + 1])
+    lo, hi = grid[i], grid[i + 1]
+    flo = _exponent_residual(lo, nu)
+    while hi - lo > 1e-13:
+        mid = 0.5 * (lo + hi)
+        fmid = _exponent_residual(mid, nu)
+        if flo * fmid <= 0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    a = 0.5 * (lo + hi)
+    th = 0.75 * np.pi
+    return a, (4.0 * (1.0 - nu) - (a + 1)) * np.sin((a - 1) * th) / ((a + 1) * np.sin((a + 1) * th))
+
+
+class TestSingularityExponentScan:
+    @pytest.mark.parametrize("nu", np.linspace(0.0, 0.499, 12))
+    def test_matches_scalar_scan_bitwise(self, nu):
+        params = solve_singularity_exponent(nu)
+        assert (params.a, params.C1) == scalar_scan_exponent(nu)
+
+
 class TestSingular:
     def test_material_is_steel_like(self, singular):
         assert abs(singular.material.nu - 0.304) < 5e-4

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from dpgelast.material import MaterialParams
 from dpgelast.mesh import build_square_mesh, skeleton, uniform_refine
 from dpgelast.forms import DESCRIPTORS, FORMULATION_IDS
+from dpgelast import infsup_lab
 from dpgelast.infsup_lab import (
     TEST_ORDER_BUMP,
     _infsup_operators,
@@ -114,6 +115,42 @@ class TestAgainstDenseEigensolve:
                 # eigenvalue at rounding level, only their size compares
                 assert gamma <= 1e-6
             m = uniform_refine(m)
+
+
+class TestQuasiDefiniteSaddleLU:
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("gamma0_empty", [False, True])
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_gamma_within_1e12_of_dense(self, spec, gamma0_empty, p):
+        # the diagonal-pivot solves drift by about 1e-9; the refined
+        # Rayleigh quotient keeps gamma at the dense eigensolve's rounding
+        m = build_square_mesh(2)
+        for _ in range(4 - p):
+            ref = dense_gamma(spec, m, p, gamma0_empty)
+            if ref > 1e-6:
+                gamma = discrete_infsup(spec, m, MAT, p, gamma0_empty=gamma0_empty).gamma
+                assert abs(gamma - ref) <= 1e-12 * ref
+            m = uniform_refine(m)
+
+    # L+U entries of the saddle LU at p = 1 on build_square_mesh(2) with two
+    # uniform refinements (128 triangles): 126 256 and 23 476 with diagonal
+    # pivots, 756 404 and 106 180 with threshold pivoting at 1e-3
+    FILL_BOUND = {"mixed": 2.0e5, "dualmixed": 4.0e4}
+
+    @pytest.mark.parametrize("spec", sorted(FILL_BOUND))
+    def test_saddle_lu_fill_bounded(self, spec, monkeypatch):
+        fills, factor = [], infsup_lab._factor_checked
+
+        def spy(A, what, **lu_options):
+            lu = factor(A, what, **lu_options)
+            fills.append(lu.nnz)
+            return lu
+
+        monkeypatch.setattr(infsup_lab, "_factor_checked", spy)
+        m = uniform_refine(uniform_refine(build_square_mesh(2)))
+        assert m.num_triangles == 128
+        discrete_infsup(spec, m, MAT, 1)
+        assert len(fills) == 1 and fills[0] <= self.FILL_BOUND[spec]
 
 
 class TestAuxiliaryConstants:

@@ -4,7 +4,7 @@ continuity, broken embeddings, and the discrete exact sequence."""
 import numpy as np
 import pytest
 
-from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, refine, skeleton
+from dpgelast.mesh import GAMMA1, Mesh, build_square_mesh, build_lshape_mesh, refine, skeleton
 from dpgelast.quadrature import triangle_rule, edge_rule
 from dpgelast.forms import gram_blocks
 from dpgelast.spaces import (
@@ -27,6 +27,7 @@ from dpgelast.spaces import (
     legendre01_eval,
     embed_in_broken,
     to_reference,
+    _edge_moments,
     _lagrange_matrix,
     _mono_eval,
     _mono_exps,
@@ -459,6 +460,30 @@ class TestTopologicalNumbering:
                     l = int(np.argmin(dist))
                     assert dist[l] < 1e-9 * h
                     assert np.array_equal(s.elt_dofs[e, 2 * l : 2 * l + 2], th12.edge_dofs[eid, 2 * i : 2 * i + 2])
+
+    def test_edge_moments_match_per_edge_oracle(self):
+        # one call of fn per distinct edge normal, on the points of all the
+        # edges sharing it, gives the moments of one call per edge
+        m = corner_refined_lshape()
+        sk = skeleton(m)
+        field = PolyField(2)
+        shapes = []
+
+        def traction(pts, normal):
+            shapes.append(pts.shape)
+            return field.traction(pts, normal)
+
+        tq, twq = edge_rule(12)
+        leg = legendre01_eval(3, tq)
+        for eids in (np.arange(m.num_edges), m.boundary_edge_ids(GAMMA1)):
+            shapes.clear()
+            mom = _edge_moments(m, sk, eids, 3, 12, traction)
+            pts = edge_points(m, eids, tq)
+            for n, eid in enumerate(eids):
+                ref = np.einsum("q,mq,qc->mc", twq, leg, field.traction(pts[n], sk.normals[eid]))
+                assert np.array_equal(mom[n], ref)
+            assert len(shapes) == len(np.unique(sk.normals[eids], axis=0)) < len(eids)
+            assert sum(shape[0] for shape in shapes) == len(eids)
 
     def test_trace_hm12_traction_constraint_values(self):
         m = build_lshape_mesh()
