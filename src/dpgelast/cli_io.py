@@ -68,6 +68,10 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if not 0.0 <= self.theta < 1.0:
             raise ConfigError(f"theta must lie in [0, 1), got {self.theta}")
+        try:
+            MaterialParams(lam=self.lam, mu=self.mu)
+        except ValueError as err:  # its message names lam or mu
+            raise ConfigError(str(err)) from None
         return self
 
     def benchmark_setup(self):

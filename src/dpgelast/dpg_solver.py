@@ -24,12 +24,11 @@ KKT and saddle-point systems keep partial pivoting. A mesh with no
 Gamma0 edge leaves the rigid motions free, so its system is singular:
 every solve checks that structurally before it assembles and raises
 LinAlgError. So do an exactly zero pivot and a relative solve residual
-above 1e-6. Each solve records its residual, reciprocal condition
-estimate (a diagnostic), fill and factored size in extras["solver"];
-the condensed path adds the number of geometry
-classes and the range over classes of a lower bound on the test Gram's
-condition number. The same solution can be obtained without
-condensation from the symmetric saddle-point system
+above 1e-6. Each solve factors once, solves once and records its
+residual, fill and factored size in extras["solver"]; the condensed
+path adds the number of geometry classes and the range over classes of
+a lower bound on the test Gram's condition number. The same solution
+comes without condensation from the symmetric saddle-point system
 
     [ G  M ] [ psi ]   [ l ]
     [ M^T 0 ] [  x  ] = [ 0 ],
@@ -260,8 +259,8 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     """Symmetric elimination of essential constraints, then sparse solve.
 
     Returns the full solution vector and a record of the solve: the
-    relative residual, the reciprocal condition estimate, the free-dof
-    count, the size of the factored system and the LU fill (_factor_solve).
+    relative residual, the free-dof count, the size of the factored system
+    and the LU fill (_factor_solve).
 
     With linear constraint rows C x = d the free system is the
     symmetric indefinite KKT system
@@ -276,7 +275,7 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     free = np.setdiff1d(np.arange(n), constrained)
     x = np.zeros(n)
     x[constrained] = values
-    info = {"residual": 0.0, "rcond": None, "free_dofs": len(free), "factored_dofs": 0, "lu_nnz": None}
+    info = {"residual": 0.0, "free_dofs": len(free), "factored_dofs": 0, "lu_nnz": None}
     if len(free) == 0:
         return x, info
     Kf = K[free][:, free].tocsc()
@@ -312,19 +311,15 @@ def _factor_checked(A, what, **lu_options):
 
 
 def _factor_solve(A, b, what, **lu_options):
-    """Solve A x = b by one sparse LU; return x and the record of the solve:
-    the relative residual, the reciprocal 1-norm condition estimate (a
-    diagnostic only), the factored size and the LU fill. A relative
-    residual above 1e-6 raises LinAlgError."""
+    """Solve A x = b by one sparse LU and one solve with it; return x and the
+    record of the solve: the relative residual, the factored size and the
+    LU fill. A relative residual above 1e-6 raises LinAlgError."""
     lu = _factor_checked(A, what, **lu_options)
     x = lu.solve(b)
     residual = float(np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-30))
     if residual > 1e-6:
         raise np.linalg.LinAlgError(f"{what} solve left a relative residual of {residual:.1e}")
-    inv = spla.LinearOperator(A.shape, matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="T"), dtype=float)
-    norm1 = abs(A).sum(axis=0).max()  # spla.norm(A, 1) is several times slower
-    rcond = float(1.0 / (norm1 * spla.onenormest(inv, t=1)))
-    return x, {"residual": residual, "rcond": rcond, "factored_dofs": A.shape[0], "lu_nnz": lu.nnz}
+    return x, {"residual": residual, "factored_dofs": A.shape[0], "lu_nnz": lu.nnz}
 
 
 def _fields_from_vector(form: Formulation, layout, x, extras=None) -> SolutionFields:

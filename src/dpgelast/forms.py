@@ -38,9 +38,9 @@ Every global operator is numbered one way: slot_layout numbers slot
 spaces one after another and computes their free ids once
 (TrialLayout.free); element_dofs reads each element's ids in those slots
 (elt_dofs, or edge_dofs on its three edges for a trace slot).
-scatter_blocks sums class blocks straight into CSR for their elements, a
-Gram G1 kron I_c once per copy (gram_copies); global_operators scatters M,
-then the test Gram, for the saddle-point solve and the inf-sup operators.
+scatter_blocks sums class blocks of one width straight into CSR, a Gram
+G1 kron I_c once per copy (gram_copies); global_operators scatters M, then
+the test Gram, for the saddle-point solve and the inf-sup operators.
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -482,8 +482,7 @@ def element_quadrature(geom: Geometry, elems, degree: int):
     |det J| w_q, (nelt, nq), and physical points, (nelt, nq, 2), from geom."""
     rule = triangle_rule(degree)
     wts = np.abs(geom.det[elems])[:, None] * rule.weights[None, :]
-    pts = geom.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", geom.J[elems], rule.points)
-    return rule, wts, pts
+    return rule, wts, geom.to_physical(rule.points, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -687,39 +686,35 @@ def scatter_blocks(triples, shape) -> sp.csr_matrix:
     """Sum blocks into one CSR matrix of the given shape. A triple (row_dofs
     (ne, m), col_dofs (ne, n), blocks, cls) adds blocks[cls[e], i, j] at
     (row_dofs[e, i], col_dofs[e, j]), one block per class; with cls None or
-    left out, blocks is (ne, m, n). The element rows (e, i), stably sorted by
-    global row, go straight into a CSR with duplicates in the entry order of
-    a COO to CSR conversion, whose sums one sum_duplicates gives bit for bit,
-    explicit zeros kept: no per-element block or COO index array is built.
-    The arrays are compact, int32 indices if they fit. Mismatched shapes and
-    ids outside the shape or blocks raise ValueError."""
-    parts, bo, co = [], 0, 0
-    for r, c, b, *k in triples:  # per element row: global row, width, first entry in the flat blocks and col_dofs
+    left out, blocks is (ne, m, n); all triples have one width n. The element
+    rows (e, i), stably sorted by global row, go whole straight into a CSR
+    with duplicates in the entry order of a COO to CSR conversion, whose sums
+    one sum_duplicates gives bit for bit, explicit zeros kept: no per-element
+    block or COO index array is built. The arrays are compact, int32 indices
+    if they fit. Mixed widths or shapes, and ids outside the shape or blocks
+    raise ValueError."""
+    parts, bo, co, width = [], 0, 0, None
+    for r, c, b, *k in triples:  # per element row: global row, row in the flat blocks and in col_dofs
         r, c, b = np.asarray(r), np.asarray(c), np.asarray(b, dtype=float)
         (ne, m), n = r.shape, c.shape[1]
+        width = n if width is None else width
         k = np.asarray(k[0]) if k and k[0] is not None else np.arange(ne)
-        if k.shape != (ne,) or len(c) != ne or b.shape[1:] != (m, n) or any(np.any((a < 0) | (a >= hi)) for a, hi in ((k, len(b)), (r, shape[0]), (c, shape[1]))):
-            raise ValueError("scatter_blocks: triple shapes disagree, or a row, column or class id is out of range")
-        rows = (k[:, None] * m + np.arange(m)).ravel()  # each element row's row in blocks
-        parts.append((r.ravel(), np.full(r.size, n), bo + rows * n, co + np.repeat(np.arange(ne) * n, m), b.ravel(), c.ravel()))
-        bo, co = bo + b.size, co + c.size
-    keys, width, bsrc, csrc, B, C = map(np.concatenate, zip(*parts))
-    total = int(width.sum())
+        if n != width or k.shape != (ne,) or len(c) != ne or b.shape[1:] != (m, n) or any(np.any((a < 0) | (a >= hi)) for a, hi in ((k, len(b)), (r, shape[0]), (c, shape[1]))):
+            raise ValueError("scatter_blocks: triple widths or shapes disagree, or a row, column or class id is out of range")
+        parts.append((r.ravel(), bo + (k[:, None] * m + np.arange(m)).ravel(), co + np.repeat(np.arange(ne), m), b.ravel(), c.ravel()))
+        bo, co = bo + len(b) * m, co + ne
+    keys, bsrc, csrc, B, C = map(np.concatenate, zip(*parts))
+    total = keys.size * width
     if total == 0:
         return sp.csr_matrix(shape)
     idx = np.int32 if max(*shape, total) < 2**31 else np.int64
     order, C = np.argsort(keys, kind="stable"), C.astype(idx)
-    indptr = np.r_[0, np.cumsum(np.bincount(keys, width, shape[0]))].astype(idx)
+    indptr = np.r_[0, np.cumsum(np.bincount(keys, minlength=shape[0]) * width)].astype(idx)
     data, indices = np.empty(total), np.empty(total, idx)
-    if np.all(width == width[0]):  # one width: whole rows through 2-D views, no per-entry index; "clip" fills out unbuffered, and every id was checked
-        np.take(B.reshape(-1, width[0]), bsrc[order] // width[0], axis=0, out=data.reshape(-1, width[0]), mode="clip")
-        np.take(C.reshape(-1, width[0]), csrc[order] // width[0], axis=0, out=indices.reshape(-1, width[0]), mode="clip")
-    else:  # entry j of every element row wider than j, one j at a time
-        first = (np.cumsum(width[order]) - width[order])[np.argsort(order)]
-        for j in range(width.max()):
-            on = width > j
-            data[first[on] + j], indices[first[on] + j] = B[bsrc[on] + j], C[csrc[on] + j]
-    del parts, keys, width, bsrc, csrc, order  # freed before the sum, which copies the entries it keeps
+    # whole rows through 2-D views; "clip" fills out unbuffered, and every id was checked
+    np.take(B.reshape(-1, width), bsrc[order], axis=0, out=data.reshape(-1, width), mode="clip")
+    np.take(C.reshape(-1, width), csrc[order], axis=0, out=indices.reshape(-1, width), mode="clip")
+    del parts, keys, bsrc, csrc, order  # freed before the sum, which copies the entries it keeps
     K = sp.csr_matrix((data, indices, indptr), shape=shape)
     K.sum_duplicates()
     if K.data.base is not None:  # scipy keeps views of the buffers when over half of them is kept
@@ -736,10 +731,10 @@ def gram_copies(dofs, G1, c: int, cls) -> list:
 def global_operators(blocks: LocalBlocks, rows, cols, shape):
     """Yield the sparse M = [B | Bhat] (shape), then, only when asked for, the
     test Gram (shape[0] square): M on the element rows (nelt, ntest) and
-    columns (nelt, ntrial), each test slot's Gram on its copies' rows."""
+    columns (nelt, ntrial), one scatter per test slot, whose copies share one
+    width, on its copies' rows; the slots own disjoint rows, a sum merges them."""
     yield scatter_blocks([(rows, cols, blocks.M, blocks.cls)], shape)
-    gram = [gram_copies(rows[:, s], blocks.G[n], blocks.test_copies[n], blocks.cls) for n, s in blocks.test_slices.items()]
-    yield scatter_blocks([t for copies in gram for t in copies], (shape[0], shape[0]))
+    yield sum(scatter_blocks(gram_copies(rows[:, s], blocks.G[n], blocks.test_copies[n], blocks.cls), (shape[0],) * 2) for n, s in blocks.test_slices.items())
 
 
 # ---------------------------------------------------------------------------

@@ -114,11 +114,11 @@ def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int,
     ops = global_operators(blocks, rows, cols, (test.ndof, trial.ndof))
     B = next(ops)[test.free][:, trial.free]  # cut down before G_Y is scattered
     GY = next(ops)[test.free][:, test.free]
-    gx = []  # one block per geometry class
+    gx = []  # one block per geometry class, one scatter per trial slot: its copies share one width
     for name, space in form.field_spaces.items():
         G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])
-        gx += gram_copies(cols[:, blocks.trial_slices[name]], G, row_copies(space), blocks.cls)
-    GX = scatter_blocks(gx, (trial.ndof, trial.ndof))
+        gx.append(scatter_blocks(gram_copies(cols[:, blocks.trial_slices[name]], G, row_copies(space), blocks.cls), (trial.ndof, trial.ndof)))
+    GX = sum(gx)  # the slots own disjoint rows, so the sum only merges them
     return B, GY, GX[trial.free][:, trial.free]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 class MaterialParams:
     """Lame pair (lam, mu) with the derived plane-strain Poisson ratio.
 
-    Only the compressible regime is supported: mu > 0 and lam >= 0.
+    Only the compressible regime is supported: finite mu > 0 and lam >= 0.
     """
 
     lam: float
@@ -23,6 +23,9 @@ class MaterialParams:
     nu: float = field(init=False)
 
     def __post_init__(self):
+        for key, value in (("lam", self.lam), ("mu", self.mu)):
+            if not np.isfinite(value):
+                raise ValueError(f"Lame parameters must be finite, got {key}={value}")
         if not self.mu > 0:
             raise ValueError(f"shear modulus must be positive, got mu={self.mu}")
         if self.lam < 0:

@@ -68,6 +68,11 @@ class Geometry:
     det: np.ndarray  # (nelt,), positive
     hscale: np.ndarray  # (nelt,), sqrt of twice the area
 
+    def to_physical(self, ref, elems=slice(None)) -> np.ndarray:
+        """Physical points (nelt, nq, 2) of reference points ref (nq, 2) on elems."""
+        J = self.J[elems][:, None]
+        return self.origin[elems][:, None] + (J[..., 0] * ref[:, :1] + J[..., 1] * ref[:, 1:])
+
 
 @dataclass(frozen=True)
 class Mesh:

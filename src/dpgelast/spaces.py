@@ -771,9 +771,7 @@ def interpolate(space: DofSpace, exact):
     coeffs = np.zeros(space.ndof)
     geom = mesh.geometry
     if space.kind in ("H1", "BrokenH1"):
-        ref = _ref_lattice(space.order)
-        phys = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, ref)
-        vals = exact.displacement(phys)  # (nelt, nloc_s, 2)
+        vals = exact.displacement(geom.to_physical(_ref_lattice(space.order)))  # (nelt, nloc_s, 2)
         coeffs[space.elt_dofs[:, 0::2]] = vals[..., 0]
         coeffs[space.elt_dofs[:, 1::2]] = vals[..., 1]
         return coeffs
@@ -782,7 +780,7 @@ def interpolate(space: DofSpace, exact):
         # moment of the field against it; the skew basis sees only the
         # skew part of the full displacement gradient
         rule = triangle_rule(2 * space.order + 8)
-        phys = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, rule.points)
+        phys = geom.to_physical(rule.points)
         wts = np.abs(geom.det)[:, None] * rule.weights[None, :]
         fn = {"L2vec": "displacement", "L2sym": "stress", "L2skew": "displacement_gradient"}[space.kind]
         f = getattr(exact, fn)(phys)
@@ -799,8 +797,7 @@ def interpolate(space: DofSpace, exact):
         mom = _edge_moments(mesh, space.skeleton, np.arange(mesh.num_edges), k + 1, 2 * k + 10, lambda x, n: exact.stress(x) @ n)
         F = mom[mesh.tri_edges].reshape(mesh.num_triangles, -1, 2)
         if k >= 1:
-            pts = geom.origin[:, None, :] + np.einsum("eij,qj->eqi", geom.J, triangle_rule(2 * k + 10).points)
-            vals = np.moveaxis(exact.stress(pts), -2, 1)
+            vals = np.moveaxis(exact.stress(geom.to_physical(triangle_rule(2 * k + 10).points)), -2, 1)
             F = np.concatenate([F, _rt_interior(k, geom.J / geom.hscale[:, None, None], vals, 2 * k + 10)], axis=1)
         if space.kind == "BrokenHdiv":
             F = _rt_dual(space) @ F

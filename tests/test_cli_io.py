@@ -234,6 +234,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert "override 1" in err and "'p'" in err
 
+    @pytest.mark.parametrize("override", ["lam=nan", "lam=inf", "mu=nan", "mu=inf"])
+    def test_non_finite_material_exits_before_any_solve(self, tmp_path, capsys, monkeypatch, override):
+        import dpgelast.cli_io as cli_io
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran on a bad config")
+
+        monkeypatch.setattr(cli_io, "_solve_once", no_solve)
+        rc = main(["converge", "--set", override, "--set", f"output_dir={tmp_path}"])
+        assert rc == 1
+        assert override.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
     @pytest.mark.parametrize("override", ["steps=1", "theta=1.5"])
     def test_adapt_bad_config_exit_code_names_key(self, tmp_path, capsys, override):
         rc = main(["adapt", "--set", override, "--set", f"output_dir={tmp_path}"])

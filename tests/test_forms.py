@@ -426,11 +426,11 @@ class TestReferenceKernels:
             space = form.field_spaces[name]
             s = slice(off, off + space.nloc)
             off += space.nloc
-            gx.append((cols[:, s], cols[:, s], quadrature_gram(wts, volume_basis(space, elems, rule.points), desc.trial_norms[name])))
+            gx.append((cols[:, s], cols[:, s], quadrature_gram(wts, volume_basis(space, elems, rule.points), desc.trial_norms[name]), None))
         for got, ref in (
             (B, scatter_blocks([(rows, cols, Bq)], (ntest, ntrial))[tfree][:, ufree]),
             (GY, scatter_blocks([(rows, rows, Gq)], (ntest, ntest))[tfree][:, tfree]),
-            (GX, scatter_blocks(gx, (ntrial, ntrial))[ufree][:, ufree]),
+            (GX, coo_oracle(gx, (ntrial, ntrial))[ufree][:, ufree]),
         ):
             assert rel_err(got.toarray(), ref.toarray()) <= 1e-13
 
@@ -467,7 +467,7 @@ class TestScatterBlocks:
         rng = np.random.default_rng(5)
         shape = (9, 7)
         triples = []
-        for ne, m, n in ((4, 3, 2), (5, 2, 4), (3, 1, 1)):
+        for ne, m, n in ((4, 3, 3), (5, 2, 3), (3, 1, 3)):
             rows = rng.integers(shape[0], size=(ne, m))
             cols = rng.integers(shape[1], size=(ne, n))
             triples.append((rows, cols, rng.standard_normal((ne, m, n))))
@@ -539,10 +539,11 @@ class TestClassScatter:
         self.assert_compact(K)
 
     def test_mixed_widths_non_square(self):
+        # triples of mixed row counts and class layouts, with the one column width a call takes
         rng = np.random.default_rng(13)
         shape = (17, 23)
         triples = []
-        for ne, m, n, ncls in ((20, 3, 5, 2), (15, 4, 2, None), (10, 2, 7, 3)):
+        for ne, m, n, ncls in ((20, 3, 5, 2), (15, 4, 5, None), (10, 2, 5, 3)):
             rows, cols = rng.integers(shape[0], size=(ne, m)), rng.integers(shape[1], size=(ne, n))
             blocks = rng.standard_normal((ne if ncls is None else ncls, m, n))
             cls = None if ncls is None else rng.integers(ncls, size=ne)
@@ -567,19 +568,22 @@ class TestClassScatter:
         assert K.nnz == 24
         self.assert_compact(K)
 
-    @pytest.mark.parametrize("bad", ["col", "row", "class", "negative_class", "cls_length"])
+    @pytest.mark.parametrize("bad", ["col", "row", "class", "negative_class", "cls_length", "mixed_width"])
     def test_bad_index_raises(self, bad):
         # an id past the shape, or a class index past the blocks, would otherwise
-        # leave an invalid matrix or read another triple's block
+        # leave an invalid matrix or read another triple's block; a call takes one
+        # column width
         rows, cls = np.arange(6).reshape(3, 2), np.array([0, 1, 0])
         cols = rows.copy()
         if bad == "col":
             cols[2, 1] = 6
         elif bad == "row":
             rows[1, 0] = 6
-        else:
+        elif bad != "mixed_width":
             cls = {"class": np.array([0, 2, 0]), "negative_class": np.array([0, -1, 0]), "cls_length": cls[:2]}[bad]
         triples = [(rows, cols, np.ones((2, 2, 2)), cls), (rows, rows, np.ones((2, 2, 2)), np.zeros(3, int))]
+        if bad == "mixed_width":
+            triples.append((rows, rows[:, :1], np.ones((1, 2, 1)), np.zeros(3, int)))
         with pytest.raises(ValueError):
             scatter_blocks(triples, (6, 6))
 

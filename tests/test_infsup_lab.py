@@ -1,6 +1,8 @@
 """Discrete stability diagnostics: inf-sup constants, auxiliary
 constants, and skeleton jump pairings."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -91,9 +93,18 @@ class TestDiscreteInfSup:
         assert res.gamma > 1e-8
 
 
-def dense_gamma(spec, mesh, p, gamma0_empty):
-    """gamma from the dense generalized eigenproblem of the same operators."""
-    B, GY, GX = (M.toarray() for M in _infsup_operators(DESCRIPTORS[spec], mesh, MAT, p, p + TEST_ORDER_BUMP[spec], gamma0_empty))
+@lru_cache(maxsize=None)
+def square_level(level):
+    """build_square_mesh(2) refined uniformly `level` times."""
+    return uniform_refine(square_level(level - 1)) if level else build_square_mesh(2)
+
+
+@lru_cache(maxsize=None)
+def dense_gamma(spec, p, gamma0_empty, level):
+    """gamma from the dense generalized eigenproblem of the same operators on
+    square_level(level); kept, as two test classes check against it."""
+    ops = _infsup_operators(DESCRIPTORS[spec], square_level(level), MAT, p, p + TEST_ORDER_BUMP[spec], gamma0_empty)
+    B, GY, GX = (M.toarray() for M in ops)
     A = B.T @ np.linalg.solve(GY, B)
     lam = sla.eigh(0.5 * (A + A.T), GX, eigvals_only=True)
     return float(np.sqrt(max(lam[0], 0.0)))
@@ -104,17 +115,15 @@ class TestAgainstDenseEigensolve:
     @pytest.mark.parametrize("gamma0_empty", [False, True])
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_gamma_matches_dense(self, spec, gamma0_empty, p):
-        m = build_square_mesh(2)
-        for _ in range(4 - p):
-            gamma = discrete_infsup(spec, m, MAT, p, gamma0_empty=gamma0_empty).gamma
-            ref = dense_gamma(spec, m, p, gamma0_empty)
+        for level in range(4 - p):
+            gamma = discrete_infsup(spec, square_level(level), MAT, p, gamma0_empty=gamma0_empty).gamma
+            ref = dense_gamma(spec, p, gamma0_empty, level)
             if ref > 1e-6:
                 assert abs(gamma - ref) <= 1e-10 * ref
             else:
                 # a degenerate pair: both gammas are square roots of an
                 # eigenvalue at rounding level, only their size compares
                 assert gamma <= 1e-6
-            m = uniform_refine(m)
 
 
 class TestQuasiDefiniteSaddleLU:
@@ -124,13 +133,11 @@ class TestQuasiDefiniteSaddleLU:
     def test_gamma_within_1e12_of_dense(self, spec, gamma0_empty, p):
         # the diagonal-pivot solves drift by about 1e-9; the refined
         # Rayleigh quotient keeps gamma at the dense eigensolve's rounding
-        m = build_square_mesh(2)
-        for _ in range(4 - p):
-            ref = dense_gamma(spec, m, p, gamma0_empty)
+        for level in range(4 - p):
+            ref = dense_gamma(spec, p, gamma0_empty, level)
             if ref > 1e-6:
-                gamma = discrete_infsup(spec, m, MAT, p, gamma0_empty=gamma0_empty).gamma
+                gamma = discrete_infsup(spec, square_level(level), MAT, p, gamma0_empty=gamma0_empty).gamma
                 assert abs(gamma - ref) <= 1e-12 * ref
-            m = uniform_refine(m)
 
     # L+U entries of the saddle LU at p = 1 on build_square_mesh(2) with two
     # uniform refinements (128 triangles): 126 256 and 23 476 with diagonal

@@ -106,6 +106,14 @@ def test_invalid_material_rejected():
         MaterialParams(lam=-0.5, mu=1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["lam", "mu"])
+def test_non_finite_material_rejected(key, value):
+    # a non-finite parameter would otherwise surface only as a singular solve
+    with pytest.raises(ValueError, match=key):
+        MaterialParams(**{"lam": 1.0, "mu": 1.0, key: value})
+
+
 def test_skew_part_annihilated(unit_material):
     w = np.array([[0.0, 3.0], [-3.0, 0.0]])
     out = stiffness_apply_array(w, unit_material)

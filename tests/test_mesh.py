@@ -17,6 +17,7 @@ from dpgelast.mesh import (
     find_hanging_vertices,
     write_vtk,
 )
+from dpgelast.quadrature import triangle_rule
 
 
 def test_square_n1_counts():
@@ -98,6 +99,21 @@ def test_geometry_is_built_on_first_use_and_kept():
     assert m.geometry is g
     assert np.array_equal(g.det, 2 * m.areas())
     assert np.array_equal(g.origin + g.J[:, :, 0], m.triangle_vertices()[:, 1])
+
+
+@pytest.mark.parametrize("degree", [4, 10, 16])
+def test_to_physical_matches_einsum_bitwise(degree):
+    # origin + J xref as two broadcast products, on the converge meshes and an L-shape
+    pts = triangle_rule(degree).points
+    m = build_square_mesh(2)
+    meshes = [m, build_lshape_mesh(4)]
+    for _ in range(4):
+        m = uniform_refine(m)
+        meshes.append(m)
+    for m in meshes:
+        g, elems = m.geometry, np.arange(0, m.num_triangles, 3)
+        assert np.array_equal(g.to_physical(pts), g.origin[:, None, :] + np.einsum("eij,qj->eqi", g.J, pts))
+        assert np.array_equal(g.to_physical(pts, elems), g.origin[elems][:, None, :] + np.einsum("eij,qj->eqi", g.J[elems], pts))
 
 
 def test_uniform_refine_quarters():

@@ -346,8 +346,8 @@ def corner_bisected_lshape(rounds=28):
 
 
 class TestGradedRegime:
-    # a strongly graded mesh is well posed however small its condition
-    # estimate: the solve is accurate, so it must not be judged singular
+    # a strongly graded mesh is well posed however ill conditioned its
+    # system: the solve is accurate, so it must not be judged singular
     @pytest.fixture(scope="class")
     def graded(self):
         return corner_bisected_lshape()
@@ -359,7 +359,6 @@ class TestGradedRegime:
         f = solve_dpg(spec, graded, sing.material, 2, bc=bc_from_exact(sing))
         info = f.extras["solver"]
         assert info["residual"] <= 1e-11
-        assert info["rcond"] < np.finfo(float).eps  # past any condition threshold at eps
         assert all(np.isfinite(c).all() for c in f.coeffs.values())
 
 
@@ -397,7 +396,6 @@ class TestSolverRecord:
         f = assemble_and_solve(form)
         info = f.extras["solver"]
         assert info["residual"] < 1e-10
-        assert np.finfo(float).eps < info["rcond"] <= 1.0
         assert info["free_dofs"] == f.num_free_dofs()
         # the L2 fields are eliminated per element; only the interface is factored
         assert info["factored_dofs"] == f.num_free_dofs() - sum(f.coeffs[n].size for n in ("sigma", "u", "omega"))
@@ -485,6 +483,33 @@ class TestSolverRecord:
         smooth = smooth_solution_2d()
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
             solve_dpg("primal", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda m, mat, bc: solve_dpg("ultraweak", m, mat, 1, bc=bc),
+            lambda m, mat, bc: solve_saddle_point(formulation("primal", m, mat, 1, bc=bc)),
+            lambda m, mat, bc: solve_galerkin_primal(m, mat, 1, bc),
+        ],
+        ids=["assemble_and_solve", "saddle_point", "galerkin"],
+    )
+    def test_one_solve_per_factorization(self, solve, monkeypatch):
+        # a factorization serves the one solve it was made for and nothing else
+        solves, factor = [], dpg_solver._factor_checked
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.nnz = lu, lu.nnz
+                solves.append(0)
+
+            def solve(self, *args, **kwargs):
+                solves[-1] += 1
+                return self.lu.solve(*args, **kwargs)
+
+        monkeypatch.setattr(dpg_solver, "_factor_checked", lambda *args, **kwargs: CountingLU(factor(*args, **kwargs)))
+        smooth = smooth_solution_2d()
+        solve(build_square_mesh(2), smooth.material, bc_from_exact(smooth))
+        assert solves == [1]
 
 
 class TestHomogeneous:
