@@ -34,7 +34,7 @@ comes without condensation from the symmetric saddle-point system
     [ M^T 0 ] [  x  ] = [ 0 ],
 
 which also exposes the error representation function psi; it scatters M
-and G by forms.global_operators.
+by forms.scatter_blocks and G by forms.gram_matrix.
 
 An L2 test slot whose broken test space contains the slot's residual
 B(U_h) gives the exact L2 Riesz map, so the least-squares variants are
@@ -45,8 +45,9 @@ minimizes the same functional subject to int_K (div sigma_h + f) = 0 on
 every element, solving the KKT system with one P0(K)^2 Lagrange
 multiplier per element. A classical Galerkin primal solver, on the
 blocks of the unbroken primal pair (forms.unbroken_formulation), is
-included as a reference. path_formulation builds the formulation of
-each named path, for its solve and for load_solution.
+included as a reference; its Gamma1 traction load evaluates g once per
+distinct edge normal (spaces.edge_values). path_formulation builds the
+formulation of each named path, for its solve and for load_solution.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import scipy.sparse.linalg as spla
 from .material import MaterialParams
 from .mesh import Mesh, GAMMA0, GAMMA1
 from .quadrature import edge_rule
-from .spaces import edge_points, edge_flips, edge_reference
+from .spaces import edge_flips, edge_reference, edge_values
 from .forms import (
     DESCRIPTORS,
     FORMULATION_IDS,
@@ -75,7 +76,8 @@ from .forms import (
     trial_layout,
     element_dofs,
     element_trial_dofs,
-    global_operators,
+    free_ids,
+    gram_matrix,
     scatter_blocks,
     element_momentum_integrals,
     CHUNK,
@@ -272,7 +274,7 @@ def _solve_constrained(K, rhs, constrained, values, C=None, d=None):
     it is factored with partial pivoting.
     """
     n = K.shape[0]
-    free = np.setdiff1d(np.arange(n), constrained)
+    free = free_ids(n, constrained)
     x = np.zeros(n)
     x[constrained] = values
     info = {"residual": 0.0, "free_dofs": len(free), "factored_dofs": 0, "lu_nnz": None}
@@ -410,7 +412,8 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
     nelt, ntest = blocks.l.shape
     npsi, free = nelt * ntest, layout.free
     psi_dofs = np.arange(npsi).reshape(nelt, ntest)
-    Bg, G = global_operators(blocks, psi_dofs, element_trial_dofs(form, layout, elems), (npsi, layout.ndof))
+    Bg = scatter_blocks([(psi_dofs, element_trial_dofs(form, layout, elems), blocks.M, blocks.cls)], (npsi, layout.ndof))
+    G = gram_matrix(psi_dofs, blocks.test_slices, blocks.G, blocks.test_copies, blocks.cls, npsi)
     Bf = Bg[:, free]
     top = blocks.l.ravel() - Bg[:, layout.constrained] @ layout.values
     Kfull = sp.bmat([[G, Bf], [Bf.T, None]], format="csc")
@@ -487,16 +490,15 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.M, blocks.cls)], (n, n))
     rhs = np.zeros(n)
     np.add.at(rhs, space.elt_dofs.ravel(), blocks.l.ravel())
-    # traction load on Gamma1, one edge per call of g
+    # traction load on Gamma1: each edge's basis traces on its first element
     if bc.g is not None:
         tq, twq = edge_rule(2 * p + 6)
-        ref = edge_reference("H1", p, tq)
-        for eid in mesh.boundary_edge_ids(GAMMA1):
-            t0 = mesh.edge_tris[eid, 0]
-            loc = int(np.where(mesh.tri_edges[t0] == eid)[0][0])
-            gv = np.asarray(bc.g(edge_points(mesh, eid, tq), sk.normals[eid]), dtype=float)
-            ev = ref[loc, edge_flips(mesh, [t0])[0, loc]]  # (nloc, nq, 2)
-            np.add.at(rhs, space.elt_dofs[t0], sk.lengths[eid] * np.einsum("q,qc,lqc->l", twq, gv, ev))
+        g1 = mesh.boundary_edge_ids(GAMMA1)
+        t0 = mesh.edge_tris[g1, 0]
+        loc = np.argmax(mesh.tri_edges[t0] == g1[:, None], axis=1)
+        ev = edge_reference("H1", p, tq)[loc, edge_flips(mesh, t0)[np.arange(len(g1)), loc]]  # (ne, nloc, nq, 2)
+        load = sk.lengths[g1, None] * np.einsum("q,eqc,elqc->el", twq, edge_values(mesh, sk, g1, tq, bc.g), ev)
+        np.add.at(rhs, space.elt_dofs[t0].ravel(), load.ravel())
     layout = trial_layout(form)
     x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
     return replace(_fields_from_vector(form, layout, x, {"solver": info}), spec_name="galerkin", form=None)

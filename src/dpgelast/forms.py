@@ -36,11 +36,12 @@ other module calls these kernels.
 
 Every global operator is numbered one way: slot_layout numbers slot
 spaces one after another and computes their free ids once
-(TrialLayout.free); element_dofs reads each element's ids in those slots
-(elt_dofs, or edge_dofs on its three edges for a trace slot).
-scatter_blocks sums class blocks of one width straight into CSR, a Gram
-G1 kron I_c once per copy (gram_copies); global_operators scatters M, then
-the test Gram, for the saddle-point solve and the inf-sup operators.
+(TrialLayout.free, from one boolean mask, free_ids); element_dofs reads
+each element's ids in those slots (elt_dofs, or edge_dofs on its three
+edges for a trace slot). scatter_blocks sums class blocks of one width
+straight into CSR, a Gram G1 kron I_c once per copy (gram_copies);
+gram_matrix sums such scatters over the slots, the one Gram scatter of the
+saddle-point solve (test Gram) and the inf-sup operators (G_Y and G_X).
 
 Boundary data enters exclusively through essential constraints: the
 displacement u0 on Gamma0 constrains H1 and TraceH12 dofs, and the
@@ -202,9 +203,9 @@ class BCData:
     Gamma1, and prescribed displacement u0(pts) on Gamma0.
 
     g returns one traction per point, (..., 2), for points with any
-    leading axes: the Gamma1 moments call it once per distinct edge
-    normal with the points of all edges sharing it, (nedges, nq, 2), and
-    the Galerkin traction load once per edge, (nq, 2)."""
+    leading axes: the Gamma1 moments and the Galerkin traction load call
+    it once per distinct edge normal with the points of all edges sharing
+    it, (nedges, nq, 2) (spaces.edge_values)."""
 
     f: Callable = None
     g: Callable = None
@@ -658,7 +659,15 @@ def slot_layout(spaces: dict) -> TrialLayout:
     cons = np.concatenate(cons) if cons else np.empty(0, dtype=np.int64)
     vals = np.concatenate(vals) if vals else np.empty(0)
     order = np.argsort(cons)
-    return TrialLayout(offsets=offsets, ndof=off, constrained=cons[order], values=vals[order], free=np.setdiff1d(np.arange(off), cons))
+    return TrialLayout(offsets=offsets, ndof=off, constrained=cons[order], values=vals[order], free=free_ids(off, cons))
+
+
+def free_ids(n: int, constrained) -> np.ndarray:
+    """The ids of range(n) not in constrained, increasing: one boolean mask,
+    no sort."""
+    free = np.ones(n, bool)
+    free[np.asarray(constrained, dtype=np.int64)] = False
+    return np.flatnonzero(free)
 
 
 def element_dofs(spaces: dict, layout: TrialLayout, elems) -> np.ndarray:
@@ -728,13 +737,12 @@ def gram_copies(dofs, G1, c: int, cls) -> list:
     return [(dofs[:, j::c], dofs[:, j::c], G1, cls) for j in range(c)]
 
 
-def global_operators(blocks: LocalBlocks, rows, cols, shape):
-    """Yield the sparse M = [B | Bhat] (shape), then, only when asked for, the
-    test Gram (shape[0] square): M on the element rows (nelt, ntest) and
-    columns (nelt, ntrial), one scatter per test slot, whose copies share one
-    width, on its copies' rows; the slots own disjoint rows, a sum merges them."""
-    yield scatter_blocks([(rows, cols, blocks.M, blocks.cls)], shape)
-    yield sum(scatter_blocks(gram_copies(rows[:, s], blocks.G[n], blocks.test_copies[n], blocks.cls), (shape[0],) * 2) for n, s in blocks.test_slices.items())
+def gram_matrix(dofs, slices, G, copies, cls, n: int) -> sp.csr_matrix:
+    """The sparse (n, n) Gram of slots whose one-copy Grams G[slot] (one per
+    class of cls) sit on the element dofs (nelt, ...) in columns
+    slices[slot], each kron I_c with c = copies[slot]: one scatter per slot,
+    whose copies share one width; the slots own disjoint rows, a sum merges them."""
+    return sum(scatter_blocks(gram_copies(dofs[:, slices[k]], g, copies[k], cls), (n, n)) for k, g in G.items())
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,10 @@ functions). The discrete inf-sup constant is then
 
 with G_Y the test-norm Gram and G_X the Gram of the descriptor's trial
 norms. Test and trial slots are numbered by forms.slot_layout and
-forms.element_dofs, B then G_Y scattered by forms.global_operators, and
-each of the three restricted to the free dofs once built. The smallest eigenvalue comes from ARPACK in
-shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
+forms.element_dofs; B is scattered by forms.scatter_blocks, then G_Y and
+G_X by forms.gram_matrix, and each of the three is restricted to the free
+dofs once built, B before G_Y is scattered. The smallest eigenvalue comes
+from ARPACK in shift-invert mode; B^T G_Y^{-1} B is never formed, its shifted inverse
 is applied through one sparse LU of the saddle matrix
 [[G_Y, B], [B^T, sigma G_X]]. With sigma < 0 that matrix is symmetric
 quasi-definite, so it has an LDL^T factorization for every symmetric
@@ -45,8 +46,8 @@ from .dpg_solver import _QUASIDEFINITE_LU, _factor_checked
 from .mesh import Mesh, skeleton as make_skeleton
 from .spaces import h1_space, hdiv_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
-    DESCRIPTORS, FormulationDescriptor, Term, assemble_local_blocks, element_dofs, global_operators, gram_blocks,
-    gram_copies, scatter_blocks, slot_layout, trace_pairing_blocks, unbroken_formulation,
+    DESCRIPTORS, FormulationDescriptor, Term, assemble_local_blocks, element_dofs, gram_blocks, gram_matrix,
+    scatter_blocks, slot_layout, trace_pairing_blocks, unbroken_formulation,
 )
 
 # Default test-order bump over the trial order. The nonsymmetric pairs
@@ -102,8 +103,8 @@ class InfSupResult:
 def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int, q: int, gamma0_empty: bool = False):
     """Free-by-free sparse B, G_Y and G_X of the unbroken pair of a
     descriptor with test order q (forms.unbroken_formulation): B and G_Y
-    from its element assembly (forms.global_operators), G_X the Gram of its
-    trial norms, all numbered by forms.slot_layout."""
+    from its element assembly, G_X the Gram of its trial norms, all
+    numbered by forms.slot_layout."""
     form = unbroken_formulation(desc, mesh, material, p, q, gamma0=not gamma0_empty)
     test, trial = slot_layout(form.test_spaces), slot_layout(form.field_spaces)
     if len(trial.free) == 0 or len(test.free) == 0:
@@ -111,15 +112,12 @@ def _infsup_operators(desc: FormulationDescriptor, mesh: Mesh, material, p: int,
     degree = 2 * (max(p, q) + 1) + 2
     blocks = assemble_local_blocks(form, quad_degree=degree)
     rows, cols = element_dofs(form.test_spaces, test, blocks.elems), element_dofs(form.field_spaces, trial, blocks.elems)
-    ops = global_operators(blocks, rows, cols, (test.ndof, trial.ndof))
-    B = next(ops)[test.free][:, trial.free]  # cut down before G_Y is scattered
-    GY = next(ops)[test.free][:, test.free]
-    gx = []  # one block per geometry class, one scatter per trial slot: its copies share one width
-    for name, space in form.field_spaces.items():
-        G = gram_blocks(space, blocks.reps, degree, desc.trial_norms[name])
-        gx.append(scatter_blocks(gram_copies(cols[:, blocks.trial_slices[name]], G, row_copies(space), blocks.cls), (trial.ndof, trial.ndof)))
-    GX = sum(gx)  # the slots own disjoint rows, so the sum only merges them
-    return B, GY, GX[trial.free][:, trial.free]
+    B = scatter_blocks([(rows, cols, blocks.M, blocks.cls)], (test.ndof, trial.ndof))[test.free][:, trial.free]  # cut down before G_Y is scattered
+    GY = gram_matrix(rows, blocks.test_slices, blocks.G, blocks.test_copies, blocks.cls, test.ndof)[test.free][:, test.free]
+    G1 = {n: gram_blocks(s, blocks.reps, degree, desc.trial_norms[n]) for n, s in form.field_spaces.items()}
+    copies = {n: row_copies(s) for n, s in form.field_spaces.items()}
+    GX = gram_matrix(cols, blocks.trial_slices, G1, copies, blocks.cls, trial.ndof)[trial.free][:, trial.free]
+    return B, GY, GX
 
 
 def _min_infsup_eig(B, GY, GX) -> float:

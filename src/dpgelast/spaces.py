@@ -4,7 +4,9 @@ broken element-local variants, and the two skeleton trace spaces.
 Conventions:
 
 * Scalar structure is built first; vector or tensor dofs interleave the
-  copies as global = scalar * ncopies + copy.
+  copies as global = scalar * ncopies + copy. The broken H1, L2 and
+  broken H(div) spaces number their modes element by element, in one
+  builder (_element_local_space).
 * Continuity comes from mesh topology, never from coordinates. One
   edge-node table numbers the vertices and then the p-1 interior nodes of
   each edge, oriented from its lower- to its higher-numbered vertex; the
@@ -15,7 +17,8 @@ Conventions:
 * Boundary data sits on edges: Gamma0 constrains the nodes of the Gamma0
   edges to the displacement at their points (H1, TraceH12), and Gamma1
   constrains edge moments to Legendre moments of the traction (H(div),
-  TraceHm12).
+  TraceHm12). Traction data is evaluated once per distinct skeleton
+  normal (edge_values), for these moments and the Galerkin load alike.
 * H(div) spaces are Raviart-Thomas-family: one orthonormal reference RT_k
   basis per order, pushed forward by the contravariant Piola map and
   scaled by sqrt(det J). Conforming spaces combine it per element into
@@ -210,6 +213,14 @@ def _interleave(scalar_dofs, ncopies):
     return out.reshape(scalar_dofs.shape[:-1] + (-1,))
 
 
+def _element_local_space(kind: str, order: int, mesh: Mesh, nmodes: int, ncopies: int, sk=None) -> DofSpace:
+    """A space whose nmodes scalar modes per element belong to that element
+    alone, element by element, each in ncopies interleaved copies."""
+    nelt = mesh.num_triangles
+    elt_scalar = np.arange(nelt * nmodes, dtype=np.int64).reshape(nelt, nmodes)
+    return DofSpace(kind, order, mesh, ndof=ncopies * nelt * nmodes, ncopies=ncopies, elt_dofs=_interleave(elt_scalar, ncopies), skeleton=sk)
+
+
 # ---------------------------------------------------------------------------
 # topological node numbering and boundary data on edges
 
@@ -256,23 +267,27 @@ def _constrain_gamma0(space: DofSpace, ids, fn):
     space.constrained_values = np.asarray(vals, dtype=float).ravel()
 
 
-def _edge_moments(mesh: Mesh, sk: Skeleton, eids, nmom: int, degree: int, fn):
-    """Orthonormal Legendre moments of fn(pts, normal) on each given edge,
-    taken against its fixed skeleton normal, (len(eids), nmom, 2); zero
-    when fn is None. fn is called once per distinct normal, with the
-    points of all edges sharing it, (nedges, nq, 2)."""
-    mom = np.zeros((len(eids), nmom, 2))
-    if fn is None:
-        return mom
-    tq, twq = edge_rule(degree)
-    leg = legendre01_eval(nmom, tq)
-    pts = edge_points(mesh, eids, tq)
+def edge_values(mesh: Mesh, sk: Skeleton, eids, t, fn):
+    """Values of fn(pts, normal) at parameters t on each given edge, taken
+    against its fixed skeleton normal, (len(eids), nq, 2). fn is called
+    once per distinct normal, with the points of all edges sharing it,
+    (nedges, nq, 2)."""
+    pts = edge_points(mesh, eids, t)
+    vals = np.empty(pts.shape)
     normals, which = np.unique(sk.normals[eids], axis=0, return_inverse=True)
     for k, normal in enumerate(normals):
         sel = which.ravel() == k
-        g = np.asarray(fn(pts[sel], normal), dtype=float)
-        mom[sel] = np.einsum("q,mq,eqc->emc", twq, leg, g)
-    return mom
+        vals[sel] = fn(pts[sel], normal)
+    return vals
+
+
+def _edge_moments(mesh: Mesh, sk: Skeleton, eids, nmom: int, degree: int, fn):
+    """Orthonormal Legendre moments of fn(pts, normal) (edge_values) on each
+    given edge, (len(eids), nmom, 2); zero when fn is None."""
+    if fn is None:
+        return np.zeros((len(eids), nmom, 2))
+    tq, twq = edge_rule(degree)
+    return np.einsum("q,mq,eqc->emc", twq, legendre01_eval(nmom, tq), edge_values(mesh, sk, eids, tq, fn))
 
 
 def _constrain_gamma1(space: DofSpace, sk: Skeleton, nmom: int, degree: int, fn):
@@ -342,18 +357,7 @@ def broken_h1_space(mesh: Mesh, p: int) -> DofSpace:
     """Element-local vector Lagrange space (no inter-element sharing)."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    nloc_s = len(_ref_lattice(p))
-    elt_scalar = np.arange(mesh.num_triangles * nloc_s, dtype=np.int64).reshape(
-        mesh.num_triangles, nloc_s
-    )
-    return DofSpace(
-        kind="BrokenH1",
-        order=p,
-        mesh=mesh,
-        ndof=2 * mesh.num_triangles * nloc_s,
-        ncopies=2,
-        elt_dofs=_interleave(elt_scalar, 2),
-    )
+    return _element_local_space("BrokenH1", p, mesh, len(_ref_lattice(p)), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +383,7 @@ def l2_space(mesh: Mesh, k: int, kind: str) -> DofSpace:
     if kind not in _L2_KIND_COMPS:
         raise ValueError(f"unknown L2 kind {kind!r}")
     ncopies = 2 if kind == "L2vec" else len(_L2_KIND_COMPS[kind])
-    nmodes = len(_mono_exps(k))
-    nloc = nmodes * ncopies
-    elt_scalar = np.arange(mesh.num_triangles * nmodes, dtype=np.int64).reshape(
-        mesh.num_triangles, nmodes
-    )
-    return DofSpace(
-        kind=kind,
-        order=k,
-        mesh=mesh,
-        ndof=mesh.num_triangles * nloc,
-        ncopies=ncopies,
-        elt_dofs=_interleave(elt_scalar, ncopies),
-    )
+    return _element_local_space(kind, k, mesh, len(_mono_exps(k)), ncopies)
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +510,7 @@ def broken_hdiv_space(sk: Skeleton, p: int) -> DofSpace:
     mesh of the skeleton sk, spanned by the pushed-forward reference basis."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    mesh = sk.mesh
-    nelt, nloc_s = mesh.num_triangles, p * (p + 2)  # the dimension of RT_{p-1}
-    elt_scalar = np.arange(nelt * nloc_s, dtype=np.int64).reshape(nelt, nloc_s)
-    return DofSpace(
-        kind="BrokenHdiv",
-        order=p,
-        mesh=mesh,
-        ndof=2 * nelt * nloc_s,
-        ncopies=2,
-        elt_dofs=_interleave(elt_scalar, 2),
-        skeleton=sk,
-    )
+    return _element_local_space("BrokenHdiv", p, sk.mesh, p * (p + 2), 2, sk)  # p (p + 2) = dim RT_{p-1}
 
 
 def embed_in_broken(conf: DofSpace, brok: DofSpace, x):

@@ -4,7 +4,8 @@ module takes its blocks from forms.assemble_local_blocks; every sparse LU
 is made in dpg_solver._factor_checked, with SuperLU's panel size left at
 its default; no module uses an iterative solver, so every sparse solve
 goes through that one factorization; free dofs are computed by
-forms.slot_layout, and by dpg_solver._solve_constrained on the interface
+forms.free_ids, from a boolean mask and with no setdiff1d anywhere, called
+by forms.slot_layout, and by dpg_solver._solve_constrained on the interface
 numbering, only; and each element fact is stored once: the affine maps
 are built by Mesh.geometry alone, a space keeps typed fields, not a
 payload dict, and an element operator is one M = [B | Bhat], never glued
@@ -61,8 +62,10 @@ def test_splu_only_in_factor_checked():
 
 
 def test_free_dofs_only_in_slot_layout():
-    # one numbering of slot spaces: every other path reads TrialLayout.free
-    sites = {(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "setdiff1d")}
+    # one numbering of slot spaces: every other path reads TrialLayout.free;
+    # free ids come from one mask (forms.free_ids), never from a sorting setdiff1d
+    assert not [p.name for p in SRC.glob("*.py") if list(referencing_functions(p, "setdiff1d"))]
+    sites = {(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "free_ids", calls_only=True)}
     assert sites == {("forms.py", "slot_layout"), ("dpg_solver.py", "_solve_constrained")}
 
 

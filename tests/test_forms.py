@@ -37,6 +37,7 @@ from dpgelast.forms import (
     volume_blocks,
     scatter_blocks,
     gram_copies,
+    free_ids,
     trial_term_values,
     trial_layout,
     slot_layout,
@@ -586,6 +587,18 @@ class TestClassScatter:
             triples.append((rows, rows[:, :1], np.ones((1, 2, 1)), np.zeros(3, int)))
         with pytest.raises(ValueError):
             scatter_blocks(triples, (6, 6))
+
+
+class TestFreeIds:
+    @pytest.mark.parametrize(
+        "n, constrained",
+        [(10, [7, 2, 2, 9, 0, 7]), (10, []), (10, np.empty(0, dtype=np.int64)), (0, []), (4, [3, 2, 1, 0]), (6, np.array([5, 1], dtype=np.int32))],
+    )
+    def test_matches_setdiff1d(self, n, constrained):
+        # duplicate, unsorted and empty constrained ids, and an empty range
+        free, ref = free_ids(n, constrained), np.setdiff1d(np.arange(n), constrained)
+        assert free.dtype == ref.dtype
+        assert np.array_equal(free, ref)
 
 
 class TestTraceBlocks:

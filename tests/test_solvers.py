@@ -704,6 +704,24 @@ class TestGalerkinOracle:
         assert np.array_equal(f.layout.constrained, layout.constrained)
 
 
+class TestGalerkinTraction:
+    def test_one_call_of_g_per_gamma1_normal(self):
+        # the traction load on Gamma1 evaluates g once per distinct edge
+        # normal, on the points of all the edges sharing it
+        sing = singular_solution()
+        bc, mesh = bc_from_exact(sing), build_lshape_mesh(2)
+        shapes = []
+
+        def g(pts, normal):
+            shapes.append(pts.shape)
+            return bc.g(pts, normal)
+
+        solve_galerkin_primal(mesh, sing.material, 2, dataclasses.replace(bc, g=g))
+        g1 = mesh.boundary_edge_ids(GAMMA1)
+        assert len(shapes) == len(np.unique(skeleton(mesh).normals[g1], axis=0)) == 4
+        assert sum(shape[0] for shape in shapes) == len(g1)
+
+
 class TestBenchmarkErrors:
     def test_primal_p2_rate(self):
         smooth = smooth_solution_2d()
