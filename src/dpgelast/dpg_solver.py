@@ -379,7 +379,7 @@ def path_formulation(name, mesh, material, p, dp=1, bc: Optional[BCData] = None)
     solve_galerkin_primal."""
     if name == "fosls":
         form = formulation("strong", mesh, material, p, dp=0, bc=bc)
-        return replace(form, test_spaces=build_test_spaces(form.desc, form.skeleton, p, 1))
+        return replace(form, test_spaces=build_test_spaces(form.desc, mesh, p, 1))
     if name in ("hybrid_mixed", "hybrid_mixed_conservative"):
         return formulation("mixed", mesh, material, p, dp=1, bc=bc)
     if name == "galerkin":
@@ -484,7 +484,7 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
     whose test space is the trial space."""
     _require_gamma0(mesh)
     form = path_formulation("galerkin", mesh, material, p, bc=bc)
-    bc, space, sk = form.bc, form.field_spaces["u"], form.skeleton
+    bc, space = form.bc, form.field_spaces["u"]
     blocks = assemble_local_blocks(form)
     n = space.ndof
     K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.M, blocks.cls)], (n, n))
@@ -497,7 +497,7 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
         t0 = mesh.edge_tris[g1, 0]
         loc = np.argmax(mesh.tri_edges[t0] == g1[:, None], axis=1)
         ev = edge_reference("H1", p, tq)[loc, edge_flips(mesh, t0)[np.arange(len(g1)), loc]]  # (ne, nloc, nq, 2)
-        load = sk.lengths[g1, None] * np.einsum("q,eqc,elqc->el", twq, edge_values(mesh, sk, g1, tq, bc.g), ev)
+        load = mesh.skeleton.lengths[g1, None] * np.einsum("q,eqc,elqc->el", twq, edge_values(mesh, g1, tq, bc.g), ev)
         np.add.at(rhs, space.elt_dofs[t0].ravel(), load.ravel())
     layout = trial_layout(form)
     x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)

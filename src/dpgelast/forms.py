@@ -60,7 +60,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .material import MaterialParams, stiffness_apply_array, compliance_apply_array
-from .mesh import Geometry, Mesh, Skeleton, skeleton as make_skeleton
+from .mesh import Geometry, Mesh
 from .quadrature import triangle_rule, edge_rule
 from .spaces import (
     DofSpace,
@@ -221,30 +221,29 @@ def bc_from_exact(exact) -> BCData:
     return BCData(f=exact.body_force, g=exact.traction, u0=exact.displacement)
 
 
-def _trial_space(kind, sk, p, bc: BCData, gamma0=True):
+def _trial_space(kind, mesh, p, bc: BCData, gamma0=True):
     if kind == "Hdiv":
-        return hdiv_space(sk, p, gamma1_constrained=True, traction_fn=bc.g)
+        return hdiv_space(mesh, p, gamma1_constrained=True, traction_fn=bc.g)
     if kind == "H1":
-        return h1_space(sk.mesh, p, gamma0_constrained=gamma0, bc_fn=bc.u0)
+        return h1_space(mesh, p, gamma0_constrained=gamma0, bc_fn=bc.u0)
     if kind in ("L2sym", "L2vec", "L2skew"):
-        return l2_space(sk.mesh, p - 1, kind)
+        return l2_space(mesh, p - 1, kind)
     raise ValueError(f"unknown trial kind {kind!r}")
 
 
-def _test_space(kind, sk, p, dp):
+def _test_space(kind, mesh, p, dp):
     if kind == "BrokenHdiv":
-        return broken_hdiv_space(sk, p + dp)
+        return broken_hdiv_space(mesh, p + dp)
     if kind == "BrokenH1":
-        return broken_h1_space(sk.mesh, p + dp)
+        return broken_h1_space(mesh, p + dp)
     if kind in ("L2sym", "L2vec", "L2skew"):
-        return l2_space(sk.mesh, p - 1 + dp, kind)
+        return l2_space(mesh, p - 1 + dp, kind)
     raise ValueError(f"unknown test kind {kind!r}")
 
 
-def build_test_spaces(desc: FormulationDescriptor, sk: Skeleton, p: int, dp: int) -> dict:
-    """The broken test spaces of a descriptor at trial order p enriched by
-    dp, on the mesh of the skeleton sk."""
-    return {n: _test_space(k, sk, p, dp) for n, k in desc.test_slots}
+def build_test_spaces(desc: FormulationDescriptor, mesh: Mesh, p: int, dp: int) -> dict:
+    """The broken test spaces of a descriptor on the mesh at trial order p enriched by dp."""
+    return {n: _test_space(k, mesh, p, dp) for n, k in desc.test_slots}
 
 
 @dataclass
@@ -260,7 +259,6 @@ class Formulation:
     field_spaces: dict
     trace_spaces: dict
     test_spaces: dict
-    skeleton: object
     _classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
@@ -278,10 +276,10 @@ class Formulation:
     @property
     def classes(self) -> np.ndarray:
         """The geometry class of each element (geometry_classes), computed
-        on first use. It depends on the mesh and skeleton only, so
-        dataclasses.replace hands it on to a formulation with other spaces."""
+        on first use. It depends on the mesh only, so dataclasses.replace
+        hands it on to a formulation with other spaces."""
         if self._classes is None:
-            self._classes = geometry_classes(self.mesh.geometry, self.skeleton)
+            self._classes = geometry_classes(self.mesh)
         return self._classes
 
 
@@ -295,14 +293,13 @@ def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: 
         raise ValueError(f"enrichment must be nonnegative, got {dp}")
     desc = DESCRIPTORS[spec_id]
     bc = bc if bc is not None else BCData()
-    sk = make_skeleton(mesh)
-    fields = {n: _trial_space(k, sk, p, bc) for n, k in desc.field_slots}
+    fields = {n: _trial_space(k, mesh, p, bc) for n, k in desc.field_slots}
     traces = {}
     if desc.trace_slots:
-        th12, thm12 = trace_spaces(sk, p, u0_fn=bc.u0, traction_fn=bc.g)
+        th12, thm12 = trace_spaces(mesh, p, u0_fn=bc.u0, traction_fn=bc.g)
         lookup = {"TraceH12": th12, "TraceHm12": thm12}
         traces = {n: lookup[k] for n, k in desc.trace_slots}
-    tests = build_test_spaces(desc, sk, p, dp)
+    tests = build_test_spaces(desc, mesh, p, dp)
     return Formulation(
         desc=desc,
         mesh=mesh,
@@ -313,7 +310,6 @@ def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: 
         field_spaces=fields,
         trace_spaces=traces,
         test_spaces=tests,
-        skeleton=sk,
     )
 
 
@@ -324,12 +320,11 @@ def unbroken_formulation(desc: FormulationDescriptor, mesh: Mesh, material, p: i
     conforming counterparts of order q with zero data, and no skeleton
     terms, which vanish on conforming test functions."""
     bc = bc if bc is not None else BCData()
-    sk = make_skeleton(mesh)
-    fields = {n: _trial_space(k, sk, p, bc, gamma0) for n, k in desc.field_slots}
-    tests = {n: _trial_space(k.removeprefix("Broken"), sk, q, BCData(), gamma0) for n, k in desc.test_slots}
+    fields = {n: _trial_space(k, mesh, p, bc, gamma0) for n, k in desc.field_slots}
+    tests = {n: _trial_space(k.removeprefix("Broken"), mesh, q, BCData(), gamma0) for n, k in desc.test_slots}
     return Formulation(
         desc=replace(desc, trace_slots=(), trace_terms=()), mesh=mesh, material=material, p=p, dp=q - p, bc=bc,
-        field_spaces=fields, trace_spaces={}, test_spaces=tests, skeleton=sk,
+        field_spaces=fields, trace_spaces={}, test_spaces=tests,
     )
 
 
@@ -373,14 +368,14 @@ def project_to_kind(arr, kind):
 CHUNK = 512  # elements per assembly chunk of whole classes
 
 
-def geometry_classes(geom: Geometry, sk: Skeleton) -> np.ndarray:
-    """Class index (nelt,) of the elements of the skeleton's mesh by the key
+def geometry_classes(mesh: Mesh) -> np.ndarray:
+    """Class index (nelt,) of the elements of the mesh by the key
     of everything their data-free blocks depend on, compared bitwise: the
     Jacobian J, the edge orientations (edge_flips) and the trace normal
     signs. Classes are numbered largest first, ties by first element, so a
     mesh without repeated keys gets arange(nelt)."""
-    J = np.ascontiguousarray(geom.J).reshape(-1, 4).view(np.int64)
-    keys = np.concatenate([J, edge_flips(sk.mesh, slice(None)), sk.tri_signs], axis=1)
+    J = np.ascontiguousarray(mesh.geometry.J).reshape(-1, 4).view(np.int64)
+    keys = np.concatenate([J, edge_flips(mesh, slice(None)), mesh.skeleton.tri_signs], axis=1)
     _, first, inv, counts = np.unique(keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.lexsort((first, -counts))] = np.arange(len(first))
@@ -576,14 +571,13 @@ def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, elems, deg
     reference edge tensor of each local edge's orientation times |e| for an
     H1 test space or h for an H(div) one (whose normal trace is h / |e|
     times the reference one), and by the sign that turns the stored flux of
-    a TraceHm12 space to the element's outward side, on the trace space's
-    skeleton."""
-    sk = trace_space.skeleton
+    a TraceHm12 space to the element's outward side."""
+    mesh, sk = trace_space.mesh, trace_space.mesh.skeleton
     T = _edge_tensor(_key(test_space), (trace_space.kind, trace_space.order), degree)
-    fac = sk.lengths[sk.mesh.tri_edges[elems]] if test_space.kind.endswith("H1") else test_space.mesh.geometry.hscale[elems, None]
+    fac = sk.lengths[mesh.tri_edges[elems]] if test_space.kind.endswith("H1") else test_space.mesh.geometry.hscale[elems, None]
     if trace_space.kind == "TraceHm12":
         fac = sk.tri_signs[elems] * fac
-    blk = fac[..., None, None] * T[np.arange(3), edge_flips(sk.mesh, elems)]
+    blk = fac[..., None, None] * T[np.arange(3), edge_flips(mesh, elems)]
     return dual_rows(test_space, elems, blk.transpose(0, 2, 1, 3).reshape(len(elems), test_space.nloc, -1))
 
 

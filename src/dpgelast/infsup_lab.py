@@ -43,7 +43,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dpg_solver import _QUASIDEFINITE_LU, _factor_checked
-from .mesh import Mesh, skeleton as make_skeleton
+from .mesh import Mesh
 from .spaces import h1_space, hdiv_space, broken_h1_space, broken_hdiv_space, trace_spaces, embed_in_broken, row_copies
 from .forms import (
     DESCRIPTORS, FormulationDescriptor, Term, assemble_local_blocks, element_dofs, gram_blocks, gram_matrix,
@@ -198,13 +198,12 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
     perturbations, relative to the norm of the perturbed basis function.
     """
     rng = np.random.default_rng(seed)
-    sk = make_skeleton(mesh)
-    th12, thm12 = trace_spaces(sk, p + 1)
+    th12, thm12 = trace_spaces(mesh, p + 1)
     elems = np.arange(mesh.num_triangles)
     results = {}
     for label, conf, brok, trace, norm in (
         ("h1", h1_space(mesh, p, gamma0_constrained=True), broken_h1_space(mesh, p), thm12, "H1"),
-        ("hdiv", hdiv_space(sk, p, gamma1_constrained=True), broken_hdiv_space(sk, p), th12, "Hdiv"),
+        ("hdiv", hdiv_space(mesh, p, gamma1_constrained=True), broken_hdiv_space(mesh, p), th12, "Hdiv"),
     ):
         J = jump_pairing_matrix(brok, trace)
         bnorm = np.empty(brok.ndof)  # sqrt(G_ii): the norm of each broken basis function

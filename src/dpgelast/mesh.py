@@ -11,8 +11,9 @@ Boundary edges carry one of two tags: "g0" (displacement boundary) or
 "g1" (traction boundary). Tags are inherited by the child halves of a
 split boundary edge and never change class.
 
-Every element is affine; the mesh owns their maps (Mesh.geometry), built
-on first use and shared by every space and formulation on the mesh.
+Every element is affine; the mesh owns their maps (Mesh.geometry) and its
+skeleton (Mesh.skeleton), each built on first use and shared by every
+space and formulation on the mesh.
 """
 
 from __future__ import annotations
@@ -153,12 +154,14 @@ class Mesh:
         Jinv[:, 1, 1] = J[:, 0, 0] / det
         return Geometry(origin=verts[:, 0], J=J, Jinv=Jinv, det=det, hscale=np.sqrt(np.abs(det)))
 
+    @cached_property
+    def skeleton(self) -> Skeleton:
+        """The skeleton of the mesh, built on first use."""
+        # the builder is looked up by name, so a wrapper bound in its place sees every build
+        return skeleton(self)
+
     def areas(self) -> np.ndarray:
-        v = self.triangle_vertices()
-        return 0.5 * np.abs(
-            (v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
-            - (v[:, 1, 1] - v[:, 0, 1]) * (v[:, 2, 0] - v[:, 0, 0])
-        )
+        return 0.5 * np.abs(self.geometry.det)
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in radians."""
@@ -192,7 +195,6 @@ class Skeleton:
     outward normal on its local edge agrees with the fixed normal.
     """
 
-    mesh: Mesh
     normals: np.ndarray
     tangents: np.ndarray
     lengths: np.ndarray
@@ -215,7 +217,7 @@ def skeleton(mesh: Mesh) -> Skeleton:
     # the fixed normal is t0's outward normal, so only t0 sees +1 on the edge
     owner = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.num_triangles)[:, None]
     tri_signs = np.where(owner, 1, -1)
-    return Skeleton(mesh=mesh, normals=normals, tangents=tangents, lengths=lengths, tri_signs=tri_signs)
+    return Skeleton(normals=normals, tangents=tangents, lengths=lengths, tri_signs=tri_signs)
 
 
 def _set_refinement_edges(vertices, triangles):

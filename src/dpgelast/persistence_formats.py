@@ -29,6 +29,9 @@ from .material import MaterialParams
 
 FORMAT_VERSION = 3
 MANIFEST_VERSION = 1
+# what parsing a malformed file raises: bad numbers or JSON, missing keys
+# or lines, JSON of the wrong shape
+MALFORMED = (ValueError, KeyError, IndexError, TypeError, AttributeError)
 
 
 class PersistenceError(RuntimeError):
@@ -75,7 +78,8 @@ def load_solution(path, spec, mesh, bc=None):
     generation fingerprint the solution was saved with. bc is the problem
     data (BCData) the solution was computed with; a file cannot hold
     callables, so the rebuilt formulation and its boundary constraints
-    take it from here (zero data by default).
+    take it from here (zero data by default). A file that cannot be read
+    or parsed raises PersistenceError.
     """
     from .forms import trial_layout
     from .dpg_solver import SOLVE_PATHS, _fields_from_vector, path_formulation
@@ -88,32 +92,35 @@ def load_solution(path, spec, mesh, bc=None):
     lines = text.splitlines()
     if not lines or not lines[0].startswith("solutionfile v"):
         raise PersistenceError(f"{path}: not a solution file")
-    version = int(lines[0].split("v")[-1])
-    if version != FORMAT_VERSION:
-        raise PersistenceError(f"{path}: unsupported format version {version}")
-    header = json.loads(lines[1])
-    if header["spec_name"] != spec:
-        raise PersistenceError(
-            f"{path}: formulation mismatch (file holds {header['spec_name']!r}, expected {spec!r})"
-        )
-    fp = _mesh_fingerprint(mesh)
-    if fp != header["mesh"]:
-        raise PersistenceError(
-            f"{path}: mesh mismatch (file {header['mesh']}, given {fp})"
-        )
-    material = MaterialParams(lam=float(header["lam"]), mu=float(header["mu"]))
-    p, dp = header["p"], header["dp"]
-    coeffs = {}
-    i = 2
-    while i < len(lines):
-        parts = lines[i].split()
-        if len(parts) != 3 or parts[0] != "slot":
-            raise PersistenceError(f"{path}: malformed slot header at line {i + 1}")
-        name, n = parts[1], int(parts[2])
-        coeffs[name] = np.array([float(v) for v in lines[i + 1 : i + 1 + n]])
-        i += 1 + n
-    if {name: len(c) for name, c in coeffs.items()} != {name: n for name, (_, n) in header["slots"].items()}:
-        raise PersistenceError(f"{path}: slot blocks do not match the header")
+    try:
+        version = int(lines[0].split("v")[-1])
+        if version != FORMAT_VERSION:
+            raise PersistenceError(f"{path}: unsupported format version {version}")
+        header = json.loads(lines[1])
+        if header["spec_name"] != spec:
+            raise PersistenceError(
+                f"{path}: formulation mismatch (file holds {header['spec_name']!r}, expected {spec!r})"
+            )
+        fp = _mesh_fingerprint(mesh)
+        if fp != header["mesh"]:
+            raise PersistenceError(
+                f"{path}: mesh mismatch (file {header['mesh']}, given {fp})"
+            )
+        material = MaterialParams(lam=float(header["lam"]), mu=float(header["mu"]))
+        p, dp = header["p"], header["dp"]
+        coeffs = {}
+        i = 2
+        while i < len(lines):
+            parts = lines[i].split()
+            if len(parts) != 3 or parts[0] != "slot":
+                raise PersistenceError(f"{path}: malformed slot header at line {i + 1}")
+            name, n = parts[1], int(parts[2])
+            coeffs[name] = np.array([float(v) for v in lines[i + 1 : i + 1 + n]])
+            i += 1 + n
+        if {name: len(c) for name, c in coeffs.items()} != {name: n for name, (_, n) in header["slots"].items()}:
+            raise PersistenceError(f"{path}: slot blocks do not match the header")
+    except MALFORMED as err:
+        raise PersistenceError(f"{path}: malformed solution file: {err!r}") from err
 
     if spec not in SOLVE_PATHS:
         raise PersistenceError(f"{path}: unknown formulation {spec!r}")
@@ -159,20 +166,23 @@ class StudyManifest:
     @classmethod
     def load(cls, path, verify=True):
         path = Path(path)
-        payload = json.loads(path.read_text())
-        if payload.get("manifest_version") != MANIFEST_VERSION:
-            raise PersistenceError(f"{path}: unsupported manifest version")
-        m = cls(
-            config=payload["config"],
-            artifacts=payload["artifacts"],
-            code_version=payload.get("code_version", ""),
-        )
-        if verify:
-            for name, entry in m.artifacts.items():
-                f = path.parent / entry["file"]
-                if not f.exists():
-                    raise PersistenceError(f"manifest artifact missing: {f}")
-                h = sha256_file(f)
-                if h != entry["sha256"]:
-                    raise PersistenceError(f"manifest hash mismatch for {f}")
+        try:
+            payload = json.loads(path.read_text())
+            if payload.get("manifest_version") != MANIFEST_VERSION:
+                raise PersistenceError(f"{path}: unsupported manifest version")
+            m = cls(
+                config=payload["config"],
+                artifacts=payload["artifacts"],
+                code_version=payload.get("code_version", ""),
+            )
+            if verify:
+                for name, entry in m.artifacts.items():
+                    f = path.parent / entry["file"]
+                    if not f.exists():
+                        raise PersistenceError(f"manifest artifact missing: {f}")
+                    h = sha256_file(f)
+                    if h != entry["sha256"]:
+                        raise PersistenceError(f"manifest hash mismatch for {f}")
+        except MALFORMED as err:
+            raise PersistenceError(f"{path}: malformed manifest: {err!r}") from err
         return m

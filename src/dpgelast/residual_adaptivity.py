@@ -94,7 +94,7 @@ def element_residuals(fields: SolutionFields, p_res: Optional[int] = None) -> Re
             load_slot=desc.load_slot if desc.load_slot in inverted else None,
         )
         dp_res = p_res - form.p
-        form_res = replace(form, desc=sub, dp=dp_res, test_spaces=build_test_spaces(sub, form.skeleton, form.p, dp_res))
+        form_res = replace(form, desc=sub, dp=dp_res, test_spaces=build_test_spaces(sub, form.mesh, form.p, dp_res))
     x = fields.full_vector()
     eta2 = np.zeros(form.mesh.num_triangles)
     for elems in class_chunks(form.classes):

@@ -35,8 +35,8 @@ Conventions:
 * Trace spaces live on skeleton edges: continuous piecewise order-p
   nodal functions (TraceH12) and per-edge discontinuous Legendre modes of
   order p-1 measured against the fixed normal (TraceHm12).
-* H(div) spaces take the caller's Skeleton, as the trace spaces do, and
-  keep it (DofSpace.skeleton); a conforming one also keeps C.
+* Every builder takes the mesh; the H(div) and trace spaces read its
+  skeleton (Mesh.skeleton), and a conforming H(div) space keeps C.
 
 Every element is affine, so each basis is a reference basis and a
 per-element linear map: reference_basis gives components r (nloc, nq, R)
@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import Geometry, Mesh, Skeleton, GAMMA0, GAMMA1
+from .mesh import Geometry, Mesh, GAMMA0, GAMMA1
 from .quadrature import triangle_rule, edge_rule
 
 
@@ -176,8 +176,7 @@ class DofSpace:
     elt_dofs maps each element to its global dofs (volume kinds);
     edge_dofs maps each skeleton edge to its global dofs (trace kinds).
     constrained_dofs / constrained_values hold essential boundary data.
-    skeleton is the Skeleton of the H(div) and trace kinds; C the dual
-    combination of a conforming H(div) space (_rt_dual).
+    C is the dual combination of a conforming H(div) space (_rt_dual).
     """
 
     kind: str
@@ -189,7 +188,6 @@ class DofSpace:
     edge_dofs: Optional[np.ndarray] = None
     constrained_dofs: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     constrained_values: np.ndarray = field(default_factory=lambda: np.empty(0))
-    skeleton: Optional[Skeleton] = None
     C: Optional[np.ndarray] = None
 
     @property
@@ -213,12 +211,12 @@ def _interleave(scalar_dofs, ncopies):
     return out.reshape(scalar_dofs.shape[:-1] + (-1,))
 
 
-def _element_local_space(kind: str, order: int, mesh: Mesh, nmodes: int, ncopies: int, sk=None) -> DofSpace:
+def _element_local_space(kind: str, order: int, mesh: Mesh, nmodes: int, ncopies: int) -> DofSpace:
     """A space whose nmodes scalar modes per element belong to that element
     alone, element by element, each in ncopies interleaved copies."""
     nelt = mesh.num_triangles
     elt_scalar = np.arange(nelt * nmodes, dtype=np.int64).reshape(nelt, nmodes)
-    return DofSpace(kind, order, mesh, ndof=ncopies * nelt * nmodes, ncopies=ncopies, elt_dofs=_interleave(elt_scalar, ncopies), skeleton=sk)
+    return DofSpace(kind, order, mesh, ndof=ncopies * nelt * nmodes, ncopies=ncopies, elt_dofs=_interleave(elt_scalar, ncopies))
 
 
 # ---------------------------------------------------------------------------
@@ -267,36 +265,36 @@ def _constrain_gamma0(space: DofSpace, ids, fn):
     space.constrained_values = np.asarray(vals, dtype=float).ravel()
 
 
-def edge_values(mesh: Mesh, sk: Skeleton, eids, t, fn):
+def edge_values(mesh: Mesh, eids, t, fn):
     """Values of fn(pts, normal) at parameters t on each given edge, taken
     against its fixed skeleton normal, (len(eids), nq, 2). fn is called
     once per distinct normal, with the points of all edges sharing it,
     (nedges, nq, 2)."""
     pts = edge_points(mesh, eids, t)
     vals = np.empty(pts.shape)
-    normals, which = np.unique(sk.normals[eids], axis=0, return_inverse=True)
+    normals, which = np.unique(mesh.skeleton.normals[eids], axis=0, return_inverse=True)
     for k, normal in enumerate(normals):
         sel = which.ravel() == k
         vals[sel] = fn(pts[sel], normal)
     return vals
 
 
-def _edge_moments(mesh: Mesh, sk: Skeleton, eids, nmom: int, degree: int, fn):
+def _edge_moments(mesh: Mesh, eids, nmom: int, degree: int, fn):
     """Orthonormal Legendre moments of fn(pts, normal) (edge_values) on each
     given edge, (len(eids), nmom, 2); zero when fn is None."""
     if fn is None:
         return np.zeros((len(eids), nmom, 2))
     tq, twq = edge_rule(degree)
-    return np.einsum("q,mq,eqc->emc", twq, legendre01_eval(nmom, tq), edge_values(mesh, sk, eids, tq, fn))
+    return np.einsum("q,mq,eqc->emc", twq, legendre01_eval(nmom, tq), edge_values(mesh, eids, tq, fn))
 
 
-def _constrain_gamma1(space: DofSpace, sk: Skeleton, nmom: int, degree: int, fn):
+def _constrain_gamma1(space: DofSpace, nmom: int, degree: int, fn):
     """Constrain the nmom edge-moment dofs eid * nmom + i of every Gamma1
     edge to the moments of fn(pts, normal) (zero by default)."""
     g1 = space.mesh.boundary_edge_ids(GAMMA1)
     if len(g1):
         space.constrained_dofs = _interleave(g1[:, None] * nmom + np.arange(nmom), 2).ravel()
-        space.constrained_values = _edge_moments(space.mesh, sk, g1, nmom, degree, fn).ravel()
+        space.constrained_values = _edge_moments(space.mesh, g1, nmom, degree, fn).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +462,15 @@ def _rt_dual(space: DofSpace):
     """(nelt, N, N) inverses C[e] of the dofs of the pushed-forward basis psi
     of an H(div) space without C: the dual basis is phi_l = sum_j C[e, j,
     l] psi_j, and the psi-coefficients of a dual-basis field x are C[e] x."""
-    geom, sk, k = space.mesh.geometry, space.skeleton, space.order - 1
+    geom, sk, k = space.mesh.geometry, space.mesh.skeleton, space.order - 1
     scale = sk.tri_signs * geom.hscale[:, None] / sk.lengths[space.mesh.tri_edges]
     Jh = geom.J / geom.hscale[:, None, None]
     rows = lambda pts: reference_basis("Hdiv", k + 1, "val", pts)[0::2, :, :2]  # one stress row
     return np.linalg.inv(_rt_dofs(k, rows, Jh, scale, edge_flips(space.mesh, slice(None))))
 
 
-def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
-    """Conforming Raviart-Thomas-family tensor space (2 rows) of order p
-    on the mesh of the skeleton sk.
+def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
+    """Conforming Raviart-Thomas-family tensor space (2 rows) of order p on the mesh.
 
     Edge normal traces have order p-1; interior edge dofs are shared
     between neighbours through the fixed-normal moment functionals. When
@@ -484,7 +481,6 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
     """
     if p < 1:
         raise ValueError(f"H(div) order must be at least 1, got {p}")
-    mesh = sk.mesh
     nmom, ninter = p, p * (p - 1)
     nelt, ne = mesh.num_triangles, mesh.num_edges
     # edge moments eid * nmom + i, then the interior moments element by element
@@ -497,20 +493,19 @@ def hdiv_space(sk: Skeleton, p: int, gamma1_constrained: bool = False, traction_
         ndof=2 * (ne * nmom + nelt * ninter),
         ncopies=2,
         elt_dofs=_interleave(np.concatenate([edge, inner], axis=1), 2),
-        skeleton=sk,
     )
     space.C = _rt_dual(space)
     if gamma1_constrained:
-        _constrain_gamma1(space, sk, nmom, 2 * p + 4, traction_fn)
+        _constrain_gamma1(space, nmom, 2 * p + 4, traction_fn)
     return space
 
 
-def broken_hdiv_space(sk: Skeleton, p: int) -> DofSpace:
+def broken_hdiv_space(mesh: Mesh, p: int) -> DofSpace:
     """Element-local Raviart-Thomas-family tensor space of order p on the
-    mesh of the skeleton sk, spanned by the pushed-forward reference basis."""
+    mesh, spanned by the pushed-forward reference basis."""
     if p < 1:
         raise ValueError(f"order must be at least 1, got {p}")
-    return _element_local_space("BrokenHdiv", p, sk.mesh, p * (p + 2), 2, sk)  # p (p + 2) = dim RT_{p-1}
+    return _element_local_space("BrokenHdiv", p, mesh, p * (p + 2), 2)  # p (p + 2) = dim RT_{p-1}
 
 
 def embed_in_broken(conf: DofSpace, brok: DofSpace, x):
@@ -526,8 +521,8 @@ def embed_in_broken(conf: DofSpace, brok: DofSpace, x):
 # trace spaces
 
 
-def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
-    """Build (TraceH12, TraceHm12) on the skeleton.
+def trace_spaces(mesh: Mesh, p: int, u0_fn=None, traction_fn=None):
+    """Build (TraceH12, TraceHm12) on the skeleton of the mesh.
 
     TraceH12: continuous piecewise order-p, 2 components, numbered by
     _edge_nodes and constrained on Gamma0 with values from u0_fn(pts)
@@ -538,7 +533,6 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
     """
     if p < 1:
         raise ValueError(f"trace order must be at least 1, got {p}")
-    mesh = sk.mesh
     ne = mesh.num_edges
     ids = _edge_nodes(mesh, p)
     th12 = DofSpace(
@@ -548,7 +542,6 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
         ndof=2 * (mesh.num_vertices + (p - 1) * ne),
         ncopies=2,
         edge_dofs=_interleave(ids, 2),
-        skeleton=sk,
     )
     _constrain_gamma0(th12, ids, u0_fn)
     nmom = p
@@ -559,9 +552,8 @@ def trace_spaces(sk: Skeleton, p: int, u0_fn=None, traction_fn=None):
         ndof=2 * ne * nmom,
         ncopies=2,
         edge_dofs=_interleave(np.arange(ne * nmom, dtype=np.int64).reshape(ne, nmom), 2),
-        skeleton=sk,
     )
-    _constrain_gamma1(thm12, sk, nmom, 2 * nmom + 8, traction_fn)
+    _constrain_gamma1(thm12, nmom, 2 * nmom + 8, traction_fn)
     return th12, thm12
 
 
@@ -775,7 +767,7 @@ def interpolate(space: DofSpace, exact):
         # the same value from both sides, so plain assignment is safe. The
         # broken space writes the same interpolant in its own basis.
         k = space.order - 1
-        mom = _edge_moments(mesh, space.skeleton, np.arange(mesh.num_edges), k + 1, 2 * k + 10, lambda x, n: exact.stress(x) @ n)
+        mom = _edge_moments(mesh, np.arange(mesh.num_edges), k + 1, 2 * k + 10, lambda x, n: exact.stress(x) @ n)
         F = mom[mesh.tri_edges].reshape(mesh.num_triangles, -1, 2)
         if k >= 1:
             vals = np.moveaxis(exact.stress(geom.to_physical(triangle_rule(2 * k + 10).points)), -2, 1)
@@ -791,7 +783,7 @@ def interpolate(space: DofSpace, exact):
         return coeffs
     if space.kind == "TraceHm12":
         nmom, eids = space.order + 1, np.arange(mesh.num_edges)
-        mom = _edge_moments(mesh, space.skeleton, eids, nmom, 2 * nmom + 8, exact.traction)
+        mom = _edge_moments(mesh, eids, nmom, 2 * nmom + 8, exact.traction)
         coeffs[space.edge_dofs] = mom.reshape(len(eids), -1)
         return coeffs
     raise ValueError(f"interpolation undefined for kind {space.kind}")

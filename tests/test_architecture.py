@@ -7,9 +7,10 @@ goes through that one factorization; free dofs are computed by
 forms.free_ids, from a boolean mask and with no setdiff1d anywhere, called
 by forms.slot_layout, and by dpg_solver._solve_constrained on the interface
 numbering, only; and each element fact is stored once: the affine maps
-are built by Mesh.geometry alone, a space keeps typed fields, not a
-payload dict, and an element operator is one M = [B | Bhat], never glued
-from a separate trace block."""
+and the skeleton are built by Mesh.geometry and Mesh.skeleton alone, and
+no other module imports the skeleton builder, a space keeps typed fields,
+not a payload dict, and an element operator is one M = [B | Bhat], never
+glued from a separate trace block."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,17 @@ def test_geometry_built_only_by_the_mesh():
     # one affine map per mesh, which every space and formulation reads
     sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "Geometry", calls_only=True)]
     assert sites == [("mesh.py", "geometry")]
+
+
+def test_skeleton_built_only_by_the_mesh():
+    # one skeleton per mesh, which every space and formulation reads; an
+    # import of the builder counts under any alias
+    imports = [
+        p.name
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.ImportFrom) and any(a.name == "skeleton" for a in node.names)
+    ]
+    sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "skeleton", calls_only=True)]
+    assert imports == []
+    assert sites == [("mesh.py", "skeleton")]

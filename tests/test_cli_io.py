@@ -2,10 +2,12 @@
 entry point."""
 
 import argparse
+import sys
 
 import numpy as np
 import pytest
 
+import dpgelast.mesh
 from dpgelast.cli_io import (
     BENCHMARKS,
     METHODS,
@@ -193,6 +195,23 @@ class TestInfSupRun:
         assert all(g > 0 for g in dirichlet.values())
         free_primal = [float(r[3]) for r in rows if r[0] == "primal" and r[2] == "free"]
         assert max(free_primal) < min(dirichlet.values()) / 1e6
+
+    def test_one_skeleton_per_mesh(self, tmp_path, monkeypatch):
+        # each of the three meshes builds its skeleton once for the ten
+        # problems on it; the spy replaces every module's binding of the builder
+        builds, build = [], dpgelast.mesh.skeleton
+
+        def spy(mesh):
+            builds.append(mesh)
+            return build(mesh)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("dpgelast"):
+                for key, value in list(vars(mod).items()):
+                    if value is build:
+                        monkeypatch.setattr(mod, key, spy)
+        run_infsup(RunConfig(p=1, output_dir=str(tmp_path)))
+        assert len(builds) == 3
 
     def test_byte_identical_reruns(self, tmp_path):
         texts = [run_infsup(RunConfig(p=1, output_dir=str(tmp_path / sub))).read_bytes() for sub in ("a", "b")]

@@ -124,7 +124,7 @@ def quadrature_blocks(form, degree):
     for name, _ in desc.test_slots:
         G[:, ts[name], ts[name]] = quadrature_gram(wts, tb[name], desc.test_norms[name])
     l[:, ts[desc.load_slot]] = np.einsum("eq,eqc,elqc->el", wts, form.bc.body_force(pts), tb[desc.load_slot].val)
-    geom, sk = mesh.geometry, form.skeleton
+    geom, sk = mesh.geometry, skeleton(mesh)
     tq, twq = edge_rule(degree)
     for tt in desc.trace_terms:
         test, trace = form.test_spaces[tt.test], form.trace_spaces[tt.trace]
@@ -176,7 +176,7 @@ def perturbed_mesh(m, seed=5):
 
 
 def mesh_classes(m):
-    return geometry_classes(m.geometry, skeleton(m))
+    return geometry_classes(m)
 
 
 class TestGeometryClasses:
@@ -324,12 +324,11 @@ class TestGramKernel:
     @pytest.mark.parametrize("kind", ["H1", "BrokenH1", "Hdiv", "BrokenHdiv"])
     def test_one_copy_matches_padded_contraction(self, kind, p):
         m = build_lshape_mesh(1)
-        sk = skeleton(m)
         space = {
             "H1": lambda: h1_space(m, p),
             "BrokenH1": lambda: broken_h1_space(m, p),
-            "Hdiv": lambda: hdiv_space(sk, p),
-            "BrokenHdiv": lambda: broken_hdiv_space(sk, p),
+            "Hdiv": lambda: hdiv_space(m, p),
+            "BrokenHdiv": lambda: broken_hdiv_space(m, p),
         }[kind]()
         elems = np.arange(m.num_triangles)
         rule, wts, _ = element_quadrature(space.mesh.geometry, elems, 2 * p + 2)
@@ -344,7 +343,7 @@ class TestGramKernel:
         m = build_square_mesh(2)
         space = {
             "BrokenH1": lambda: broken_h1_space(m, 2),
-            "BrokenHdiv": lambda: broken_hdiv_space(skeleton(m), 2),
+            "BrokenHdiv": lambda: broken_hdiv_space(m, 2),
         }.get(kind, lambda: l2_space(m, 2, kind))()
         elems = np.arange(m.num_triangles)
         rule, wts, _ = element_quadrature(space.mesh.geometry, elems, 6)
@@ -376,7 +375,7 @@ class TestOneCopyGram:
         m = build_square_mesh(4) if domain == "square" else corner_graded_lshape()
         space, norm = {
             "BrokenH1": lambda: (broken_h1_space(m, p), "H1"),
-            "BrokenHdiv": lambda: (broken_hdiv_space(skeleton(m), p), "Hdiv"),
+            "BrokenHdiv": lambda: (broken_hdiv_space(m, p), "Hdiv"),
             "L2vec": lambda: (l2_space(m, p, "L2vec"), "L2"),
         }[kind]()
         elems, degree = np.arange(m.num_triangles), 2 * p + 2
@@ -439,7 +438,7 @@ class TestReferenceKernels:
     def test_estimator_gram_matches_quadrature(self, mesh, spec):
         # the enriched test spaces of the estimator, order P_RES, on its rule
         desc, p = DESCRIPTORS[spec], 2
-        tests = build_test_spaces(desc, skeleton(mesh), p, P_RES - p)
+        tests = build_test_spaces(desc, mesh, p, P_RES - p)
         elems = np.arange(mesh.num_triangles)
         degree = 2 * P_RES + 2
         rule, wts, _ = element_quadrature(mesh.geometry, elems, degree)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from dpgelast.material import MaterialParams
-from dpgelast.mesh import build_square_mesh, skeleton, uniform_refine
+from dpgelast.mesh import build_square_mesh, uniform_refine
 from dpgelast.forms import DESCRIPTORS, FORMULATION_IDS
 from dpgelast import infsup_lab
 from dpgelast.infsup_lab import (
@@ -216,7 +216,7 @@ def report():
 class TestZeroJump:
     def test_pairing_matrix_is_sparse_on_free_trace_dofs(self):
         m = build_square_mesh(2)
-        _, thm12 = trace_spaces(skeleton(m), 2)
+        _, thm12 = trace_spaces(m, 2)
         brok = broken_h1_space(m, 1)
         J = jump_pairing_matrix(brok, thm12)
         assert J.format == "csr"

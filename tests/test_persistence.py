@@ -1,6 +1,7 @@
 """Round-trip and tamper tests for the solution and manifest files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,34 @@ class TestSolutionFile:
         path.write_text("\n".join(body[:-1]) + "\n")
         with pytest.raises(PersistenceError, match="slot blocks do not match the header"):
             load_solution(path, "ultraweak", mesh)
+
+    def _without_spec_name(body):
+        header = json.loads(body[1])
+        del header["spec_name"]
+        return [body[0], json.dumps(header)] + body[2:]
+
+    # each edit of a saved file, and the parse error it raised unwrapped
+    MALFORMED_EDITS = {
+        "version_tag": (lambda body: ["solutionfile vX"] + body[1:], ValueError),
+        "slot_count": (lambda body: body[:2] + [body[2].rsplit(" ", 1)[0] + " x"] + body[3:], ValueError),
+        "value": (lambda body: body[:3] + ["one"] + body[4:], ValueError),
+        "header_json": (lambda body: [body[0], "{not json"] + body[2:], json.JSONDecodeError),
+        "header_keys": (_without_spec_name, None),
+        "first_line_only": (lambda body: body[:1], IndexError),
+    }
+
+    @pytest.mark.parametrize("edit", sorted(MALFORMED_EDITS))
+    def test_malformed_file_raises_persistence_error(self, solved, tmp_path, edit):
+        # a parse failure names the file and chains the error behind it
+        mesh, f = solved
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        change, cause = self.MALFORMED_EDITS[edit]
+        path.write_text("\n".join(change(path.read_text().splitlines())) + "\n")
+        with pytest.raises(PersistenceError, match=re.escape(str(path))) as info:
+            load_solution(path, "ultraweak", mesh)
+        if cause is not None:
+            assert isinstance(info.value.__cause__, cause)
 
     def test_reloaded_solution_estimates_like_the_original(self, tmp_path):
         smooth = smooth_solution_2d()
@@ -235,3 +264,20 @@ class TestManifest:
         art.unlink()
         loaded = StudyManifest.load(mpath, verify=False)
         assert "data" in loaded.artifacts
+
+    @pytest.mark.parametrize(
+        "text, cause",
+        [
+            ("not json\n", json.JSONDecodeError),
+            ('{"manifest_version": 1, "artifacts": {}}\n', KeyError),
+            ("[1, 2]\n", AttributeError),
+            ('{"manifest_version": 1, "config": {}, "artifacts": {"data": {}}}\n', KeyError),
+        ],
+        ids=["not_json", "no_config", "json_list", "artifact_without_file"],
+    )
+    def test_malformed_manifest_raises_persistence_error(self, tmp_path, text, cause):
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(text)
+        with pytest.raises(PersistenceError, match=re.escape(str(mpath))) as info:
+            StudyManifest.load(mpath)
+        assert isinstance(info.value.__cause__, cause)

@@ -233,7 +233,7 @@ def dense_eta(fields, p_res=P_RES):
     solve, and the L2-identified slots from their pointwise representers."""
     form = fields.form
     dp_res = max(p_res - form.p, 0)
-    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.skeleton, form.p, dp_res))
+    form_res = replace(form, dp=dp_res, test_spaces=build_test_spaces(form.desc, form.mesh, form.p, dp_res))
     elems = np.arange(form.mesh.num_triangles)
     xloc = fields.full_vector()[element_trial_dofs(form_res, fields.layout, elems)]
     blocks = assemble_local_blocks(form_res, elems)

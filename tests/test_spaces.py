@@ -103,7 +103,7 @@ class TestCounts:
 
     def test_trace_counts_square_n1(self):
         m = build_square_mesh(1)
-        th12, thm12 = trace_spaces(skeleton(m), 1)
+        th12, thm12 = trace_spaces(m, 1)
         assert th12.ndof == 2 * 4  # vertices only at p=1
         assert thm12.ndof == 2 * 5  # one mode per edge
 
@@ -119,7 +119,7 @@ class TestCounts:
     def test_hdiv_counts(self):
         m = build_square_mesh(1)
         # order 1: one normal moment per edge, two tensor rows
-        assert hdiv_space(skeleton(m), 1).ndof == 2 * m.num_edges
+        assert hdiv_space(m, 1).ndof == 2 * m.num_edges
 
     def test_gamma0_constraints_cover_boundary(self):
         m = build_square_mesh(2)
@@ -131,7 +131,7 @@ class TestCounts:
         with pytest.raises(ValueError):
             h1_space(mesh, 0)
         with pytest.raises(ValueError):
-            hdiv_space(skeleton(mesh), 0)
+            hdiv_space(mesh, 0)
         with pytest.raises(ValueError):
             l2_space(mesh, -1, "L2vec")
         with pytest.raises(ValueError):
@@ -160,7 +160,7 @@ class TestInterpolation:
     def test_hdiv_reproduces_polynomial_stress(self, mesh, p, deg):
         # order p reproduces tensor polynomials of degree p-1
         field = PolyField(deg)
-        space = hdiv_space(skeleton(mesh), p)
+        space = hdiv_space(mesh, p)
         coeffs = interpolate(space, field)
         rng = np.random.default_rng(11)
         for e in (0, mesh.num_triangles - 1):
@@ -187,7 +187,7 @@ class TestInterpolation:
         p = 2
         space = h1_space(mesh, p)
         coeffs = interpolate(space, field)
-        th12, _ = trace_spaces(skeleton(mesh), p)
+        th12, _ = trace_spaces(mesh, p)
         tc = interpolate(th12, field)
         t = np.linspace(0, 1, 9)
         for eid in range(0, mesh.num_edges, 3):
@@ -201,7 +201,7 @@ class TestInterpolation:
     def test_trace_hm12_moments(self, mesh):
         field = PolyField(1)
         sk = skeleton(mesh)
-        _, thm12 = trace_spaces(sk, 2)
+        _, thm12 = trace_spaces(mesh, 2)
         coeffs = interpolate(thm12, field)
         t, w = edge_rule(8)
         for eid in (0, mesh.num_edges - 1):
@@ -214,7 +214,7 @@ class TestInterpolation:
 
 class TestConformity:
     def test_hdiv_normal_trace_continuity(self, mesh):
-        space = hdiv_space(skeleton(mesh), 2)
+        space = hdiv_space(mesh, 2)
         rng = np.random.default_rng(13)
         coeffs = rng.standard_normal(space.ndof)
         t = np.linspace(0.05, 0.95, 7)
@@ -263,8 +263,7 @@ class TestConformity:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_hdiv_conforming_embeds_into_broken(self, mesh, p):
         # the dual-basis coefficients map into the pushed-forward basis through C
-        sk = skeleton(mesh)
-        conf, brok = hdiv_space(sk, p), broken_hdiv_space(sk, p)
+        conf, brok = hdiv_space(mesh, p), broken_hdiv_space(mesh, p)
         rng = np.random.default_rng(16)
         x = rng.standard_normal(conf.ndof)
         xb = embed_in_broken(conf, brok, x)
@@ -302,8 +301,8 @@ class TestDualBasis:
         # orthonormal in the area-averaged inner product
         m = corner_refined_lshape()
         sk, geom, k = skeleton(m), m.geometry, p - 1
-        C = hdiv_space(sk, p).C
-        brok = broken_hdiv_space(sk, p)
+        C = hdiv_space(m, p).C
+        brok = broken_hdiv_space(m, p)
         tq, twq = edge_rule(2 * p + 2)
         rule = triangle_rule(2 * p + 2)
         for e in range(m.num_triangles):
@@ -324,7 +323,7 @@ class TestDualBasis:
     def test_dual_basis_condition_flat_in_p(self):
         # the modal interior moments keep C well conditioned at high order
         # (the scaled monomial moments gave 5.2e6 at p = 7)
-        C = hdiv_space(skeleton(build_square_mesh(1)), 7).C
+        C = hdiv_space(build_square_mesh(1), 7).C
         assert np.linalg.cond(C).max() < 1e3
 
 
@@ -333,7 +332,7 @@ class TestExactSequence:
     @pytest.mark.parametrize("make", [hdiv_space, broken_hdiv_space])
     def test_div_maps_into_l2(self, mesh, make, p):
         # div of every H(div) basis function lies in the order p-1 L2 space
-        space = make(skeleton(mesh), p)
+        space = make(mesh, p)
         rule = triangle_rule(2 * p + 4)
         elems = np.arange(mesh.num_triangles)
         basis = volume_basis(space, elems, rule.points)
@@ -365,11 +364,10 @@ class TestGramAndQuadrature:
         # the orthonormal reference basis leaves only the mesh size and shape
         # in the element Gram, so its condition does not grow with p
         m = corner_refined_lshape(16)
-        sk = skeleton(m)
         elems = np.arange(m.num_triangles)
         cond = []
         for p in range(1, 7):
-            G = gram_blocks(broken_hdiv_space(sk, p), elems, 2 * p + 2, "Hdiv")
+            G = gram_blocks(broken_hdiv_space(m, p), elems, 2 * p + 2, "Hdiv")
             cond.append(np.linalg.cond(G).max())
         assert cond[-1] <= 1.1 * cond[0]
         assert max(cond) < 1e6
@@ -392,7 +390,7 @@ class TestConstraints:
     def test_gamma1_traction_constraint_values(self):
         m = build_lshape_mesh()
         field = PolyField(1)
-        space = hdiv_space(skeleton(m), 2, gamma1_constrained=True, traction_fn=field.traction)
+        space = hdiv_space(m, 2, gamma1_constrained=True, traction_fn=field.traction)
         coeffs = interpolate(space, field)
         x = space.constraint_vector()
         assert np.abs(x[space.constrained_dofs] - coeffs[space.constrained_dofs]).max() < 1e-12
@@ -437,7 +435,7 @@ class TestTopologicalNumbering:
         m = scaled_mesh(build_square_mesh(2), 1e-11)
         field = PolyField(1)
         s = h1_space(m, p, gamma0_constrained=True, bc_fn=field.displacement)
-        th12, _ = trace_spaces(skeleton(m), p, u0_fn=field.displacement)
+        th12, _ = trace_spaces(m, p, u0_fn=field.displacement)
         assert len(th12.constrained_dofs) == 2 * 4 * 2 * p
         assert np.array_equal(s.constrained_dofs, th12.constrained_dofs)
         assert np.array_equal(s.constrained_values, th12.constrained_values)
@@ -446,7 +444,7 @@ class TestTopologicalNumbering:
     def test_h1_edge_ids_equal_trace_h12(self, p):
         m = corner_refined_lshape()
         s = h1_space(m, p)
-        th12, _ = trace_spaces(skeleton(m), p)
+        th12, _ = trace_spaces(m, p)
         ref = np.array([[i / p, j / p] for j in range(p + 1) for i in range(p + 1 - j)])
         geom = m.geometry
         t = np.arange(p + 1) / p
@@ -477,7 +475,7 @@ class TestTopologicalNumbering:
         leg = legendre01_eval(3, tq)
         for eids in (np.arange(m.num_edges), m.boundary_edge_ids(GAMMA1)):
             shapes.clear()
-            mom = _edge_moments(m, sk, eids, 3, 12, traction)
+            mom = _edge_moments(m, eids, 3, 12, traction)
             pts = edge_points(m, eids, tq)
             for n, eid in enumerate(eids):
                 ref = np.einsum("q,mq,qc->mc", twq, leg, field.traction(pts[n], sk.normals[eid]))
@@ -488,8 +486,7 @@ class TestTopologicalNumbering:
     def test_trace_hm12_traction_constraint_values(self):
         m = build_lshape_mesh()
         field = PolyField(1)
-        sk = skeleton(m)
-        _, thm12 = trace_spaces(sk, 2, traction_fn=field.traction)
+        _, thm12 = trace_spaces(m, 2, traction_fn=field.traction)
         coeffs = interpolate(thm12, field)
         assert len(thm12.constrained_dofs) > 0
         assert np.array_equal(coeffs[thm12.constrained_dofs], thm12.constrained_values)
@@ -501,8 +498,8 @@ class TestEmptyElementList:
     SPACES = {
         "H1": lambda m: h1_space(m, 2),
         "BrokenH1": lambda m: broken_h1_space(m, 2),
-        "Hdiv": lambda m: hdiv_space(skeleton(m), 2),
-        "BrokenHdiv": lambda m: broken_hdiv_space(skeleton(m), 2),
+        "Hdiv": lambda m: hdiv_space(m, 2),
+        "BrokenHdiv": lambda m: broken_hdiv_space(m, 2),
         "L2vec": lambda m: l2_space(m, 1, "L2vec"),
         "L2sym": lambda m: l2_space(m, 1, "L2sym"),
         "L2skew": lambda m: l2_space(m, 1, "L2skew"),
