@@ -22,7 +22,7 @@ from .material import MaterialParams
 from .mesh import build_square_mesh, build_lshape_mesh, uniform_refine, write_vtk
 from .exact_solutions import smooth_solution_2d, singular_solution, error_norms
 from .forms import bc_from_exact, FORMULATION_IDS
-from .dpg_solver import solve_dpg, solve_galerkin_primal
+from .dpg_solver import solve
 from .residual_adaptivity import element_residuals, adaptive_loop
 from .infsup_lab import discrete_infsup
 from .persistence_formats import StudyManifest
@@ -157,12 +157,6 @@ def estimate_rate(record, K: int, key: str = "rel_error") -> float:
     return float(np.linalg.lstsq(A, vals, rcond=None)[0][0])
 
 
-def _solve_once(cfg, mesh, exact, bc):
-    if cfg.formulation == "galerkin":
-        return solve_galerkin_primal(mesh, exact.material, cfg.p, bc)
-    return solve_dpg(cfg.formulation, mesh, exact.material, cfg.p, dp=cfg.dp, bc=bc)
-
-
 def _residual_total(cfg, fields):
     if cfg.formulation == "galerkin":
         return float("nan")
@@ -198,7 +192,7 @@ def run_convergence(cfg: RunConfig) -> ConvergenceRecord:
     record = ConvergenceRecord(config=cfg)
     for step in range(cfg.steps + 1):
         t0 = time.perf_counter()
-        fields = _solve_once(cfg, mesh, exact, bc)
+        fields = solve(cfg.formulation, mesh, exact.material, cfg.p, dp=cfg.dp, bc=bc)
         eta = _residual_total(cfg, fields)
         rel, _ = error_norms(fields, exact)
         record.steps.append(

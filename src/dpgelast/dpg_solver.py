@@ -36,18 +36,23 @@ comes without condensation from the symmetric saddle-point system
 which also exposes the error representation function psi; it scatters M
 by forms.scatter_blocks and G by forms.gram_matrix.
 
-An L2 test slot whose broken test space contains the slot's residual
-B(U_h) gives the exact L2 Riesz map, so the least-squares variants are
-condensed solves with large enough test spaces: solve_fosls is the
-Strong formulation with order-p L2 test spaces, and solve_hybrid_mixed
-the Mixed formulation at dp=1. With conservative=True the hybrid solve
-minimizes the same functional subject to int_K (div sigma_h + f) = 0 on
-every element, solving the KKT system with one P0(K)^2 Lagrange
-multiplier per element. A classical Galerkin primal solver, on the
-blocks of the unbroken primal pair (forms.unbroken_formulation), is
-included as a reference; its Gamma1 traction load evaluates g once per
-distinct edge normal (spaces.edge_values). path_formulation builds the
-formulation of each named path, for its solve and for load_solution.
+Every named path of SOLVE_PATHS is solved by one entry point,
+solve(path, mesh, material, p, *, dp=1, bc=None), on the formulation
+path_formulation builds for it. The five broken formulations take the
+enrichment dp; the other paths fix their own. An L2 test slot whose
+broken test space contains the slot's residual B(U_h) gives the exact L2
+Riesz map, so the least-squares paths are condensed solves with large
+enough test spaces: fosls is the Strong formulation with order-p L2 test
+spaces at the dp=0 rule, and hybrid_mixed the Mixed formulation at dp=1.
+hybrid_mixed_conservative minimizes the same functional subject to
+int_K (div sigma_h + f) = 0 on every element, solving the KKT system
+with one P0(K)^2 Lagrange multiplier per element (Ellis, Demkowicz,
+Chan, Moser, CAMWA 68, 2014). galerkin, the classical conforming primal
+solve, is included as a reference: its K and body-force load are the
+element blocks M and l of the unbroken primal pair
+(forms.unbroken_formulation), whose test space is the trial space, and
+its Gamma1 traction load evaluates g once per distinct edge normal
+(spaces.edge_values).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import scipy.sparse.linalg as spla
 from .material import MaterialParams
 from .mesh import Mesh, GAMMA0, GAMMA1
 from .quadrature import edge_rule
-from .spaces import edge_flips, edge_reference, edge_values
+from .spaces import edge_reference, edge_values
 from .forms import (
     DESCRIPTORS,
     FORMULATION_IDS,
@@ -219,7 +224,7 @@ def assemble_normal_equations(form: Formulation, chunk: int = CHUNK) -> GlobalSy
     keep[gdofs[:, li]] = False
     inum = np.cumsum(keep) - 1  # interface numbering of the kept dofs
     idofs = inum[gdofs[:, ii]]
-    cls = form.classes
+    cls = form.mesh.classes
     ncls = cls.max() + 1
     S = np.empty((ncls, len(ii), len(ii)))  # each class's Schur complement
     L = np.empty((ncls, len(li), len(li)))
@@ -374,9 +379,12 @@ SOLVE_PATHS = FORMULATION_IDS + ("fosls", "hybrid_mixed", "hybrid_mixed_conserva
 
 def path_formulation(name, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> Formulation:
     """The formulation a named solve path (SOLVE_PATHS) solves: a broken
-    formulation at (p, dp), or that of solve_fosls (Strong at dp=0 with
-    order-p L2 test spaces), solve_hybrid_mixed (either path) or
-    solve_galerkin_primal."""
+    formulation at (p, dp); for fosls, Strong at dp=0 (its quadrature
+    rule) with the order-p L2 test spaces of dp=1, which hold
+    sigma_h - C grad u_h, div sigma_h and skew sigma_h; for either hybrid
+    path, Mixed at dp=1, whose order-p L2 test spaces hold div sigma_h and
+    skew sigma_h; for galerkin, the unbroken primal pair at test order p.
+    The last four ignore dp."""
     if name == "fosls":
         form = formulation("strong", mesh, material, p, dp=0, bc=bc)
         return replace(form, test_spaces=build_test_spaces(form.desc, mesh, p, 1))
@@ -387,9 +395,24 @@ def path_formulation(name, mesh, material, p, dp=1, bc: Optional[BCData] = None)
     return formulation(name, mesh, material, p, dp=dp, bc=bc)
 
 
-def solve_dpg(spec_id, mesh, material, p, dp=1, bc: Optional[BCData] = None) -> SolutionFields:
-    """Convenience wrapper: build the formulation and solve it."""
-    return assemble_and_solve(formulation(spec_id, mesh, material, p, dp=dp, bc=bc))
+def solve(path, mesh, material, p, *, dp=1, bc: Optional[BCData] = None) -> SolutionFields:
+    """Solve the named path (SOLVE_PATHS) on the mesh at trial order p.
+
+    Only the five broken formulations take an enrichment dp; another dp
+    than 1 on a path that fixes its own, or an unknown path, raises
+    ValueError. The result carries the path's name as spec_name.
+    """
+    if path not in SOLVE_PATHS:
+        raise ValueError(f"unknown solve path {path!r}; options: {SOLVE_PATHS}")
+    if dp != 1 and path not in FORMULATION_IDS:
+        raise ValueError(f"solve path {path!r} fixes its own enrichment, got dp={dp}")
+    form = path_formulation(path, mesh, material, p, dp, bc)
+    if path == "galerkin":
+        fields = _solve_galerkin(form)
+    else:
+        C, d = _momentum_constraints(form) if path == "hybrid_mixed_conservative" else (None, None)
+        fields = assemble_and_solve(form, C, d)
+    return replace(fields, spec_name=path)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +451,7 @@ def solve_saddle_point(form: Formulation) -> SolutionFields:
 
 
 # ---------------------------------------------------------------------------
-# least-squares paths: condensed solves with exact-L2 test spaces
-
-
-def solve_fosls(mesh, material, p, bc: Optional[BCData] = None) -> SolutionFields:
-    """First-order-system least squares: the Strong formulation with the
-    exact L2 Riesz map. Its order-p L2 test spaces hold sigma_h - C grad u_h,
-    div sigma_h and skew sigma_h; dp=0 keeps the 2p+2 quadrature rule."""
-    return replace(assemble_and_solve(path_formulation("fosls", mesh, material, p, bc=bc)), spec_name="fosls")
+# elementwise momentum balance of hybrid_mixed_conservative
 
 
 def _momentum_constraints(form: Formulation):
@@ -452,39 +468,17 @@ def _momentum_constraints(form: Formulation):
     return C, -f_int.ravel()
 
 
-def solve_hybrid_mixed(mesh, material, p, bc: Optional[BCData] = None, *, conservative: bool = False) -> SolutionFields:
-    """The Mixed formulation at dp=1: its order-p L2 test spaces hold
-    div sigma_h and skew sigma_h, so the discontinuous test slots use the
-    exact L2 Riesz map.
-
-    By default this is solve_dpg("mixed"). Its stationarity couples the
-    momentum residual with the constitutive and symmetry residuals, so
-    momentum is not balanced elementwise. With conservative=True the same
-    functional is minimized subject to int_K (div sigma_h + f) = 0 on
-    every element K, through one Lagrange multiplier in P0(K)^2 per
-    element (Ellis, Demkowicz, Chan, Moser, CAMWA 68, 2014); the
-    multipliers are not returned, and the solve path is named
-    hybrid_mixed_conservative.
-    """
-    name = "hybrid_mixed_conservative" if conservative else "hybrid_mixed"
-    form = path_formulation(name, mesh, material, p, bc=bc)
-    C, d = _momentum_constraints(form) if conservative else (None, None)
-    return replace(assemble_and_solve(form, C, d), spec_name=name)
-
-
 # ---------------------------------------------------------------------------
 # classical Galerkin reference
 
 
-def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> SolutionFields:
-    """Standard conforming Galerkin method for the primal problem:
+def _solve_galerkin(form: Formulation) -> SolutionFields:
+    """Standard conforming Galerkin method for the primal problem on the
+    unbroken primal pair form (path_formulation("galerkin")):
     (C grad u, grad v) = (f, v) + (g, v)_Gamma1 on H1 with the
-    displacement boundary eliminated: K and the body-force load are the
-    element blocks M and l of the unbroken primal pair at test order p,
-    whose test space is the trial space."""
+    displacement boundary eliminated. The result keeps form=None."""
+    mesh, p, bc, space = form.mesh, form.p, form.bc, form.field_spaces["u"]
     _require_gamma0(mesh)
-    form = path_formulation("galerkin", mesh, material, p, bc=bc)
-    bc, space = form.bc, form.field_spaces["u"]
     blocks = assemble_local_blocks(form)
     n = space.ndof
     K = scatter_blocks([(space.elt_dofs, space.elt_dofs, blocks.M, blocks.cls)], (n, n))
@@ -496,9 +490,9 @@ def solve_galerkin_primal(mesh, material, p, bc: Optional[BCData] = None) -> Sol
         g1 = mesh.boundary_edge_ids(GAMMA1)
         t0 = mesh.edge_tris[g1, 0]
         loc = np.argmax(mesh.tri_edges[t0] == g1[:, None], axis=1)
-        ev = edge_reference("H1", p, tq)[loc, edge_flips(mesh, t0)[np.arange(len(g1)), loc]]  # (ne, nloc, nq, 2)
+        ev = edge_reference("H1", p, tq)[loc, mesh.edge_flips[t0, loc]]  # (ne, nloc, nq, 2)
         load = mesh.skeleton.lengths[g1, None] * np.einsum("q,eqc,elqc->el", twq, edge_values(mesh, g1, tq, bc.g), ev)
         np.add.at(rhs, space.elt_dofs[t0].ravel(), load.ravel())
     layout = trial_layout(form)
     x, info = _solve_constrained(K, rhs, layout.constrained, layout.values)
-    return replace(_fields_from_vector(form, layout, x, {"solver": info}), spec_name="galerkin", form=None)
+    return replace(_fields_from_vector(form, layout, x, {"solver": info}), form=None)

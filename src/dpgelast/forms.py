@@ -15,8 +15,8 @@ in batched numpy arrays. Every element is affine (its map is
 Mesh.geometry) and the material constant, so M and G depend on an
 element only through its Jacobian J, the orientations of its edges and
 the signs of its trace normals: elements with equal keys form one
-geometry class (geometry_classes, once per Formulation, kept by
-replace), and M and G are built once per class, on its first element;
+geometry class (Mesh.classes, once per mesh), and M and G are built
+once per class, on its first element;
 only the load l is built per element. Work is chunked over whole classes
 with their elements (class_chunks) to bound memory, and a product of a
 class matrix with its elements' arrays runs on them side by side
@@ -52,7 +52,7 @@ the right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -77,7 +77,6 @@ from .spaces import (
     row_copies,
     geometry_map,
     dual_rows,
-    edge_flips,
     edge_reference,
 )
 
@@ -223,7 +222,7 @@ def bc_from_exact(exact) -> BCData:
 
 def _trial_space(kind, mesh, p, bc: BCData, gamma0=True):
     if kind == "Hdiv":
-        return hdiv_space(mesh, p, gamma1_constrained=True, traction_fn=bc.g)
+        return hdiv_space(mesh, p, traction_fn=bc.g)
     if kind == "H1":
         return h1_space(mesh, p, gamma0_constrained=gamma0, bc_fn=bc.u0)
     if kind in ("L2sym", "L2vec", "L2skew"):
@@ -259,7 +258,6 @@ class Formulation:
     field_spaces: dict
     trace_spaces: dict
     test_spaces: dict
-    _classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def id(self):
@@ -272,15 +270,6 @@ class Formulation:
 
     def quad_degree(self):
         return 2 * (self.p + self.dp) + 2
-
-    @property
-    def classes(self) -> np.ndarray:
-        """The geometry class of each element (geometry_classes), computed
-        on first use. It depends on the mesh only, so dataclasses.replace
-        hands it on to a formulation with other spaces."""
-        if self._classes is None:
-            self._classes = geometry_classes(self.mesh)
-        return self._classes
 
 
 def formulation(spec_id: str, mesh: Mesh, material: MaterialParams, p: int, dp: int = 1, bc: Optional[BCData] = None) -> Formulation:
@@ -366,20 +355,6 @@ def project_to_kind(arr, kind):
 # geometry classes
 
 CHUNK = 512  # elements per assembly chunk of whole classes
-
-
-def geometry_classes(mesh: Mesh) -> np.ndarray:
-    """Class index (nelt,) of the elements of the mesh by the key
-    of everything their data-free blocks depend on, compared bitwise: the
-    Jacobian J, the edge orientations (edge_flips) and the trace normal
-    signs. Classes are numbered largest first, ties by first element, so a
-    mesh without repeated keys gets arange(nelt)."""
-    J = np.ascontiguousarray(mesh.geometry.J).reshape(-1, 4).view(np.int64)
-    keys = np.concatenate([J, edge_flips(mesh, slice(None)), mesh.skeleton.tri_signs], axis=1)
-    _, first, inv, counts = np.unique(keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.lexsort((first, -counts))] = np.arange(len(first))
-    return rank[inv.ravel()]
 
 
 def class_chunks(cls, chunk: int = CHUNK):
@@ -577,7 +552,7 @@ def trace_pairing_blocks(test_space: DofSpace, trace_space: DofSpace, elems, deg
     fac = sk.lengths[mesh.tri_edges[elems]] if test_space.kind.endswith("H1") else test_space.mesh.geometry.hscale[elems, None]
     if trace_space.kind == "TraceHm12":
         fac = sk.tri_signs[elems] * fac
-    blk = fac[..., None, None] * T[np.arange(3), edge_flips(mesh, elems)]
+    blk = fac[..., None, None] * T[np.arange(3), mesh.edge_flips[elems]]
     return dual_rows(test_space, elems, blk.transpose(0, 2, 1, 3).reshape(len(elems), test_space.nloc, -1))
 
 
@@ -589,7 +564,7 @@ def assemble_local_blocks(form: Formulation, elems=None, quad_degree=None) -> Lo
         elems = np.arange(form.mesh.num_triangles)
     elems = np.asarray(elems, dtype=np.int64)
     degree = quad_degree if quad_degree is not None else form.quad_degree()
-    _, first, cls = np.unique(form.classes[elems], return_index=True, return_inverse=True)
+    _, first, cls = np.unique(form.mesh.classes[elems], return_index=True, return_inverse=True)
     reps, cls = elems[first], cls.ravel()
 
     test_slices, ntest, trial_slices, ntrial = _local_layout(form)

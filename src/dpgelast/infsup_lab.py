@@ -203,7 +203,7 @@ def zero_jump_tests(mesh: Mesh, p: int, n_samples: int = 50, seed: int = 7):
     results = {}
     for label, conf, brok, trace, norm in (
         ("h1", h1_space(mesh, p, gamma0_constrained=True), broken_h1_space(mesh, p), thm12, "H1"),
-        ("hdiv", hdiv_space(mesh, p, gamma1_constrained=True), broken_hdiv_space(mesh, p), th12, "Hdiv"),
+        ("hdiv", hdiv_space(mesh, p), broken_hdiv_space(mesh, p), th12, "Hdiv"),
     ):
         J = jump_pairing_matrix(brok, trace)
         bnorm = np.empty(brok.ndof)  # sqrt(G_ii): the norm of each broken basis function

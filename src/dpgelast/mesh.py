@@ -11,9 +11,11 @@ Boundary edges carry one of two tags: "g0" (displacement boundary) or
 "g1" (traction boundary). Tags are inherited by the child halves of a
 split boundary edge and never change class.
 
-Every element is affine; the mesh owns their maps (Mesh.geometry) and its
-skeleton (Mesh.skeleton), each built on first use and shared by every
-space and formulation on the mesh.
+Every element is affine; the mesh owns their maps (Mesh.geometry), its
+skeleton (Mesh.skeleton), the orientation of each local edge against its
+global edge (Mesh.edge_flips) and the geometry class of each element
+(Mesh.classes, geometry_classes), each built on first use and shared by
+every space and formulation on the mesh.
 """
 
 from __future__ import annotations
@@ -160,6 +162,19 @@ class Mesh:
         # the builder is looked up by name, so a wrapper bound in its place sees every build
         return skeleton(self)
 
+    @cached_property
+    def edge_flips(self) -> np.ndarray:
+        """(nt, 3) orientation index of each local edge, built on first use:
+        1 where the global edge parameter runs against it, i.e. the
+        element's vertex k is the higher-numbered end of its edge k."""
+        return (self.triangles != self.edges[self.tri_edges, 0]).astype(np.int64)
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The geometry class of each element, built on first use."""
+        # looked up by name, as the skeleton builder is
+        return geometry_classes(self)
+
     def areas(self) -> np.ndarray:
         return 0.5 * np.abs(self.geometry.det)
 
@@ -218,6 +233,20 @@ def skeleton(mesh: Mesh) -> Skeleton:
     owner = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.num_triangles)[:, None]
     tri_signs = np.where(owner, 1, -1)
     return Skeleton(normals=normals, tangents=tangents, lengths=lengths, tri_signs=tri_signs)
+
+
+def geometry_classes(mesh: Mesh) -> np.ndarray:
+    """Class index (nelt,) of the elements of the mesh by the key
+    of everything their data-free blocks depend on, compared bitwise: the
+    Jacobian J, the edge orientations (edge_flips) and the trace normal
+    signs. Classes are numbered largest first, ties by first element, so a
+    mesh without repeated keys gets arange(nelt)."""
+    J = np.ascontiguousarray(mesh.geometry.J).reshape(-1, 4).view(np.int64)
+    keys = np.concatenate([J, mesh.edge_flips, mesh.skeleton.tri_signs], axis=1)
+    _, first, inv, counts = np.unique(keys, axis=0, return_index=True, return_inverse=True, return_counts=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.lexsort((first, -counts))] = np.arange(len(first))
+    return rank[inv.ravel()]
 
 
 def _set_refinement_edges(vertices, triangles):

@@ -108,6 +108,8 @@ def load_solution(path, spec, mesh, bc=None):
             )
         material = MaterialParams(lam=float(header["lam"]), mu=float(header["mu"]))
         p, dp = header["p"], header["dp"]
+        if type(p) is not int or type(dp) is not int or p < 1 or dp < 0:  # bool is an int subclass
+            raise PersistenceError(f"{path}: orders p={p!r}, dp={dp!r} are not integers p >= 1 and dp >= 0")
         coeffs = {}
         i = 2
         while i < len(lines):

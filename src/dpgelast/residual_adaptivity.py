@@ -97,7 +97,7 @@ def element_residuals(fields: SolutionFields, p_res: Optional[int] = None) -> Re
         form_res = replace(form, desc=sub, dp=dp_res, test_spaces=build_test_spaces(sub, form.mesh, form.p, dp_res))
     x = fields.full_vector()
     eta2 = np.zeros(form.mesh.num_triangles)
-    for elems in class_chunks(form.classes):
+    for elems in class_chunks(form.mesh.classes):
         if inverted:
             xloc = x[element_trial_dofs(form_res, fields.layout, elems)]
             eta2[elems] += _dual_norms_sq(assemble_local_blocks(form_res, elems), xloc, inverted)

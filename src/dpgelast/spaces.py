@@ -36,7 +36,9 @@ Conventions:
   nodal functions (TraceH12) and per-edge discontinuous Legendre modes of
   order p-1 measured against the fixed normal (TraceHm12).
 * Every builder takes the mesh; the H(div) and trace spaces read its
-  skeleton (Mesh.skeleton), and a conforming H(div) space keeps C.
+  skeleton (Mesh.skeleton), H1 and the conforming H(div) space the
+  orientation of each local edge (Mesh.edge_flips), and a conforming
+  H(div) space keeps C and constrains its Gamma1 moments.
 
 Every element is affine, so each basis is a reference basis and a
 per-element linear map: reference_basis gives components r (nloc, nq, R)
@@ -333,7 +335,7 @@ def h1_space(mesh: Mesh, p: int, gamma0_constrained: bool = False, bc_fn=None) -
     for k in range(3):
         eids = mesh.tri_edges[:, k]
         nodes = ids[eids]
-        flip = mesh.triangles[:, k] != mesh.edges[eids, 0]
+        flip = mesh.edge_flips[:, k] == 1
         nodes[flip] = nodes[flip, ::-1]
         elt_scalar[:, edge_loc[k]] = nodes
     base = mesh.num_vertices + (p - 1) * mesh.num_edges
@@ -466,18 +468,18 @@ def _rt_dual(space: DofSpace):
     scale = sk.tri_signs * geom.hscale[:, None] / sk.lengths[space.mesh.tri_edges]
     Jh = geom.J / geom.hscale[:, None, None]
     rows = lambda pts: reference_basis("Hdiv", k + 1, "val", pts)[0::2, :, :2]  # one stress row
-    return np.linalg.inv(_rt_dofs(k, rows, Jh, scale, edge_flips(space.mesh, slice(None))))
+    return np.linalg.inv(_rt_dofs(k, rows, Jh, scale, space.mesh.edge_flips))
 
 
-def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn=None) -> DofSpace:
+def hdiv_space(mesh: Mesh, p: int, traction_fn=None) -> DofSpace:
     """Conforming Raviart-Thomas-family tensor space (2 rows) of order p on the mesh.
 
     Edge normal traces have order p-1; interior edge dofs are shared
-    between neighbours through the fixed-normal moment functionals. When
-    gamma1_constrained is set, the normal-trace dofs on the traction
-    boundary are constrained, with values projected from
-    traction_fn(pts, normal) -> (nedges, nq, 2), called once per distinct
-    edge normal on the points of its edges (zero by default).
+    between neighbours through the fixed-normal moment functionals. The
+    normal-trace dofs on the traction boundary are constrained, with
+    values projected from traction_fn(pts, normal) -> (nedges, nq, 2),
+    called once per distinct edge normal on the points of its edges (zero
+    by default).
     """
     if p < 1:
         raise ValueError(f"H(div) order must be at least 1, got {p}")
@@ -495,8 +497,7 @@ def hdiv_space(mesh: Mesh, p: int, gamma1_constrained: bool = False, traction_fn
         elt_dofs=_interleave(np.concatenate([edge, inner], axis=1), 2),
     )
     space.C = _rt_dual(space)
-    if gamma1_constrained:
-        _constrain_gamma1(space, nmom, 2 * p + 4, traction_fn)
+    _constrain_gamma1(space, nmom, 2 * p + 4, traction_fn)
     return space
 
 
@@ -706,13 +707,6 @@ def volume_basis(space: DofSpace, elems, ref_pts) -> Basis:
         a = (r.reshape(-1, r.shape[2]) @ P.transpose(0, 2, 1)).reshape((len(elems),) + r.shape[:2] + P.shape[1:2])
         out[deriv] = dual_rows(space, elems, a).reshape(a.shape[:3] + (2,) * (P.shape[1] // 2))
     return Basis(**out)
-
-
-def edge_flips(mesh: Mesh, elems) -> np.ndarray:
-    """(nelt, 3) orientation index of each local edge: 1 where the global
-    edge parameter runs against it, i.e. the element's vertex k is the
-    higher-numbered end of its edge k."""
-    return (mesh.triangles[elems] != mesh.edges[mesh.tri_edges[elems], 0]).astype(np.int64)
 
 
 def edge_reference(fam: str, order: int, t) -> np.ndarray:

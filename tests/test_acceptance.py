@@ -2,10 +2,9 @@
 
 Each test exercises one numbered criterion and prints a single
 PASS/FAIL line; the assertion mirrors the printed verdict. Criterion 8
-checks the conservative hybridized mixed solve
-(solve_hybrid_mixed(..., conservative=True)), which enforces
+checks the solve path hybrid_mixed_conservative, which enforces
 int_K (div sigma_h + f) = 0 on every element through per-element
-Lagrange multipliers. The default hybridized solve is the exact-L2 path
+Lagrange multipliers. The plain path hybrid_mixed is the exact-L2 path
 of the mixed minimum-residual method: its stationarity couples the
 momentum residual with the constitutive and symmetry residuals, so it
 does not balance momentum elementwise and is not the solve criterion 8
@@ -33,7 +32,7 @@ from dpgelast.exact_solutions import (
     error_norms,
 )
 from dpgelast.forms import bc_from_exact
-from dpgelast.dpg_solver import solve_dpg, solve_fosls, solve_hybrid_mixed
+from dpgelast.dpg_solver import solve
 from dpgelast.residual_adaptivity import (
     element_residuals,
     mark,
@@ -111,8 +110,8 @@ def test_criterion_03_fosls_equals_strong(smooth):
     mesh = build_square_mesh(4)
     worst = 0.0
     for p in (1, 2):
-        a = solve_dpg("strong", mesh, smooth.material, p, bc=bc)
-        b = solve_fosls(mesh, smooth.material, p, bc)
+        a = solve("strong", mesh, smooth.material, p, bc=bc)
+        b = solve("fosls", mesh, smooth.material, p, bc=bc)
         d = np.linalg.norm(a.coeffs["u"] - b.coeffs["u"]) / np.linalg.norm(a.coeffs["u"])
         worst = max(worst, d)
     dt = time.perf_counter() - t0
@@ -187,8 +186,8 @@ def test_criterion_07_adaptivity_beats_uniform(singular, tmp_path):
 
 
 def test_criterion_08_hybrid_conservation(smooth):
-    f = solve_hybrid_mixed(
-        build_square_mesh(4), smooth.material, 1, bc=bc_from_exact(smooth), conservative=True
+    f = solve(
+        "hybrid_mixed_conservative", build_square_mesh(4), smooth.material, 1, bc=bc_from_exact(smooth)
     )
     defect, fnorm = local_conservation_defect(f)
     worst = defect.max()
@@ -227,7 +226,7 @@ def test_criterion_10_infsup():
 
 def test_criterion_11_strong_eta_vs_error_norm(smooth):
     mesh = build_square_mesh(4)
-    f = solve_dpg("strong", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
+    f = solve("strong", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
     eta = element_residuals(f).total
 
     rule = triangle_rule(20)

@@ -8,7 +8,9 @@ forms.free_ids, from a boolean mask and with no setdiff1d anywhere, called
 by forms.slot_layout, and by dpg_solver._solve_constrained on the interface
 numbering, only; and each element fact is stored once: the affine maps
 and the skeleton are built by Mesh.geometry and Mesh.skeleton alone, and
-no other module imports the skeleton builder, a space keeps typed fields,
+no other module imports the skeleton builder, the edge orientations and
+the geometry classes are defined in mesh.py alone and built by
+Mesh.edge_flips and Mesh.classes, a space keeps typed fields,
 not a payload dict, and an element operator is one M = [B | Bhat], never
 glued from a separate trace block."""
 
@@ -121,3 +123,16 @@ def test_skeleton_built_only_by_the_mesh():
     sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "skeleton", calls_only=True)]
     assert imports == []
     assert sites == [("mesh.py", "skeleton")]
+
+
+def test_edge_flips_and_classes_only_in_the_mesh():
+    # both depend on the mesh alone, so the mesh builds them once
+    defs = [
+        (p.name, node.name)
+        for p in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("edge_flips", "geometry_classes")
+    ]
+    sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "geometry_classes", calls_only=True)]
+    assert sorted(defs) == [("mesh.py", "edge_flips"), ("mesh.py", "geometry_classes")]
+    assert sites == [("mesh.py", "classes")]

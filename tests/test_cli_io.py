@@ -213,6 +213,14 @@ class TestInfSupRun:
         run_infsup(RunConfig(p=1, output_dir=str(tmp_path)))
         assert len(builds) == 3
 
+    def test_geometry_classes_once_per_mesh(self, tmp_path, monkeypatch):
+        # each of the three meshes numbers its geometry classes once for the
+        # ten problems on it
+        builds, build = [], dpgelast.mesh.geometry_classes
+        monkeypatch.setattr(dpgelast.mesh, "geometry_classes", lambda mesh: builds.append(mesh) or build(mesh))
+        run_infsup(RunConfig(p=1, output_dir=str(tmp_path)))
+        assert len(builds) == 3
+
     def test_byte_identical_reruns(self, tmp_path):
         texts = [run_infsup(RunConfig(p=1, output_dir=str(tmp_path / sub))).read_bytes() for sub in ("a", "b")]
         assert texts[0] == texts[1]
@@ -260,7 +268,7 @@ class TestMain:
         def no_solve(*args, **kwargs):
             raise AssertionError("a solve ran on a bad config")
 
-        monkeypatch.setattr(cli_io, "_solve_once", no_solve)
+        monkeypatch.setattr(cli_io, "solve", no_solve)
         rc = main(["converge", "--set", override, "--set", f"output_dir={tmp_path}"])
         assert rc == 1
         assert override.split("=")[0] in capsys.readouterr().err

@@ -10,7 +10,7 @@ from dpgelast.material import MaterialParams, stiffness_apply_array
 from dpgelast.mesh import Mesh, build_lshape_mesh
 from dpgelast.quadrature import triangle_rule, map_to_physical, graded_triangle_rule
 from dpgelast.forms import bc_from_exact
-from dpgelast.dpg_solver import solve_dpg
+from dpgelast.dpg_solver import solve
 from dpgelast.spaces import evaluate_field, evaluate_field_gradient
 from dpgelast.exact_solutions import (
     ExactSolution,
@@ -295,7 +295,7 @@ class TestErrorNorms:
 
     @pytest.mark.parametrize("spec", ["primal", "strong"])
     def test_corner_groups_match_per_element_sum(self, singular, rotated_lshape, spec):
-        fields = solve_dpg(spec, rotated_lshape, singular.material, 2, bc=bc_from_exact(singular))
+        fields = solve(spec, rotated_lshape, singular.material, 2, bc=bc_from_exact(singular))
         rel, slots = error_norms(fields, singular, quad_degree=10)
         ref_rel, ref_sig = reference_norms(fields, singular, 10)
         assert abs(rel - ref_rel) <= 1e-12 * ref_rel

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from dpgelast.material import MaterialParams
-from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, uniform_refine, skeleton, refine
+from dpgelast.mesh import Mesh, build_square_mesh, build_lshape_mesh, uniform_refine, skeleton, refine, geometry_classes
 from dpgelast.quadrature import triangle_rule, map_to_physical, edge_rule
 from dpgelast.spaces import (
     interpolate,
@@ -20,7 +20,6 @@ from dpgelast.spaces import (
     broken_h1_space,
     broken_hdiv_space,
     row_copies,
-    edge_flips,
 )
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import (
@@ -43,7 +42,6 @@ from dpgelast.forms import (
     slot_layout,
     element_dofs,
     element_trial_dofs,
-    geometry_classes,
     class_chunks,
     ClassGroups,
 )
@@ -184,7 +182,7 @@ class TestGeometryClasses:
         # two (J, flips) shapes; the elements with an edge on the boundary,
         # where the element owns the fixed normal, carry other trace signs
         m = build_square_mesh(32)
-        flips = edge_flips(m, slice(None))
+        flips = m.edge_flips
         keys = np.concatenate([m.geometry.J.reshape(-1, 4).view(np.int64), flips], axis=1)
         assert len(np.unique(keys, axis=0)) == 2
         assert np.array_equal(np.bincount(mesh_classes(m)), [992, 992, 32, 32])
@@ -203,7 +201,7 @@ class TestGeometryClasses:
     def test_members_share_key_bitwise(self, mesh):
         m = uniform_refine(build_square_mesh(3)) if mesh == "square" else corner_graded_lshape(5)
         cls, geom, sk = mesh_classes(m), m.geometry, skeleton(m)
-        flips = edge_flips(m, slice(None))
+        flips = m.edge_flips
         counts = np.bincount(cls)
         assert np.all(np.diff(counts) <= 0)  # numbered largest first
         for k in range(len(counts)):

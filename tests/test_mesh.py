@@ -90,6 +90,17 @@ def test_refine_single_conforming():
     assert abs(r.areas().sum() - 1.0) < 1e-13
 
 
+def test_edge_flips_and_classes_built_on_first_use_and_kept(tmp_path):
+    # dump-mesh builds, refines and writes a mesh, and none of its element facts
+    m = uniform_refine(build_lshape_mesh(2))
+    write_vtk(m, tmp_path / "mesh.vtk")
+    assert not {"geometry", "skeleton", "edge_flips", "classes"} & set(vars(m))
+    flips, cls = m.edge_flips, m.classes
+    assert m.edge_flips is flips and m.classes is cls
+    # local edge k runs from vertex k to vertex k+1, the global one from its lower vertex
+    assert np.array_equal(flips, m.triangles > np.roll(m.triangles, -1, axis=1))
+
+
 def test_geometry_is_built_on_first_use_and_kept():
     # building and refining never form the affine maps, which hold about
     # 96 bytes per triangle

@@ -9,7 +9,7 @@ import pytest
 from dpgelast.mesh import build_square_mesh, uniform_refine
 from dpgelast.exact_solutions import smooth_solution_2d
 from dpgelast.forms import bc_from_exact
-from dpgelast.dpg_solver import assemble_and_solve, solve_dpg, solve_fosls, solve_galerkin_primal, solve_hybrid_mixed
+from dpgelast.dpg_solver import assemble_and_solve, solve
 from dpgelast.residual_adaptivity import element_residuals
 from dpgelast.persistence_formats import (
     FORMAT_VERSION,
@@ -25,7 +25,7 @@ from dpgelast.persistence_formats import (
 def solved():
     smooth = smooth_solution_2d()
     mesh = build_square_mesh(2)
-    f = solve_dpg("ultraweak", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
+    f = solve("ultraweak", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
     return mesh, f
 
 
@@ -137,11 +137,27 @@ class TestSolutionFile:
         if cause is not None:
             assert isinstance(info.value.__cause__, cause)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("p", "2"), ("p", 2.5), ("p", None), ("p", 0), ("p", -1), ("p", True), ("dp", True), ("dp", "1"), ("dp", -1)],
+    )
+    def test_bad_orders_raise_persistence_error(self, solved, tmp_path, key, value):
+        # the orders rebuild the spaces, so one of the wrong type or range is malformed
+        mesh, f = solved
+        path = tmp_path / "sol.txt"
+        save_solution(f, path)
+        body = path.read_text().splitlines()
+        header = json.loads(body[1])
+        header[key] = value
+        path.write_text("\n".join([body[0], json.dumps(header)] + body[2:]) + "\n")
+        with pytest.raises(PersistenceError, match=re.escape(str(path))):
+            load_solution(path, "ultraweak", mesh)
+
     def test_reloaded_solution_estimates_like_the_original(self, tmp_path):
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(3)
         bc = bc_from_exact(smooth)
-        f = solve_dpg("primal", mesh, smooth.material, 2, bc=bc)
+        f = solve("primal", mesh, smooth.material, 2, bc=bc)
         path = tmp_path / "sol.txt"
         save_solution(f, path)
         g = load_solution(path, "primal", mesh, bc=bc)
@@ -154,10 +170,7 @@ class TestSolutionFile:
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(3)
         bc = bc_from_exact(smooth)
-        if spec == "fosls":
-            f = solve_fosls(mesh, smooth.material, 2, bc)
-        else:
-            f = solve_hybrid_mixed(mesh, smooth.material, 2, bc=bc, conservative=spec == "hybrid_mixed_conservative")
+        f = solve(spec, mesh, smooth.material, 2, bc=bc)
         path = tmp_path / "sol.txt"
         save_solution(f, path)
         g = load_solution(path, spec, mesh, bc=bc)
@@ -174,7 +187,7 @@ class TestSolutionFile:
         mesh = build_square_mesh(2)
         bc = bc_from_exact(smooth)
         path = tmp_path / "sol.txt"
-        save_solution(solve_hybrid_mixed(mesh, smooth.material, 1, bc=bc, conservative=True), path)
+        save_solution(solve("hybrid_mixed_conservative", mesh, smooth.material, 1, bc=bc), path)
         with pytest.raises(PersistenceError):
             load_solution(path, "hybrid_mixed", mesh, bc=bc)
 
@@ -183,7 +196,7 @@ class TestSolutionFile:
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(4)
         bc = bc_from_exact(smooth)
-        f = solve_fosls(mesh, smooth.material, 2, bc)
+        f = solve("fosls", mesh, smooth.material, 2, bc=bc)
         path = tmp_path / "sol.txt"
         save_solution(f, path)
         g = load_solution(path, "fosls", mesh, bc=bc)
@@ -200,7 +213,7 @@ class TestSolutionFile:
     def test_galerkin_file(self, tmp_path):
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(2)
-        f = solve_galerkin_primal(mesh, smooth.material, 1, bc_from_exact(smooth))
+        f = solve("galerkin", mesh, smooth.material, 1, bc=bc_from_exact(smooth))
         path = tmp_path / "gal.txt"
         save_solution(f, path)
         g = load_solution(path, "galerkin", mesh)
@@ -210,7 +223,7 @@ class TestSolutionFile:
         smooth = smooth_solution_2d()
         mesh = build_square_mesh(2)
         bc = bc_from_exact(smooth)
-        f = solve_galerkin_primal(mesh, smooth.material, 2, bc)
+        f = solve("galerkin", mesh, smooth.material, 2, bc=bc)
         path = tmp_path / "gal.txt"
         save_solution(f, path)
         g = load_solution(path, "galerkin", mesh, bc=bc)

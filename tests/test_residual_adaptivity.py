@@ -24,7 +24,7 @@ from dpgelast.forms import (
     l2_slot_residual_ops,
 )
 from dpgelast import mesh as mesh_module, residual_adaptivity
-from dpgelast.dpg_solver import assemble_and_solve, solve_dpg, solve_hybrid_mixed
+from dpgelast.dpg_solver import assemble_and_solve, solve
 from dpgelast.residual_adaptivity import (
     P_RES,
     ResidualReport,
@@ -94,7 +94,7 @@ class TestEstimator:
     def test_zero_for_representable_solution(self, spec):
         field = LinearField()
         bc = BCData(f=field.body_force, g=field.traction, u0=field.displacement)
-        f = solve_dpg(spec, build_square_mesh(2), MAT, 2, bc=bc)
+        f = solve(spec, build_square_mesh(2), MAT, 2, bc=bc)
         rep = element_residuals(f)
         assert rep.eta.max() < 1e-10
 
@@ -102,7 +102,7 @@ class TestEstimator:
         # for the strong setting all test slots carry the L2 norm, so
         # eta_K is exactly the L2 norm of the pointwise residual
         smooth = smooth_solution_2d()
-        f = solve_dpg("strong", build_square_mesh(4), smooth.material, 2, bc=bc_from_exact(smooth))
+        f = solve("strong", build_square_mesh(4), smooth.material, 2, bc=bc_from_exact(smooth))
         rep = element_residuals(f)
 
         rule = triangle_rule(16)
@@ -141,7 +141,7 @@ class TestEstimator:
         import dpgelast.spaces as spaces
 
         smooth = smooth_solution_2d()
-        f = solve_dpg("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        f = solve("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
         eta = element_residuals(f).eta
 
         def fail(*args, **kwargs):
@@ -156,13 +156,11 @@ class TestEstimator:
 
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_reuses_the_solve_geometry_classes(self, monkeypatch, spec):
-        import dpgelast.forms as forms
-
         calls = []
-        classes = forms.geometry_classes
-        monkeypatch.setattr(forms, "geometry_classes", lambda *args: calls.append(args) or classes(*args))
+        classes = mesh_module.geometry_classes
+        monkeypatch.setattr(mesh_module, "geometry_classes", lambda *args: calls.append(args) or classes(*args))
         smooth = smooth_solution_2d()
-        element_residuals(solve_dpg(spec, build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth)))
+        element_residuals(solve(spec, build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth)))
         assert len(calls) == 1
 
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
@@ -172,7 +170,7 @@ class TestEstimator:
         import dpgelast.residual_adaptivity as ra
 
         smooth = smooth_solution_2d()
-        f = solve_dpg(spec, build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        f = solve(spec, build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
         seen = set()
         blocks = ra.assemble_local_blocks
         monkeypatch.setattr(ra, "assemble_local_blocks", lambda form, *a: seen.add(tuple(form.test_spaces)) or blocks(form, *a))
@@ -183,18 +181,18 @@ class TestEstimator:
 
     def test_p_res_below_trial_order_raises(self):
         smooth = smooth_solution_2d()
-        f = solve_dpg("primal", build_square_mesh(2), smooth.material, 3, bc=bc_from_exact(smooth))
+        f = solve("primal", build_square_mesh(2), smooth.material, 3, bc=bc_from_exact(smooth))
         with pytest.raises(ValueError, match="p_res=2 .* p=3"):
             element_residuals(f, p_res=2)
 
     def test_default_p_res_lies_above_the_trial_order(self):
         # p_res defaults to max(P_RES, p + 1), so a p = 5 call needs no p_res
         smooth = smooth_solution_2d()
-        f = solve_dpg("primal", build_square_mesh(2), smooth.material, 5, bc=bc_from_exact(smooth))
+        f = solve("primal", build_square_mesh(2), smooth.material, 5, bc=bc_from_exact(smooth))
         rep = element_residuals(f)
         assert rep.p_res == 6
         assert np.array_equal(rep.eta, element_residuals(f, p_res=6).eta)
-        assert element_residuals(solve_dpg("primal", build_square_mesh(2), smooth.material, 2, bc=bc_from_exact(smooth))).p_res == P_RES
+        assert element_residuals(solve("primal", build_square_mesh(2), smooth.material, 2, bc=bc_from_exact(smooth))).p_res == P_RES
 
     def test_eta_decreases_under_uniform_refinement(self):
         smooth = smooth_solution_2d()
@@ -202,7 +200,7 @@ class TestEstimator:
         m = build_square_mesh(2)
         totals = []
         for _ in range(3):
-            f = solve_dpg("primal", m, smooth.material, 1, bc=bc)
+            f = solve("primal", m, smooth.material, 1, bc=bc)
             totals.append(element_residuals(f).total)
             m = uniform_refine(m)
         assert totals[1] < totals[0] and totals[2] < totals[1]
@@ -274,14 +272,14 @@ class TestDenseOracle:
         exact, mesh = (
             (smooth_solution_2d(), build_square_mesh(4)) if domain == "square" else (singular_solution(), build_lshape_mesh(2))
         )
-        assert_matches_dense(solve_dpg(spec, mesh, exact.material, p, bc=bc_from_exact(exact)))
+        assert_matches_dense(solve(spec, mesh, exact.material, p, bc=bc_from_exact(exact)))
 
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_matches_with_one_element_per_class(self, spec, p):
         smooth = smooth_solution_2d()
         mesh = perturbed_mesh(uniform_refine(build_square_mesh(4)))
-        assert_matches_dense(solve_dpg(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth)))
+        assert_matches_dense(solve(spec, mesh, smooth.material, p, bc=bc_from_exact(smooth)))
 
     @pytest.mark.parametrize("spec", ["primal", "ultraweak"])
     def test_matches_across_class_chunks(self, spec):
@@ -290,8 +288,8 @@ class TestDenseOracle:
         mesh = build_square_mesh(2)
         for _ in range(4):
             mesh = uniform_refine(mesh)
-        f = solve_dpg(spec, mesh, smooth.material, 1, bc=bc_from_exact(smooth))
-        assert len(list(class_chunks(f.form.classes))) == 5
+        f = solve(spec, mesh, smooth.material, 1, bc=bc_from_exact(smooth))
+        assert len(list(class_chunks(f.form.mesh.classes))) == 5
         assert_matches_dense(f)
 
     def test_non_spd_gram_raises(self, monkeypatch):
@@ -300,7 +298,7 @@ class TestDenseOracle:
         import dpgelast.forms as forms
 
         smooth = smooth_solution_2d()
-        f = solve_dpg("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+        f = solve("ultraweak", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
         gram = forms.gram_blocks
         monkeypatch.setattr(forms, "gram_blocks", lambda *args: -gram(*args))
         with pytest.raises(ValueError, match="not SPD"):
@@ -316,7 +314,7 @@ class TestDenseOracle:
         mesh = build_square_mesh(2)
         for _ in range(3):
             mesh = uniform_refine(mesh)
-        f = solve_dpg("ultraweak", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
+        f = solve("ultraweak", mesh, smooth.material, 2, bc=bc_from_exact(smooth))
         eta = element_residuals(f).eta
         gram, rng = forms.gram_blocks, np.random.default_rng(0)
 
@@ -351,7 +349,7 @@ class TestAdaptiveLoop:
 class TestConservation:
     def test_defect_shape_and_reference_norm(self):
         smooth = smooth_solution_2d()
-        f = solve_hybrid_mixed(build_square_mesh(3), smooth.material, 1, bc=bc_from_exact(smooth))
+        f = solve("hybrid_mixed", build_square_mesh(3), smooth.material, 1, bc=bc_from_exact(smooth))
         defect, fnorm = local_conservation_defect(f)
         assert defect.shape == (f.mesh.num_triangles,)
         assert fnorm > 0
@@ -360,7 +358,7 @@ class TestConservation:
     def test_defect_zero_for_representable(self):
         field = LinearField()
         bc = BCData(f=field.body_force, g=field.traction, u0=field.displacement)
-        f = solve_hybrid_mixed(build_square_mesh(2), MAT, 2, bc=bc)
+        f = solve("hybrid_mixed", build_square_mesh(2), MAT, 2, bc=bc)
         defect, _ = local_conservation_defect(f)
         assert defect.max() < 1e-11
 
@@ -369,7 +367,7 @@ class TestConservation:
         # Gamma1 carries traction data, so constrained normal-trace dofs of
         # sigma enter the constraint rows and move to the right-hand side
         sing = singular_solution()
-        f = solve_hybrid_mixed(build_lshape_mesh(2), sing.material, p, bc=bc_from_exact(sing), conservative=True)
+        f = solve("hybrid_mixed_conservative", build_lshape_mesh(2), sing.material, p, bc=bc_from_exact(sing))
         assert len(f.layout.constrained) > 0
         defect, _ = local_conservation_defect(f)
         assert defect.max() <= 1e-12
@@ -379,8 +377,8 @@ class TestConservation:
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
         mesh = build_square_mesh(n)
-        plain = solve_hybrid_mixed(mesh, smooth.material, 1, bc=bc)
-        cons = solve_hybrid_mixed(mesh, smooth.material, 1, bc=bc, conservative=True)
+        plain = solve("hybrid_mixed", mesh, smooth.material, 1, bc=bc)
+        cons = solve("hybrid_mixed_conservative", mesh, smooth.material, 1, bc=bc)
         e_plain, _ = error_norms(plain, smooth)
         e_cons, _ = error_norms(cons, smooth)
         assert abs(e_cons - e_plain) <= 0.01 * e_plain
@@ -390,7 +388,7 @@ class TestConservation:
     def test_conservative_reproduces_representable(self):
         field = LinearField()
         bc = BCData(f=field.body_force, g=field.traction, u0=field.displacement)
-        f = solve_hybrid_mixed(build_square_mesh(2), MAT, 2, bc=bc, conservative=True)
+        f = solve("hybrid_mixed_conservative", build_square_mesh(2), MAT, 2, bc=bc)
         rel, slots = error_norms(f, field)
         assert rel < 1e-10 and slots["sigma"] < 1e-10
         defect, _ = local_conservation_defect(f)
@@ -411,7 +409,7 @@ class TestConservation:
         )
         smooth = smooth_solution_2d()
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve_hybrid_mixed(mesh, smooth.material, 1, bc=bc_from_exact(smooth), conservative=True)
+            solve("hybrid_mixed_conservative", mesh, smooth.material, 1, bc=bc_from_exact(smooth))
 
     def test_conservative_failed_factorization_raises_without_fallback(self, monkeypatch):
         def failed_lu(*args, **kwargs):
@@ -420,4 +418,4 @@ class TestConservation:
         monkeypatch.setattr(spla, "splu", failed_lu)
         smooth = smooth_solution_2d()
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve_hybrid_mixed(build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth), conservative=True)
+            solve("hybrid_mixed_conservative", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))

@@ -2,6 +2,7 @@
 reproduction of representable solutions, and benchmark error behavior."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy.sparse.linalg as spla
 from dpgelast.material import MaterialParams, stiffness_apply_array
 from dpgelast.mesh import Mesh, GAMMA1, build_square_mesh, build_lshape_mesh, uniform_refine, refine, skeleton
 from dpgelast.quadrature import edge_rule
-from dpgelast.spaces import h1_space, edge_points, edge_flips, edge_reference
+from dpgelast.spaces import h1_space, edge_points, edge_reference
 from dpgelast.exact_solutions import smooth_solution_2d, singular_solution, error_norms
 from dpgelast.forms import (
     BCData,
@@ -39,12 +40,10 @@ from dpgelast.dpg_solver import (
     cholesky_cond_bound,
     condense_local,
     forward_substitution,
+    SOLVE_PATHS,
     assemble_and_solve,
-    solve_dpg,
-    solve_fosls,
-    solve_hybrid_mixed,
+    solve,
     solve_saddle_point,
-    solve_galerkin_primal,
 )
 from test_forms import corner_graded_lshape
 
@@ -280,7 +279,7 @@ class TestStaticCondensation:
         K, layout = system.K, system.layout
         # every class's Schur complement is exactly symmetric
         (S,) = scattered
-        assert len(S) == form.classes.max() + 1
+        assert len(S) == form.mesh.classes.max() + 1
         assert np.array_equal(S, np.swapaxes(S, 1, 2))
         eliminated = [n for n, k in form.desc.field_slots if k.startswith("L2")]
         assert bool(eliminated) == (spec in self.ELIMINATED)
@@ -314,13 +313,13 @@ class TestSingularSystems:
     # so each system is singular; none may return a null-space mix, and the
     # missing Gamma0 edge is caught before anything is factored
     SOLVES = {
-        "hybrid_mixed": lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc),
-        "primal": lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
-        "mixed": lambda m, mat, bc: solve_dpg("mixed", m, mat, 1, bc=bc),
-        "dualmixed": lambda m, mat, bc: solve_dpg("dualmixed", m, mat, 1, bc=bc),
-        "ultraweak": lambda m, mat, bc: solve_dpg("ultraweak", m, mat, 1, bc=bc),
-        "fosls": lambda m, mat, bc: solve_fosls(m, mat, 1, bc),
-        "galerkin": lambda m, mat, bc: solve_galerkin_primal(m, mat, 1, bc),
+        "hybrid_mixed": lambda m, mat, bc: solve("hybrid_mixed", m, mat, 1, bc=bc),
+        "primal": lambda m, mat, bc: solve("primal", m, mat, 1, bc=bc),
+        "mixed": lambda m, mat, bc: solve("mixed", m, mat, 1, bc=bc),
+        "dualmixed": lambda m, mat, bc: solve("dualmixed", m, mat, 1, bc=bc),
+        "ultraweak": lambda m, mat, bc: solve("ultraweak", m, mat, 1, bc=bc),
+        "fosls": lambda m, mat, bc: solve("fosls", m, mat, 1, bc=bc),
+        "galerkin": lambda m, mat, bc: solve("galerkin", m, mat, 1, bc=bc),
         "saddle_primal": lambda m, mat, bc: solve_saddle_point(formulation("primal", m, mat, 1, bc=bc)),
         "saddle_ultraweak": lambda m, mat, bc: solve_saddle_point(formulation("ultraweak", m, mat, 1, bc=bc)),
     }
@@ -356,7 +355,7 @@ class TestGradedRegime:
     def test_graded_corner_solves(self, graded, spec):
         assert graded.num_triangles == 192
         sing = singular_solution()
-        f = solve_dpg(spec, graded, sing.material, 2, bc=bc_from_exact(sing))
+        f = solve(spec, graded, sing.material, 2, bc=bc_from_exact(sing))
         info = f.extras["solver"]
         assert info["residual"] <= 1e-11
         assert all(np.isfinite(c).all() for c in f.coeffs.values())
@@ -370,7 +369,7 @@ class TestHighOrderHdiv:
         smooth = smooth_solution_2d()
         out = {}
         for spec in ("ultraweak", "strong", "mixed"):
-            f = solve_dpg(spec, build_square_mesh(8), smooth.material, 7, bc=bc_from_exact(smooth))
+            f = solve(spec, build_square_mesh(8), smooth.material, 7, bc=bc_from_exact(smooth))
             out[spec] = (f.extras["solver"]["residual"], error_norms(f, smooth)[0])
         return out
 
@@ -411,7 +410,7 @@ class TestSolverRecord:
     )
     def test_interface_lu_fill(self, spec, mesh, bound):
         smooth = smooth_solution_2d()
-        f = solve_dpg(spec, mesh(), smooth.material, 2, bc=bc_from_exact(smooth))
+        f = solve(spec, mesh(), smooth.material, 2, bc=bc_from_exact(smooth))
         assert f.extras["solver"]["lu_nnz"] <= bound
 
     def test_geometry_classes_and_gram_condition_recorded(self):
@@ -424,7 +423,7 @@ class TestSolverRecord:
         form = formulation("primal", m, smooth.material, 2, bc=bc)
         graded = assemble_and_solve(form)
         info = graded.extras["solver"]
-        assert info["geometry_classes"] == form.classes.max() + 1 < m.num_triangles
+        assert info["geometry_classes"] == form.mesh.classes.max() + 1 < m.num_triangles
         assert square.extras["solver"]["geometry_classes"] == 4
         # the bound is a lower bound on every class's Gram condition number
         G1 = assemble_local_blocks(form).G["v"]
@@ -439,7 +438,7 @@ class TestSolverRecord:
         # momentum multipliers per element are factored
         smooth = smooth_solution_2d()
         m = build_square_mesh(2)
-        h = solve_hybrid_mixed(m, smooth.material, 1, bc=bc_from_exact(smooth), conservative=True)
+        h = solve("hybrid_mixed_conservative", m, smooth.material, 1, bc=bc_from_exact(smooth))
         eliminated = h.coeffs["u"].size + h.coeffs["omega"].size
         assert h.extras["solver"]["factored_dofs"] == h.num_free_dofs() - eliminated + 2 * m.num_triangles
 
@@ -447,7 +446,7 @@ class TestSolverRecord:
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
         m = build_square_mesh(2)
-        f = solve_dpg("primal", m, smooth.material, 1, bc=bc)
+        f = solve("primal", m, smooth.material, 1, bc=bc)
         assert f.extras["solver"]["factored_dofs"] == f.extras["solver"]["free_dofs"] == f.num_free_dofs()
         s = solve_saddle_point(formulation("primal", m, smooth.material, 1, bc=bc))
         assert s.extras["solver"]["factored_dofs"] == s.num_free_dofs() + s.extras["psi"].size
@@ -455,8 +454,8 @@ class TestSolverRecord:
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda m, mat, bc: solve_dpg("primal", m, mat, 1, bc=bc),
-            lambda m, mat, bc: solve_hybrid_mixed(m, mat, 1, bc=bc, conservative=True),
+            lambda m, mat, bc: solve("primal", m, mat, 1, bc=bc),
+            lambda m, mat, bc: solve("hybrid_mixed_conservative", m, mat, 1, bc=bc),
             lambda m, mat, bc: solve_saddle_point(formulation("primal", m, mat, 1, bc=bc)),
         ],
         ids=["spd", "kkt", "saddle_point"],
@@ -482,14 +481,14 @@ class TestSolverRecord:
         monkeypatch.setattr(dpg_solver, "_factor_checked", lambda *args, **kwargs: WrongLU())
         smooth = smooth_solution_2d()
         with pytest.raises(np.linalg.LinAlgError, match="residual"):
-            solve_dpg("primal", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
+            solve("primal", build_square_mesh(2), smooth.material, 1, bc=bc_from_exact(smooth))
 
     @pytest.mark.parametrize(
         "solve",
         [
-            lambda m, mat, bc: solve_dpg("ultraweak", m, mat, 1, bc=bc),
+            lambda m, mat, bc: solve("ultraweak", m, mat, 1, bc=bc),
             lambda m, mat, bc: solve_saddle_point(formulation("primal", m, mat, 1, bc=bc)),
-            lambda m, mat, bc: solve_galerkin_primal(m, mat, 1, bc),
+            lambda m, mat, bc: solve("galerkin", m, mat, 1, bc=bc),
         ],
         ids=["assemble_and_solve", "saddle_point", "galerkin"],
     )
@@ -515,16 +514,16 @@ class TestSolverRecord:
 class TestHomogeneous:
     @pytest.mark.parametrize("spec", FORMULATION_IDS)
     def test_zero_data_zero_solution(self, spec):
-        f = solve_dpg(spec, build_square_mesh(2), MAT, 1, bc=BCData())
+        f = solve(spec, build_square_mesh(2), MAT, 1, bc=BCData())
         for name, c in f.coeffs.items():
             assert np.abs(c).max() < 1e-12, name
 
     def test_fosls_galerkin_hybrid_zero(self):
         m = build_square_mesh(2)
         for f in (
-            solve_fosls(m, MAT, 1, BCData()),
-            solve_galerkin_primal(m, MAT, 1, BCData()),
-            solve_hybrid_mixed(m, MAT, 1, bc=BCData()),
+            solve("fosls", m, MAT, 1, bc=BCData()),
+            solve("galerkin", m, MAT, 1, bc=BCData()),
+            solve("hybrid_mixed", m, MAT, 1, bc=BCData()),
         ):
             for c in f.coeffs.values():
                 assert np.abs(c).max() < 1e-12
@@ -537,9 +536,31 @@ class TestRepresentable:
         # ultraweak and mixed settings) contains the affine solution
         field = LinearField()
         bc = BCData(f=field.body_force, g=field.traction, u0=field.displacement)
-        f = solve_dpg(spec, build_square_mesh(2), MAT, 2, bc=bc)
+        f = solve(spec, build_square_mesh(2), MAT, 2, bc=bc)
         rel, _ = error_norms(f, field)
         assert rel < 1e-10
+
+
+class TestSolveByName:
+    @pytest.mark.parametrize("path", SOLVE_PATHS)
+    def test_result_named_by_its_path(self, path):
+        f = solve(path, build_square_mesh(2), MAT, 1, bc=BCData())
+        assert f.spec_name == path
+        assert (f.form is None) == (path == "galerkin")
+
+    @pytest.mark.parametrize("path", ["fosls", "hybrid_mixed", "hybrid_mixed_conservative", "galerkin"])
+    def test_fixed_enrichment_path_rejects_dp(self, path):
+        with pytest.raises(ValueError, match="dp=2"):
+            solve(path, build_square_mesh(2), MAT, 1, dp=2, bc=BCData())
+
+    def test_data_is_keyword_only(self):
+        # positional data would land in dp, which fosls ignores
+        with pytest.raises(TypeError):
+            solve("fosls", build_square_mesh(2), MAT, 1, BCData())
+
+    def test_unknown_path_lists_the_paths(self):
+        with pytest.raises(ValueError, match=re.escape(str(SOLVE_PATHS))):
+            solve("hybrid", build_square_mesh(2), MAT, 1)
 
 
 class TestPathEquivalences:
@@ -548,8 +569,8 @@ class TestPathEquivalences:
         smooth = smooth_solution_2d()
         bc = bc_from_exact(smooth)
         m = build_square_mesh(4)
-        a = solve_dpg("strong", m, smooth.material, p, bc=bc)
-        b = solve_fosls(m, smooth.material, p, bc)
+        a = solve("strong", m, smooth.material, p, bc=bc)
+        b = solve("fosls", m, smooth.material, p, bc=bc)
         for k in ("u", "sigma"):
             d = np.linalg.norm(a.coeffs[k] - b.coeffs[k]) / np.linalg.norm(a.coeffs[k])
             assert d < 1e-8, k
@@ -630,11 +651,11 @@ class TestExactL2:
         bc = bc_from_exact(smooth)
         m = build_square_mesh(4)
         if path == "fosls":
-            x = solve_fosls(m, smooth.material, p, bc).full_vector()
+            x = solve("fosls", m, smooth.material, p, bc=bc).full_vector()
             ref = pointwise_l2_solve(formulation("strong", m, smooth.material, p, dp=0, bc=bc))
         else:
             conservative = path == "hybrid_conservative"
-            x = solve_hybrid_mixed(m, smooth.material, p, bc=bc, conservative=conservative).full_vector()
+            x = solve("hybrid_mixed_conservative" if conservative else "hybrid_mixed", m, smooth.material, p, bc=bc).full_vector()
             form = formulation("mixed", m, smooth.material, p, dp=1, bc=bc)
             C, d = dpg_solver._momentum_constraints(form) if conservative else (None, None)
             ref = pointwise_l2_solve(form, C, d)
@@ -673,7 +694,7 @@ def galerkin_loop_system(mesh, material, p, bc):
         t0 = mesh.edge_tris[eid, 0]
         loc = int(np.where(mesh.tri_edges[t0] == eid)[0][0])
         gv = np.asarray(bc.g(edge_points(mesh, eid, tq), sk.normals[eid]), dtype=float)
-        ev = ref[loc, edge_flips(mesh, [t0])[0, loc]]
+        ev = ref[loc, mesh.edge_flips[t0, loc]]
         np.add.at(rhs, space.elt_dofs[t0], sk.lengths[eid] * np.einsum("q,qc,lqc->l", twq, gv, ev))
     return K, rhs, space
 
@@ -686,17 +707,17 @@ class TestGalerkinOracle:
         sing = singular_solution()
         bc, mesh = bc_from_exact(sing), corner_graded_lshape()
         seen = {}
-        solve = dpg_solver._solve_constrained
+        solve_constrained = dpg_solver._solve_constrained
 
         def spy(K, rhs, *args):
             seen.update(K=K, rhs=rhs)
-            return solve(K, rhs, *args)
+            return solve_constrained(K, rhs, *args)
 
         monkeypatch.setattr(dpg_solver, "_solve_constrained", spy)
-        f = solve_galerkin_primal(mesh, sing.material, p, bc)
+        f = solve("galerkin", mesh, sing.material, p, bc=bc)
         K, rhs, space = galerkin_loop_system(mesh, sing.material, p, bc)
         layout = slot_layout({"u": space})
-        x, _ = solve(K, rhs, layout.constrained, layout.values)
+        x, _ = solve_constrained(K, rhs, layout.constrained, layout.values)
         for a, b in ((seen["K"].indptr, K.indptr), (seen["K"].indices, K.indices), (seen["K"].data, K.data)):
             assert np.array_equal(a, b)
         assert np.array_equal(seen["rhs"], rhs)
@@ -716,7 +737,7 @@ class TestGalerkinTraction:
             shapes.append(pts.shape)
             return bc.g(pts, normal)
 
-        solve_galerkin_primal(mesh, sing.material, 2, dataclasses.replace(bc, g=g))
+        solve("galerkin", mesh, sing.material, 2, bc=dataclasses.replace(bc, g=g))
         g1 = mesh.boundary_edge_ids(GAMMA1)
         assert len(shapes) == len(np.unique(skeleton(mesh).normals[g1], axis=0)) == 4
         assert sum(shape[0] for shape in shapes) == len(g1)
@@ -729,7 +750,7 @@ class TestBenchmarkErrors:
         errs = []
         m = build_square_mesh(2)
         for _ in range(3):
-            f = solve_dpg("primal", m, smooth.material, 2, bc=bc)
+            f = solve("primal", m, smooth.material, 2, bc=bc)
             errs.append(error_norms(f, smooth)[0])
             m = uniform_refine(m)
         # error drops by about 2^-p = 1/4 per refinement
@@ -741,8 +762,8 @@ class TestBenchmarkErrors:
         bc = bc_from_exact(smooth)
         for p in (1, 2):
             m = build_square_mesh(4)
-            e_dpg = error_norms(solve_dpg("primal", m, smooth.material, p, bc=bc), smooth)[0]
-            e_gal = error_norms(solve_galerkin_primal(m, smooth.material, p, bc), smooth)[0]
+            e_dpg = error_norms(solve("primal", m, smooth.material, p, bc=bc), smooth)[0]
+            e_gal = error_norms(solve("galerkin", m, smooth.material, p, bc=bc), smooth)[0]
             assert e_dpg / e_gal < 3.0 and e_gal / e_dpg < 3.0
 
     def test_constrained_dofs_carry_prescribed_values(self):

@@ -17,7 +17,6 @@ from dpgelast.spaces import (
     volume_basis,
     field_values,
     edge_reference,
-    edge_flips,
     edge_points,
     interpolate,
     evaluate_field,
@@ -280,7 +279,7 @@ class TestConformity:
         m = corner_refined_lshape()
         elems = np.arange(m.num_triangles)
         t = edge_rule(2 * p + 4)[0]
-        ev = edge_reference("H1", p, t)[np.arange(3), edge_flips(m, elems)].swapaxes(1, 2)
+        ev = edge_reference("H1", p, t)[np.arange(3), m.edge_flips[elems]].swapaxes(1, 2)
         geom = m.geometry
         for loc in range(3):
             a, b = m.vertices[m.edges[m.tri_edges[:, loc]]].transpose(1, 0, 2)
@@ -390,7 +389,7 @@ class TestConstraints:
     def test_gamma1_traction_constraint_values(self):
         m = build_lshape_mesh()
         field = PolyField(1)
-        space = hdiv_space(m, 2, gamma1_constrained=True, traction_fn=field.traction)
+        space = hdiv_space(m, 2, traction_fn=field.traction)
         coeffs = interpolate(space, field)
         x = space.constraint_vector()
         assert np.abs(x[space.constrained_dofs] - coeffs[space.constrained_dofs]).max() < 1e-12
