@@ -24,7 +24,13 @@ systems of the solvers. Its growth factor is bounded only by about
 17, 1996), which leaves the shift-invert eigenvalue up to about 1e-9
 off on the p=1 table. The eigenvalue is therefore taken as a Rayleigh
 quotient at ARPACK's eigenvector, whose error is quadratic in the
-eigenvector's. A degenerate regime with the displacement boundary
+eigenvector's. That lets ARPACK stop at a relative Ritz residual of 1e-8
+(ARPACK_TOL) rather than at machine precision. It starts from a normal
+vector drawn from a generator seeded with 0: the all-ones vector is almost
+G_X-orthogonal to the lowest eigenvector on the symmetric square meshes,
+and a loose tolerance then returns the second eigenvalue (Lehoucq,
+Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, on the start vector and
+the stopping test). A degenerate regime with the displacement boundary
 removed exposes the rigid-body kernel.
 
 The two auxiliary stability constants of the continuous analysis are
@@ -60,6 +66,10 @@ TEST_ORDER_BUMP = {"strong": 1, "ultraweak": 1, "dualmixed": 0, "mixed": 1, "pri
 # Shift of the shift-invert eigensolves: just below zero, so the shifted
 # operators stay nonsingular when the smallest eigenvalue is 0.
 SHIFT = -1e-6
+
+# ARPACK's relative Ritz-residual tolerance; the refined Rayleigh quotient
+# of _min_infsup_eig keeps gamma at the dense eigensolve's rounding with it.
+ARPACK_TOL = 1e-8
 
 # The pairs of the auxiliary constants, with no load. At test order p the
 # order-(p-1) L2 test slots of POINCARE hold omega - grad u, so its inf-sup
@@ -134,16 +144,28 @@ def _min_infsup_eig(B, GY, GX) -> float:
     [0; g] after one step of iterative refinement, lambda = sigma -
     x^T g / g^T w. Its error is quadratic in the error of x, and the
     refinement takes the solve's drift out of g^T w.
+
+    That is why ARPACK may stop at tol = ARPACK_TOL. It starts from
+    default_rng(0).standard_normal(n), which no mesh symmetry makes
+    G_X-orthogonal to the lowest eigenvector (v0 = ones is, to 1e-14, on
+    the square meshes) and which keeps gamma bitwise reproducible.
     """
     m, n = B.shape
     A = sp.bmat([[GY, B], [B.T, SHIFT * GX]], format="csc")
     lu = _factor_checked(A, "inf-sup saddle matrix", **_QUASIDEFINITE_LU)
-    inv = spla.LinearOperator((n, n), matvec=lambda y: -lu.solve(np.r_[np.zeros(m), y.ravel()])[m:], dtype=float)
+    rhs = np.zeros(m + n)  # every right-hand side is [0; y]: only rhs[m:] is ever written
+
+    def apply_inv(y):
+        rhs[m:] = y.ravel()
+        return -lu.solve(rhs)[m:]
+
+    inv = spla.LinearOperator((n, n), matvec=apply_inv, dtype=float)
     # shift-invert mode applies only OPinv and M, never its first argument
-    _, X = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=np.ones(n))
+    v0 = np.random.default_rng(0).standard_normal(n)
+    _, X = spla.eigsh(inv, k=1, M=GX, sigma=SHIFT, OPinv=inv, which="LM", v0=v0, tol=ARPACK_TOL)
     x = X[:, 0]
     g = GX @ x
-    rhs = np.r_[np.zeros(m), g]
+    rhs[m:] = g
     zw = lu.solve(rhs)
     zw += lu.solve(rhs - A @ zw)
     return float(SHIFT - (x @ g) / (g @ zw[m:]))
@@ -151,6 +173,8 @@ def _min_infsup_eig(B, GY, GX) -> float:
 
 def discrete_infsup(spec_id, mesh: Mesh, material, p: int, gamma0_empty: bool = False, test_order=None) -> InfSupResult:
     """Discrete inf-sup constant of the unbroken conforming pair."""
+    if spec_id not in DESCRIPTORS:
+        raise ValueError(f"unknown formulation {spec_id!r}; options: {sorted(DESCRIPTORS)}")
     q = test_order if test_order is not None else p + TEST_ORDER_BUMP[spec_id]
     B, GY, GX = _infsup_operators(DESCRIPTORS[spec_id], mesh, material, p, q, gamma0_empty)
     gamma = float(np.sqrt(max(_min_infsup_eig(B, GY, GX), 0.0)))

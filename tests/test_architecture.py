@@ -12,7 +12,9 @@ no other module imports the skeleton builder, the edge orientations and
 the geometry classes are defined in mesh.py alone and built by
 Mesh.edge_flips and Mesh.classes, a space keeps typed fields,
 not a payload dict, and an element operator is one M = [B | Bhat], never
-glued from a separate trace block."""
+glued from a separate trace block; and every random draw comes from a
+generator seeded in the call, np.random.default_rng(seed), never from a
+global RNG, so every output is reproducible."""
 
 import ast
 from pathlib import Path
@@ -136,3 +138,41 @@ def test_edge_flips_and_classes_only_in_the_mesh():
     sites = [(p.name, fn) for p in sorted(SRC.glob("*.py")) for fn in referencing_functions(p, "geometry_classes", calls_only=True)]
     assert sorted(defs) == [("mesh.py", "edge_flips"), ("mesh.py", "geometry_classes")]
     assert sites == [("mesh.py", "classes")]
+
+
+def random_sources(path):
+    """Each use of a random source in a module, as a short description: any
+    numpy.random attribute but default_rng, default_rng with no seed or a
+    None seed, and any import of the standard random module."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (f"import {a.name}" for a in node.names if a.name == "random" or a.name.startswith("numpy.random"))
+        elif isinstance(node, ast.ImportFrom) and node.module in ("random", "numpy.random"):
+            yield f"from {node.module} import"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(a.name == "random" for a in node.names):
+            yield "from numpy import random"
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "random":
+            if node.attr != "default_rng":
+                yield f"random.{node.attr}"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "default_rng":
+            seeds = list(node.args) + [k.value for k in node.keywords if k.arg == "seed"]
+            if not seeds or any(isinstance(a, ast.Constant) and a.value is None for a in seeds):
+                yield "default_rng without a seed"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_random_draws_only_from_seeded_generators(module):
+    # criterion 12: a study's CSV is byte-identical between runs, whatever
+    # state the global RNG is in
+    assert list(random_sources(SRC / module)) == []
+
+
+def test_random_source_check_catches_global_draws(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\nfrom numpy.random import rand\nnp.random.seed(0)\nx = np.random.randn(3)\n"
+        "rng = np.random.default_rng()\nok = np.random.default_rng(7).standard_normal(3)\n"
+    )
+    assert sorted(random_sources(bad)) == [
+        "default_rng without a seed", "from numpy.random import", "random.randn", "random.seed",
+    ]

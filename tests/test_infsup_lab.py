@@ -92,6 +92,21 @@ class TestDiscreteInfSup:
         assert res.test_order == 3
         assert res.gamma > 1e-8
 
+    def test_unknown_formulation_rejected(self):
+        with pytest.raises(ValueError, match=r"unknown formulation 'bogus'; options: \["):
+            discrete_infsup("bogus", build_square_mesh(2), MAT, 1)
+
+    def test_gamma_independent_of_global_rng(self):
+        # the start vector is drawn from its own seeded generator, so the
+        # global RNG's state cannot move gamma, not even in the last bit; a
+        # start vector from the global RNG moves this row's gamma by ~1e-15
+        gammas = []
+        for seed in (0, 12345):
+            np.random.seed(seed)
+            np.random.standard_normal(1000)
+            gammas.append(discrete_infsup("mixed", square_level(1), MAT, 1).gamma)
+        assert gammas[0] == gammas[1]
+
 
 @lru_cache(maxsize=None)
 def square_level(level):
@@ -124,6 +139,33 @@ class TestAgainstDenseEigensolve:
                 # a degenerate pair: both gammas are square roots of an
                 # eigenvalue at rounding level, only their size compares
                 assert gamma <= 1e-6
+
+
+class TestArpackStartVector:
+    # v0 = ones is almost G_X-orthogonal to the lowest eigenvector on these
+    # symmetric meshes: at level 2 its G_X cosine is 9e-15 for primal, 4e-15
+    # for dualmixed and 7e-8 for strong, so ARPACK could only find that
+    # eigenvector again from rounding. A seeded normal vector cannot be
+    # hidden by the mesh's symmetry; its smallest cosine here is 6.8e-4
+    # (mixed, whose eigenvector any random vector meets weakly), so 1e-4
+    # sits three orders above the worst cosine of v0 = ones.
+    @pytest.mark.parametrize("spec", FORMULATION_IDS)
+    def test_start_vector_sees_the_lowest_eigenvector(self, spec, monkeypatch):
+        starts, eigsh = [], infsup_lab.spla.eigsh
+
+        def spy(*args, **kwargs):
+            starts.append(kwargs["v0"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(infsup_lab.spla, "eigsh", spy)
+        discrete_infsup(spec, square_level(2), MAT, 1)
+        ops = _infsup_operators(DESCRIPTORS[spec], square_level(2), MAT, 1, 1 + TEST_ORDER_BUMP[spec])
+        B, GY, GX = (M.toarray() for M in ops)
+        A = B.T @ np.linalg.solve(GY, B)
+        _, X = sla.eigh(0.5 * (A + A.T), GX, subset_by_index=[0, 0])
+        (v0,), x = starts, X[:, 0]
+        cosine = abs(v0 @ GX @ x) / np.sqrt((v0 @ GX @ v0) * (x @ GX @ x))
+        assert cosine > 1e-4
 
 
 class TestQuasiDefiniteSaddleLU:
