@@ -14,9 +14,12 @@ Every field object evaluates displacement, displacement gradient, stress
 and body force at arbitrary points; correctness is locked by
 finite-difference audits in the test-suite. error_norms integrates near
 the corner with a rule graded toward it (44 strips, ratio 1/2), built once
-per degree and corner vertex; strip l is strip 0 scaled by 2^-l, so the
-exact fields are evaluated on strip 0 and the tip only and scaled by
-2^(-l a) (displacement) or 2^(-l (a - 1)) (gradient, stress).
+per degree and corner vertex. Strip l is strip 0 scaled by 2^-l toward the
+corner, where the exact fields are homogeneous, of degree a (displacement)
+or a - 1 (gradient, stress), and a discrete field of degree n is a
+polynomial of degree n along each ray. So the exact fields are evaluated
+on strip 0 and the tip, the discrete fields on strips 0 ... n and the tip,
+and the sum over the strips is taken in closed form (_strip_weights).
 """
 
 from __future__ import annotations
@@ -255,44 +258,61 @@ GRADED_LEVELS = 44
 
 
 @lru_cache(maxsize=None)
-def _group_rule(degree: int, k: int):
-    """(reference points, rule of the physical points, levels) of a group:
-    the plain rule for k = -1; for a corner at local vertex k the rule graded
-    toward reference vertex 0 (degree >= 16) put on the element (vertex 0 on
-    k), and the rule of its strip-0 and tip points on vertices k, k+1, k+2."""
+def _group_rule(degree: int, k: int, nodes: int):
+    """(reference points, rule of the physical points) of a group: the plain
+    rule for k = -1; for a corner at local vertex k the rule graded toward
+    reference vertex 0 (degree >= 16), its strips 0 ... nodes - 1 and its tip
+    put on the element (vertex 0 on k), and the rule of its strip-0 and tip
+    points on vertices k, k+1, k+2."""
     if k < 0:
-        return triangle_rule(degree).points, triangle_rule(degree), 0
+        return triangle_rule(degree).points, triangle_rule(degree)
     degree = max(degree, 16)
     pts, wts = graded_triangle_rule(_REF_VERTS, 0, degree, levels=GRADED_LEVELS)
-    ref = map_to_physical(QuadratureRule(pts, wts, degree), _REF_VERTS[None, (k + np.arange(3)) % 3])[0][0]
     nq = len(triangle_rule(degree).weights)
-    near = np.r_[: 2 * nq, len(wts) - nq : len(wts)]
+    tip = np.arange(len(wts) - nq, len(wts))
+    strips = np.r_[: 2 * nq * nodes, tip]
+    ref = map_to_physical(QuadratureRule(pts[strips], wts[strips], degree), _REF_VERTS[None, (k + np.arange(3)) % 3])[0][0]
     ref.flags.writeable = False
-    return ref, QuadratureRule(pts[near], wts[near], degree), GRADED_LEVELS
+    near = np.r_[: 2 * nq, tip]
+    return ref, QuadratureRule(pts[near], wts[near], degree)
 
 
-def _spread(v, levels: int, s: float):
-    """Values at the strip-0 and tip points of a graded group (nelt, 3 nq, ...)
-    spread over all its points: strip l is strip 0 scaled by 2^-l toward the
-    corner, so a quantity homogeneous of degree s about the corner is 2^(-l s)
-    times its strip-0 value there. levels 0 (the plain group) returns v."""
-    if not levels:
-        return v
-    nq = v.shape[1] // 3
-    scale = 0.5 ** (s * np.arange(levels)).reshape((1, -1, 1) + (1,) * (v.ndim - 2))
-    strips = (scale * v[:, None, : 2 * nq]).reshape((len(v), -1) + v.shape[2:])
-    return np.concatenate([strips, v[:, 2 * nq :]], axis=1)
+@lru_cache(maxsize=None)
+def _strip_weights(n: int, s: float):
+    """(W, c) of the closed-form strip sums of a field homogeneous of degree s
+    about the corner against a discrete field of degree <= n along each ray.
+
+    Strip l is strip 0 scaled by lam_l = 2^-l with weights 4^-l w, so with
+    P_i the Lagrange polynomials on the nodes lam_0 ... lam_n, node errors
+    e_i = v_h(strip i) - 2^(-i s) v_0 and rho_l = sum_i P_i(lam_l) 2^(-i s) -
+    2^(-l s), the error on strip l is sum_i P_i(lam_l) e_i + rho_l v_0. Its
+    weighted square summed over the strips is sum_mk W_mk <f_m, f_k>_w with
+    f = [e_0 ... e_n, v_0] and W = sum_l 4^-l q_l q_l^T, q_l = [P(lam_l),
+    rho_l]; the exact field's is c <v_0, v_0>_w, c = sum_l 4^-l 2^(-2 l s).
+    For l <= n, P_i(lam_l) is exactly 0 or 1 and rho_l exactly 0."""
+    lam = 0.5 ** np.arange(GRADED_LEVELS)
+    P = np.ones((GRADED_LEVELS, n + 1))
+    for i in range(n + 1):
+        for j in range(n + 1):
+            if j != i:
+                P[:, i] *= (lam - lam[j]) / (lam[i] - lam[j])
+    scale = lam**s
+    q = np.column_stack([P, P @ scale[: n + 1] - scale])
+    area = lam**2
+    W = (area[:, None] * q).T @ q
+    W.flags.writeable = False
+    return W, float(area @ scale**2)
 
 
-def _quadrature_groups(mesh, degree, singular_corner):
-    """Yield (elems, reference points, weights, physical points, levels) for
+def _quadrature_groups(mesh, degree, singular_corner, nodes):
+    """Yield (elems, reference points, weights, physical points, graded) for
     each group of elements that shares one reference rule (_group_rule):
     the plain rule away from the singular corner; where local vertex k sits
     at the corner, the rule graded toward it, mapped as c + r0 (p - c) +
     r1 (q - c) with c, p, q the vertices k, k+1, k+2 so points near the
-    singularity keep their relative accuracy. A graded group's weights
-    (4^-l times strip 0's on strip l) are spread in full; its physical
-    points are those of strip 0 and the tip, for _spread."""
+    singularity keep their relative accuracy. A graded group's reference
+    points are those of its strips 0 ... nodes - 1 and tip, its weights and
+    physical points those of strip 0 and the tip, for _error_sq and _norm_sq."""
     verts = mesh.triangle_vertices()
     corner = np.full(mesh.num_triangles, -1)
     if singular_corner is not None:
@@ -302,15 +322,43 @@ def _quadrature_groups(mesh, degree, singular_corner):
     for k in range(-1, 3):
         elems = np.flatnonzero(corner == k)
         if len(elems):
-            ref, rule, levels = _group_rule(degree, k)
+            ref, rule = _group_rule(degree, k, nodes)
             pts, wts = map_to_physical(rule, verts[elems][:, (max(k, 0) + np.arange(3)) % 3])
-            yield elems, ref, _spread(wts, levels, 2.0), pts, levels
+            yield elems, ref, wts, pts, k >= 0
 
 
 def _weighted_sq(wts, a):
     """Quadrature sum of |a|^2 over elements and points; a is (nelt, nq, ...)."""
     a = a.reshape(a.shape[:2] + (-1,))
     return np.einsum("eq,eqk,eqk->", wts, a, a)
+
+
+def _error_sq(wts, vh, v, graded: bool, s: float):
+    """Quadrature sum of |vh - v|^2 over a group. On a graded group vh holds
+    the discrete field on strips 0 ... n and the tip, v the exact field on
+    strip 0 and the tip (homogeneous of degree s), and the strips are summed
+    in closed form (_strip_weights); the tip is summed directly."""
+    if not graded:
+        return _weighted_sq(wts, vh - v)
+    nelt, nq = len(wts), wts.shape[1] // 3
+    n = (vh.shape[1] - nq) // (2 * nq) - 1
+    vh, v = vh.reshape(nelt, vh.shape[1], -1), v.reshape(nelt, 3 * nq, -1)
+    v0 = v[:, : 2 * nq]
+    strips = np.moveaxis(vh[:, : -nq].reshape(nelt, n + 1, 2 * nq, -1), 1, 0)
+    f = np.concatenate([strips - 0.5 ** (s * np.arange(n + 1))[:, None, None, None] * v0, v0[None]])
+    gram = (f * wts[:, : 2 * nq, None]).reshape(n + 2, -1) @ f.reshape(n + 2, -1).T
+    W, _ = _strip_weights(n, s)
+    return np.sum(W * gram) + _weighted_sq(wts[:, 2 * nq :], vh[:, -nq:] - v[:, 2 * nq :])
+
+
+def _norm_sq(wts, v, graded: bool, s: float):
+    """Quadrature sum of |v|^2 over a group; on a graded group v is the exact
+    field on strip 0 and the tip, homogeneous of degree s."""
+    if not graded:
+        return _weighted_sq(wts, v)
+    nq = wts.shape[1] // 3
+    _, c = _strip_weights(0, s)  # c does not depend on n
+    return c * _weighted_sq(wts[:, : 2 * nq], v[:, : 2 * nq]) + _weighted_sq(wts[:, 2 * nq :], v[:, 2 * nq :])
 
 
 def error_norms(fields, exact: ExactSolution, quad_degree: Optional[int] = None):
@@ -321,26 +369,30 @@ def error_norms(fields, exact: ExactSolution, quad_degree: Optional[int] = None)
     discontinuous field; the relative error divides by the matching exact
     norm. Stress and rotation slots are reported in L2. Each element
     group of _quadrature_groups is evaluated at once through
-    spaces.field_values; on a graded group the exact fields are evaluated on
-    strip 0 and the tip and spread over the strips by their homogeneity.
+    spaces.field_values. On a graded group the discrete fields, of degree
+    at most n (the largest order of the u and sigma spaces) along each ray
+    from the corner, are evaluated on strips 0 ... n and the tip, the exact
+    fields on strip 0 and the tip, and the other strips are summed in
+    closed form.
     """
     spaces = fields.spaces
     degree = quad_degree if quad_degree is not None else 2 * max(s.order for s in spaces.values()) + 6
     u_space = spaces.get("u")
+    nodes = max((spaces[name].order for name in ("u", "sigma") if name in spaces), default=0) + 1
     err2 = ref2 = sig2 = 0.0
-    for elems, ref, wts, pts, levels in _quadrature_groups(fields.mesh, degree, exact.singular_corner):
-        a = exact.params.a if levels else 0.0
+    for elems, ref, wts, pts, graded in _quadrature_groups(fields.mesh, degree, exact.singular_corner, nodes):
+        a = exact.params.a if graded else 0.0
         if u_space is not None:
             uh = field_values(u_space, fields.coeffs["u"], elems, ref)
-            ue = _spread(exact.displacement(pts), levels, a)
-            err2 += _weighted_sq(wts, uh.val - ue)
-            ref2 += _weighted_sq(wts, ue)
+            ue = exact.displacement(pts)
+            err2 += _error_sq(wts, uh.val, ue, graded, a)
+            ref2 += _norm_sq(wts, ue, graded, a)
             if u_space.kind == "H1":
-                ge = _spread(exact.displacement_gradient(pts), levels, a - 1)
-                err2 += _weighted_sq(wts, uh.grad - ge)
-                ref2 += _weighted_sq(wts, ge)
+                ge = exact.displacement_gradient(pts)
+                err2 += _error_sq(wts, uh.grad, ge, graded, a - 1)
+                ref2 += _norm_sq(wts, ge, graded, a - 1)
         if "sigma" in spaces:
             sh = field_values(spaces["sigma"], fields.coeffs["sigma"], elems, ref).val
-            sig2 += _weighted_sq(wts, sh - _spread(exact.stress(pts), levels, a - 1))
+            sig2 += _error_sq(wts, sh, exact.stress(pts), graded, a - 1)
     rel = np.sqrt(err2 / ref2) if ref2 > 0 else np.sqrt(err2)
     return float(rel), ({"sigma": float(np.sqrt(sig2))} if "sigma" in spaces else {})

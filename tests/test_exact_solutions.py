@@ -2,6 +2,7 @@
 independent quadrature oracles."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from dpgelast.mesh import Mesh, build_lshape_mesh
 from dpgelast.quadrature import triangle_rule, map_to_physical, graded_triangle_rule
 from dpgelast.forms import bc_from_exact
 from dpgelast.dpg_solver import solve
-from dpgelast.spaces import evaluate_field, evaluate_field_gradient
+from dpgelast.spaces import evaluate_field, evaluate_field_gradient, field_values
+from dpgelast import exact_solutions
 from dpgelast.exact_solutions import (
+    GRADED_LEVELS,
     ExactSolution,
     smooth_solution_2d,
     singular_solution,
     solve_singularity_exponent,
     _exponent_residual,
+    _strip_weights,
     error_norms,
 )
 
@@ -293,11 +297,79 @@ class TestErrorNorms:
         assert set(corner_indices(rotated, singular.singular_corner)) == {-1, 0, 1, 2}
         return rotated
 
-    @pytest.mark.parametrize("spec", ["primal", "strong"])
-    def test_corner_groups_match_per_element_sum(self, singular, rotated_lshape, spec):
-        fields = solve(spec, rotated_lshape, singular.material, 2, bc=bc_from_exact(singular))
+    @pytest.mark.parametrize(
+        "spec,p",
+        [pytest.param("primal", 2, id="primal"), pytest.param("strong", 2, id="strong")]
+        + [(s, p) for s in ("ultraweak", "mixed", "dualmixed") for p in (1, 3, 6)],
+    )
+    def test_corner_groups_match_per_element_sum(self, singular, rotated_lshape, spec, p):
+        fields = solve(spec, rotated_lshape, singular.material, p, bc=bc_from_exact(singular))
         rel, slots = error_norms(fields, singular, quad_degree=10)
         ref_rel, ref_sig = reference_norms(fields, singular, 10)
         assert abs(rel - ref_rel) <= 1e-12 * ref_rel
-        if spec == "strong":
+        assert ("sigma" in slots) == (spec != "primal")
+        if "sigma" in slots:
             assert abs(slots["sigma"] - ref_sig) <= 1e-12 * ref_sig
+
+    @pytest.mark.parametrize("spec,p", [("primal", 2), ("ultraweak", 3)])
+    def test_graded_group_evaluated_on_few_strips(self, singular, rotated_lshape, monkeypatch, spec, p):
+        # the discrete field is evaluated on strips 0 ... n and the tip of
+        # the graded rule, never at all its points
+        fields = solve(spec, rotated_lshape, singular.material, p, bc=bc_from_exact(singular))
+        corner = np.flatnonzero(corner_indices(rotated_lshape, singular.singular_corner) >= 0)
+        calls = []
+
+        def spy(space, coeffs, elems, ref_pts):
+            calls.append((set(elems.tolist()), len(ref_pts)))
+            return field_values(space, coeffs, elems, ref_pts)
+
+        monkeypatch.setattr(exact_solutions, "field_values", spy)
+        error_norms(fields, singular)
+        n = max(s.order for name, s in fields.spaces.items() if name in ("u", "sigma"))
+        nq = len(triangle_rule(max(2 * max(s.order for s in fields.spaces.values()) + 6, 16)).weights)
+        graded = [npts for elems, npts in calls if elems <= set(corner.tolist())]
+        assert len(graded) == 3 * len(fields.spaces.keys() & {"u", "sigma"})
+        assert max(graded) <= (n + 1) * 2 * nq + nq
+
+
+def lagrange_on_strips(n):
+    """P[l, i] = P_i(2^-l) for l < GRADED_LEVELS, the Lagrange polynomials on
+    the nodes 2^-i, i = 0 ... n, in exact rational arithmetic."""
+    nodes = [Fraction(1, 2**i) for i in range(n + 1)]
+    P = np.empty((GRADED_LEVELS, n + 1))
+    for l in range(GRADED_LEVELS):
+        lam = Fraction(1, 2**l)
+        for i in range(n + 1):
+            val = Fraction(1)
+            for j in range(n + 1):
+                if j != i:
+                    val *= (lam - nodes[j]) / (nodes[i] - nodes[j])
+            P[l, i] = float(val)
+    return P
+
+
+class TestStripWeights:
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("shift", [0, 1])
+    def test_match_explicit_strip_sum(self, singular, n, shift):
+        # sum_mk W_mk <f_m, f_k> against the 44-strip sum of
+        # 4^-l |sum_i P_i(lam_l) e_i + rho_l v0|^2, and c <v0, v0> against
+        # the strip sum of 4^-l |2^(-l s) v0|^2
+        s = singular.params.a - shift
+        rng = np.random.default_rng(100 * n + shift)
+        e = rng.standard_normal((n + 1, 30, 2))
+        v0 = rng.standard_normal((30, 2))
+        w = rng.uniform(0.1, 1.0, 30)
+        P = lagrange_on_strips(n)
+        scale = 0.5 ** (s * np.arange(GRADED_LEVELS))
+        rho = P @ scale[: n + 1] - scale
+        err = sum(
+            0.25**l * np.sum(w[:, None] * (np.tensordot(P[l], e, 1) + rho[l] * v0) ** 2)
+            for l in range(GRADED_LEVELS)
+        )
+        norm = sum(0.25**l * np.sum(w[:, None] * (scale[l] * v0) ** 2) for l in range(GRADED_LEVELS))
+        W, c = _strip_weights(n, s)
+        f = np.concatenate([e, v0[None]]).reshape(n + 2, -1)
+        gram = (f * np.repeat(w, 2)) @ f.T
+        assert abs(np.sum(W * gram) - err) <= 1e-13 * err
+        assert abs(c * np.sum(w[:, None] * v0**2) - norm) <= 1e-13 * norm
